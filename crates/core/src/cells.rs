@@ -18,6 +18,18 @@ use rlim_rram::CellId;
 
 use crate::options::Allocation;
 
+/// Where a cell stands in the allocator.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// Allocated, or retired at its write limit.
+    Busy,
+    /// Free, with a live entry in the pool.
+    Free,
+    /// Free, but set aside by [`CellManager::try_alloc_avoiding`]: out of
+    /// the pool until [`CellManager::unpark`] returns it.
+    Parked,
+}
+
 /// Compile-time model of the crossbar's allocation state.
 ///
 /// # Examples
@@ -42,12 +54,18 @@ use crate::options::Allocation;
 #[derive(Debug, Clone)]
 pub struct CellManager {
     writes: Vec<u64>,
-    /// LIFO pool (used when `allocation == Lifo`).
-    free_stack: Vec<CellId>,
-    /// Min-write pool: `(write count at release, cell)` with lazy staleness
-    /// (used when `allocation == MinWrite`).
-    free_heap: BinaryHeap<Reverse<(u64, u32)>>,
-    is_free: Vec<bool>,
+    slot: Vec<Slot>,
+    /// Pool key of each free cell, fixed at its release: the write count
+    /// under `MinWrite`, the inverted release sequence number under `Lifo`
+    /// (so the latest-released cell has the smallest key).
+    key: Vec<u64>,
+    /// The free pool, smallest `(key, cell)` first. Entries whose cell is
+    /// no longer `Free` under that key are stale and skipped lazily.
+    pool: BinaryHeap<Reverse<(u64, u32)>>,
+    /// Cells parked since the last [`CellManager::alloc`]; entries for
+    /// cells taken or unparked since are stale.
+    parked: Vec<CellId>,
+    releases: u64,
     allocation: Allocation,
     max_writes: Option<u64>,
 }
@@ -57,9 +75,11 @@ impl CellManager {
     pub fn new(allocation: Allocation, max_writes: Option<u64>) -> Self {
         CellManager {
             writes: Vec::new(),
-            free_stack: Vec::new(),
-            free_heap: BinaryHeap::new(),
-            is_free: Vec::new(),
+            slot: Vec::new(),
+            key: Vec::new(),
+            pool: BinaryHeap::new(),
+            parked: Vec::new(),
+            releases: 0,
             allocation,
             max_writes,
         }
@@ -101,6 +121,8 @@ impl CellManager {
     }
 
     /// Records one write on `cell` (called for every emitted instruction).
+    /// Only allocated cells are written: a free cell keeps the count it
+    /// was pooled under.
     pub fn record_write(&mut self, cell: CellId) {
         self.writes[cell.index()] += 1;
         debug_assert!(
@@ -123,73 +145,39 @@ impl CellManager {
     pub fn alloc_fresh(&mut self) -> CellId {
         let id = CellId::new(u32::try_from(self.writes.len()).expect("too many cells"));
         self.writes.push(0);
-        self.is_free.push(false);
+        self.slot.push(Slot::Busy);
+        self.key.push(0);
         id
     }
 
-    /// Whether `cell` is currently in the free pool.
+    /// Whether `cell` is currently free (pooled or parked).
     pub fn is_free(&self, cell: CellId) -> bool {
-        self.is_free[cell.index()]
+        self.slot[cell.index()] != Slot::Busy
     }
 
-    /// Claims a specific free cell out of the pool (the copy-reuse
+    /// Claims a specific free cell, pooled or parked (the copy-reuse
     /// translator pins cached holders this way). The cell's pool entry is
-    /// left behind and skipped lazily, like a stale heap entry.
+    /// left behind and skipped lazily, like any stale entry.
     ///
     /// # Panics
     ///
     /// Debug-panics if the cell is not free.
     pub fn take(&mut self, cell: CellId) {
-        debug_assert!(self.is_free[cell.index()], "take of non-free {cell}");
-        self.is_free[cell.index()] = false;
+        debug_assert!(self.is_free(cell), "take of non-free {cell}");
+        self.slot[cell.index()] = Slot::Busy;
     }
 
     /// Requests a cell that can absorb `budget` writes. Freed cells are
     /// preferred (policy-dependent choice); a fresh cell is created when the
-    /// pool has no fitting candidate.
+    /// pool has no fitting candidate. Parked cells count as free here: they
+    /// all return to the pool first.
     pub fn alloc(&mut self, budget: u64) -> CellId {
-        match self.allocation {
-            Allocation::Lifo => {
-                // Take the most recently freed cell that fits the budget.
-                // Entries can be stale after `take` — skip non-free ones.
-                if self.max_writes.is_none() {
-                    while let Some(cell) = self.free_stack.pop() {
-                        if self.is_free[cell.index()] {
-                            self.is_free[cell.index()] = false;
-                            return cell;
-                        }
-                    }
-                } else if let Some(pos) = self
-                    .free_stack
-                    .iter()
-                    .rposition(|&c| self.is_free[c.index()] && self.fits_budget(c, budget))
-                {
-                    let cell = self.free_stack.remove(pos);
-                    self.is_free[cell.index()] = false;
-                    return cell;
-                }
-                self.alloc_fresh()
-            }
-            Allocation::MinWrite => {
-                // Pop lazily: skip entries that are stale (cell re-allocated
-                // since the entry was pushed; its count will have grown).
-                while let Some(&Reverse((count, raw))) = self.free_heap.peek() {
-                    let cell = CellId::new(raw);
-                    if !self.is_free[cell.index()] || self.writes[cell.index()] != count {
-                        self.free_heap.pop();
-                        continue;
-                    }
-                    // Counts are heap-ordered: if the minimum does not fit
-                    // the budget, nothing does.
-                    if !self.fits_budget(cell, budget) {
-                        break;
-                    }
-                    self.free_heap.pop();
-                    self.is_free[cell.index()] = false;
-                    return cell;
-                }
-                self.alloc_fresh()
-            }
+        for cell in std::mem::take(&mut self.parked) {
+            self.unpark(cell);
+        }
+        match self.try_alloc_avoiding(budget, |_| false) {
+            Some(cell) => cell,
+            None => self.alloc_fresh(),
         }
     }
 
@@ -200,72 +188,77 @@ impl CellManager {
     /// cells that still cache useful values, and on `None` falls back to
     /// [`CellManager::alloc_fresh`] — a cold spare row with zero wear, the
     /// least-worn choice by definition — rather than clobbering the cache.
+    ///
+    /// A rejected cell is *parked*: it stays free but leaves the pool, so
+    /// later calls do not pay to reject it again. The caller returns it
+    /// with [`CellManager::unpark`] as soon as `avoid` would accept it;
+    /// then every call picks the cell a scan of all free cells would.
     pub fn try_alloc_avoiding(
         &mut self,
         budget: u64,
         mut avoid: impl FnMut(CellId) -> bool,
     ) -> Option<CellId> {
-        match self.allocation {
-            Allocation::Lifo => {
-                let pos = self.free_stack.iter().rposition(|&c| {
-                    self.is_free[c.index()] && self.fits_budget(c, budget) && !avoid(c)
-                })?;
-                let cell = self.free_stack.remove(pos);
-                self.is_free[cell.index()] = false;
-                Some(cell)
+        let mut unfit = Vec::new();
+        let mut found = None;
+        while let Some(Reverse((key, raw))) = self.pool.pop() {
+            let cell = CellId::new(raw);
+            let i = cell.index();
+            if self.slot[i] != Slot::Free || self.key[i] != key {
+                continue; // stale
             }
-            Allocation::MinWrite => {
-                // Pop lazily as in `alloc`; avoided-but-valid entries are
-                // parked and re-pushed so the pool is left intact.
-                let mut parked: Vec<Reverse<(u64, u32)>> = Vec::new();
-                let mut found = None;
-                while let Some(&Reverse((count, raw))) = self.free_heap.peek() {
-                    let cell = CellId::new(raw);
-                    if !self.is_free[cell.index()] || self.writes[cell.index()] != count {
-                        self.free_heap.pop();
-                        continue;
-                    }
-                    // Counts are heap-ordered: if the minimum does not fit
-                    // the budget, nothing does.
-                    if !self.fits_budget(cell, budget) {
-                        break;
-                    }
-                    self.free_heap.pop();
-                    if avoid(cell) {
-                        parked.push(Reverse((count, raw)));
-                        continue;
-                    }
-                    self.is_free[cell.index()] = false;
-                    found = Some(cell);
+            if !self.fits_budget(cell, budget) {
+                unfit.push(Reverse((key, raw)));
+                // Min-write keys are write counts: if the least-worn cell
+                // does not fit, nothing does.
+                if self.allocation == Allocation::MinWrite {
                     break;
                 }
-                for entry in parked {
-                    self.free_heap.push(entry);
-                }
-                found
+                continue;
             }
+            if avoid(cell) {
+                self.slot[i] = Slot::Parked;
+                self.parked.push(cell);
+                continue;
+            }
+            self.slot[i] = Slot::Busy;
+            found = Some(cell);
+            break;
+        }
+        self.pool.extend(unfit);
+        found
+    }
+
+    /// Returns a parked cell to the pool under the key it was released
+    /// with. A no-op for a cell that is not parked (taken or unparked
+    /// since).
+    pub fn unpark(&mut self, cell: CellId) {
+        let i = cell.index();
+        if self.slot[i] == Slot::Parked {
+            self.slot[i] = Slot::Free;
+            self.pool.push(Reverse((self.key[i], cell.raw_u32())));
         }
     }
 
     /// Returns a cell to the free pool. Cells that can never fit even a
     /// single write again are retired (dropped) instead.
     pub fn release(&mut self, cell: CellId) {
-        debug_assert!(!self.is_free[cell.index()], "double release of {cell}");
+        debug_assert!(!self.is_free(cell), "double release of {cell}");
         if !self.fits_budget(cell, 1) {
             return; // retired: at the write limit
         }
-        self.is_free[cell.index()] = true;
-        match self.allocation {
-            Allocation::Lifo => self.free_stack.push(cell),
-            Allocation::MinWrite => self
-                .free_heap
-                .push(Reverse((self.writes[cell.index()], cell.raw_u32()))),
-        }
+        self.releases += 1;
+        let i = cell.index();
+        self.key[i] = match self.allocation {
+            Allocation::Lifo => u64::MAX - self.releases,
+            Allocation::MinWrite => self.writes[i],
+        };
+        self.slot[i] = Slot::Free;
+        self.pool.push(Reverse((self.key[i], cell.raw_u32())));
     }
 
-    /// Number of cells currently in the free pool.
+    /// Number of cells currently free (pooled or parked).
     pub fn free_len(&self) -> usize {
-        self.is_free.iter().filter(|&&f| f).count()
+        self.slot.iter().filter(|&&s| s != Slot::Busy).count()
     }
 }
 
@@ -472,5 +465,134 @@ mod tests {
         let mut u = unbounded;
         let c = u.alloc(1);
         assert_eq!(u.remaining_budget(c), None);
+    }
+
+    /// Brute-force allocator: every pick scans all cells.
+    struct Reference {
+        writes: Vec<u64>,
+        free: Vec<bool>,
+        retired: Vec<bool>,
+        released_at: Vec<u64>,
+        releases: u64,
+    }
+
+    impl Reference {
+        fn fits(&self, c: usize, budget: u64, max_writes: Option<u64>) -> bool {
+            max_writes.is_none_or(|w| self.writes[c] + budget <= w)
+        }
+
+        /// Min `(writes, index)` (MinWrite) or latest-released (Lifo) over
+        /// free, fitting, non-avoided cells.
+        fn pick(&self, m: &CellManager, budget: u64, avoid: &[bool]) -> Option<usize> {
+            let fitting = (0..self.writes.len())
+                .filter(|&c| self.free[c] && !avoid[c] && self.fits(c, budget, m.max_writes));
+            match m.allocation {
+                Allocation::MinWrite => fitting.min_by_key(|&c| (self.writes[c], c)),
+                Allocation::Lifo => fitting.max_by_key(|&c| self.released_at[c]),
+            }
+        }
+
+        fn grow(&mut self) {
+            self.writes.push(0);
+            self.free.push(false);
+            self.retired.push(false);
+            self.released_at.push(0);
+        }
+    }
+
+    #[test]
+    fn parked_pool_matches_a_brute_force_scan() {
+        use rand::{Rng, SeedableRng};
+        for seed in 0..120u64 {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let allocation = if seed % 2 == 0 {
+                Allocation::MinWrite
+            } else {
+                Allocation::Lifo
+            };
+            let max_writes = (seed % 3 != 0).then(|| rng.gen_range(3..9));
+            let mut m = CellManager::new(allocation, max_writes);
+            let mut r = Reference {
+                writes: Vec::new(),
+                free: Vec::new(),
+                retired: Vec::new(),
+                released_at: Vec::new(),
+                releases: 0,
+            };
+            let mut avoid: Vec<bool> = Vec::new();
+            let choose = |ids: Vec<usize>, rng: &mut rand_chacha::ChaCha8Rng| {
+                (!ids.is_empty()).then(|| ids[rng.gen_range(0..ids.len())])
+            };
+            for step in 0..400 {
+                let n = r.writes.len();
+                let ctx = format!("seed {seed} step {step} {allocation:?} {max_writes:?}");
+                match rng.gen_range(0..8) {
+                    0 | 1 => {
+                        let budget = rng.gen_range(1..4);
+                        let want = r.pick(&m, budget, &vec![false; n]);
+                        let got = m.alloc(budget);
+                        assert_eq!(Some(got.index()), want.or(Some(n)), "alloc {ctx}");
+                        if got.index() == n {
+                            r.grow();
+                            avoid.push(false);
+                        }
+                        r.free[got.index()] = false;
+                    }
+                    2 | 3 => {
+                        let budget = rng.gen_range(1..4);
+                        let want = r.pick(&m, budget, &avoid);
+                        let got = m.try_alloc_avoiding(budget, |c| avoid[c.index()]);
+                        assert_eq!(got.map(CellId::index), want, "try_alloc_avoiding {ctx}");
+                        if let Some(c) = want {
+                            r.free[c] = false;
+                        }
+                    }
+                    4 => {
+                        let busy = (0..n).filter(|&c| !r.free[c] && !r.retired[c]).collect();
+                        if let Some(c) = choose(busy, &mut rng) {
+                            m.release(CellId::new(c as u32));
+                            if r.fits(c, 1, max_writes) {
+                                r.free[c] = true;
+                                r.releases += 1;
+                                r.released_at[c] = r.releases;
+                            } else {
+                                r.retired[c] = true;
+                            }
+                        }
+                    }
+                    5 => {
+                        let writable = (0..n)
+                            .filter(|&c| !r.free[c] && !r.retired[c] && r.fits(c, 1, max_writes))
+                            .collect();
+                        if let Some(c) = choose(writable, &mut rng) {
+                            m.record_write(CellId::new(c as u32));
+                            r.writes[c] += 1;
+                        }
+                    }
+                    6 => {
+                        let free = (0..n).filter(|&c| r.free[c]).collect();
+                        if let Some(c) = choose(free, &mut rng) {
+                            m.take(CellId::new(c as u32));
+                            r.free[c] = false;
+                        }
+                    }
+                    _ => {
+                        // Change the avoid set; a cell leaving it is
+                        // unparked, as the protocol requires.
+                        if let Some(c) = choose((0..n).collect(), &mut rng) {
+                            avoid[c] = !avoid[c];
+                            if !avoid[c] {
+                                m.unpark(CellId::new(c as u32));
+                            }
+                        }
+                    }
+                }
+                for c in 0..r.writes.len() {
+                    assert_eq!(m.is_free(CellId::new(c as u32)), r.free[c], "is_free {ctx}");
+                }
+                assert_eq!(m.free_len(), r.free.iter().filter(|&&f| f).count(), "{ctx}");
+                assert_eq!(m.write_counts(), &r.writes[..], "{ctx}");
+            }
+        }
     }
 }

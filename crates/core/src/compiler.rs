@@ -1,16 +1,19 @@
 //! The MIG → PLiM compile entry point and its result type.
 //!
-//! [`compile`] is a thin wrapper over the standard pass pipeline
-//! (rewrite → schedule → translate → optional peephole → finalize); see
-//! [`crate::pipeline`] for the pass manager and
+//! [`compile`] runs the standard pass pipeline (rewrite → schedule →
+//! translate → optional peephole → finalize), plus the best-of guards of
+//! copy-reuse and esat, which share the graph stages and branch only at
+//! translation; see [`crate::pipeline`] for the pass manager and
 //! [`crate::translate`] for the node-translation rules.
 
+use rlim_mig::rewrite::rewrite;
 use rlim_mig::Mig;
 use rlim_plim::Program;
 use rlim_rram::WriteStats;
 
 use crate::options::CompileOptions;
-use crate::pipeline::PassManager;
+use crate::peephole::{elide_dead_writes, elide_redundant_writes};
+use crate::pipeline::{esat_search, translate_arms, PassManager};
 
 /// Output of [`compile`]: the program plus the graph it was generated from.
 #[derive(Debug, Clone)]
@@ -55,17 +58,56 @@ impl CompileResult {
     }
 }
 
+/// The paper's wear metrics of one compiled program: the score every
+/// best-of guard compares.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct WearScore {
+    instrs: usize,
+    max: u64,
+    stdev: f64,
+}
+
+impl WearScore {
+    pub(crate) fn of(program: &Program) -> Self {
+        let stats = program.write_stats();
+        WearScore {
+            instrs: program.num_instructions(),
+            max: stats.max,
+            stdev: stats.stdev,
+        }
+    }
+
+    /// Pointwise no worse on `#I`, peak per-cell writes and write STDEV.
+    pub(crate) fn no_worse_than(&self, other: &Self) -> bool {
+        self.instrs <= other.instrs && self.max <= other.max && self.stdev <= other.stdev
+    }
+
+    /// No worse, and strictly better on at least one metric.
+    pub(crate) fn dominates(&self, other: &Self) -> bool {
+        self.no_worse_than(other)
+            && (self.instrs < other.instrs || self.max < other.max || self.stdev < other.stdev)
+    }
+}
+
 /// Compiles an MIG into a PLiM program under the given options, running
 /// the standard pass pipeline.
 ///
-/// With [`CompileOptions::with_copy_reuse`] enabled the pipeline runs
-/// twice — once with copy discovery and once without — and the reuse
-/// schedule is kept only when its wear profile is pointwise no worse
-/// (`#I`, peak per-cell writes, write STDEV), so the option can only
-/// improve the paper's endurance metrics.
-/// [`CompileOptions::with_esat`] gets the same guard one level up:
-/// the equality-saturated graph is kept only when its compiled wear
-/// profile is pointwise no worse than the greedy fixed point's.
+/// [`CompileOptions::with_copy_reuse`] and [`CompileOptions::with_esat`]
+/// each add a best-of guard, so neither option can worsen the paper's
+/// endurance metrics (`#I`, peak per-cell writes, write STDEV):
+///
+/// * the copy-reuse program is kept only when its wear profile is
+///   pointwise no worse than the program translated without reuse;
+/// * one level up, the equality-saturated graph is kept only when its
+///   guarded program is pointwise no worse than the greedy fixed
+///   point's.
+///
+/// Ties keep the reuse and the saturated results. The graph stages run
+/// once and the arms branch only at translation: one rewrite, one esat
+/// search whose candidates are scored under each translate arm (keeping
+/// one best graph per arm), one schedule per distinct graph, then
+/// translate and peephole per arm. The result is the one the guarded
+/// pipelines would each produce when run on their own.
 ///
 /// # Examples
 ///
@@ -83,54 +125,62 @@ impl CompileResult {
 /// assert_eq!(result.num_rrams(), 3);
 /// ```
 pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
-    let result = compile_with_copy_selection(mig, options);
-    if !options.esat {
-        return result;
+    if !options.copy_reuse && !options.esat {
+        return PassManager::standard(options).run(mig, options);
     }
+    let rewritten = options
+        .rewriting
+        .map(|algorithm| rewrite(mig, algorithm, options.effort));
+    let greedy = rewritten.as_ref().unwrap_or(mig);
+    // Translate arms, the one the guard prefers first. Copy discovery
+    // always removes instructions, but on graphs with little reuse the
+    // elided materialisations double as implicit wear leveling, so the
+    // program without reuse competes.
+    let mut arms = vec![*options];
+    if options.copy_reuse {
+        arms.push(options.with_copy_reuse(false));
+    }
+    let greedy_programs = translate_arms(greedy, &arms);
     // The extraction cost is a tree estimate, so on reconvergent graphs
     // the saturated pick can lose to the greedy fixed point once real
-    // scheduling and allocation run. Compile the esat-off configuration
-    // too and keep the saturated result only when it is pointwise no
-    // worse on the paper's metrics — enabling `esat` never degrades
-    // `#I`, peak writes, or balance.
-    let base_options = options.with_esat(false);
-    let mut baseline = compile_with_copy_selection(mig, &base_options);
-    let (esat_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
-    if result.num_instructions() <= baseline.num_instructions()
-        && esat_stats.max <= baseline_stats.max
-        && esat_stats.stdev <= baseline_stats.stdev
-    {
-        result
-    } else {
-        baseline.options = *options;
-        baseline
-    }
-}
+    // scheduling and allocation run: the greedy arms compete.
+    let saturated = options
+        .esat
+        .then(|| esat_search(greedy, options, &arms, greedy_programs.clone()));
 
-/// The pipeline run with the copy-reuse best-of applied (the inner
-/// layer of [`compile`]'s selection; esat's best-of wraps it).
-fn compile_with_copy_selection(mig: &Mig, options: &CompileOptions) -> CompileResult {
-    let result = PassManager::standard(options).run(mig, options);
-    if !options.copy_reuse {
-        return result;
+    // The guard: the preferred arm unless it is worse somewhere.
+    type Arm = (WearScore, Option<Mig>, Program);
+    let prefer = |preferred: Arm, other: Arm| {
+        if preferred.0.no_worse_than(&other.0) {
+            preferred
+        } else {
+            other
+        }
+    };
+    let guarded = |candidates: Vec<(Option<Mig>, Program)>| {
+        candidates
+            .into_iter()
+            .map(|(graph, mut program)| {
+                if options.peephole {
+                    elide_redundant_writes(&mut program);
+                    elide_dead_writes(&mut program);
+                    debug_assert_eq!(program.validate(), Ok(()));
+                }
+                (WearScore::of(&program), graph, program)
+            })
+            .reduce(prefer)
+            .expect("at least one translate arm")
+    };
+    let mut best = guarded(greedy_programs.into_iter().map(|p| (None, p)).collect());
+    if let Some(saturated) = saturated {
+        let esat = saturated.into_iter().map(|b| (b.graph, b.program));
+        best = prefer(guarded(esat.collect()), best);
     }
-    // Wear-aware selection: copy discovery always removes instructions,
-    // but on graphs with little reuse the elided materialisations double
-    // as implicit wear leveling, and dropping them can worsen the write
-    // distribution. Compile the baseline schedule too and keep the reuse
-    // one only when its wear profile is pointwise no worse — so enabling
-    // `copy_reuse` never degrades `#I`, peak writes, or balance.
-    let baseline_options = options.with_copy_reuse(false);
-    let mut baseline = PassManager::standard(&baseline_options).run(mig, &baseline_options);
-    let (reused_stats, baseline_stats) = (result.write_stats(), baseline.write_stats());
-    if result.num_instructions() <= baseline.num_instructions()
-        && reused_stats.max <= baseline_stats.max
-        && reused_stats.stdev <= baseline_stats.stdev
-    {
-        result
-    } else {
-        baseline.options = *options;
-        baseline
+    let (_, graph, program) = best;
+    CompileResult {
+        program,
+        mig: graph.or(rewritten).unwrap_or_else(|| mig.clone()),
+        options: *options,
     }
 }
 

@@ -25,7 +25,7 @@ use rlim_mig::rewrite::rewrite;
 use rlim_mig::{Mig, NodeId, StructuralView};
 use rlim_plim::Program;
 
-use crate::compiler::CompileResult;
+use crate::compiler::{CompileResult, WearScore};
 use crate::options::CompileOptions;
 use crate::select::Scheduler;
 
@@ -272,53 +272,105 @@ impl Pass for EsatPass {
     }
 
     fn run(&self, state: &mut PipelineState<'_>) {
-        use rlim_egraph::{
-            extract_around, saturate as egraph_saturate, Budget, CostWeights, EGraph,
-        };
+        let arms = [*state.options];
+        let start = translate_arms(state.graph(), &arms);
+        let best = esat_search(state.graph(), state.options, &arms, start)
+            .pop()
+            .expect("one best per arm");
+        let graph = best.graph.unwrap_or_else(|| state.graph().clone());
+        state.mig = Some(graph);
+    }
+}
 
-        let budget = Budget {
-            max_nodes: state.options.esat_nodes as usize,
-            max_iters: state.options.esat_iters as usize,
-        };
-        let rules = rlim_mig::rewrite::rules::omega_rules();
-        let weights = match state.options.allocation {
-            crate::options::Allocation::MinWrite => CostWeights::endurance(),
-            crate::options::Allocation::Lifo => CostWeights::area(),
-        };
-        let score = |g: &Mig| -> (usize, u64, f64) {
-            let r = PassManager::baseline().run(g, state.options);
-            let s = r.write_stats();
-            (r.num_instructions(), s.max, s.stdev)
-        };
-        let mut cur = state.graph().clone();
-        let mut best_score = score(&cur);
-        let mut best = cur.clone();
-        for _ in 0..ESAT_ROUNDS {
-            let before = cur.fingerprint();
-            let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(&cur);
-            egraph_saturate(&mut eg, &rules, &budget);
-            let raw = extract_around(&eg, &outputs, &weights, &cur, &classes);
-            let polished = match state.options.rewriting {
-                Some(algorithm) => rewrite(&raw, algorithm, state.options.effort),
-                None => raw.clone(),
-            };
-            for cand in [&raw, &polished] {
-                let sc = score(cand);
-                let no_worse = sc.0 <= best_score.0 && sc.1 <= best_score.1 && sc.2 <= best_score.2;
-                let strictly_better =
-                    sc.0 < best_score.0 || sc.1 < best_score.1 || sc.2 < best_score.2;
-                if no_worse && strictly_better {
-                    best_score = sc;
-                    best = cand.clone();
+/// The best graph an [`esat_search`] found for one translate arm.
+pub(crate) struct ArmBest {
+    /// `None` while the search's start graph is still the best.
+    pub(crate) graph: Option<Mig>,
+    /// The baseline pipeline's program for the graph under the arm.
+    pub(crate) program: Program,
+    score: WearScore,
+}
+
+/// The [`EsatPass`] rounds from `start`, with every candidate scored
+/// under each of the translate `arms` (options that differ only in what
+/// translation reads). Returns the best graph per arm; `start_programs`
+/// are `start`'s programs under the arms, in order.
+///
+/// The sequence of candidates does not depend on the scores, so each
+/// arm ends with exactly the graph a search scored under that arm alone
+/// would keep.
+pub(crate) fn esat_search(
+    start: &Mig,
+    options: &CompileOptions,
+    arms: &[CompileOptions],
+    start_programs: Vec<Program>,
+) -> Vec<ArmBest> {
+    use rlim_egraph::{extract_around, saturate as egraph_saturate, Budget, CostWeights, EGraph};
+
+    let budget = Budget {
+        max_nodes: options.esat_nodes as usize,
+        max_iters: options.esat_iters as usize,
+    };
+    let rules = rlim_mig::rewrite::rules::omega_rules();
+    let weights = match options.allocation {
+        crate::options::Allocation::MinWrite => CostWeights::endurance(),
+        crate::options::Allocation::Lifo => CostWeights::area(),
+    };
+    let mut best: Vec<ArmBest> = start_programs
+        .into_iter()
+        .map(|program| ArmBest {
+            graph: None,
+            score: WearScore::of(&program),
+            program,
+        })
+        .collect();
+    let mut cur = start.clone();
+    for _ in 0..ESAT_ROUNDS {
+        let before = cur.fingerprint();
+        let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(&cur);
+        egraph_saturate(&mut eg, &rules, &budget);
+        let raw = extract_around(&eg, &outputs, &weights, &cur, &classes);
+        // Without a rewriting algorithm the polished graph is the raw one,
+        // whose equal score could not win a second time.
+        let polished = options
+            .rewriting
+            .map(|algorithm| rewrite(&raw, algorithm, options.effort));
+        for cand in std::iter::once(&raw).chain(polished.as_ref()) {
+            for (arm, program) in best.iter_mut().zip(translate_arms(cand, arms)) {
+                let score = WearScore::of(&program);
+                if score.dominates(&arm.score) {
+                    *arm = ArmBest {
+                        graph: Some(cand.clone()),
+                        program,
+                        score,
+                    };
                 }
             }
-            cur = polished;
-            if cur.fingerprint() == before {
-                break;
-            }
         }
-        state.mig = Some(best);
+        cur = polished.unwrap_or(raw);
+        if cur.fingerprint() == before {
+            break;
+        }
     }
+    best
+}
+
+/// The baseline pipeline (schedule → translate → finalize) of `graph`
+/// under each translate arm, in order. Scheduling reads only
+/// `selection`, which the arms share, so it runs once.
+pub(crate) fn translate_arms(graph: &Mig, arms: &[CompileOptions]) -> Vec<Program> {
+    let mut scheduled = PipelineState::new(graph, &arms[0]);
+    SchedulePass.run(&mut scheduled);
+    arms.iter()
+        .map(|options| {
+            let mut state = PipelineState::new(graph, options);
+            state.fanout = scheduled.fanout.clone();
+            state.schedule = scheduled.schedule.clone();
+            crate::translate::TranslatePass.run(&mut state);
+            FinalizePass.run(&mut state);
+            state.program.expect("translate emits a program")
+        })
+        .collect()
 }
 
 /// Fixes the node translation order under the configured selection policy.

@@ -48,7 +48,9 @@
 //!   chosen least-worn-first, eliding the setup writes;
 //! * **spilling** — pool allocations skip free cells whose cached value a
 //!   still-live node may want again, falling back to a fresh zero-wear
-//!   cell (a cold spare row) instead of clobbering the cache.
+//!   cell (a cold spare row) instead of clobbering the cache. A skipped
+//!   cell is parked out of the pool until no live node wants its value,
+//!   so each allocation pays only for the cells it can actually use.
 //!
 //! All reuse decisions are re-validated against the tracker at emission
 //! time, and cells start as opaque unknowns — a copy-discovery read can
@@ -146,6 +148,10 @@ struct ReuseState {
     /// inverse is worth protecting from recycling, because a future
     /// complemented read can then elide a whole materialisation chain.
     live_need: HashMap<ValueId, u32>,
+    /// Free cells the allocator parked because they cache a wanted
+    /// inverse, keyed by that value; they return to the pool when its
+    /// `live_need` drops to zero.
+    parked: HashMap<ValueId, Vec<CellId>>,
 }
 
 impl ReuseState {
@@ -155,6 +161,7 @@ impl ReuseState {
             holders: Holders::new(),
             node_value: vec![None; num_nodes],
             live_need: HashMap::new(),
+            parked: HashMap::new(),
         }
     }
 
@@ -200,23 +207,39 @@ impl ReuseState {
         }
     }
 
-    fn remove_live(&mut self, v: ValueId) {
-        if v >= 2 {
-            if let Some(n) = self.live_need.get_mut(&(v ^ 1)) {
-                *n -= 1;
-                if *n == 0 {
-                    self.live_need.remove(&(v ^ 1));
+    /// Drops one live use of `v`. When nothing wants its inverse any
+    /// more, the cells parked for caching that inverse go back to the
+    /// pool — the only way a parked cell stops being useful, since its
+    /// value changes only through a write, which has to take it first.
+    fn remove_live(&mut self, v: ValueId, cells: &mut CellManager) {
+        if v < 2 {
+            return;
+        }
+        let inverse = v ^ 1;
+        if let Some(n) = self.live_need.get_mut(&inverse) {
+            *n -= 1;
+            if *n == 0 {
+                self.live_need.remove(&inverse);
+                for cell in self.parked.remove(&inverse).unwrap_or_default() {
+                    if self.values.get(cell) == Some(inverse) {
+                        cells.unpark(cell);
+                    }
                 }
             }
         }
     }
 
     /// Whether recycling `cell` would clobber a cached inverse some live
-    /// node may still want (the spill predicate).
-    fn is_useful(&self, cell: CellId) -> bool {
-        self.values
-            .get(cell)
-            .is_some_and(|v| v >= 2 && self.live_need.contains_key(&v))
+    /// node may still want (the spill predicate). A useful cell is noted
+    /// as parked under its value, as the allocator parks what it avoids.
+    fn park_if_useful(&mut self, cell: CellId) -> bool {
+        match self.values.get(cell) {
+            Some(v) if v >= 2 && self.live_need.contains_key(&v) => {
+                self.parked.entry(v).or_default().push(cell);
+                true
+            }
+            _ => false,
+        }
     }
 }
 
@@ -391,9 +414,12 @@ impl<'a> Translator<'a> {
     /// request falls through to a fresh zero-wear cell (a cold spare row,
     /// least-worn by definition) instead of clobbering the cache.
     fn alloc_spill_aware(&mut self, budget: u64) -> CellId {
-        match &self.reuse {
+        match &mut self.reuse {
             None => self.cells.alloc(budget),
-            Some(r) => match self.cells.try_alloc_avoiding(budget, |c| r.is_useful(c)) {
+            Some(r) => match self
+                .cells
+                .try_alloc_avoiding(budget, |c| r.park_if_useful(c))
+            {
                 Some(c) => c,
                 None => self.cells.alloc_fresh(),
             },
@@ -581,7 +607,7 @@ impl<'a> Translator<'a> {
             if self.fanout_remaining[child.index()] == 0 {
                 if let Some(r) = &mut self.reuse {
                     if let Some(v) = r.node_value[child.index()] {
-                        r.remove_live(v);
+                        r.remove_live(v, &mut self.cells);
                     }
                 }
                 if in_place_child == Some(child) {

@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{
-    compile, Backend, CompileOptions, HostedRm3Backend, ImpBackend, PassManager, Rm3Backend,
+    compile, Backend, CompileOptions, CompileResult, HostedRm3Backend, ImpBackend, PassManager,
+    Rm3Backend,
 };
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::Mig;
@@ -30,6 +31,46 @@ fn mig_strategy() -> impl Strategy<Value = Mig> {
             };
             generate(&cfg, seed)
         })
+}
+
+/// Reference for `compile()`'s guards: the nested best-of that reruns
+/// the whole standard pipeline per guard arm (four runs with esat and
+/// copy-reuse both on), each guard comparing the paper's metrics
+/// pointwise and keeping the preferred arm on ties.
+fn nested_best_of(mig: &Mig, options: &CompileOptions) -> CompileResult {
+    fn guard(
+        preferred: CompileResult,
+        mut other: CompileResult,
+        options: &CompileOptions,
+    ) -> CompileResult {
+        let (a, b) = (preferred.write_stats(), other.write_stats());
+        if preferred.num_instructions() <= other.num_instructions()
+            && a.max <= b.max
+            && a.stdev <= b.stdev
+        {
+            preferred
+        } else {
+            other.options = *options;
+            other
+        }
+    }
+    let reuse_guarded = |options: &CompileOptions| {
+        let reused = PassManager::standard(options).run(mig, options);
+        if !options.copy_reuse {
+            return reused;
+        }
+        let plain = options.with_copy_reuse(false);
+        guard(
+            reused,
+            PassManager::standard(&plain).run(mig, &plain),
+            options,
+        )
+    };
+    let saturated = reuse_guarded(options);
+    if !options.esat {
+        return saturated;
+    }
+    guard(saturated, reuse_guarded(&options.with_esat(false)), options)
 }
 
 proptest! {
@@ -140,6 +181,38 @@ proptest! {
         let (on_stats, off_stats) = (on.write_stats(), off.write_stats());
         prop_assert!(on_stats.max <= off_stats.max);
         prop_assert!(on_stats.stdev <= off_stats.stdev);
+    }
+
+    /// `compile()` computes each graph stage once and branches only at
+    /// translation, yet returns exactly what the nested best-of returns:
+    /// the same program, options and graph, for copy-reuse, esat and
+    /// both, under every preset with and without a write cap or the
+    /// peephole.
+    #[test]
+    fn shared_stage_compile_matches_the_nested_best_of(
+        mig in mig_strategy(),
+        preset in 0..CompileOptions::preset_names().len(),
+        variant in 0usize..3,
+    ) {
+        let name = CompileOptions::preset_names()[preset];
+        let base = CompileOptions::preset(name).expect("canonical preset");
+        let base = match variant {
+            0 => base,
+            1 => base.with_max_writes(5),
+            _ => base.with_peephole(true),
+        };
+        for (copy_reuse, esat) in [(true, false), (false, true), (true, true)] {
+            let options = base
+                .with_copy_reuse(copy_reuse)
+                .with_esat(esat)
+                .with_esat_nodes(2_000)
+                .with_esat_iters(2);
+            let got = compile(&mig, &options);
+            let want = nested_best_of(&mig, &options);
+            prop_assert_eq!(&got.program, &want.program, "{:?}", options);
+            prop_assert_eq!(got.options, want.options);
+            prop_assert_eq!(got.mig.fingerprint(), want.mig.fingerprint());
+        }
     }
 
     /// Saturation is deterministic: two compiles of the same graph with
