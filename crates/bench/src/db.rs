@@ -14,7 +14,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
-use rlim_service::json::Json;
+use rlim_service::json::{self, Fields, Json};
 
 /// Default relative throughput drop tolerated by the regression gate
 /// (`0.5` = the new run may be up to 50% slower than the last committed
@@ -139,10 +139,9 @@ pub fn append(path: &Path, record: &BenchRecord) -> io::Result<()> {
     std::fs::write(path, text)
 }
 
-/// Reads every record back out of a DB file. Line-scrapes the pinned
-/// format (the workspace has no JSON parser dependency); the shape is
-/// frozen by the golden test, so this is exact for files [`append`]
-/// wrote.
+/// Reads every record back out of a DB file through the workspace's
+/// JSON reader. Records written before the wear columns existed read
+/// them as zero.
 pub fn records(path: &Path) -> io::Result<Vec<BenchRecord>> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
@@ -157,73 +156,38 @@ pub fn records(path: &Path) -> io::Result<Vec<BenchRecord>> {
     })
 }
 
-fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    line.trim()
-        .strip_prefix("\"")?
-        .strip_prefix(key)?
-        .strip_prefix("\": ")
-        .map(|rest| rest.trim_end_matches(','))
-}
-
 fn parse_records(text: &str) -> Result<Vec<BenchRecord>, String> {
-    let mut out = Vec::new();
-    let mut current: Option<BenchRecord> = None;
-    for line in text.lines() {
-        if line.trim() == "{" {
-            current = Some(BenchRecord {
-                run: 0,
-                benchmark: String::new(),
-                arrays: 0,
-                jobs: 0,
-                instructions: 0,
-                scalar_seconds: 0.0,
-                scalar_ops_per_second: 0.0,
-                simd_seconds: 0.0,
-                simd_ops_per_second: 0.0,
-                speedup: 0.0,
-                max_cell_writes: 0,
-                write_stdev: 0.0,
-            });
-            continue;
-        }
-        if matches!(line.trim(), "}" | "},") {
-            if let Some(r) = current.take() {
-                out.push(r);
-            }
-            continue;
-        }
-        let Some(r) = current.as_mut() else { continue };
-        let num = |v: &str| v.parse::<f64>().map_err(|e| format!("bad number {v}: {e}"));
-        if let Some(v) = field(line, "run") {
-            r.run = num(v)? as u64;
-        } else if let Some(v) = field(line, "benchmark") {
-            r.benchmark = v.trim_matches('"').to_owned();
-        } else if let Some(v) = field(line, "arrays") {
-            r.arrays = num(v)? as usize;
-        } else if let Some(v) = field(line, "jobs") {
-            r.jobs = num(v)? as usize;
-        } else if let Some(v) = field(line, "instructions") {
-            r.instructions = num(v)? as u64;
-        } else if let Some(v) = field(line, "scalar_seconds") {
-            r.scalar_seconds = num(v)?;
-        } else if let Some(v) = field(line, "scalar_ops_per_second") {
-            r.scalar_ops_per_second = num(v)?;
-        } else if let Some(v) = field(line, "simd_seconds") {
-            r.simd_seconds = num(v)?;
-        } else if let Some(v) = field(line, "simd_ops_per_second") {
-            r.simd_ops_per_second = num(v)?;
-        } else if let Some(v) = field(line, "speedup") {
-            r.speedup = num(v)?;
-        } else if let Some(v) = field(line, "max_cell_writes") {
-            r.max_cell_writes = num(v)? as u64;
-        } else if let Some(v) = field(line, "write_stdev") {
-            r.write_stdev = num(v)?;
-        }
-    }
-    if current.is_some() {
-        return Err("unterminated record".to_owned());
-    }
-    Ok(out)
+    let Json::Array(items) = json::parse(text).map_err(|e| e.to_string())? else {
+        return Err("not a bench DB (expected a JSON array)".to_owned());
+    };
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, item)| {
+            let r = Fields::of(item, format!("record {i}"))?;
+            Ok(BenchRecord {
+                run: r.u64("run")?,
+                benchmark: r.str("benchmark")?.to_owned(),
+                arrays: r.usize("arrays")?,
+                jobs: r.usize("jobs")?,
+                instructions: r.u64("instructions")?,
+                scalar_seconds: r.f64("scalar_seconds")?,
+                scalar_ops_per_second: r.f64("scalar_ops_per_second")?,
+                simd_seconds: r.f64("simd_seconds")?,
+                simd_ops_per_second: r.f64("simd_ops_per_second")?,
+                speedup: r.f64("speedup")?,
+                // Records from before the wear columns existed lack them.
+                max_cell_writes: match r.get("max_cell_writes") {
+                    Some(_) => r.u64("max_cell_writes")?,
+                    None => 0,
+                },
+                write_stdev: match r.get("write_stdev") {
+                    Some(_) => r.f64("write_stdev")?,
+                    None => 0.0,
+                },
+            })
+        })
+        .collect()
 }
 
 /// The run index the next appended record should carry.
@@ -348,6 +312,32 @@ mod tests {
         assert!(after.starts_with(stem));
         assert!(after.ends_with("\n]\n"));
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn committed_db_reads_back_with_legacy_rows_as_zero() {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_db.json");
+        let back = records(&path).unwrap();
+        assert_eq!(back.len(), 3);
+        // Run 1 predates the wear columns.
+        assert_eq!((back[0].max_cell_writes, back[0].write_stdev), (0, 0.0));
+        assert_eq!(back[0].scalar_ops_per_second, 245_005_597.0);
+        assert_eq!(back[0].scalar_seconds, 0.080455);
+        assert_eq!(back[2].benchmark, "div+esat");
+        assert_eq!(
+            (back[2].max_cell_writes, back[2].write_stdev),
+            (292, 113.1916)
+        );
+        assert_eq!(next_run(&back), 4);
+    }
+
+    #[test]
+    fn malformed_records_are_rejected() {
+        for text in ["{}", "[{\"run\":1}]", "[1]", "[", "[{\"run\":\"one\"}]"] {
+            let err = parse_records(text).expect_err(text);
+            assert!(!err.is_empty());
+        }
+        assert_eq!(parse_records("[]").unwrap(), Vec::new());
     }
 
     #[test]

@@ -26,32 +26,28 @@
 
 pub mod db;
 
-/// Extracts `(name, total_seconds)` pairs from a previously written
-/// `BENCH_compile.json` document, without a JSON dependency. Exact for
-/// files the harness wrote itself (the format is pinned by the in-tree
-/// [`rlim_service::json::Json`] writer).
+use rlim_service::json::{self, Fields, Json};
+
+/// Extracts `(name, total_seconds)` pairs from the `benchmarks` rows of
+/// a previously written `BENCH_compile.json` document. Rows missing
+/// either key, and documents that do not parse, contribute nothing.
 pub fn baseline_totals(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if let Some(rest) = line.strip_prefix("\"name\":") {
-            name = rest
-                .trim()
-                .trim_end_matches(',')
-                .trim_matches('"')
-                .to_owned()
-                .into();
-        } else if let Some(rest) = line.strip_prefix("\"total_seconds\":") {
-            if let (Some(n), Ok(v)) = (
-                name.take(),
-                rest.trim().trim_end_matches(',').parse::<f64>(),
-            ) {
-                out.push((n, v));
-            }
-        }
-    }
-    out
+    let Ok(doc) = json::parse(text) else {
+        return Vec::new();
+    };
+    let rows = match Fields::of(&doc, "bench").map(|d| d.get("benchmarks")) {
+        Ok(Some(Json::Array(rows))) => rows.as_slice(),
+        _ => &[],
+    };
+    rows.iter()
+        .filter_map(|row| {
+            let row = Fields::of(row, "row").ok()?;
+            Some((
+                row.str("name").ok()?.to_owned(),
+                row.f64("total_seconds").ok()?,
+            ))
+        })
+        .collect()
 }
 
 /// The speedup of `total_seconds` for `name` against the previously

@@ -68,5 +68,6 @@ pub use options::{Allocation, CompileOptions, Selection, DEFAULT_ESAT_ITERS, DEF
 pub use peephole::{elide_dead_writes, elide_redundant_writes, PeepholePass};
 pub use pipeline::{
     EsatPass, FinalizePass, Pass, PassManager, PipelineState, RewritePass, SchedulePass,
+    ESAT_ROUNDS,
 };
 pub use translate::TranslatePass;

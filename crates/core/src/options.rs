@@ -29,6 +29,56 @@ pub enum Selection {
     EnduranceAware,
 }
 
+impl Allocation {
+    /// The stable name used in reports and on the daemon's wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Allocation::Lifo => "lifo",
+            Allocation::MinWrite => "min-write",
+        }
+    }
+}
+
+impl std::str::FromStr for Allocation {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "lifo" => Ok(Allocation::Lifo),
+            "min-write" => Ok(Allocation::MinWrite),
+            other => Err(format!(
+                "unknown allocation policy `{other}` (lifo | min-write)"
+            )),
+        }
+    }
+}
+
+impl Selection {
+    /// The stable name used in reports and on the daemon's wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Selection::Topological => "topological",
+            Selection::AreaAware => "area-aware",
+            Selection::EnduranceAware => "endurance-aware",
+        }
+    }
+}
+
+impl std::str::FromStr for Selection {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "topological" => Ok(Selection::Topological),
+            "area-aware" => Ok(Selection::AreaAware),
+            "endurance-aware" => Ok(Selection::EnduranceAware),
+            other => Err(format!(
+                "unknown selection policy `{other}` (topological | area-aware | endurance-aware)"
+            )),
+        }
+    }
+}
+
 /// Full compiler configuration.
 ///
 /// The constructors mirror the columns of the paper's Table I (see

@@ -1,9 +1,12 @@
 //! The daemon's compile cache: finished [`Report`]s keyed by the full
 //! semantic identity of a job.
 //!
-//! The key is `(Strash source fingerprint, CompileClass, CompileOptions,
-//! fleet/chaos rider, program/projection riders)` — see [`cache_key`].
-//! Three consequences fall out of that derivation:
+//! The key is the Strash fingerprint of the source graph followed by the
+//! spec's canonical compact wire encoding with the source dropped and
+//! the backend replaced by its compile class — see [`cache_key`]. The
+//! key therefore has no field list of its own: whatever the wire
+//! carries, the key carries, so a new option reaches it without anyone
+//! touching this module. Three consequences fall out of that derivation:
 //!
 //! * **Backend-class sharing.** `rm3`, `hosted-rm3` and `rm3-wide`
 //!   execute the same compiled program, so they share one entry, exactly
@@ -14,19 +17,21 @@
 //!   the graph structure ([`rlim_mig::Mig::fingerprint`]), so a BLIF
 //!   file that parses to the same graph as a named benchmark hits the
 //!   benchmark's entry.
-//! * **Riders are identity.** A fleet/chaos rider (including the fault
-//!   seed, encoded bit-exactly) is part of the key: a chaos run is never
-//!   served a fault-free cached fleet section, and two runs differing
-//!   only in `--fault-seed` miss each other's entries.
+//! * **Riders are identity.** A fleet/chaos rider, including the fault
+//!   seed, is part of the key: a chaos run is never served a fault-free
+//!   cached fleet section, and two runs differing only in `--fault-seed`
+//!   miss each other's entries. Chaos floats must be exact at their wire
+//!   precision (see [`crate::wire`]), so equal key bytes mean an equal
+//!   fault model.
 //!
 //! Eviction is least-recently-used over a bounded entry count, with
 //! hit/miss/eviction counters surfaced through the `metrics` verb.
 
 use std::collections::HashMap;
 
-use rlim_service::{JobSpec, Report};
+use rlim_service::{Error, JobSpec, Report};
 
-use crate::wire::{algorithm_name, allocation_name, selection_name};
+use crate::wire;
 
 /// Cache observability counters, serialized inside the `metrics` verb's
 /// payload (deliberately *not* inside reports, so a cache hit stays
@@ -45,62 +50,19 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-/// The derived cache key for a job: `fingerprint` is the source graph's
-/// structural hash, everything else comes from the spec. Floats are
-/// rendered as exact bit patterns so no two distinct chaos models can
-/// ever share a key.
-pub fn cache_key(fingerprint: u128, spec: &JobSpec) -> String {
-    use std::fmt::Write as _;
-
-    let o = spec.options();
-    let mut key = format!(
-        "src={fingerprint:032x};class={};rw={};effort={};sel={};alloc={};maxw={:?};peep={};copy={};esat={};esatn={};esati={};prog={};proj={}",
-        spec.backend().class().name(),
-        o.rewriting.map_or("none", algorithm_name),
-        o.effort,
-        selection_name(o.selection),
-        allocation_name(o.allocation),
-        o.max_writes,
-        o.peephole,
-        o.copy_reuse,
-        o.esat,
-        o.esat_nodes,
-        o.esat_iters,
-        spec.includes_program(),
-        spec.projection_arrays(),
-    );
-    match spec.fleet() {
-        None => key.push_str(";fleet=none"),
-        Some(f) => {
-            let _ = write!(
-                key,
-                ";fleet={{arrays={};jobs={};dispatch={};budget={:?};inputs={:?};simd={}",
-                f.arrays,
-                f.jobs,
-                f.dispatch.label(),
-                f.write_budget,
-                f.input_seed,
-                f.simd,
-            );
-            match &f.chaos {
-                None => key.push_str(";chaos=none}"),
-                Some(c) => {
-                    let _ = write!(
-                        key,
-                        ";chaos={{seed={};median={:016x};sigma={:016x};stuck={:016x};rec={};spares={};maxf={}}}}}",
-                        c.fault_seed,
-                        c.endurance_median.to_bits(),
-                        c.endurance_sigma.to_bits(),
-                        c.stuck_probability.to_bits(),
-                        c.recovery,
-                        c.spares,
-                        c.max_faults,
-                    );
-                }
-            }
-        }
-    }
-    key
+/// The derived cache key for a job: the source graph's structural
+/// `fingerprint`, then the spec's wire encoding without its source and
+/// with its backend's compile class (see the module docs).
+///
+/// # Errors
+///
+/// Returns [`Error::InvalidRequest`] when the spec has no exact wire
+/// encoding: a chaos float that its wire precision would round.
+pub fn cache_key(fingerprint: u128, spec: &JobSpec) -> Result<String, Error> {
+    Ok(format!(
+        "{fingerprint:032x}{}",
+        wire::encode_identity(spec)?
+    ))
 }
 
 /// The bounded LRU report cache. Not internally synchronized — the
@@ -204,19 +166,23 @@ mod tests {
             .unwrap()
     }
 
+    fn key(fingerprint: u128, spec: &JobSpec) -> String {
+        cache_key(fingerprint, spec).unwrap()
+    }
+
     #[test]
     fn backend_classes_share_keys_but_imp_does_not() {
         let fp = 7u128;
-        let rm3 = cache_key(fp, &JobSpec::benchmark(Benchmark::Ctrl));
-        let hosted = cache_key(
+        let rm3 = key(fp, &JobSpec::benchmark(Benchmark::Ctrl));
+        let hosted = key(
             fp,
             &JobSpec::benchmark(Benchmark::Ctrl).with_backend(BackendKind::HostedRm3),
         );
-        let wide = cache_key(
+        let wide = key(
             fp,
             &JobSpec::benchmark(Benchmark::Ctrl).with_backend(BackendKind::WideRm3),
         );
-        let imp = cache_key(
+        let imp = key(
             fp,
             &JobSpec::benchmark(Benchmark::Ctrl).with_backend(BackendKind::Imp),
         );
@@ -225,8 +191,8 @@ mod tests {
         assert_ne!(rm3, imp);
         // The source label is *not* part of the key — identity comes
         // from the fingerprint alone.
-        assert_eq!(rm3, cache_key(fp, &JobSpec::blif_path("/some/file.blif")));
-        assert_ne!(rm3, cache_key(8, &JobSpec::benchmark(Benchmark::Ctrl)));
+        assert_eq!(rm3, key(fp, &JobSpec::blif_path("/some/file.blif")));
+        assert_ne!(rm3, key(8, &JobSpec::benchmark(Benchmark::Ctrl)));
     }
 
     #[test]
@@ -240,20 +206,32 @@ mod tests {
         let chaos_b = base
             .clone()
             .with_fleet(FleetSpec::new(2).with_chaos(ChaosSpec::new(2)));
-        assert_ne!(cache_key(fp, &base), cache_key(fp, &fleet));
+        assert_ne!(key(fp, &base), key(fp, &fleet));
         // A chaos run never matches a fault-free fleet entry…
-        assert_ne!(cache_key(fp, &fleet), cache_key(fp, &chaos_a));
+        assert_ne!(key(fp, &fleet), key(fp, &chaos_a));
         // …and the fault seed alone separates chaos entries.
-        assert_ne!(cache_key(fp, &chaos_a), cache_key(fp, &chaos_b));
+        assert_ne!(key(fp, &chaos_a), key(fp, &chaos_b));
         // Program and projection riders change the report, so the key.
         assert_ne!(
-            cache_key(fp, &base),
-            cache_key(fp, &base.clone().with_program_text(true))
+            key(fp, &base),
+            key(fp, &base.clone().with_program_text(true))
         );
         assert_ne!(
-            cache_key(fp, &base),
-            cache_key(fp, &base.clone().with_projection_arrays(9))
+            key(fp, &base),
+            key(fp, &base.clone().with_projection_arrays(9))
         );
+    }
+
+    #[test]
+    fn chaos_floats_the_wire_would_round_have_no_key() {
+        // 0.25 and 0.25001 render alike at the wire's four decimals; a
+        // key for the latter would share the former's entry.
+        let sigma = |s: f64| {
+            JobSpec::benchmark(Benchmark::Ctrl)
+                .with_fleet(FleetSpec::new(2).with_chaos(ChaosSpec::new(1).with_endurance_sigma(s)))
+        };
+        assert!(cache_key(7, &sigma(0.25)).is_ok());
+        assert!(cache_key(7, &sigma(0.25001)).unwrap_err().is_usage());
     }
 
     #[test]
@@ -266,9 +244,7 @@ mod tests {
         let reuse = base
             .clone()
             .with_options(base.options().with_copy_reuse(true));
-        assert_ne!(cache_key(fp, &base), cache_key(fp, &reuse));
-        assert!(cache_key(fp, &base).contains(";copy=false;"));
-        assert!(cache_key(fp, &reuse).contains(";copy=true;"));
+        assert_ne!(key(fp, &base), key(fp, &reuse));
     }
 
     #[test]
@@ -280,18 +256,16 @@ mod tests {
         let fp = 7u128;
         let base = JobSpec::benchmark(Benchmark::Ctrl);
         let esat = base.clone().with_options(base.options().with_esat(true));
-        assert_ne!(cache_key(fp, &base), cache_key(fp, &esat));
-        assert!(cache_key(fp, &base).contains(";esat=false;"));
-        assert!(cache_key(fp, &esat).contains(";esat=true;"));
+        assert_ne!(key(fp, &base), key(fp, &esat));
         let narrow = base
             .clone()
             .with_options(base.options().with_esat(true).with_esat_nodes(1_000));
         let short = base
             .clone()
             .with_options(base.options().with_esat(true).with_esat_iters(1));
-        assert_ne!(cache_key(fp, &esat), cache_key(fp, &narrow));
-        assert_ne!(cache_key(fp, &esat), cache_key(fp, &short));
-        assert_ne!(cache_key(fp, &narrow), cache_key(fp, &short));
+        assert_ne!(key(fp, &esat), key(fp, &narrow));
+        assert_ne!(key(fp, &esat), key(fp, &short));
+        assert_ne!(key(fp, &narrow), key(fp, &short));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   (admission control) without disturbing in-flight work;
 //! * workers drain the queue through a [`ReportCache`] keyed by
 //!   [`cache_key`] — the source graph's structural fingerprint plus the
-//!   compile class, options and fleet/chaos riders — so repeat jobs are
+//!   spec's canonical wire encoding, with the source dropped and the
+//!   backend replaced by its compile class — so repeat jobs are
 //!   answered byte-identically (modulo the report's `cached` flag)
 //!   without recompiling;
 //! * the `shutdown` verb (or a [`ShutdownTrigger`]) stops accepting,

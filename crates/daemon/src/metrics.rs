@@ -5,7 +5,7 @@
 //! decode back on the client side; the field sets are pinned
 //! byte-for-byte by the wire-protocol goldens in `tests/service_api.rs`.
 
-use rlim_service::json::Json;
+use rlim_service::json::{Fields, Json};
 use rlim_service::Error;
 
 use crate::cache::CacheStats;
@@ -31,39 +31,6 @@ pub struct MetricsSnapshot {
     pub jobs_rejected: u64,
     /// Compile-cache counters.
     pub cache: CacheStats,
-}
-
-fn get<'a>(obj: &'a [(String, Json)], key: &str, ctx: &str) -> Result<&'a Json, Error> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| Error::Run(format!("{ctx}: missing key `{key}`")))
-}
-
-fn get_u64(obj: &[(String, Json)], key: &str, ctx: &str) -> Result<u64, Error> {
-    match get(obj, key, ctx)? {
-        Json::UInt(v) => Ok(*v),
-        _ => Err(Error::Run(format!("{ctx}.{key}: expected an integer"))),
-    }
-}
-
-fn get_usize(obj: &[(String, Json)], key: &str, ctx: &str) -> Result<usize, Error> {
-    usize::try_from(get_u64(obj, key, ctx)?)
-        .map_err(|_| Error::Run(format!("{ctx}.{key}: value out of range")))
-}
-
-fn get_bool(obj: &[(String, Json)], key: &str, ctx: &str) -> Result<bool, Error> {
-    match get(obj, key, ctx)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(Error::Run(format!("{ctx}.{key}: expected a boolean"))),
-    }
-}
-
-fn as_object<'a>(json: &'a Json, ctx: &str) -> Result<&'a [(String, Json)], Error> {
-    match json {
-        Json::Object(entries) => Ok(entries),
-        _ => Err(Error::Run(format!("{ctx}: expected an object"))),
-    }
 }
 
 impl MetricsSnapshot {
@@ -98,23 +65,28 @@ impl MetricsSnapshot {
     /// Returns [`Error::Run`] when the payload does not have the pinned
     /// shape.
     pub fn from_json(json: &Json) -> Result<Self, Error> {
-        let obj = as_object(json, "metrics")?;
-        let cache = as_object(get(obj, "cache", "metrics")?, "metrics.cache")?;
+        Fields::of(json, "metrics")
+            .and_then(|m| Self::decode(&m))
+            .map_err(Error::Run)
+    }
+
+    pub(crate) fn decode(m: &Fields<'_>) -> Result<Self, String> {
+        let cache = m.object("cache")?;
         Ok(MetricsSnapshot {
-            uptime_ticks: get_u64(obj, "uptime_ticks", "metrics")?,
-            workers: get_usize(obj, "workers", "metrics")?,
-            workers_busy: get_usize(obj, "workers_busy", "metrics")?,
-            queue_depth: get_usize(obj, "queue_depth", "metrics")?,
-            queue_capacity: get_usize(obj, "queue_capacity", "metrics")?,
-            jobs_served: get_u64(obj, "jobs_served", "metrics")?,
-            jobs_failed: get_u64(obj, "jobs_failed", "metrics")?,
-            jobs_rejected: get_u64(obj, "jobs_rejected", "metrics")?,
+            uptime_ticks: m.u64("uptime_ticks")?,
+            workers: m.usize("workers")?,
+            workers_busy: m.usize("workers_busy")?,
+            queue_depth: m.usize("queue_depth")?,
+            queue_capacity: m.usize("queue_capacity")?,
+            jobs_served: m.u64("jobs_served")?,
+            jobs_failed: m.u64("jobs_failed")?,
+            jobs_rejected: m.u64("jobs_rejected")?,
             cache: CacheStats {
-                entries: get_usize(cache, "entries", "cache")?,
-                capacity: get_usize(cache, "capacity", "cache")?,
-                hits: get_u64(cache, "hits", "cache")?,
-                misses: get_u64(cache, "misses", "cache")?,
-                evictions: get_u64(cache, "evictions", "cache")?,
+                entries: cache.usize("entries")?,
+                capacity: cache.usize("capacity")?,
+                hits: cache.u64("hits")?,
+                misses: cache.u64("misses")?,
+                evictions: cache.u64("evictions")?,
             },
         })
     }
@@ -152,12 +124,17 @@ impl Health {
     /// Returns [`Error::Run`] when the payload does not have the pinned
     /// shape.
     pub fn from_json(json: &Json) -> Result<Self, Error> {
-        let obj = as_object(json, "healthz")?;
+        Fields::of(json, "healthz")
+            .and_then(|h| Self::decode(&h))
+            .map_err(Error::Run)
+    }
+
+    pub(crate) fn decode(h: &Fields<'_>) -> Result<Self, String> {
         Ok(Health {
-            ok: get_bool(obj, "ok", "healthz")?,
-            accepting: get_bool(obj, "accepting", "healthz")?,
-            workers: get_usize(obj, "workers", "healthz")?,
-            queue_depth: get_usize(obj, "queue_depth", "healthz")?,
+            ok: h.bool("ok")?,
+            accepting: h.bool("accepting")?,
+            workers: h.usize("workers")?,
+            queue_depth: h.usize("queue_depth")?,
         })
     }
 }

@@ -271,10 +271,14 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
             continue;
         }
         shared.pending.enter();
-        let reply = shared.respond(&line);
+        // One `write_all` per line: a reply larger than the writer's
+        // buffer goes straight to the socket, and a separate newline
+        // write would then trail it as a second segment that waits out
+        // the peer's delayed ACK.
+        let mut reply = shared.respond(&line);
+        reply.push('\n');
         let written = writer
             .write_all(reply.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
             .and_then(|()| writer.flush());
         shared.pending.exit();
         if written.is_err() {
@@ -385,7 +389,7 @@ impl Shared {
 
     fn run_job(&self, spec: &JobSpec) -> Result<String, Error> {
         let (mig, fingerprint) = self.load_source(spec)?;
-        let key = cache_key(fingerprint, spec);
+        let key = cache_key(fingerprint, spec)?;
         let hit = self
             .cache
             .lock()

@@ -12,13 +12,21 @@
 //! the documents [`encode_spec`] produces (any key order, but the exact
 //! key set), and re-encoding a decoded spec reproduces the canonical
 //! line byte-for-byte. That property is pinned by a proptest mirroring
-//! the CLI's argv ↔ `JobSpec` round-trip.
+//! the CLI's argv ↔ `JobSpec` round-trip. Chaos floats travel at fixed
+//! precision, so both directions refuse a value that does not survive
+//! rendering at it: a spec the wire would round cannot be sent, and a
+//! hand-written line cannot name a fault model its own re-encoding
+//! would not.
+//!
+//! The same encoding is the spec's identity in the daemon's compile
+//! cache (see [`crate::cache_key`]): every field but the source, with
+//! the backend replaced by its compile class.
 
-use rlim_compiler::{Allocation, CompileOptions, Selection};
-use rlim_mig::rewrite::Algorithm;
-use rlim_plim::DispatchPolicy;
+use std::fmt::Display;
+
+use rlim_compiler::CompileOptions;
 use rlim_rram::WriteStats;
-use rlim_service::json::{self, Json};
+use rlim_service::json::{self, Fields, Json};
 use rlim_service::{
     BackendKind, ChaosSpec, CircuitSummary, Error, FleetSpec, JobSpec, LifetimeProjection, Report,
     Source,
@@ -30,6 +38,20 @@ use crate::metrics::{Health, MetricsSnapshot};
 /// report's `fault` section: median at 1, spreads at 4).
 const MEDIAN_PRECISION: usize = 1;
 const SIGMA_PRECISION: usize = 4;
+
+/// The keys of the wire's `options` object.
+const OPTION_KEYS: [&str; 10] = [
+    "rewriting",
+    "effort",
+    "selection",
+    "allocation",
+    "max_writes",
+    "peephole",
+    "copy_reuse",
+    "esat",
+    "esat_nodes",
+    "esat_iters",
+];
 
 /// One request line, decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,126 +117,15 @@ fn invalid(message: impl Into<String>) -> Error {
     Error::InvalidRequest(message.into())
 }
 
-// ---- field access helpers ----------------------------------------------
-
-fn entries<'a>(json: &'a Json, ctx: &str) -> Result<&'a [(String, Json)], Error> {
-    match json {
-        Json::Object(entries) => Ok(entries),
-        _ => Err(invalid(format!("{ctx}: expected an object"))),
-    }
-}
-
-fn field<'a>(obj: &'a [(String, Json)], key: &str, ctx: &str) -> Result<&'a Json, Error> {
-    obj.iter()
-        .find(|(k, _)| k == key)
-        .map(|(_, v)| v)
-        .ok_or_else(|| invalid(format!("{ctx}: missing key `{key}`")))
-}
-
-/// Strictness check: every present key must be expected (missing keys
-/// are caught by [`field`]), so typos fail loudly instead of silently
-/// falling back to defaults.
-fn expect_keys(obj: &[(String, Json)], expected: &[&str], ctx: &str) -> Result<(), Error> {
-    for (key, _) in obj {
-        if !expected.contains(&key.as_str()) {
-            return Err(invalid(format!("{ctx}: unknown key `{key}`")));
-        }
-    }
-    Ok(())
-}
-
-fn as_u64(json: &Json, ctx: &str) -> Result<u64, Error> {
-    match json {
-        Json::UInt(v) => Ok(*v),
-        _ => Err(invalid(format!("{ctx}: expected an unsigned integer"))),
-    }
-}
-
-fn as_usize(json: &Json, ctx: &str) -> Result<usize, Error> {
-    usize::try_from(as_u64(json, ctx)?).map_err(|_| invalid(format!("{ctx}: value out of range")))
-}
-
-fn as_bool(json: &Json, ctx: &str) -> Result<bool, Error> {
-    match json {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(invalid(format!("{ctx}: expected a boolean"))),
-    }
-}
-
-fn as_str<'a>(json: &'a Json, ctx: &str) -> Result<&'a str, Error> {
-    match json {
-        Json::Str(s) => Ok(s),
-        _ => Err(invalid(format!("{ctx}: expected a string"))),
-    }
-}
-
-fn as_f64(json: &Json, ctx: &str) -> Result<f64, Error> {
-    match json {
-        Json::Float { value, .. } => Ok(*value),
-        Json::UInt(v) => Ok(*v as f64),
-        Json::Int(v) => Ok(*v as f64),
-        _ => Err(invalid(format!("{ctx}: expected a number"))),
-    }
-}
-
-fn opt<T>(
-    json: &Json,
-    convert: impl FnOnce(&Json) -> Result<T, Error>,
-) -> Result<Option<T>, Error> {
-    match json {
-        Json::Null => Ok(None),
-        other => convert(other).map(Some),
-    }
-}
-
-// ---- option / policy vocabularies --------------------------------------
-
-pub(crate) fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::PlimCompiler => "plim-compiler",
-        Algorithm::EnduranceAware => "endurance-aware",
-        Algorithm::LevelAware => "level-aware",
-    }
-}
-
-fn parse_algorithm(s: &str) -> Result<Algorithm, Error> {
-    match s {
-        "plim-compiler" => Ok(Algorithm::PlimCompiler),
-        "endurance-aware" => Ok(Algorithm::EnduranceAware),
-        "level-aware" => Ok(Algorithm::LevelAware),
-        other => Err(invalid(format!("unknown rewriting algorithm `{other}`"))),
-    }
-}
-
-pub(crate) fn selection_name(s: Selection) -> &'static str {
-    match s {
-        Selection::Topological => "topological",
-        Selection::AreaAware => "area-aware",
-        Selection::EnduranceAware => "endurance-aware",
-    }
-}
-
-fn parse_selection(s: &str) -> Result<Selection, Error> {
-    match s {
-        "topological" => Ok(Selection::Topological),
-        "area-aware" => Ok(Selection::AreaAware),
-        "endurance-aware" => Ok(Selection::EnduranceAware),
-        other => Err(invalid(format!("unknown selection policy `{other}`"))),
-    }
-}
-
-pub(crate) fn allocation_name(a: Allocation) -> &'static str {
-    match a {
-        Allocation::Lifo => "lifo",
-        Allocation::MinWrite => "min-write",
-    }
-}
-
-fn parse_allocation(s: &str) -> Result<Allocation, Error> {
-    match s {
-        "lifo" => Ok(Allocation::Lifo),
-        "min-write" => Ok(Allocation::MinWrite),
-        other => Err(invalid(format!("unknown allocation policy `{other}`"))),
+/// `value` if it survives rendering at `precision` decimal places, the
+/// way the wire carries it.
+fn exact(value: f64, precision: usize, path: impl Display) -> Result<f64, String> {
+    if value.is_finite() && format!("{value:.precision$}").parse() == Ok(value) {
+        Ok(value)
+    } else {
+        Err(format!(
+            "{path}: {value} is not exact at {precision} decimal places"
+        ))
     }
 }
 
@@ -222,10 +133,10 @@ fn parse_allocation(s: &str) -> Result<Allocation, Error> {
 
 fn options_json(o: &CompileOptions) -> Json {
     Json::object([
-        ("rewriting", Json::from(o.rewriting.map(algorithm_name))),
+        ("rewriting", Json::from(o.rewriting.map(|a| a.name()))),
         ("effort", Json::from(o.effort)),
-        ("selection", Json::from(selection_name(o.selection))),
-        ("allocation", Json::from(allocation_name(o.allocation))),
+        ("selection", Json::from(o.selection.name())),
+        ("allocation", Json::from(o.allocation.name())),
         ("max_writes", Json::from(o.max_writes)),
         ("peephole", Json::from(o.peephole)),
         ("copy_reuse", Json::from(o.copy_reuse)),
@@ -235,46 +146,70 @@ fn options_json(o: &CompileOptions) -> Json {
     ])
 }
 
-fn chaos_json(c: &ChaosSpec) -> Json {
-    Json::object([
+fn chaos_json(c: &ChaosSpec) -> Result<Json, String> {
+    let float = |key: &str, value: f64, precision: usize| {
+        exact(value, precision, format_args!("chaos.{key}")).map(|v| Json::float(v, precision))
+    };
+    Ok(Json::object([
         ("fault_seed", Json::from(c.fault_seed)),
         (
             "endurance_median",
-            Json::float(c.endurance_median, MEDIAN_PRECISION),
+            float("endurance_median", c.endurance_median, MEDIAN_PRECISION)?,
         ),
         (
             "endurance_sigma",
-            Json::float(c.endurance_sigma, SIGMA_PRECISION),
+            float("endurance_sigma", c.endurance_sigma, SIGMA_PRECISION)?,
         ),
         (
             "stuck_probability",
-            Json::float(c.stuck_probability, SIGMA_PRECISION),
+            float("stuck_probability", c.stuck_probability, SIGMA_PRECISION)?,
         ),
         ("recovery", Json::from(c.recovery)),
         ("spares", Json::from(c.spares)),
         ("max_faults", Json::from(c.max_faults)),
-    ])
+    ]))
 }
 
-fn fleet_json(f: &FleetSpec) -> Json {
-    Json::object([
+fn fleet_json(f: &FleetSpec) -> Result<Json, String> {
+    Ok(Json::object([
         ("arrays", Json::from(f.arrays)),
         ("jobs", Json::from(f.jobs)),
         ("dispatch", Json::from(f.dispatch.label())),
         ("write_budget", Json::from(f.write_budget)),
         ("input_seed", Json::from(f.input_seed)),
         ("simd", Json::from(f.simd)),
-        ("chaos", f.chaos.as_ref().map_or(Json::Null, chaos_json)),
-    ])
+        (
+            "chaos",
+            Json::from(f.chaos.as_ref().map(chaos_json).transpose()?),
+        ),
+    ]))
+}
+
+/// The spec object with `source` (when given) first and `backend` under
+/// the given name.
+fn spec_json(spec: &JobSpec, source: Option<Json>, backend: &str) -> Result<Json, Error> {
+    let fleet = spec.fleet().map(fleet_json).transpose().map_err(invalid)?;
+    let mut fields = Vec::with_capacity(6);
+    fields.extend(source.map(|source| ("source", source)));
+    fields.extend([
+        ("backend", Json::from(backend)),
+        ("options", options_json(spec.options())),
+        ("fleet", Json::from(fleet)),
+        ("program", Json::from(spec.includes_program())),
+        ("projection_arrays", Json::from(spec.projection_arrays())),
+    ]);
+    Ok(Json::object(fields))
 }
 
 /// Encodes a spec as the wire's canonical `spec` object.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidRequest`] for in-memory
-/// [`Source::Mig`] sources — a graph has no wire representation; send a
-/// benchmark name or a BLIF path instead.
+/// Returns [`Error::InvalidRequest`] for in-memory [`Source::Mig`]
+/// sources — a graph has no wire representation; send a benchmark name
+/// or a BLIF path instead — and for a chaos float that is not exact at
+/// its wire precision (one decimal for the endurance median, four for
+/// the sigma and the stuck probability).
 pub fn encode_spec(spec: &JobSpec) -> Result<Json, Error> {
     let source = match spec.source() {
         Source::Benchmark(b) => Json::object([("benchmark", Json::from(b.name()))]),
@@ -286,14 +221,18 @@ pub fn encode_spec(spec: &JobSpec) -> Result<Json, Error> {
             ))
         }
     };
-    Ok(Json::object([
-        ("source", source),
-        ("backend", Json::from(spec.backend().name())),
-        ("options", options_json(spec.options())),
-        ("fleet", spec.fleet().map_or(Json::Null, fleet_json)),
-        ("program", Json::from(spec.includes_program())),
-        ("projection_arrays", Json::from(spec.projection_arrays())),
-    ]))
+    spec_json(spec, Some(source), spec.backend().name())
+}
+
+/// The compact encoding of everything in `spec` but its source, with the
+/// backend replaced by its compile class: the spec's share of its
+/// compile-cache identity.
+///
+/// # Errors
+///
+/// As [`encode_spec`], except that any source is accepted.
+pub(crate) fn encode_identity(spec: &JobSpec) -> Result<String, Error> {
+    spec_json(spec, None, spec.backend().class().name()).map(|doc| doc.render_compact())
 }
 
 /// Encodes a request as one compact wire line (no trailing newline).
@@ -316,132 +255,99 @@ pub fn encode_request(request: &Request) -> Result<String, Error> {
 
 // ---- spec decoding ------------------------------------------------------
 
-fn decode_options(json: &Json) -> Result<CompileOptions, Error> {
-    let obj = entries(json, "options")?;
-    expect_keys(
-        obj,
-        &[
-            "rewriting",
-            "effort",
-            "selection",
-            "allocation",
-            "max_writes",
-            "peephole",
-            "copy_reuse",
-            "esat",
-            "esat_nodes",
-            "esat_iters",
-        ],
-        "options",
-    )?;
-    let rewriting = opt(field(obj, "rewriting", "options")?, |j| {
-        parse_algorithm(as_str(j, "options.rewriting")?)
-    })?;
-    let max_writes = opt(field(obj, "max_writes", "options")?, |j| {
-        as_u64(j, "options.max_writes")
-    })?;
-    if let Some(w) = max_writes {
-        if w < 3 {
-            return Err(invalid("options.max_writes must be at least 3"));
-        }
+/// Decodes an `options` object, or a report's `policy` block, which
+/// carries the same keys plus the `extra` ones.
+fn decode_options(o: &Fields<'_>, extra: &[&str]) -> Result<CompileOptions, String> {
+    o.expect_keys(&[&OPTION_KEYS[..], extra].concat())?;
+    let max_writes = o.opt("max_writes", |j, path| json::as_u64(j, path))?;
+    if max_writes.is_some_and(|w| w < 3) {
+        return Err(format!("{} must be at least 3", o.path("max_writes")));
     }
-    let esat_budget = |key: &str, ctx: &str| -> Result<u32, Error> {
-        let v = as_u64(field(obj, key, "options")?, ctx)?;
-        match u32::try_from(v) {
-            Ok(n) if n > 0 => Ok(n),
-            _ => Err(invalid(format!("{ctx} must be a positive 32-bit value"))),
-        }
+    let esat_budget = |key: &str| match u32::try_from(o.u64(key)?) {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{} must be a positive 32-bit value", o.path(key))),
     };
     Ok(CompileOptions {
-        rewriting,
-        effort: as_usize(field(obj, "effort", "options")?, "options.effort")?,
-        selection: parse_selection(as_str(
-            field(obj, "selection", "options")?,
-            "options.selection",
-        )?)?,
-        allocation: parse_allocation(as_str(
-            field(obj, "allocation", "options")?,
-            "options.allocation",
-        )?)?,
+        rewriting: o.opt("rewriting", |j, path| json::as_str(j, path)?.parse())?,
+        effort: o.usize("effort")?,
+        selection: o.str("selection")?.parse()?,
+        allocation: o.str("allocation")?.parse()?,
         max_writes,
-        peephole: as_bool(field(obj, "peephole", "options")?, "options.peephole")?,
-        copy_reuse: as_bool(field(obj, "copy_reuse", "options")?, "options.copy_reuse")?,
-        esat: as_bool(field(obj, "esat", "options")?, "options.esat")?,
-        esat_nodes: esat_budget("esat_nodes", "options.esat_nodes")?,
-        esat_iters: esat_budget("esat_iters", "options.esat_iters")?,
+        peephole: o.bool("peephole")?,
+        copy_reuse: o.bool("copy_reuse")?,
+        esat: o.bool("esat")?,
+        esat_nodes: esat_budget("esat_nodes")?,
+        esat_iters: esat_budget("esat_iters")?,
     })
 }
 
-fn decode_chaos(json: &Json) -> Result<ChaosSpec, Error> {
-    let obj = entries(json, "chaos")?;
-    expect_keys(
-        obj,
-        &[
-            "fault_seed",
-            "endurance_median",
-            "endurance_sigma",
-            "stuck_probability",
-            "recovery",
-            "spares",
-            "max_faults",
-        ],
-        "chaos",
-    )?;
+fn decode_chaos(c: &Fields<'_>) -> Result<ChaosSpec, String> {
+    c.expect_keys(&[
+        "fault_seed",
+        "endurance_median",
+        "endurance_sigma",
+        "stuck_probability",
+        "recovery",
+        "spares",
+        "max_faults",
+    ])?;
+    let float = |key: &str, precision: usize| exact(c.f64(key)?, precision, c.path(key));
     Ok(ChaosSpec {
-        fault_seed: as_u64(field(obj, "fault_seed", "chaos")?, "chaos.fault_seed")?,
-        endurance_median: as_f64(
-            field(obj, "endurance_median", "chaos")?,
-            "chaos.endurance_median",
-        )?,
-        endurance_sigma: as_f64(
-            field(obj, "endurance_sigma", "chaos")?,
-            "chaos.endurance_sigma",
-        )?,
-        stuck_probability: as_f64(
-            field(obj, "stuck_probability", "chaos")?,
-            "chaos.stuck_probability",
-        )?,
-        recovery: as_bool(field(obj, "recovery", "chaos")?, "chaos.recovery")?,
-        spares: as_usize(field(obj, "spares", "chaos")?, "chaos.spares")?,
-        max_faults: as_u64(field(obj, "max_faults", "chaos")?, "chaos.max_faults")?,
+        fault_seed: c.u64("fault_seed")?,
+        endurance_median: float("endurance_median", MEDIAN_PRECISION)?,
+        endurance_sigma: float("endurance_sigma", SIGMA_PRECISION)?,
+        stuck_probability: float("stuck_probability", SIGMA_PRECISION)?,
+        recovery: c.bool("recovery")?,
+        spares: c.usize("spares")?,
+        max_faults: c.u64("max_faults")?,
     })
 }
 
-fn decode_fleet(json: &Json) -> Result<FleetSpec, Error> {
-    let obj = entries(json, "fleet")?;
-    expect_keys(
-        obj,
-        &[
-            "arrays",
-            "jobs",
-            "dispatch",
-            "write_budget",
-            "input_seed",
-            "simd",
-            "chaos",
-        ],
-        "fleet",
-    )?;
-    let arrays = as_usize(field(obj, "arrays", "fleet")?, "fleet.arrays")?;
+fn decode_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
+    f.expect_keys(&[
+        "arrays",
+        "jobs",
+        "dispatch",
+        "write_budget",
+        "input_seed",
+        "simd",
+        "chaos",
+    ])?;
+    let arrays = f.usize("arrays")?;
     if arrays == 0 {
-        return Err(invalid("fleet.arrays must be at least 1"));
+        return Err(format!("{} must be at least 1", f.path("arrays")));
     }
-    let dispatch: DispatchPolicy = as_str(field(obj, "dispatch", "fleet")?, "fleet.dispatch")?
-        .parse()
-        .map_err(Error::InvalidRequest)?;
     Ok(FleetSpec {
         arrays,
-        jobs: as_usize(field(obj, "jobs", "fleet")?, "fleet.jobs")?,
-        dispatch,
-        write_budget: opt(field(obj, "write_budget", "fleet")?, |j| {
-            as_u64(j, "fleet.write_budget")
-        })?,
-        input_seed: opt(field(obj, "input_seed", "fleet")?, |j| {
-            as_u64(j, "fleet.input_seed")
-        })?,
-        simd: as_bool(field(obj, "simd", "fleet")?, "fleet.simd")?,
-        chaos: opt(field(obj, "chaos", "fleet")?, decode_chaos)?,
+        jobs: f.usize("jobs")?,
+        dispatch: f.str("dispatch")?.parse()?,
+        write_budget: f.opt("write_budget", |j, path| json::as_u64(j, path))?,
+        input_seed: f.opt("input_seed", |j, path| json::as_u64(j, path))?,
+        simd: f.bool("simd")?,
+        chaos: f.opt("chaos", |j, path| decode_chaos(&Fields::of(j, path)?))?,
     })
+}
+
+/// Applies every field but `source` to `spec`.
+fn decode_job(s: &Fields<'_>, spec: JobSpec) -> Result<JobSpec, String> {
+    let projection_arrays = s.usize("projection_arrays")?;
+    if projection_arrays == 0 {
+        return Err(format!(
+            "{} must be at least 1",
+            s.path("projection_arrays")
+        ));
+    }
+    let spec = spec
+        .with_backend(s.str("backend")?.parse()?)
+        .with_options(decode_options(&s.object("options")?, &[])?)
+        .with_program_text(s.bool("program")?)
+        .with_projection_arrays(projection_arrays);
+    Ok(
+        match s.opt("fleet", |j, path| decode_fleet(&Fields::of(j, path)?))? {
+            Some(fleet) => spec.with_fleet(fleet),
+            None => spec,
+        },
+    )
 }
 
 /// Decodes the wire's `spec` object back into a [`JobSpec`] — the exact
@@ -450,57 +356,34 @@ fn decode_fleet(json: &Json) -> Result<FleetSpec, Error> {
 /// # Errors
 ///
 /// Returns [`Error::InvalidRequest`] on shape violations (wrong types,
-/// missing or unknown keys, out-of-range values) and
-/// [`Error::UnknownBenchmark`] for benchmark names not in the suite.
+/// missing or unknown keys, out-of-range values, chaos floats that are
+/// not exact at their wire precision) and [`Error::UnknownBenchmark`]
+/// for benchmark names not in the suite.
 pub fn decode_spec(json: &Json) -> Result<JobSpec, Error> {
-    let obj = entries(json, "spec")?;
-    expect_keys(
-        obj,
-        &[
-            "source",
-            "backend",
-            "options",
-            "fleet",
-            "program",
-            "projection_arrays",
-        ],
-        "spec",
-    )?;
-
-    let source = entries(field(obj, "source", "spec")?, "spec.source")?;
-    let mut spec = match source {
-        [(key, value)] if key == "benchmark" => {
-            JobSpec::named_benchmark(as_str(value, "source.benchmark")?)?
+    let s = Fields::of(json, "spec").map_err(invalid)?;
+    s.expect_keys(&[
+        "source",
+        "backend",
+        "options",
+        "fleet",
+        "program",
+        "projection_arrays",
+    ])
+    .map_err(invalid)?;
+    let spec = match s.object("source").map_err(invalid)?.entries() {
+        [(key, value)] if key == "benchmark" => JobSpec::named_benchmark(
+            json::as_str(value, "spec.source.benchmark").map_err(invalid)?,
+        )?,
+        [(key, value)] if key == "blif" => {
+            JobSpec::blif_path(json::as_str(value, "spec.source.blif").map_err(invalid)?)
         }
-        [(key, value)] if key == "blif" => JobSpec::blif_path(as_str(value, "source.blif")?),
         _ => {
             return Err(invalid(
                 "spec.source must be exactly {\"benchmark\":NAME} or {\"blif\":PATH}",
             ))
         }
     };
-
-    let backend: BackendKind = as_str(field(obj, "backend", "spec")?, "spec.backend")?
-        .parse()
-        .map_err(Error::InvalidRequest)?;
-    spec = spec
-        .with_backend(backend)
-        .with_options(decode_options(field(obj, "options", "spec")?)?)
-        .with_program_text(as_bool(field(obj, "program", "spec")?, "spec.program")?);
-
-    let projection_arrays = as_usize(
-        field(obj, "projection_arrays", "spec")?,
-        "spec.projection_arrays",
-    )?;
-    if projection_arrays == 0 {
-        return Err(invalid("spec.projection_arrays must be at least 1"));
-    }
-    spec = spec.with_projection_arrays(projection_arrays);
-
-    if let Some(fleet) = opt(field(obj, "fleet", "spec")?, decode_fleet)? {
-        spec = spec.with_fleet(fleet);
-    }
-    Ok(spec)
+    decode_job(&s, spec).map_err(invalid)
 }
 
 /// Decodes one request line.
@@ -512,16 +395,16 @@ pub fn decode_spec(json: &Json) -> Result<JobSpec, Error> {
 /// structured `error` line instead of dying or hanging.
 pub fn decode_request(line: &str) -> Result<Request, Error> {
     let doc = json::parse(line).map_err(|e| invalid(format!("malformed request: {e}")))?;
-    let obj = entries(&doc, "request")?;
-    expect_keys(obj, &["verb", "spec"], "request")?;
-    let verb = as_str(field(obj, "verb", "request")?, "request.verb")?;
+    let r = Fields::of(&doc, "request").map_err(invalid)?;
+    r.expect_keys(&["verb", "spec"]).map_err(invalid)?;
+    let verb = r.str("verb").map_err(invalid)?;
     match verb {
         "job" => {
-            let spec = decode_spec(field(obj, "spec", "request")?)?;
+            let spec = decode_spec(r.field("spec").map_err(invalid)?)?;
             Ok(Request::Job(Box::new(spec)))
         }
         "metrics" | "healthz" | "shutdown" => {
-            if obj.len() != 1 {
+            if r.entries().len() != 1 {
                 return Err(invalid(format!("`{verb}` requests carry no other keys")));
             }
             Ok(match verb {
@@ -588,59 +471,42 @@ pub fn shutdown_line() -> String {
 /// the protocol's response shapes — a daemon bug or a non-daemon peer.
 pub fn decode_response(line: &str) -> Result<Response, Error> {
     let doc = json::parse(line).map_err(|e| Error::Run(format!("malformed response line: {e}")))?;
-    let obj = match &doc {
-        Json::Object(entries) => entries,
-        _ => return Err(Error::Run("response is not a JSON object".to_string())),
+    let Json::Object(entries) = &doc else {
+        return Err(Error::Run("response is not a JSON object".to_string()));
     };
-    if obj.iter().any(|(k, _)| k == "schema") {
+    if entries.iter().any(|(k, _)| k == "schema") {
         return Ok(Response::Report(ReportLine {
             line: line.to_string(),
             json: doc,
         }));
     }
-    let run = |e: Error| Error::Run(format!("malformed response envelope: {e}"));
-    match obj.first().map(|(k, _)| k.as_str()) {
-        Some("rejected") if obj.len() == 1 => {
-            let body = entries(&obj[0].1, "rejected").map_err(run)?;
-            Ok(Response::Rejected {
-                queue_depth: as_usize(
-                    field(body, "queue_depth", "rejected").map_err(run)?,
-                    "rejected.queue_depth",
-                )
-                .map_err(run)?,
-                queue_capacity: as_usize(
-                    field(body, "queue_capacity", "rejected").map_err(run)?,
-                    "rejected.queue_capacity",
-                )
-                .map_err(run)?,
-                message: as_str(
-                    field(body, "message", "rejected").map_err(run)?,
-                    "rejected.message",
-                )
-                .map_err(run)?
-                .to_string(),
-            })
+    let envelope = |kind: &str, body: &Json| -> Result<Response, String> {
+        let b = Fields::of(body, kind)?;
+        Ok(match kind {
+            "rejected" => Response::Rejected {
+                queue_depth: b.usize("queue_depth")?,
+                queue_capacity: b.usize("queue_capacity")?,
+                message: b.str("message")?.to_string(),
+            },
+            "error" => Response::Error {
+                message: b.str("message")?.to_string(),
+                usage: b.bool("usage")?,
+            },
+            "metrics" => Response::Metrics(MetricsSnapshot::decode(&b)?),
+            "healthz" => Response::Healthz(Health::decode(&b)?),
+            _ => Response::Shutdown,
+        })
+    };
+    match entries.as_slice() {
+        [(kind, body)]
+            if matches!(
+                kind.as_str(),
+                "rejected" | "error" | "metrics" | "healthz" | "shutdown"
+            ) =>
+        {
+            envelope(kind, body)
+                .map_err(|e| Error::Run(format!("malformed response envelope: {e}")))
         }
-        Some("error") if obj.len() == 1 => {
-            let body = entries(&obj[0].1, "error").map_err(run)?;
-            Ok(Response::Error {
-                message: as_str(
-                    field(body, "message", "error").map_err(run)?,
-                    "error.message",
-                )
-                .map_err(run)?
-                .to_string(),
-                usage: as_bool(field(body, "usage", "error").map_err(run)?, "error.usage")
-                    .map_err(run)?,
-            })
-        }
-        Some("metrics") if obj.len() == 1 => MetricsSnapshot::from_json(&obj[0].1)
-            .map(Response::Metrics)
-            .map_err(run),
-        Some("healthz") if obj.len() == 1 => Health::from_json(&obj[0].1)
-            .map(Response::Healthz)
-            .map_err(run),
-        Some("shutdown") if obj.len() == 1 => Ok(Response::Shutdown),
         _ => Err(Error::Run(
             "unrecognized response envelope (expected a report or one of \
              rejected/error/metrics/healthz/shutdown)"
@@ -665,96 +531,55 @@ impl ReportLine {
     /// Returns [`Error::Run`] when the document does not have the pinned
     /// report schema.
     pub fn decode(&self) -> Result<Report, Error> {
-        decode_report(&self.json)
+        decode_report(&self.json).map_err(|e| Error::Run(format!("malformed report: {e}")))
     }
 }
 
-fn decode_report(doc: &Json) -> Result<Report, Error> {
-    let run = |e: Error| Error::Run(format!("malformed report: {e}"));
-    let obj = entries(doc, "report").map_err(run)?;
-    let get = |key: &str| field(obj, key, "report").map_err(run);
-
-    let schema = as_u64(get("schema")?, "report.schema").map_err(run)?;
+fn decode_report(doc: &Json) -> Result<Report, String> {
+    let r = Fields::of(doc, "report")?;
+    let schema = r.u64("schema")?;
     if schema != rlim_service::REPORT_SCHEMA_VERSION {
-        return Err(Error::Run(format!(
+        return Err(format!(
             "report schema {schema} does not match this client (expected {})",
             rlim_service::REPORT_SCHEMA_VERSION
-        )));
+        ));
     }
-    let backend: BackendKind = as_str(get("backend")?, "report.backend")
-        .map_err(run)?
-        .parse()
-        .map_err(Error::Run)?;
-
-    let policy = entries(get("policy")?, "report.policy").map_err(run)?;
-    let pol = |key: &str| field(policy, key, "report.policy").map_err(run);
-    let options = CompileOptions {
-        rewriting: opt(pol("rewriting")?, |j| {
-            parse_algorithm(as_str(j, "policy.rewriting")?)
-        })
-        .map_err(run)?,
-        effort: as_usize(pol("effort")?, "policy.effort").map_err(run)?,
-        selection: parse_selection(as_str(pol("selection")?, "policy.selection").map_err(run)?)
-            .map_err(run)?,
-        allocation: parse_allocation(as_str(pol("allocation")?, "policy.allocation").map_err(run)?)
-            .map_err(run)?,
-        max_writes: opt(pol("max_writes")?, |j| as_u64(j, "policy.max_writes")).map_err(run)?,
-        peephole: as_bool(pol("peephole")?, "policy.peephole").map_err(run)?,
-        copy_reuse: as_bool(pol("copy_reuse")?, "policy.copy_reuse").map_err(run)?,
-        esat: as_bool(pol("esat")?, "policy.esat").map_err(run)?,
-        esat_nodes: u32::try_from(as_u64(pol("esat_nodes")?, "policy.esat_nodes").map_err(run)?)
-            .map_err(|_| Error::Run("policy.esat_nodes out of range".to_string()))?,
-        esat_iters: u32::try_from(as_u64(pol("esat_iters")?, "policy.esat_iters").map_err(run)?)
-            .map_err(|_| Error::Run("policy.esat_iters out of range".to_string()))?,
-    };
-
-    let circuit = entries(get("circuit")?, "report.circuit").map_err(run)?;
-    let cir = |key: &str| field(circuit, key, "report.circuit").map_err(run);
-    let circuit = CircuitSummary {
-        inputs: as_usize(cir("inputs")?, "circuit.inputs").map_err(run)?,
-        outputs: as_usize(cir("outputs")?, "circuit.outputs").map_err(run)?,
-        gates: as_usize(cir("gates")?, "circuit.gates").map_err(run)?,
-    };
-
-    let writes = entries(get("writes")?, "report.writes").map_err(run)?;
-    let wr = |key: &str| field(writes, key, "report.writes").map_err(run);
-    let writes = WriteStats {
-        min: as_u64(wr("min")?, "writes.min").map_err(run)?,
-        max: as_u64(wr("max")?, "writes.max").map_err(run)?,
-        mean: as_f64(wr("mean")?, "writes.mean").map_err(run)?,
-        stdev: as_f64(wr("stdev")?, "writes.stdev").map_err(run)?,
-        cells: as_usize(wr("cells")?, "writes.cells").map_err(run)?,
-        total: as_u64(get("total_writes")?, "report.total_writes").map_err(run)?,
-    };
-
-    let lifetime = entries(get("lifetime")?, "report.lifetime").map_err(run)?;
-    let lt = |key: &str| field(lifetime, key, "report.lifetime").map_err(run);
-    let lifetime = LifetimeProjection {
-        endurance: as_u64(lt("endurance")?, "lifetime.endurance").map_err(run)?,
-        single_array_runs: as_u64(lt("single_array_runs")?, "lifetime.single_array_runs")
-            .map_err(run)?,
-        fleet_arrays: as_usize(lt("fleet_arrays")?, "lifetime.fleet_arrays").map_err(run)?,
-        fleet_runs: as_u64(lt("fleet_runs")?, "lifetime.fleet_runs").map_err(run)?,
-    };
-
+    let backend: BackendKind = r.str("backend")?.parse()?;
+    let circuit = r.object("circuit")?;
+    let writes = r.object("writes")?;
+    let lifetime = r.object("lifetime")?;
+    let total_writes = r.u64("total_writes")?;
     Ok(Report {
-        label: as_str(get("label")?, "report.label")
-            .map_err(run)?
-            .to_string(),
+        label: r.str("label")?.to_string(),
         backend: backend.name(),
-        options,
-        circuit,
-        instructions: as_usize(get("instructions")?, "report.instructions").map_err(run)?,
-        rrams: as_usize(get("rrams")?, "report.rrams").map_err(run)?,
-        total_writes: writes.total,
-        writes,
-        lifetime,
-        program: opt(get("program")?, |j| {
-            as_str(j, "report.program").map(str::to_string)
-        })
-        .map_err(run)?,
+        options: decode_options(&r.object("policy")?, &["preset"])?,
+        circuit: CircuitSummary {
+            inputs: circuit.usize("inputs")?,
+            outputs: circuit.usize("outputs")?,
+            gates: circuit.usize("gates")?,
+        },
+        instructions: r.usize("instructions")?,
+        rrams: r.usize("rrams")?,
+        total_writes,
+        writes: WriteStats {
+            min: writes.u64("min")?,
+            max: writes.u64("max")?,
+            mean: writes.f64("mean")?,
+            stdev: writes.f64("stdev")?,
+            cells: writes.usize("cells")?,
+            total: total_writes,
+        },
+        lifetime: LifetimeProjection {
+            endurance: lifetime.u64("endurance")?,
+            single_array_runs: lifetime.u64("single_array_runs")?,
+            fleet_arrays: lifetime.usize("fleet_arrays")?,
+            fleet_runs: lifetime.u64("fleet_runs")?,
+        },
+        program: r.opt("program", |j, path| {
+            json::as_str(j, path).map(str::to_string)
+        })?,
         fleet: None,
-        cached: as_bool(get("cached")?, "report.cached").map_err(run)?,
+        cached: r.bool("cached")?,
         seconds: 0.0,
     })
 }
@@ -763,6 +588,7 @@ fn decode_report(doc: &Json) -> Result<Report, Error> {
 mod tests {
     use super::*;
     use rlim_benchmarks::Benchmark;
+    use rlim_plim::DispatchPolicy;
     use rlim_service::Service;
 
     fn chaos_fleet_spec() -> JobSpec {
@@ -822,6 +648,29 @@ mod tests {
         let spec = JobSpec::mig(rlim_mig::Mig::new(2));
         let err = encode_request(&Request::Job(Box::new(spec))).unwrap_err();
         assert!(err.is_usage(), "{err:?}");
+    }
+
+    #[test]
+    fn chaos_floats_must_be_exact_at_wire_precision() {
+        // 0.25001 renders as 0.2500 at the sigma's four decimals: sent
+        // as is, the daemon would run a different fault model.
+        let sigma = |s: f64| {
+            JobSpec::benchmark(Benchmark::Ctrl)
+                .with_fleet(FleetSpec::new(2).with_chaos(ChaosSpec::new(1).with_endurance_sigma(s)))
+        };
+        let err = encode_request(&Request::Job(Box::new(sigma(0.25001)))).unwrap_err();
+        assert!(err.is_usage(), "{err:?}");
+        assert!(err.to_string().contains("endurance_sigma"), "{err}");
+
+        // A hand-written line naming that value does not re-encode to
+        // itself, so the decoder refuses it too.
+        let line = encode_request(&Request::Job(Box::new(sigma(0.25)))).unwrap();
+        assert!(line.contains("\"endurance_sigma\":0.2500"), "{line}");
+        let hand_written =
+            line.replace("\"endurance_sigma\":0.2500", "\"endurance_sigma\":0.25001");
+        let err = decode_request(&hand_written).unwrap_err();
+        assert!(err.is_usage(), "{err:?}");
+        assert!(decode_request(&line).is_ok());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! child before its parent.
 //!
 //! Tree costs grow like `3^depth`, so on deep graphs they overflow any
-//! fixed-width integer. Finite costs therefore saturate at [`COST_CAP`]
+//! fixed-width integer. Finite costs therefore saturate at `COST_CAP`
 //! — a capped class is still extractable, it has merely left the regime
 //! where the cost estimate can rank its spellings (ties keep the
 //! earliest e-node, as always).

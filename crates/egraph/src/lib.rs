@@ -18,7 +18,7 @@
 //! * [`saturate`]/[`Budget`] — deterministic rule saturation driven by
 //!   the shared Ω rule descriptions in `rlim_mig::rewrite::rules`,
 //!   bounded by node and iteration budgets.
-//! * [`extract`]/[`CostWeights`] — a weighted-cost extractor that
+//! * [`extract()`]/[`CostWeights`] — a weighted-cost extractor that
 //!   rebuilds a plain [`Mig`](rlim_mig::Mig) from the cheapest
 //!   representative of each class.
 //!

@@ -145,6 +145,30 @@ impl Algorithm {
             ],
         }
     }
+
+    /// The stable name used in reports and on the daemon's wire.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::PlimCompiler => "plim-compiler",
+            Algorithm::EnduranceAware => "endurance-aware",
+            Algorithm::LevelAware => "level-aware",
+        }
+    }
+}
+
+impl std::str::FromStr for Algorithm {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        match s {
+            "plim-compiler" => Ok(Algorithm::PlimCompiler),
+            "endurance-aware" => Ok(Algorithm::EnduranceAware),
+            "level-aware" => Ok(Algorithm::LevelAware),
+            other => Err(format!(
+                "unknown rewriting algorithm `{other}` (plim-compiler | endurance-aware | level-aware)"
+            )),
+        }
+    }
 }
 
 /// Runs `effort` cycles of the given algorithm (the paper uses `effort = 5`).

@@ -1,4 +1,4 @@
-//! A minimal in-tree JSON writer.
+//! A minimal in-tree JSON writer, reader and typed decoder.
 //!
 //! The build environment has no registry access, so serde is out of
 //! reach; every JSON document in the workspace — the [`crate::Report`]
@@ -17,9 +17,11 @@
 //! the writer with a strict reader: [`parse`] turns one document back
 //! into a [`Json`] tree, preserving key order and float precision, so
 //! `parse(doc.render_compact())` reproduces `doc` exactly for every
-//! canonically rendered document.
+//! canonically rendered document. [`Fields`] and the `as_*` helpers are
+//! the one typed decoder over a parsed tree: the daemon's wire codec,
+//! its metrics payloads and the bench DB all read through them.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One JSON value.
 ///
@@ -560,6 +562,164 @@ impl Parser<'_> {
         } else {
             Ok(self.pos - start)
         }
+    }
+}
+
+// ---- typed access ---------------------------------------------------------
+
+/// Typed, strict read access to one object of a parsed document — the
+/// one decoder behind every pinned JSON shape in the workspace (the
+/// daemon's wire lines and metrics payloads, the bench DB).
+///
+/// Every accessor fails with a message naming the offending path, such
+/// as `options.effort: expected an unsigned integer`. Each caller maps
+/// the message into its own error type, so the daemon keeps a malformed
+/// request a usage error and a malformed response an operational one.
+///
+/// # Examples
+///
+/// ```
+/// use rlim_service::json::{parse, Fields};
+///
+/// let doc = parse("{\"arrays\":4,\"chaos\":null}").unwrap();
+/// let fleet = Fields::of(&doc, "fleet").unwrap();
+/// assert_eq!(fleet.usize("arrays"), Ok(4));
+/// assert_eq!(fleet.opt("chaos", |_, _| Ok(())), Ok(None));
+/// assert_eq!(
+///     fleet.bool("arrays"),
+///     Err("fleet.arrays: expected a boolean".to_string())
+/// );
+/// assert!(fleet.expect_keys(&["arrays"]).is_err());
+/// ```
+#[derive(Debug, Clone)]
+pub struct Fields<'a> {
+    entries: &'a [(String, Json)],
+    path: String,
+}
+
+impl<'a> Fields<'a> {
+    /// `json` as an object; `path` names it in error messages.
+    pub fn of(json: &'a Json, path: impl Into<String>) -> Result<Self, String> {
+        let path = path.into();
+        match json {
+            Json::Object(entries) => Ok(Fields { entries, path }),
+            _ => Err(format!("{path}: expected an object")),
+        }
+    }
+
+    /// The entries in document order.
+    pub fn entries(&self) -> &'a [(String, Json)] {
+        self.entries
+    }
+
+    /// Fails on the first key outside `expected` (missing keys fail in
+    /// [`Fields::field`]), so a typo is an error instead of a silent
+    /// fallback to a default.
+    pub fn expect_keys(&self, expected: &[&str]) -> Result<(), String> {
+        match self.entries.iter().find(|(k, _)| !expected.contains(&&**k)) {
+            Some((key, _)) => Err(format!("{}: unknown key `{key}`", self.path)),
+            None => Ok(()),
+        }
+    }
+
+    /// The value under `key`, if present.
+    pub fn get(&self, key: &str) -> Option<&'a Json> {
+        self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// The value under `key`.
+    pub fn field(&self, key: &str) -> Result<&'a Json, String> {
+        self.get(key)
+            .ok_or_else(|| format!("{}: missing key `{key}`", self.path))
+    }
+
+    /// The object under `key`.
+    pub fn object(&self, key: &str) -> Result<Fields<'a>, String> {
+        Fields::of(self.field(key)?, self.path(key))
+    }
+
+    /// The unsigned integer under `key`.
+    pub fn u64(&self, key: &str) -> Result<u64, String> {
+        as_u64(self.field(key)?, format_args!("{}.{key}", self.path))
+    }
+
+    /// The unsigned integer under `key`, range-checked into a `usize`.
+    pub fn usize(&self, key: &str) -> Result<usize, String> {
+        as_usize(self.field(key)?, format_args!("{}.{key}", self.path))
+    }
+
+    /// The boolean under `key`.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        as_bool(self.field(key)?, format_args!("{}.{key}", self.path))
+    }
+
+    /// The string under `key`.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        as_str(self.field(key)?, format_args!("{}.{key}", self.path))
+    }
+
+    /// The number under `key`, as a float (see [`as_f64`]).
+    pub fn f64(&self, key: &str) -> Result<f64, String> {
+        as_f64(self.field(key)?, format_args!("{}.{key}", self.path))
+    }
+
+    /// The value under `key` through `convert`, which also receives the
+    /// value's path; `null` reads as `None`.
+    pub fn opt<T>(
+        &self,
+        key: &str,
+        convert: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+    ) -> Result<Option<T>, String> {
+        match self.field(key)? {
+            Json::Null => Ok(None),
+            value => convert(value, &self.path(key)).map(Some),
+        }
+    }
+
+    /// The path of the value under `key`, for a caller's own messages.
+    pub fn path(&self, key: &str) -> String {
+        format!("{}.{key}", self.path)
+    }
+}
+
+/// `json` as an unsigned integer; errors name `path`.
+pub fn as_u64(json: &Json, path: impl fmt::Display) -> Result<u64, String> {
+    match json {
+        Json::UInt(v) => Ok(*v),
+        _ => Err(format!("{path}: expected an unsigned integer")),
+    }
+}
+
+/// `json` as an unsigned integer that fits a `usize`; errors name `path`.
+pub fn as_usize(json: &Json, path: impl fmt::Display) -> Result<usize, String> {
+    let v = as_u64(json, &path)?;
+    usize::try_from(v).map_err(|_| format!("{path}: value out of range"))
+}
+
+/// `json` as a boolean; errors name `path`.
+pub fn as_bool(json: &Json, path: impl fmt::Display) -> Result<bool, String> {
+    match json {
+        Json::Bool(b) => Ok(*b),
+        _ => Err(format!("{path}: expected a boolean")),
+    }
+}
+
+/// `json` as a string; errors name `path`.
+pub fn as_str(json: &Json, path: impl fmt::Display) -> Result<&str, String> {
+    match json {
+        Json::Str(s) => Ok(s),
+        _ => Err(format!("{path}: expected a string")),
+    }
+}
+
+/// `json` as a float; integers convert too, since a float rendered at
+/// precision 0 parses back as one. Errors name `path`.
+pub fn as_f64(json: &Json, path: impl fmt::Display) -> Result<f64, String> {
+    match json {
+        Json::Float { value, .. } => Ok(*value),
+        Json::UInt(v) => Ok(*v as f64),
+        Json::Int(v) => Ok(*v as f64),
+        _ => Err(format!("{path}: expected a number")),
     }
 }
 

@@ -2,7 +2,7 @@
 //! tables, the CLI and the bench runner print, as one typed value with a
 //! stable JSON serialization.
 
-use rlim_compiler::{Allocation, CompileOptions, Selection};
+use rlim_compiler::CompileOptions;
 use rlim_mig::rewrite::Algorithm;
 use rlim_plim::ArrayStats;
 use rlim_rram::{FleetWriteStats, WriteStats};
@@ -151,29 +151,6 @@ pub struct Report {
     pub seconds: f64,
 }
 
-fn algorithm_name(a: Algorithm) -> &'static str {
-    match a {
-        Algorithm::PlimCompiler => "plim-compiler",
-        Algorithm::EnduranceAware => "endurance-aware",
-        Algorithm::LevelAware => "level-aware",
-    }
-}
-
-fn selection_name(s: Selection) -> &'static str {
-    match s {
-        Selection::Topological => "topological",
-        Selection::AreaAware => "area-aware",
-        Selection::EnduranceAware => "endurance-aware",
-    }
-}
-
-fn allocation_name(a: Allocation) -> &'static str {
-    match a {
-        Allocation::Lifo => "lifo",
-        Allocation::MinWrite => "min-write",
-    }
-}
-
 fn write_stats_json(s: &WriteStats) -> Json {
     Json::object([
         ("min", Json::from(s.min)),
@@ -221,9 +198,9 @@ impl Report {
         let o = &self.options;
         let policy = Json::object([
             ("preset", Json::from(o.preset_name())),
-            ("rewriting", Json::from(o.rewriting.map(algorithm_name))),
-            ("selection", Json::from(selection_name(o.selection))),
-            ("allocation", Json::from(allocation_name(o.allocation))),
+            ("rewriting", Json::from(o.rewriting.map(Algorithm::name))),
+            ("selection", Json::from(o.selection.name())),
+            ("allocation", Json::from(o.allocation.name())),
             ("effort", Json::from(o.effort)),
             ("max_writes", Json::from(o.max_writes)),
             ("peephole", Json::from(o.peephole)),

@@ -314,7 +314,9 @@ pub struct JobSpec {
     source: Source,
     backend: BackendKind,
     options: CompileOptions,
-    fleet: Option<FleetSpec>,
+    /// Boxed: most specs carry no rider, and inline it would more than
+    /// double the size of every spec (88 → 192 bytes).
+    fleet: Option<Box<FleetSpec>>,
     include_program: bool,
     projection_arrays: usize,
 }
@@ -380,7 +382,7 @@ impl JobSpec {
 
     /// Attaches a fleet workload rider.
     pub fn with_fleet(mut self, fleet: FleetSpec) -> Self {
-        self.fleet = Some(fleet);
+        self.fleet = Some(Box::new(fleet));
         self
     }
 
@@ -420,7 +422,7 @@ impl JobSpec {
 
     /// The fleet rider, if any.
     pub fn fleet(&self) -> Option<&FleetSpec> {
-        self.fleet.as_ref()
+        self.fleet.as_deref()
     }
 
     /// Whether the report will carry the program listing.

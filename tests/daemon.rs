@@ -24,7 +24,8 @@ use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::CompileOptions;
 use rlim::daemon::{
-    decode_request, decode_response, encode_request, serve, Client, DaemonConfig, Request, Response,
+    cache_key, decode_request, decode_response, encode_request, serve, Client, DaemonConfig,
+    Request, Response,
 };
 use rlim::service::{ChaosSpec, FleetSpec};
 use rlim::{BackendKind, JobSpec, Service};
@@ -359,9 +360,22 @@ fn options_strategy() -> impl Strategy<Value = CompileOptions> {
         (any::<bool>(), 0usize..10),
         (any::<bool>(), 3u64..200),
         any::<bool>(),
+        any::<bool>(),
+        any::<bool>(),
+        1u32..200_000,
+        1u32..16,
     )
         .prop_map(
-            |(preset, (some_e, effort), (some_w, max_writes), peephole)| {
+            |(
+                preset,
+                (some_e, effort),
+                (some_w, max_writes),
+                peephole,
+                copy_reuse,
+                esat,
+                esat_nodes,
+                esat_iters,
+            )| {
                 let mut options = CompileOptions::preset(preset).expect("canonical preset");
                 if some_e {
                     options = options.with_effort(effort);
@@ -369,7 +383,12 @@ fn options_strategy() -> impl Strategy<Value = CompileOptions> {
                 if some_w {
                     options = options.with_max_writes(max_writes);
                 }
-                options.with_peephole(peephole)
+                options
+                    .with_peephole(peephole)
+                    .with_copy_reuse(copy_reuse)
+                    .with_esat(esat)
+                    .with_esat_nodes(esat_nodes)
+                    .with_esat_iters(esat_iters)
             },
         )
 }
@@ -481,6 +500,168 @@ proptest! {
         prop_assert_eq!(&decoded, &spec);
         let again = encode_request(&Request::Job(Box::new(decoded))).unwrap();
         prop_assert_eq!(line, again);
+    }
+}
+
+/// Every spec field but the source, as parts the key proptest edits
+/// one at a time.
+#[derive(Clone, Copy)]
+struct Parts {
+    backend: BackendKind,
+    options: CompileOptions,
+    fleet: Option<FleetSpec>,
+    program: bool,
+    arrays: usize,
+}
+
+impl Parts {
+    fn of(spec: &JobSpec) -> Self {
+        Parts {
+            backend: spec.backend(),
+            options: *spec.options(),
+            fleet: spec.fleet().copied(),
+            program: spec.includes_program(),
+            arrays: spec.projection_arrays(),
+        }
+    }
+
+    fn onto(self, source: JobSpec) -> JobSpec {
+        let spec = source
+            .with_backend(self.backend)
+            .with_options(self.options)
+            .with_program_text(self.program)
+            .with_projection_arrays(self.arrays);
+        match self.fleet {
+            Some(fleet) => spec.with_fleet(fleet),
+            None => spec,
+        }
+    }
+}
+
+/// Number of distinct single-field edits [`edit_one`] knows.
+const EDITS: usize = 28;
+
+/// `parts` with exactly one key-relevant field changed. An edit inside
+/// an absent fleet or chaos rider adds the rider instead.
+fn edit_one(mut p: Parts, which: usize) -> Parts {
+    use rlim::compiler::{Allocation, Selection};
+    use rlim::mig::rewrite::Algorithm;
+    use rlim::plim::DispatchPolicy;
+
+    let o = &mut p.options;
+    match which {
+        0 => {
+            o.rewriting = match o.rewriting {
+                Some(Algorithm::LevelAware) => None,
+                _ => Some(Algorithm::LevelAware),
+            }
+        }
+        1 => o.effort += 1,
+        2 => {
+            o.selection = match o.selection {
+                Selection::Topological => Selection::AreaAware,
+                _ => Selection::Topological,
+            }
+        }
+        3 => {
+            o.allocation = match o.allocation {
+                Allocation::Lifo => Allocation::MinWrite,
+                Allocation::MinWrite => Allocation::Lifo,
+            }
+        }
+        4 => o.max_writes = Some(o.max_writes.map_or(3, |w| w + 1)),
+        5 => o.peephole ^= true,
+        6 => o.copy_reuse ^= true,
+        7 => o.esat ^= true,
+        8 => o.esat_nodes += 1,
+        9 => o.esat_iters += 1,
+        10 => p.program ^= true,
+        11 => p.arrays += 1,
+        12 => {
+            p.backend = match p.backend {
+                BackendKind::Imp => BackendKind::Rm3,
+                _ => BackendKind::Imp,
+            }
+        }
+        13 => p.fleet = p.fleet.xor(Some(FleetSpec::new(1))),
+        _ => {
+            let Some(f) = p.fleet.as_mut() else {
+                p.fleet = Some(FleetSpec::new(1));
+                return p;
+            };
+            match which {
+                14 => f.arrays += 1,
+                15 => f.jobs += 1,
+                16 => {
+                    f.dispatch = match f.dispatch {
+                        DispatchPolicy::RoundRobin => DispatchPolicy::LeastWorn,
+                        DispatchPolicy::LeastWorn => DispatchPolicy::RoundRobin,
+                    }
+                }
+                17 => f.write_budget = Some(f.write_budget.map_or(1, |b| b + 1)),
+                18 => f.input_seed = Some(f.input_seed.map_or(0, |s| s.wrapping_add(1))),
+                19 => f.simd ^= true,
+                20 => f.chaos = f.chaos.xor(Some(ChaosSpec::new(0))),
+                _ => {
+                    let Some(c) = f.chaos.as_mut() else {
+                        f.chaos = Some(ChaosSpec::new(0));
+                        return p;
+                    };
+                    // Float edits stay on values exact at wire precision.
+                    match which {
+                        21 => c.fault_seed = c.fault_seed.wrapping_add(1),
+                        22 => c.endurance_median += 1.0,
+                        23 => c.endurance_sigma = if c.endurance_sigma == 0.5 { 0.25 } else { 0.5 },
+                        24 => {
+                            c.stuck_probability = if c.stuck_probability == 0.375 {
+                                0.01
+                            } else {
+                                0.375
+                            }
+                        }
+                        25 => c.recovery ^= true,
+                        26 => c.spares += 1,
+                        _ => c.max_faults += 1,
+                    }
+                }
+            }
+        }
+    }
+    p
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The cache key is the job's identity: a copy that differs only in
+    /// source spelling, or in backend within a compile class, shares the
+    /// key; a copy with any one other field changed does not.
+    #[test]
+    fn cache_key_separates_exactly_the_fields_that_change_a_job(
+        spec in spec_strategy(),
+        other_source in 0usize..18,
+        fingerprint in any::<u64>(),
+    ) {
+        let fp = u128::from(fingerprint);
+        let key = |spec: &JobSpec| cache_key(fp, spec).expect("wire-exact spec");
+        let base = key(&spec);
+        let parts = Parts::of(&spec);
+
+        let respelled = Benchmark::all()[other_source];
+        prop_assert_eq!(&base, &key(&parts.onto(JobSpec::benchmark(respelled))));
+        prop_assert_eq!(&base, &key(&parts.onto(JobSpec::blif_path("/elsewhere.blif"))));
+        if parts.backend != BackendKind::Imp {
+            for backend in [BackendKind::Rm3, BackendKind::HostedRm3, BackendKind::WideRm3] {
+                let sibling = Parts { backend, ..parts }.onto(JobSpec::benchmark(respelled));
+                prop_assert_eq!(&base, &key(&sibling));
+            }
+        }
+
+        prop_assert_ne!(&base, &cache_key(fp + 1, &spec).unwrap());
+        for which in 0..EDITS {
+            let edited = edit_one(parts, which).onto(JobSpec::benchmark(respelled));
+            prop_assert!(base != key(&edited), "edit {which} kept the key {base}");
+        }
     }
 }
 
