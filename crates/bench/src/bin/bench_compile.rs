@@ -23,8 +23,9 @@
 //! With `--db`, the fleet throughput measurement — the scalar
 //! `run_batch` path and the word-level `run_batch_simd` path over the
 //! same workload — is appended as one record to the append-only bench
-//! database (`rlim_bench::db`), and checked against the last committed
-//! record by the regression gate: `--gate` fails the process on a
+//! database (`rlim_bench::db`), and checked against the latest committed
+//! record of the same workload (benchmark, fleet size and job count) by
+//! the regression gate: `--gate` fails the process on a
 //! regression beyond `--gate-tolerance` (default 0.5), `--gate-dry-run`
 //! reports it without failing.
 //!
@@ -47,7 +48,7 @@ use rlim_service::json::Json;
 use rlim_service::{JobSpec, Service};
 
 /// The benchmarks worth timing: the largest graphs in the suite, where the
-/// ~50 rewriting passes dominate end-to-end compile time.
+/// rewriting passes dominate end-to-end compile time.
 const LARGE: &[Benchmark] = &[
     Benchmark::Div,
     Benchmark::Multiplier,
@@ -440,7 +441,7 @@ fn main() {
         let history = db::records(db_path)
             .unwrap_or_else(|e| panic!("cannot read bench DB {}: {e}", db_path.display()));
         let record = fleet.to_record(db::next_run(&history));
-        if let Some(previous) = history.last() {
+        if let Some(previous) = db::gate_baseline(&history, &record) {
             match db::regression_gate(previous, &record, gate_tolerance) {
                 Ok(()) => eprintln!("gate: ok vs run {} ({previous})", previous.run),
                 Err(msg) if gate_dry_run => eprintln!("gate (dry-run, not enforced): {msg}"),
@@ -451,7 +452,7 @@ fn main() {
                 Err(msg) => eprintln!("gate (pass --gate to enforce): {msg}"),
             }
         } else {
-            eprintln!("gate: no previous record, nothing to compare against");
+            eprintln!("gate: no previous record of this workload, nothing to compare against");
         }
         db::append(db_path, &record)
             .unwrap_or_else(|e| panic!("cannot append to {}: {e}", db_path.display()));

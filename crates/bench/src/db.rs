@@ -1,7 +1,7 @@
 //! The on-disk bench database: an **append-only** JSON array of per-run
 //! fleet-throughput records, written through the workspace's in-tree
 //! [`Json`] writer, plus the regression gate that compares a fresh
-//! measurement against the last committed record.
+//! measurement against the latest committed record of the same workload.
 //!
 //! The file format is deliberately boring — a pretty-printed JSON array
 //! whose element shape (field order, float precision) is pinned by the
@@ -17,8 +17,8 @@ use std::path::Path;
 use rlim_service::json::{self, Fields, Json};
 
 /// Default relative throughput drop tolerated by the regression gate
-/// (`0.5` = the new run may be up to 50% slower than the last committed
-/// record before the gate trips; wall-clock noise on shared CI runners
+/// (`0.5` = the new run may be up to 50% slower than its
+/// [`gate_baseline`] before the gate trips; wall-clock noise on shared CI runners
 /// is large, so the gate is a safety net against order-of-magnitude
 /// regressions, not a ±5% tripwire).
 pub const DEFAULT_GATE_TOLERANCE: f64 = 0.5;
@@ -195,6 +195,19 @@ pub fn next_run(records: &[BenchRecord]) -> u64 {
     records.last().map_or(1, |r| r.run + 1)
 }
 
+/// The record a fresh measurement is gated against: the latest one of
+/// the same workload (`benchmark`, `arrays` and `jobs`). Records of other
+/// workloads measure different programs, so they never serve as the
+/// baseline; `None` when the workload has no history yet.
+pub fn gate_baseline<'a>(
+    history: &'a [BenchRecord],
+    current: &BenchRecord,
+) -> Option<&'a BenchRecord> {
+    history.iter().rev().find(|r| {
+        r.benchmark == current.benchmark && r.arrays == current.arrays && r.jobs == current.jobs
+    })
+}
+
 /// The regression gate: `current` may not be more than `tolerance`
 /// (relative) slower than `previous` on either execution path, and the
 /// deterministic wear columns (`max_cell_writes`, `write_stdev`) may not
@@ -355,6 +368,32 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "not a db");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn gate_baseline_is_the_latest_record_of_the_same_workload() {
+        let div = record(1, 2.0e8, 4.0e9);
+        let mut cavlc = record(2, 9.0e8, 9.0e9);
+        cavlc.benchmark = "cavlc".to_owned();
+        let history = [div, cavlc];
+        let current = record(3, 2.0e8, 4.0e9);
+        assert_eq!(gate_baseline(&history, &current).map(|r| r.run), Some(1));
+        // Another fleet shape of the same benchmark is another workload.
+        let mut wider = record(3, 2.0e8, 4.0e9);
+        wider.arrays = 8;
+        assert_eq!(gate_baseline(&history, &wider), None);
+        let mut more_jobs = record(3, 2.0e8, 4.0e9);
+        more_jobs.jobs = 32;
+        assert_eq!(gate_baseline(&history, &more_jobs), None);
+        // The latest matching record wins over an older one.
+        let mut newer_div = record(3, 2.1e8, 4.1e9);
+        newer_div.max_cell_writes = 10;
+        let history = [history[0].clone(), history[1].clone(), newer_div];
+        assert_eq!(
+            gate_baseline(&history, &record(4, 2.0e8, 4.0e9)).map(|r| r.run),
+            Some(3)
+        );
+        assert_eq!(gate_baseline(&[], &current), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`db`] — the append-only bench database (`BENCH_db.json`): one
 //!   fleet-throughput record per run, with a regression gate against the
-//!   last committed record.
+//!   latest committed record of the same workload.
 //! * [`baseline_totals`] / [`speedup_vs_prev_commit`] — parsing of a
 //!   previously **committed** `BENCH_compile.json` and the per-benchmark
 //!   speedup against it.

@@ -299,6 +299,12 @@ pub(crate) struct ArmBest {
 /// The sequence of candidates does not depend on the scores, so each
 /// arm ends with exactly the graph a search scored under that arm alone
 /// would keep.
+///
+/// A candidate equal to a graph already scored in this search (the
+/// start graph included) is skipped: its programs, and so its scores,
+/// are the ones already seen. A best only moves to a score that
+/// dominates it, and dominance is transitive, so a score that did not
+/// dominate an arm's best then cannot dominate it now.
 pub(crate) fn esat_search(
     start: &Mig,
     options: &CompileOptions,
@@ -324,6 +330,7 @@ pub(crate) fn esat_search(
             program,
         })
         .collect();
+    let mut scored = vec![start.clone()];
     let mut cur = start.clone();
     for _ in 0..ESAT_ROUNDS {
         let before = cur.fingerprint();
@@ -336,6 +343,10 @@ pub(crate) fn esat_search(
             .rewriting
             .map(|algorithm| rewrite(&raw, algorithm, options.effort));
         for cand in std::iter::once(&raw).chain(polished.as_ref()) {
+            if scored.contains(cand) {
+                continue;
+            }
+            scored.push(cand.clone());
             for (arm, program) in best.iter_mut().zip(translate_arms(cand, arms)) {
                 let score = WearScore::of(&program);
                 if score.dominates(&arm.score) {

@@ -15,11 +15,14 @@
 //! Everything iterates in deterministic order — rules as listed, classes
 //! by ascending id, e-nodes in insertion order, permutations in a fixed
 //! table — so a saturation run is a pure function of the input graph and
-//! budgets. Budgets bound the blow-up: `max_nodes` stops rule
-//! application once the e-graph holds that many live e-nodes (the
-//! expanding Ω.D direction grows fast), `max_iters` bounds the
-//! match/apply/rebuild rounds, and a match-list cap keeps one round's
-//! candidate list proportional to the node budget.
+//! budgets. A round matches against the graph as it stood when the round
+//! began and applies each match as soon as it is found, so it finds no
+//! match that a tripped budget would discard. Budgets bound the blow-up:
+//! `max_nodes` stops rule application once the e-graph holds that many
+//! live e-nodes (the expanding Ω.D direction grows fast), `max_iters`
+//! bounds the match/apply/rebuild rounds, and a per-round match cap,
+//! proportional to the node budget, ends a round that finds more
+//! matches than that.
 
 use rlim_mig::rewrite::rules::{Pattern, RewriteRule, MAX_VARS};
 use rlim_mig::{NodeId, Signal};
@@ -74,8 +77,11 @@ const PERMS: [[usize; 3]; 6] = [
 
 /// Matches `pattern` against the class signal `target`, extending
 /// `binding`; complete bindings are appended to `out` (up to `cap`).
+/// Class members are read from `classes`, the round's frozen copy of
+/// the e-graph's class lists.
 fn match_class(
     eg: &EGraph,
+    classes: &[Vec<NodeId>],
     obligations: &mut Vec<(&Pattern, Signal)>,
     binding: &mut Binding,
     out: &mut Vec<Binding>,
@@ -93,11 +99,13 @@ fn match_class(
             let want = target.complement_if(*complement);
             let v = *var as usize;
             match binding[v] {
-                Some(bound) if bound == want => match_class(eg, obligations, binding, out, cap),
+                Some(bound) if bound == want => {
+                    match_class(eg, classes, obligations, binding, out, cap)
+                }
                 Some(_) => {}
                 None => {
                     binding[v] = Some(want);
-                    match_class(eg, obligations, binding, out, cap);
+                    match_class(eg, classes, obligations, binding, out, cap);
                     binding[v] = None;
                 }
             }
@@ -107,7 +115,7 @@ fn match_class(
             complement,
         } => {
             let want = target.complement_if(*complement);
-            for &e in &eg.class_nodes[want.node().index()] {
+            for &e in &classes[want.node().index()] {
                 // The e-node computes its class xor its stored polarity;
                 // serving `want` may require the dual spelling.
                 let polarity = eg.node_class[e.index()].is_complement();
@@ -122,7 +130,7 @@ fn match_class(
                     for k in 0..3 {
                         obligations.push((&children[k], t[perm[k]]));
                     }
-                    match_class(eg, obligations, binding, out, cap);
+                    match_class(eg, classes, obligations, binding, out, cap);
                     obligations.truncate(obligations.len() - 3);
                 }
             }
@@ -154,7 +162,7 @@ pub fn saturate(eg: &mut EGraph, rules: &[RewriteRule], budget: &Budget) -> Satu
     eg.rebuild();
     let mut report = SaturationReport::default();
     let match_cap = budget.max_nodes.saturating_mul(4).max(1024);
-    let mut matches: Vec<(NodeId, u32, Binding)> = Vec::new();
+    let mut frozen: Vec<Vec<NodeId>> = Vec::new();
     let mut obligations: Vec<(&Pattern, Signal)> = Vec::new();
     let mut bindings: Vec<Binding> = Vec::new();
     for _ in 0..budget.max_iters {
@@ -162,41 +170,52 @@ pub fn saturate(eg: &mut EGraph, rules: &[RewriteRule], budget: &Budget) -> Satu
             break;
         }
         report.iterations += 1;
-        // Collect every match of every rule against the current graph.
+        // Every match of the round is found in the graph as it stood
+        // when the round began. Applying a match appends e-nodes and
+        // moves e-nodes between class lists, but leaves existing e-nodes
+        // untouched until `rebuild`, so the frozen class lists are all
+        // the matcher needs to see the pre-round graph.
+        frozen.clone_from(&eg.class_nodes);
         // Classes outer, rules inner: if the cap trips, coverage is cut
-        // off by region rather than starving later rules entirely.
-        matches.clear();
-        'collect: for cls in 0..eg.num_classes() {
-            let id = NodeId::new(cls as u32);
-            if eg.class_nodes[cls].is_empty() {
+        // off by region rather than starving later rules entirely. Each
+        // match is applied as soon as it is found: instantiate the rhs
+        // and merge it with the matched class. Unions performed early
+        // are visible to the `add`s of later instantiations (they
+        // canonicalize on entry).
+        let mut found = 0usize;
+        let mut merged = 0usize;
+        'round: for (cls, members) in frozen.iter().enumerate() {
+            if members.is_empty() {
                 continue;
             }
-            let target = Signal::new(id, false);
-            for (ri, rule) in rules.iter().enumerate() {
+            let target = Signal::new(NodeId::new(cls as u32), false);
+            for rule in rules {
                 bindings.clear();
                 obligations.push((&rule.lhs, target));
                 let mut binding: Binding = [None; MAX_VARS];
-                match_class(eg, &mut obligations, &mut binding, &mut bindings, match_cap);
+                let cap = match_cap - found;
+                match_class(
+                    eg,
+                    &frozen,
+                    &mut obligations,
+                    &mut binding,
+                    &mut bindings,
+                    cap,
+                );
                 obligations.clear();
                 for b in &bindings {
-                    matches.push((id, ri as u32, *b));
-                    if matches.len() >= match_cap {
-                        break 'collect;
+                    if eg.num_enodes() >= budget.max_nodes {
+                        break 'round;
+                    }
+                    let rhs = instantiate(eg, &rule.rhs, b);
+                    if eg.union(target, rhs) {
+                        merged += 1;
+                    }
+                    found += 1;
+                    if found >= match_cap {
+                        break 'round;
                     }
                 }
-            }
-        }
-        // Apply: instantiate each rhs and merge it with the matched
-        // class. Unions performed early in the list are visible to the
-        // `add`s of later instantiations (they canonicalize on entry).
-        let mut merged = 0usize;
-        for (cls, ri, binding) in &matches {
-            if eg.num_enodes() >= budget.max_nodes {
-                break;
-            }
-            let rhs = instantiate(eg, &rules[*ri as usize].rhs, binding);
-            if eg.union(Signal::new(*cls, false), rhs) {
-                merged += 1;
             }
         }
         eg.rebuild();
@@ -293,6 +312,14 @@ mod tests {
         assert_eq!(outs[0], outs[1], "Ψ.C must merge the two spellings");
     }
 
+    /// E-nodes one instantiation of `pattern` can add.
+    fn majorities(pattern: &Pattern) -> usize {
+        match pattern {
+            Pattern::Var { .. } => 0,
+            Pattern::Maj { children, .. } => 1 + children.iter().map(majorities).sum::<usize>(),
+        }
+    }
+
     #[test]
     fn node_budget_stops_growth() {
         let mut mig = Mig::new(6);
@@ -302,15 +329,30 @@ mod tests {
             acc = mig.add_maj(acc, w[1], w[2]);
         }
         mig.add_output(acc);
-        let tight = Budget {
-            max_nodes: 5,
-            max_iters: 8,
-        };
-        let (eg, _, report) = saturated(&mig, &tight);
-        // The budget is a soft ceiling: one round may overshoot while
-        // applying its collected matches, but growth stops there.
-        assert!(!report.saturated || eg.num_enodes() <= 5);
-        assert!(report.iterations <= 8);
+        let rules = omega_rules();
+        let widest_rhs = rules.iter().map(|r| majorities(&r.rhs)).max().unwrap();
+        let start = EGraph::from_mig(&mig).0.num_enodes();
+        for max_nodes in 1..=60 {
+            let budget = Budget {
+                max_nodes,
+                max_iters: 8,
+            };
+            let (eg, _, report) = saturated(&mig, &budget);
+            // The budget is checked before every application, so growth
+            // stops at most one right-hand side past it.
+            assert!(
+                eg.num_enodes() <= start.max(max_nodes) + widest_rhs,
+                "budget {max_nodes}: {} e-nodes from {start}",
+                eg.num_enodes()
+            );
+            assert_eq!(report.enodes, eg.num_enodes());
+            assert!(report.iterations <= 8);
+            if max_nodes <= start {
+                assert_eq!(report.iterations, 0, "budget {max_nodes} starts spent");
+            } else if !report.saturated {
+                assert!(eg.num_enodes() >= max_nodes || report.iterations == 8);
+            }
+        }
     }
 
     #[test]

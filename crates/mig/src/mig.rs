@@ -62,7 +62,7 @@ impl Mig {
     /// Clears the graph back to `num_inputs` fresh inputs and no gates,
     /// **keeping every internal allocation** (node array, output list,
     /// strash slots). This is what makes the rewrite engine's
-    /// double-buffering allocation-free: the ~50 rebuilds per `rewrite()`
+    /// double-buffering allocation-free: the rebuilds of a `rewrite()`
     /// call recycle two `Mig` buffers instead of constructing fresh ones.
     pub fn reset(&mut self, num_inputs: usize) {
         let num_inputs = u32::try_from(num_inputs).expect("too many inputs");
@@ -433,6 +433,18 @@ impl Mig {
     }
 }
 
+/// Structural equality: the same inputs, the same gate triples at the
+/// same node indices and the same outputs. The strash is derived from
+/// the nodes (its slot layout depends on capacity history), so it is
+/// left out.
+impl PartialEq for Mig {
+    fn eq(&self, other: &Self) -> bool {
+        self.num_inputs == other.num_inputs
+            && self.nodes == other.nodes
+            && self.outputs == other.outputs
+    }
+}
+
 impl fmt::Display for Mig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -644,6 +656,39 @@ mod tests {
         let g2 = mig.and(b2, a2);
         assert_eq!(g1, g2);
         assert_eq!(mig.num_gates(), 1);
+    }
+
+    #[test]
+    fn equality_ignores_strash_history_but_not_structure() {
+        fn build(mig: &mut Mig, flip: bool) {
+            let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
+            let g = mig.add_maj(a, b, c.complement_if(flip));
+            mig.add_output(g);
+        }
+        let mut fresh = Mig::new(3);
+        build(&mut fresh, false);
+        // A recycled buffer whose strash grew on a larger graph first.
+        let mut recycled = Mig::new(3);
+        let mut acc = recycled.input(2);
+        for i in 0..200 {
+            let [a, b] = [recycled.input(0), recycled.input(1)];
+            acc = recycled.add_maj(
+                a.complement_if(i % 3 == 0),
+                b,
+                acc.complement_if(i % 2 == 0),
+            );
+        }
+        recycled.add_output(acc);
+        recycled.reset(3);
+        build(&mut recycled, false);
+        assert_eq!(fresh, recycled);
+
+        let mut other = Mig::new(3);
+        build(&mut other, true);
+        assert_ne!(fresh, other);
+        let mut wider = Mig::new(4);
+        build(&mut wider, false);
+        assert_ne!(fresh, wider);
     }
 
     #[test]

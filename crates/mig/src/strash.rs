@@ -1,8 +1,10 @@
 //! Structural-hashing table: open addressing over a cheap 64-bit mix.
 //!
 //! [`Mig::add_maj`](crate::Mig::add_maj) runs on every node insertion of
-//! every rewriting pass (~50 full-graph rebuilds per `rewrite()` call), so
-//! the strash lookup is the hottest operation in the whole kernel. The
+//! every rewriting pass (full-graph rebuilds: up to 51 per `rewrite()`
+//! call at the paper's effort 5, about 9 on average over the benchmark
+//! suite for Algorithm 2), so the strash lookup is the hottest operation
+//! in the whole kernel. The
 //! `std` `HashMap` it replaces pays SipHash on every probe and cannot hand
 //! its allocation to the next pass. This table instead
 //!

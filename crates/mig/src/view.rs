@@ -12,8 +12,8 @@
 //! and the live mask is a [`BitSet`].
 //!
 //! [`StructuralView::compute`] clears and refills an existing view, so the
-//! ~50 rebuilds of a `rewrite()` call touch the allocator only while the
-//! buffers grow toward the high-water mark.
+//! rebuilds of a `rewrite()` call (up to 51 at the paper's effort 5) touch
+//! the allocator only while the buffers grow toward the high-water mark.
 
 use crate::mig::Mig;
 use crate::signal::NodeId;
