@@ -70,4 +70,5 @@ pub use pipeline::{
     EsatPass, FinalizePass, Pass, PassManager, PipelineState, RewritePass, SchedulePass,
     ESAT_ROUNDS,
 };
+pub use select::Candidate;
 pub use translate::TranslatePass;

@@ -26,8 +26,8 @@ use rlim_mig::{Mig, NodeId, StructuralView};
 use rlim_plim::Program;
 
 use crate::compiler::{CompileResult, WearScore};
-use crate::options::CompileOptions;
-use crate::select::Scheduler;
+use crate::options::{CompileOptions, Selection};
+use crate::select::schedule;
 
 /// Shared state the passes read and write: the blackboard of the pipeline.
 #[derive(Debug)]
@@ -401,29 +401,19 @@ impl Pass for SchedulePass {
 
     fn run(&self, state: &mut PipelineState<'_>) {
         let graph = state.graph();
+        let selection = state.options.selection;
         // One structural view serves both the pending-use counts and the
-        // scheduler's liveness/levels/parent queries.
-        let view = StructuralView::of(graph);
-        let initial = initial_fanout(graph, &view);
-        let mut fanout = initial.clone();
-        let mut scheduler = Scheduler::from_view(graph, state.options.selection, &fanout, view);
-        let mut schedule = Vec::with_capacity(graph.num_live_gates());
-        while let Some(n) = scheduler.pop(&fanout) {
-            schedule.push(n);
-            for s in graph.children(n) {
-                if s.is_constant() {
-                    continue;
-                }
-                let child = s.node();
-                fanout[child.index()] -= 1;
-                if fanout[child.index()] == 1 {
-                    scheduler.child_now_single(child, &fanout);
-                }
-            }
-            scheduler.after_compute(n, &fanout);
+        // scheduler's liveness/levels/parent queries. The topological
+        // order reads liveness only, so it skips levels and parents.
+        let mut view = StructuralView::new();
+        if selection == Selection::Topological {
+            view.compute_structure(graph);
+        } else {
+            view.compute(graph);
         }
-        state.fanout = Some(initial);
-        state.schedule = Some(schedule);
+        let fanout = initial_fanout(graph, &view);
+        state.schedule = Some(schedule(graph, selection, &view, &fanout));
+        state.fanout = Some(fanout);
     }
 }
 

@@ -12,9 +12,19 @@
 //!   releasing RRAMs.
 //! * [`Selection::Topological`]: plain creation order (the naive baseline).
 //!
-//! The priority queue re-inserts candidates eagerly whenever a key improves
-//! (a child reaching its last pending use raises the parent's releasing
-//! count), and verifies keys on pop, so stale entries are harmless.
+//! Each policy is a key function, [`Selection::key`], that packs a
+//! [`Candidate`] into one integer; every policy breaks its last tie on the
+//! smaller node index, so the largest key among the computable nodes is
+//! the next node. The queue is a max-heap of bare keys (the node index is
+//! recovered from the key's low bits). A candidate's key only ever rises:
+//! its fanout level is fixed, and its releasing count grows as children
+//! reach their last pending use. (A child's count drops from 1 to 0 only
+//! when its one remaining user is computed; `Mig::add_maj` never stores a
+//! gate with a repeated child.) So the queue re-inserts a node whenever
+//! its key rises and skips the outdated entries, which pop after the
+//! current one, once the node is computed. Under `Topological` the key is
+//! the index alone, so the order is the live gates in index order and no
+//! queue is built.
 
 use std::collections::BinaryHeap;
 
@@ -22,184 +32,207 @@ use rlim_mig::{Mig, NodeId, StructuralView};
 
 use crate::options::Selection;
 
-/// Priority key: larger = scheduled earlier. Built per policy so a plain
-/// max-heap applies both orderings.
-type Key = (i64, i64, i64);
+/// A computable node as the selection policies see it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    /// Children at their last pending use: the cells computing the node
+    /// frees ("releasing RRAMs").
+    pub releasing: u32,
+    /// The smallest level among the node's live gate parents, `u32::MAX`
+    /// for a node that only feeds primary outputs.
+    pub fanout_level: u32,
+    /// The node index, the last tie-break (smaller first).
+    pub index: u32,
+}
 
-#[derive(Debug)]
-pub(crate) struct Scheduler<'a> {
+impl Selection {
+    /// The priority of `candidate` under this policy: among computable
+    /// nodes, the one with the largest key is translated next.
+    ///
+    /// The key packs each field into its own 32-bit lane of a `u128`
+    /// (inverted where smaller is better), so no field value can overflow
+    /// into another or be truncated, and distinct indices give distinct
+    /// keys.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use rlim_compiler::{Candidate, Selection};
+    ///
+    /// let near = Candidate { releasing: 0, fanout_level: 2, index: 9 };
+    /// let freeing = Candidate { releasing: 2, fanout_level: 5, index: 7 };
+    /// let ea = Selection::EnduranceAware;
+    /// let area = Selection::AreaAware;
+    /// assert!(ea.key(near) > ea.key(freeing), "shortest storage first");
+    /// assert!(area.key(freeing) > area.key(near), "most releasing first");
+    /// ```
+    pub fn key(self, candidate: Candidate) -> u128 {
+        let releasing = u128::from(candidate.releasing);
+        let near = u128::from(!candidate.fanout_level);
+        let first = u128::from(!candidate.index);
+        match self {
+            Selection::AreaAware => releasing << 64 | near << 32 | first,
+            Selection::EnduranceAware => near << 64 | releasing << 32 | first,
+            Selection::Topological => first,
+        }
+    }
+}
+
+/// The translation order of the live gates of `mig` under `selection`.
+///
+/// `view` must be a full view of `mig` (levels and parent index) unless
+/// `selection` is `Topological`, which reads only liveness; `pending` must
+/// hold the initial pending-use counts. After a node is picked, each
+/// non-constant child loses one pending use (refreshing the releasing
+/// counts of candidates) before the node's parents are unlocked, the same
+/// interleaving the translator performs.
+pub(crate) fn schedule(
+    mig: &Mig,
+    selection: Selection,
+    view: &StructuralView,
+    pending: &[u32],
+) -> Vec<NodeId> {
+    if selection == Selection::Topological {
+        return mig.gates().filter(|&g| view.is_live(g)).collect();
+    }
+    let mut scheduler = Scheduler::new(mig, selection, view, pending.to_vec());
+    let mut order = Vec::with_capacity(view.live_set().count_ones());
+    while let Some(n) = scheduler.pop() {
+        order.push(n);
+        scheduler.after_compute(n);
+    }
+    order
+}
+
+/// The priority queue behind [`schedule`] for the keyed policies.
+struct Scheduler<'a> {
     mig: &'a Mig,
     selection: Selection,
-    /// Levels, fanout, liveness, CSR parent index of `mig`. The CSR index
-    /// replaces the old per-node `Vec<Vec<NodeId>>` (one heap allocation
-    /// per node); dead parents stay in the index and are skipped on walk.
-    view: StructuralView,
-    /// Min level over live gate parents; `u32::MAX` for nodes only
-    /// feeding POs.
+    /// Levels, liveness and CSR parent index of `mig`; dead parents stay
+    /// in the index and are skipped on walk.
+    view: &'a StructuralView,
+    /// Pending uses per node, consumed as nodes are computed.
+    pending: Vec<u32>,
+    /// [`Candidate::fanout_level`] per live gate.
     fanout_level: Vec<u32>,
-    /// Uncomputed gate-children per gate.
+    /// Uncomputed gate-children per live gate.
     deps: Vec<u32>,
     computed: Vec<bool>,
-    heap: BinaryHeap<(Key, u32)>,
-    /// Cursor for topological mode.
-    cursor: usize,
+    /// Keys of the computable nodes, outdated ones included.
+    ready: BinaryHeap<u128>,
 }
 
 impl<'a> Scheduler<'a> {
-    /// Builds the scheduler over the live gates of `mig`.
-    /// `fanout_remaining` must hold the initial pending-use counts.
-    /// (Production code shares the compiler's view via
-    /// [`Scheduler::from_view`] instead.)
-    #[cfg(test)]
-    pub fn new(mig: &'a Mig, selection: Selection, fanout_remaining: &[u32]) -> Self {
-        Self::from_view(mig, selection, fanout_remaining, StructuralView::of(mig))
-    }
-
-    /// Like [`Scheduler::new`], reusing an already-computed view of `mig`.
-    pub fn from_view(
+    fn new(
         mig: &'a Mig,
         selection: Selection,
-        fanout_remaining: &[u32],
-        view: StructuralView,
+        view: &'a StructuralView,
+        pending: Vec<u32>,
     ) -> Self {
-        let mut fanout_level = vec![u32::MAX; mig.num_nodes()];
-        for n in mig.node_ids() {
-            // Dead gates are never computed, so they don't constrain the
-            // fanout level.
-            if let Some(min) = view
-                .parents_of(n)
-                .iter()
-                .filter(|p| view.is_live(**p))
-                .map(|p| view.level(*p))
-                .min()
-            {
-                fanout_level[n.index()] = min;
+        let n = mig.num_nodes();
+        let mut fanout_level = vec![u32::MAX; n];
+        let mut deps = vec![0u32; n];
+        // One sweep over the live gates' child edges. Dead gates are never
+        // computed, so they don't constrain the fanout level.
+        for g in mig.gates().filter(|&g| view.is_live(g)) {
+            let level = view.level(g);
+            for s in mig.children(g) {
+                let child = s.node();
+                if mig.is_gate(child) {
+                    fanout_level[child.index()] = fanout_level[child.index()].min(level);
+                    deps[g.index()] += 1;
+                }
             }
         }
-
-        let mut deps = vec![0u32; mig.num_nodes()];
-        for g in mig.gates() {
-            if !view.is_live(g) {
-                continue;
-            }
-            deps[g.index()] = mig
-                .children(g)
-                .iter()
-                .filter(|s| mig.is_gate(s.node()))
-                .count() as u32;
-        }
-
-        let mut sched = Scheduler {
+        let mut scheduler = Scheduler {
             mig,
             selection,
             view,
+            pending,
             fanout_level,
             deps,
-            computed: vec![false; mig.num_nodes()],
-            heap: BinaryHeap::new(),
-            cursor: 0,
+            computed: vec![false; n],
+            ready: BinaryHeap::new(),
         };
-        if selection != Selection::Topological {
-            for g in mig.gates() {
-                if sched.view.is_live(g) && sched.deps[g.index()] == 0 {
-                    sched.push(g, fanout_remaining);
-                }
+        for g in mig.gates() {
+            if view.is_live(g) && scheduler.deps[g.index()] == 0 {
+                scheduler.push(g);
             }
         }
-        sched
+        scheduler
     }
 
-    /// Number of cells a candidate would free: children at their last
-    /// pending use.
-    fn releasing(&self, n: NodeId, fanout_remaining: &[u32]) -> u32 {
-        self.mig
+    fn key(&self, n: NodeId) -> u128 {
+        let releasing = self
+            .mig
             .children(n)
             .iter()
-            .filter(|s| !s.is_constant() && fanout_remaining[s.node().index()] == 1)
-            .count() as u32
+            .filter(|s| !s.is_constant() && self.pending[s.node().index()] == 1)
+            .count() as u32;
+        self.selection.key(Candidate {
+            releasing,
+            fanout_level: self.fanout_level[n.index()],
+            index: n.raw(),
+        })
     }
 
-    fn key(&self, n: NodeId, fanout_remaining: &[u32]) -> Key {
-        let releasing = self.releasing(n, fanout_remaining) as i64;
-        let fl = self.fanout_level[n.index()] as i64;
-        let idx_tiebreak = -(n.index() as i64);
-        match self.selection {
-            Selection::AreaAware => (releasing, -fl, idx_tiebreak),
-            Selection::EnduranceAware => (-fl, releasing, idx_tiebreak),
-            Selection::Topological => (0, 0, idx_tiebreak),
-        }
-    }
-
-    fn push(&mut self, n: NodeId, fanout_remaining: &[u32]) {
-        let key = self.key(n, fanout_remaining);
-        self.heap.push((key, n.raw()));
+    fn push(&mut self, n: NodeId) {
+        let key = self.key(n);
+        self.ready.push(key);
     }
 
     /// Pops the next node to compute and marks it computed.
-    pub fn pop(&mut self, fanout_remaining: &[u32]) -> Option<NodeId> {
-        if self.selection == Selection::Topological {
-            let total = self.mig.num_nodes();
-            let first_gate = self.mig.num_inputs() + 1;
-            let mut i = self.cursor.max(first_gate);
-            while i < total {
-                let n = NodeId::new(i as u32);
-                if self.view.is_live(n) && !self.computed[i] {
-                    self.cursor = i + 1;
-                    self.computed[i] = true;
-                    return Some(n);
-                }
-                i += 1;
-            }
-            self.cursor = total;
-            return None;
-        }
-        while let Some((stored_key, raw)) = self.heap.pop() {
-            let n = NodeId::new(raw);
+    fn pop(&mut self) -> Option<NodeId> {
+        while let Some(key) = self.ready.pop() {
+            // The low lane of every key is the inverted index.
+            let n = NodeId::new(!(key as u32));
             if self.computed[n.index()] {
                 continue;
             }
-            let current = self.key(n, fanout_remaining);
-            if current != stored_key {
-                self.heap.push((current, raw));
-                continue;
-            }
+            debug_assert_eq!(
+                key,
+                self.key(n),
+                "keys only rise, so the newest entry pops first"
+            );
             self.computed[n.index()] = true;
             return Some(n);
         }
         None
     }
 
-    /// Marks `n`'s parents one dependency closer to ready; newly computable
-    /// parents join the queue. Call after `n`'s translation (with the
-    /// already-decremented `fanout_remaining`).
-    pub fn after_compute(&mut self, n: NodeId, fanout_remaining: &[u32]) {
-        if self.selection == Selection::Topological {
-            return;
-        }
-        let (lo, hi) = self.view.parent_bounds(n);
-        for i in lo..hi {
-            let p = self.view.parent_at(i);
-            if !self.view.is_live(p) {
+    /// Consumes `n`'s pending child uses, re-inserting the computable
+    /// parents of children that reach their last use, then unlocks `n`'s
+    /// parents one dependency at a time.
+    fn after_compute(&mut self, n: NodeId) {
+        for s in self.mig.children(n) {
+            if s.is_constant() {
                 continue;
             }
-            self.deps[p.index()] -= 1;
-            if self.deps[p.index()] == 0 && !self.computed[p.index()] {
-                self.push(p, fanout_remaining);
+            let child = s.node();
+            self.pending[child.index()] -= 1;
+            if self.pending[child.index()] == 1 {
+                self.for_live_parents(child, |sched, p| {
+                    if !sched.computed[p.index()] && sched.deps[p.index()] == 0 {
+                        sched.push(p);
+                    }
+                });
             }
         }
+        self.for_live_parents(n, |sched, p| {
+            sched.deps[p.index()] -= 1;
+            if sched.deps[p.index()] == 0 {
+                sched.push(p);
+            }
+        });
     }
 
-    /// Signals that `child`'s pending-use count dropped to 1, improving the
-    /// releasing count of its ready, uncomputed parents.
-    pub fn child_now_single(&mut self, child: NodeId, fanout_remaining: &[u32]) {
-        if self.selection == Selection::Topological {
-            return;
-        }
-        let (lo, hi) = self.view.parent_bounds(child);
+    fn for_live_parents(&mut self, n: NodeId, mut f: impl FnMut(&mut Self, NodeId)) {
+        let view = self.view;
+        let (lo, hi) = view.parent_bounds(n);
         for i in lo..hi {
-            let p = self.view.parent_at(i);
-            if self.view.is_live(p) && !self.computed[p.index()] && self.deps[p.index()] == 0 {
-                self.push(p, fanout_remaining);
+            let p = view.parent_at(i);
+            if view.is_live(p) {
+                f(self, p);
             }
         }
     }
@@ -212,7 +245,7 @@ mod tests {
 
     /// Builds the paper's Fig. 2 shape: node A feeds a distant level while
     /// B, C feed the very next one.
-    fn fig2_like() -> (Mig, Vec<u32>) {
+    fn fig2_like() -> Mig {
         let mut mig = Mig::new(6);
         let s: Vec<Signal> = mig.inputs().collect();
         let a = mig.add_maj(s[0], s[1], s[2]); // long-lived
@@ -223,57 +256,18 @@ mod tests {
         let f = mig.add_maj(d, e, s[2]);
         let g = mig.add_maj(a, f, s[3]);
         mig.add_output(g);
-        let mut fr = vec![0u32; mig.num_nodes()];
-        let live = mig.live_mask();
-        for gate in mig.gates() {
-            if live[gate.index()] {
-                for ch in mig.children(gate) {
-                    fr[ch.node().index()] += 1;
-                }
-            }
-        }
-        for po in mig.outputs() {
-            fr[po.node().index()] += 1;
-        }
-        (mig, fr)
+        mig
     }
 
     fn drain(mig: &Mig, selection: Selection) -> Vec<NodeId> {
-        let (graph, mut fr) = (mig, {
-            let mut fr = vec![0u32; mig.num_nodes()];
-            let live = mig.live_mask();
-            for gate in mig.gates() {
-                if live[gate.index()] {
-                    for ch in mig.children(gate) {
-                        fr[ch.node().index()] += 1;
-                    }
-                }
-            }
-            for po in mig.outputs() {
-                fr[po.node().index()] += 1;
-            }
-            fr
-        });
-        let mut sched = Scheduler::new(graph, selection, &fr);
-        let mut order = Vec::new();
-        while let Some(n) = sched.pop(&fr) {
-            order.push(n);
-            for ch in graph.children(n) {
-                if !ch.is_constant() {
-                    fr[ch.node().index()] -= 1;
-                    if fr[ch.node().index()] == 1 {
-                        sched.child_now_single(ch.node(), &fr);
-                    }
-                }
-            }
-            sched.after_compute(n, &fr);
-        }
-        order
+        let view = StructuralView::of(mig);
+        let pending = crate::pipeline::initial_fanout(mig, &view);
+        schedule(mig, selection, &view, &pending)
     }
 
     #[test]
     fn all_live_gates_scheduled_exactly_once() {
-        let (mig, _) = fig2_like();
+        let mig = fig2_like();
         for sel in [
             Selection::Topological,
             Selection::AreaAware,
@@ -290,7 +284,7 @@ mod tests {
 
     #[test]
     fn children_always_precede_parents() {
-        let (mig, _) = fig2_like();
+        let mig = fig2_like();
         for sel in [
             Selection::Topological,
             Selection::AreaAware,
@@ -318,7 +312,7 @@ mod tests {
     fn endurance_aware_postpones_long_lived_node() {
         // Node A (first gate) feeds only the root, far away; B and C feed
         // the next level. Algorithm 3 computes B and C before A.
-        let (mig, _) = fig2_like();
+        let mig = fig2_like();
         let order = drain(&mig, Selection::EnduranceAware);
         let first_gate_idx = mig.num_inputs() + 1;
         let a = NodeId::new(first_gate_idx as u32);
@@ -332,7 +326,7 @@ mod tests {
 
     #[test]
     fn topological_is_index_order() {
-        let (mig, _) = fig2_like();
+        let mig = fig2_like();
         let order = drain(&mig, Selection::Topological);
         let mut sorted = order.clone();
         sorted.sort();
@@ -355,5 +349,57 @@ mod tests {
             assert_eq!(order.len(), 1, "{sel:?}");
             assert_eq!(order[0], g1.node());
         }
+    }
+
+    #[test]
+    fn keys_keep_every_lane_at_the_extremes() {
+        let policies = [
+            Selection::Topological,
+            Selection::AreaAware,
+            Selection::EnduranceAware,
+        ];
+        let edges = [0, 1, u32::MAX - 1, u32::MAX];
+        for sel in policies {
+            for r in edges {
+                for fl in edges {
+                    for i in edges {
+                        let c = Candidate {
+                            releasing: r,
+                            fanout_level: fl,
+                            index: i,
+                        };
+                        let key = sel.key(c);
+                        assert_eq!(!(key as u32), i, "{sel:?}: index lane");
+                        let upper = key >> 32;
+                        match sel {
+                            Selection::Topological => assert_eq!(upper, 0),
+                            Selection::AreaAware => {
+                                assert_eq!(upper, u128::from(r) << 32 | u128::from(!fl))
+                            }
+                            Selection::EnduranceAware => {
+                                assert_eq!(upper, u128::from(!fl) << 32 | u128::from(r))
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // The field order decides before the next field is read, even at
+        // the lane boundaries.
+        let c = |releasing, fanout_level, index| Candidate {
+            releasing,
+            fanout_level,
+            index,
+        };
+        let area = Selection::AreaAware;
+        assert!(area.key(c(1, u32::MAX, u32::MAX)) > area.key(c(0, 0, 0)));
+        assert!(area.key(c(u32::MAX, 0, 0)) > area.key(c(u32::MAX - 1, 0, 0)));
+        let ea = Selection::EnduranceAware;
+        assert!(ea.key(c(0, u32::MAX - 1, u32::MAX)) > ea.key(c(u32::MAX, u32::MAX, 0)));
+        assert!(ea.key(c(0, 0, 0)) > ea.key(c(0, 0, 1)));
+        assert!(
+            Selection::Topological.key(c(0, 0, u32::MAX - 1))
+                > Selection::Topological.key(c(u32::MAX, 0, u32::MAX))
+        );
     }
 }

@@ -58,8 +58,6 @@
 //! the flag off (the default) this machinery is fully bypassed and the
 //! emitted programs are byte-identical to the baseline translator's.
 
-use std::collections::HashMap;
-
 use rlim_mig::{Mig, NodeId, Signal};
 use rlim_plim::{Instruction, Operand, Program};
 use rlim_rram::CellId;
@@ -67,7 +65,7 @@ use rlim_rram::CellId;
 use crate::cells::CellManager;
 use crate::options::CompileOptions;
 use crate::pipeline::{initial_fanout, Pass, PipelineState};
-use crate::values::{Holders, ValueId, Values, FALSE, TRUE};
+use crate::values::{value_index, Holders, ValueId, Values, FALSE, TRUE};
 
 /// Translates the scheduled nodes into an RM3 [`Program`], allocating
 /// cells as it goes (the *allocate + translate* pipeline stage).
@@ -142,16 +140,16 @@ struct ReuseState {
     holders: Holders,
     /// Abstract (uncomplemented) value per computed node.
     node_value: Vec<Option<ValueId>>,
-    /// How many live nodes want each *stored inverse* (keyed by the
-    /// complement of the node's value; constants are never tracked).
-    /// Drives the spilling heuristic: a free cell caching a wanted
-    /// inverse is worth protecting from recycling, because a future
-    /// complemented read can then elide a whole materialisation chain.
-    live_need: HashMap<ValueId, u32>,
-    /// Free cells the allocator parked because they cache a wanted
-    /// inverse, keyed by that value; they return to the pool when its
-    /// `live_need` drops to zero.
-    parked: HashMap<ValueId, Vec<CellId>>,
+    /// How many live nodes want each *stored inverse*, indexed by value
+    /// id: the complement of each live node's value counts once per node
+    /// (constants are never counted). Drives the spilling heuristic: a
+    /// free cell caching a wanted inverse is worth protecting from
+    /// recycling, because a future complemented read can then elide a
+    /// whole materialisation chain. The allocator parks such cells; they
+    /// return to the pool when the count drops to zero, found through
+    /// `holders` (a parked cell is never written, so it still holds the
+    /// value it was parked for).
+    live_need: Vec<u32>,
 }
 
 impl ReuseState {
@@ -160,8 +158,7 @@ impl ReuseState {
             values: Values::empty(),
             holders: Holders::new(),
             node_value: vec![None; num_nodes],
-            live_need: HashMap::new(),
-            parked: HashMap::new(),
+            live_need: Vec::new(),
         }
     }
 
@@ -177,7 +174,7 @@ impl ReuseState {
         self.values.ensure_cell(inst.z);
         let v = self.values.rm3_result(inst);
         self.values.set(inst.z, v);
-        self.holders.note(v, inst.z, &self.values);
+        self.holders.note(v, inst.z);
     }
 
     /// Seeds a primary input: the machine preloads `cell` externally, so
@@ -186,7 +183,7 @@ impl ReuseState {
         self.values.ensure_cell(cell);
         let v = self.values.fresh();
         self.values.set(cell, v);
-        self.holders.note(v, cell, &self.values);
+        self.holders.note(v, cell);
         self.node_value[node.index()] = Some(v);
         if live {
             self.add_live(v);
@@ -203,7 +200,11 @@ impl ReuseState {
 
     fn add_live(&mut self, v: ValueId) {
         if v >= 2 {
-            *self.live_need.entry(v ^ 1).or_insert(0) += 1;
+            let inverse = value_index(v ^ 1);
+            if inverse >= self.live_need.len() {
+                self.live_need.resize(inverse + 1, 0);
+            }
+            self.live_need[inverse] += 1;
         }
     }
 
@@ -216,30 +217,27 @@ impl ReuseState {
             return;
         }
         let inverse = v ^ 1;
-        if let Some(n) = self.live_need.get_mut(&inverse) {
+        if let Some(n) = self
+            .live_need
+            .get_mut(value_index(inverse))
+            .filter(|n| **n > 0)
+        {
             *n -= 1;
             if *n == 0 {
-                self.live_need.remove(&inverse);
-                for cell in self.parked.remove(&inverse).unwrap_or_default() {
-                    if self.values.get(cell) == Some(inverse) {
-                        cells.unpark(cell);
-                    }
+                // Unparking is a no-op for holders that are not parked.
+                for cell in self.holders.cells(inverse) {
+                    cells.unpark(cell);
                 }
             }
         }
     }
 
     /// Whether recycling `cell` would clobber a cached inverse some live
-    /// node may still want (the spill predicate). A useful cell is noted
-    /// as parked under its value, as the allocator parks what it avoids.
-    fn park_if_useful(&mut self, cell: CellId) -> bool {
-        match self.values.get(cell) {
-            Some(v) if v >= 2 && self.live_need.contains_key(&v) => {
-                self.parked.entry(v).or_default().push(cell);
-                true
-            }
-            _ => false,
-        }
+    /// node may still want (the spill predicate).
+    fn is_wanted(&self, cell: CellId) -> bool {
+        self.values
+            .get(cell)
+            .is_some_and(|v| v >= 2 && self.live_need.get(value_index(v)).is_some_and(|&n| n > 0))
     }
 }
 
@@ -380,9 +378,8 @@ impl<'a> Translator<'a> {
     fn find_cached_dest(&self, v: ValueId) -> Option<CellId> {
         let r = self.reuse.as_ref()?;
         let mut best: Option<CellId> = None;
-        for &h in r.holders.candidates(v) {
-            if r.values.get(h) != Some(v) || !self.cells.is_free(h) || !self.cells.fits_budget(h, 1)
-            {
+        for h in r.holders.cells(v) {
+            if !self.cells.is_free(h) || !self.cells.fits_budget(h, 1) {
                 continue;
             }
             let better = best.is_none_or(|b| {
@@ -401,7 +398,7 @@ impl<'a> Translator<'a> {
     fn claim_output_holder(&mut self, v: ValueId) -> Option<CellId> {
         let h = {
             let r = self.reuse.as_ref()?;
-            r.holders.find(v, &r.values, |_| true)?
+            r.holders.cells(v).next()?
         };
         if self.cells.is_free(h) {
             self.cells.take(h);
@@ -416,10 +413,7 @@ impl<'a> Translator<'a> {
     fn alloc_spill_aware(&mut self, budget: u64) -> CellId {
         match &mut self.reuse {
             None => self.cells.alloc(budget),
-            Some(r) => match self
-                .cells
-                .try_alloc_avoiding(budget, |c| r.park_if_useful(c))
-            {
+            Some(r) => match self.cells.try_alloc_avoiding(budget, |c| r.is_wanted(c)) {
                 Some(c) => c,
                 None => self.cells.alloc_fresh(),
             },
@@ -456,7 +450,7 @@ impl<'a> Translator<'a> {
     fn plan_inverse_read(&self, node: NodeId) -> (Cost, ReadPlan) {
         if let Some(r) = &self.reuse {
             if let Some(v) = r.node_value[node.index()] {
-                if let Some(h) = r.holders.find(v ^ 1, &r.values, |_| true) {
+                if let Some(h) = r.holders.cells(v ^ 1).next() {
                     return ((0, 0), ReadPlan::Reuse(h));
                 }
             }
@@ -521,11 +515,16 @@ impl<'a> Translator<'a> {
             (2, 0, 1),
             (2, 1, 0),
         ];
+        // Planning only reads translator state, so each child is planned
+        // once per role and the plans are shared by the permutations.
+        let p = [self.plan_p(ch[0]), self.plan_p(ch[1]), self.plan_p(ch[2])];
+        let q = [self.plan_q(ch[0]), self.plan_q(ch[1]), self.plan_q(ch[2])];
+        let z = [self.plan_z(ch[0]), self.plan_z(ch[1]), self.plan_z(ch[2])];
         let mut best: Option<(Cost, ReadPlan, ReadPlan, DestPlan)> = None;
         for (pi, qi, zi) in PERMS {
-            let ((ip, cp), p_plan) = self.plan_p(ch[pi]);
-            let ((iq, cq), q_plan) = self.plan_q(ch[qi]);
-            let ((iz, cz), z_plan) = self.plan_z(ch[zi]);
+            let ((ip, cp), p_plan) = p[pi];
+            let ((iq, cq), q_plan) = q[qi];
+            let ((iz, cz), z_plan) = z[zi];
             let cost = (ip + iq + iz, cp + cq + cz);
             if best.is_none_or(|(c, _, _, _)| cost < c) {
                 best = Some((cost, p_plan, q_plan, z_plan));

@@ -22,8 +22,6 @@
 //! module can ever be satisfied by residue the program did not write
 //! itself.
 
-use std::collections::HashMap;
-
 use rlim_plim::{Instruction, Operand};
 use rlim_rram::CellId;
 
@@ -174,16 +172,34 @@ pub fn chain_result(first: &Instruction, second: &Instruction, values: &Values) 
     }
 }
 
-/// A reverse index from value id to the cells last observed holding it.
+/// A reverse index from value id to the cells currently holding it.
 ///
-/// Entries go stale when a holder is overwritten; every query re-checks
-/// candidates against the live [`Values`] table, and [`Holders::note`]
-/// prunes dead candidates as a side effect, so the per-value lists stay
-/// short. The map is only ever accessed by key — never iterated — so
-/// lookups are deterministic regardless of hash order.
+/// One intrusive doubly linked list per value: `head`/`tail` are indexed
+/// by value id (ids are dense, see [`Values::fresh`]) and the `next`/`prev`
+/// links by cell, so each cell sits in exactly one list, the one of the
+/// value it was last noted with. [`Holders::note`] moves the cell from its
+/// old value's list to the back of the new one, which keeps every list
+/// ordered by last note and free of stale entries — provided every change
+/// of a cell's value is noted, as the copy-reuse translator does for each
+/// write and each preloaded input.
 #[derive(Debug, Clone, Default)]
 pub struct Holders {
-    map: HashMap<ValueId, Vec<CellId>>,
+    /// First and last cell of each value's list, indexed by value id.
+    head: Vec<u32>,
+    tail: Vec<u32>,
+    /// List links, indexed by cell.
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    /// The value each cell was last noted with, indexed by cell.
+    held: Vec<Option<ValueId>>,
+}
+
+/// The end of a list, in both directions.
+const NIL: u32 = u32::MAX;
+
+/// `value` as an index into tables indexed by value id.
+pub(crate) fn value_index(value: ValueId) -> usize {
+    usize::try_from(value).expect("value id fits usize")
 }
 
 impl Holders {
@@ -192,34 +208,55 @@ impl Holders {
         Holders::default()
     }
 
-    /// Records that `cell` now holds `value`, pruning candidates the
-    /// tracker no longer confirms. Constants are indexed like any other
-    /// value, so `FALSE`/`TRUE` holders are discoverable too.
-    pub fn note(&mut self, value: ValueId, cell: CellId, values: &Values) {
-        let list = self.map.entry(value).or_default();
-        list.retain(|&h| h != cell && values.get(h) == Some(value));
-        list.push(cell);
+    /// Records that `cell` now holds `value`: the cell leaves the list of
+    /// the value it held before and joins the back of `value`'s list.
+    /// Constants are indexed like any other value, so `FALSE`/`TRUE`
+    /// holders are discoverable too.
+    pub fn note(&mut self, value: ValueId, cell: CellId) {
+        let c = cell.index();
+        let at = c as u32; // lossless: cell ids are u32
+        if c >= self.held.len() {
+            self.next.resize(c + 1, NIL);
+            self.prev.resize(c + 1, NIL);
+            self.held.resize(c + 1, None);
+        }
+        if let Some(old) = self.held[c] {
+            let (p, n) = (self.prev[c], self.next[c]);
+            match p {
+                NIL => self.head[value_index(old)] = n,
+                p => self.next[p as usize] = n,
+            }
+            match n {
+                NIL => self.tail[value_index(old)] = p,
+                n => self.prev[n as usize] = p,
+            }
+        }
+        let v = value_index(value);
+        if v >= self.head.len() {
+            self.head.resize(v + 1, NIL);
+            self.tail.resize(v + 1, NIL);
+        }
+        let last = self.tail[v];
+        match last {
+            NIL => self.head[v] = at,
+            last => self.next[last as usize] = at,
+        }
+        self.prev[c] = last;
+        self.next[c] = NIL;
+        self.tail[v] = at;
+        self.held[c] = Some(value);
     }
 
-    /// The candidate holders of `value`, oldest first. Candidates may be
-    /// stale — confirm each against the [`Values`] table before use (or
-    /// go through [`Holders::find`]).
-    pub fn candidates(&self, value: ValueId) -> &[CellId] {
-        self.map.get(&value).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// The first confirmed holder of `value` (oldest first) accepted by
-    /// `keep`. Staleness is re-checked against `values` on every call.
-    pub fn find(
-        &self,
-        value: ValueId,
-        values: &Values,
-        mut keep: impl FnMut(CellId) -> bool,
-    ) -> Option<CellId> {
-        self.candidates(value)
-            .iter()
-            .copied()
-            .find(|&h| values.get(h) == Some(value) && keep(h))
+    /// The cells holding `value`, in the order they were noted with it.
+    pub fn cells(&self, value: ValueId) -> impl Iterator<Item = CellId> + '_ {
+        let mut at = self.head.get(value_index(value)).copied().unwrap_or(NIL);
+        std::iter::from_fn(move || {
+            (at != NIL).then(|| {
+                let cell = CellId::new(at);
+                at = self.next[at as usize];
+                cell
+            })
+        })
     }
 }
 
@@ -280,40 +317,38 @@ mod tests {
     }
 
     #[test]
-    fn holders_confirm_against_the_tracker() {
-        let mut values = Values::new(3);
+    fn holders_follow_overwrites() {
         let mut holders = Holders::new();
-        values.set(c(0), FALSE);
-        holders.note(FALSE, c(0), &values);
-        assert_eq!(holders.find(FALSE, &values, |_| true), Some(c(0)));
+        holders.note(FALSE, c(0));
+        assert_eq!(holders.cells(FALSE).next(), Some(c(0)));
 
-        // Overwrite the holder: the candidate goes stale and stops
-        // matching even though the index still lists it.
-        let unknown = values.fresh();
-        values.set(c(0), unknown);
-        assert_eq!(holders.find(FALSE, &values, |_| true), None);
+        // Overwrite the holder: it leaves the old value's list at once.
+        holders.note(TRUE, c(0));
+        assert_eq!(holders.cells(FALSE).next(), None);
+        assert_eq!(holders.cells(TRUE).next(), Some(c(0)));
     }
 
     #[test]
-    fn holders_filter_and_prune() {
-        let mut values = Values::new(4);
+    fn holders_keep_last_note_order() {
         let mut holders = Holders::new();
-        for i in 0..3 {
-            values.set(c(i), TRUE);
-            holders.note(TRUE, c(i), &values);
+        for i in 0..4 {
+            holders.note(TRUE, c(i));
         }
-        // Oldest-first order, with a caller-side filter.
-        assert_eq!(holders.find(TRUE, &values, |_| true), Some(c(0)));
-        assert_eq!(holders.find(TRUE, &values, |h| h != c(0)), Some(c(1)));
+        assert_eq!(
+            holders.cells(TRUE).collect::<Vec<_>>(),
+            [c(0), c(1), c(2), c(3)]
+        );
 
-        // Kill the first two holders; the next note() prunes them.
-        let dead = values.fresh();
-        values.set(c(0), dead);
-        let dead2 = values.fresh();
-        values.set(c(1), dead2);
-        values.set(c(3), TRUE);
-        holders.note(TRUE, c(3), &values);
-        assert_eq!(holders.candidates(TRUE), &[c(2), c(3)]);
+        // Unlink from the front, the middle and the back; a re-note moves
+        // a cell to the back.
+        holders.note(FALSE, c(0));
+        holders.note(FALSE, c(2));
+        holders.note(TRUE, c(1));
+        holders.note(FALSE, c(3));
+        holders.note(TRUE, c(3));
+        assert_eq!(holders.cells(TRUE).collect::<Vec<_>>(), [c(1), c(3)]);
+        assert_eq!(holders.cells(FALSE).collect::<Vec<_>>(), [c(0), c(2)]);
+        assert_eq!(holders.cells(7).count(), 0, "never-noted value");
     }
 
     #[test]
