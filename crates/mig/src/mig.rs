@@ -74,6 +74,15 @@ impl Mig {
         self.strash.clear();
     }
 
+    /// Makes room for `additional` more gates: neither the node array nor
+    /// the strash grows while that many are added. A rebuild reserves the
+    /// source graph's gate count, since a pass never grows a graph by
+    /// much and usually shrinks it.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.strash.reserve(additional, &self.nodes);
+    }
+
     /// Number of primary inputs.
     #[inline]
     pub fn num_inputs(&self) -> usize {
@@ -689,6 +698,37 @@ mod tests {
         let mut wider = Mig::new(4);
         build(&mut wider, false);
         assert_ne!(fresh, wider);
+    }
+
+    #[test]
+    fn reserve_keeps_dedup_and_stops_growth() {
+        let mut mig = Mig::new(4);
+        let s: Vec<Signal> = mig.inputs().collect();
+        let first = mig.add_maj(s[0], s[1], s[2]);
+        mig.reserve(600);
+        let (nodes, slots) = (mig.nodes.capacity(), mig.strash.capacity());
+        assert!(nodes >= mig.num_nodes() + 600);
+        assert!(slots >= mig.num_gates() + 600);
+        let mut acc = first;
+        let mut added = vec![first];
+        for i in 0..600 {
+            acc = mig.add_maj(acc, s[i % 3 + 1].complement_if(i % 2 == 0), !s[0]);
+            added.push(acc);
+        }
+        assert_eq!(mig.num_gates(), 601);
+        assert_eq!(mig.nodes.capacity(), nodes, "the node array grew");
+        assert_eq!(mig.strash.capacity(), slots, "the strash grew");
+        // Every gate, the one stored before the reserve included, is
+        // still found.
+        for &g in &added {
+            let [a, b, c] = mig.children(g.node());
+            assert_eq!(mig.lookup_maj(c, a, b), Some(g));
+        }
+        // Reserving less than the graph already has room for is a no-op.
+        mig.reserve(0);
+        assert_eq!(mig.nodes.capacity(), nodes);
+        mig.reserve(slots - mig.num_gates());
+        assert_eq!(mig.strash.capacity(), slots);
     }
 
     #[test]

@@ -10,52 +10,75 @@
 //! single-inverter nodes create more hash hits.
 
 use crate::mig::Mig;
-use crate::rewrite::{gate_children, old_single_fanout, other_two, rebuild_into, two_excluding};
+use crate::rewrite::{nested_readings, two_excluding, Built, Rule};
 use crate::signal::Signal;
 use crate::view::StructuralView;
 
-pub(crate) fn run(old: &Mig, new: &mut Mig, view: &mut StructuralView, map: &mut Vec<Signal>) {
-    rebuild_into(old, new, view, map, |new, view, g, ch| {
-        let old_children = view.old.children(g);
-        // Try every child as the inner gate position.
-        for inner_idx in 0..3 {
-            let m = ch[inner_idx];
-            // The inner gate must be uncomplemented (Ω.A as stated) and
-            // about to die, otherwise restructuring duplicates it.
-            if m.is_complement() || !old_single_fanout(view, old_children[inner_idx]) {
+/// Walks the `⟨x u ⟨y u z⟩⟩` shapes of one gate that an Ω.A swap can
+/// restructure, in a fixed order, and returns the first `pick(x, u,
+/// [y, z])` that is `Some`. The inner gate is a single-fanout,
+/// uncomplemented child (see [`nested_readings`]) and `u` is shared by
+/// the inner and the outer gate; `y` and `z` are the inner gate's other
+/// two children, in stored order. Shared with level balancing, which
+/// picks among the same shapes by level.
+#[inline]
+pub(super) fn find_swap<B: Built, T>(
+    built: &B,
+    view: &StructuralView,
+    children: [Signal; 3],
+    mapped: [Signal; 3],
+    mut pick: impl FnMut(Signal, Signal, [Signal; 2]) -> Option<T>,
+) -> Option<T> {
+    for (inner, outer) in nested_readings(built, view, children, mapped) {
+        // Shared middle signal u: present both as an outer child and an
+        // inner child.
+        for &u in &outer {
+            if !inner.contains(&u) {
                 continue;
             }
-            let inner = match gate_children(new, m) {
-                Some(c) => c,
-                None => continue,
+            // Both outer children can collapse to `u` after remapping
+            // (the gate is then ⟨u,u,m⟩ = u): nothing to swap.
+            let Some(&x) = outer.iter().find(|&&s| s != u) else {
+                continue;
             };
-            let outer = other_two(ch, inner_idx);
-            // Shared middle signal u: present both as an outer child and an
-            // inner child.
-            for &u in &outer {
-                if !inner.contains(&u) {
-                    continue;
-                }
-                // Both outer children can collapse to `u` after remapping
-                // (the gate is then ⟨u,u,m⟩ = u): nothing to swap.
-                let Some(&x) = outer.iter().find(|&&s| s != u) else {
-                    continue;
-                };
-                let Some([r0, r1]) = two_excluding(&inner, u) else {
-                    continue;
-                };
-                // ⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩; y and z are symmetric so
-                // try swapping x with either.
-                for (y, z) in [(r0, r1), (r1, r0)] {
-                    if let Some(shared) = new.lookup_maj(y, u, x) {
-                        let top = new.add_maj(z, u, shared);
-                        return top;
-                    }
-                }
+            let Some(rest) = two_excluding(&inner, u) else {
+                continue;
+            };
+            if let Some(found) = pick(x, u, rest) {
+                return Some(found);
             }
         }
-        new.add_maj(ch[0], ch[1], ch[2])
-    })
+    }
+    None
+}
+
+/// The sharing-only Ω.A rule. A match is the new gate's children
+/// `z u ⟨y u x⟩`, the last of which already exists.
+pub(super) struct Associativity;
+
+impl Rule for Associativity {
+    type Match = [Signal; 3];
+
+    #[inline]
+    fn find(
+        &mut self,
+        built: &impl Built,
+        view: &StructuralView,
+        children: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<[Signal; 3]> {
+        find_swap(built, view, children, mapped, |x, u, [r0, r1]| {
+            // ⟨x u ⟨y u z⟩⟩ = ⟨z u ⟨y u x⟩⟩; y and z are symmetric so try
+            // swapping x with either.
+            [(r0, r1), (r1, r0)]
+                .into_iter()
+                .find_map(|(y, z)| Some([z, u, built.lookup(y, u, x)?]))
+        })
+    }
+
+    fn apply(&mut self, new: &mut Mig, [z, u, shared]: [Signal; 3]) -> Signal {
+        new.add_maj(z, u, shared)
+    }
 }
 
 #[cfg(test)]

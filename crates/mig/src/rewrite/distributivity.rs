@@ -6,7 +6,7 @@
 //! handled by flipping through Ω.I first.
 
 use crate::mig::Mig;
-use crate::rewrite::{gate_children, old_single_fanout, rebuild_into, View};
+use crate::rewrite::{add_nested, single_fanout, Built, Rule};
 use crate::signal::Signal;
 use crate::view::StructuralView;
 
@@ -36,66 +36,63 @@ fn leftover(t: &[Signal; 3], shared: &[Signal]) -> Option<Signal> {
     }
 }
 
-pub(crate) fn run(old: &Mig, new: &mut Mig, view: &mut StructuralView, map: &mut Vec<Signal>) {
-    rebuild_into(
-        old,
-        new,
-        view,
-        map,
-        |new, view, g: crate::signal::NodeId, ch| {
-            let old_children = view.old.children(g);
-            try_distribute(new, view, ch, old_children)
-                .unwrap_or_else(|| new.add_maj(ch[0], ch[1], ch[2]))
-        },
-    )
-}
+/// The Ω.D(R→L) rule. A match is the outer pair `x y` and the new inner
+/// triple `u v z`.
+pub(super) struct DistributivityRl;
 
-/// Attempts the right-to-left distributivity merge on one node.
-fn try_distribute(
-    new: &mut Mig,
-    view: &View<'_>,
-    ch: [Signal; 3],
-    old_children: [Signal; 3],
-) -> Option<Signal> {
-    // Consider each pair of children as the two inner gates.
-    for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
-        let (si, sj) = (ch[i], ch[j]);
-        let k = 3 - i - j;
-        let z = ch[k];
-        // Both uncomplemented gates or both complemented gates.
-        if si.is_complement() != sj.is_complement() {
-            continue;
+impl Rule for DistributivityRl {
+    type Match = ([Signal; 2], [Signal; 3]);
+
+    #[inline]
+    fn find(
+        &mut self,
+        built: &impl Built,
+        view: &StructuralView,
+        children: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<Self::Match> {
+        // Consider each pair of children as the two inner gates.
+        for (i, j) in [(0usize, 1usize), (0, 2), (1, 2)] {
+            let (si, sj) = (mapped[i], mapped[j]);
+            let k = 3 - i - j;
+            let z = mapped[k];
+            // Both uncomplemented gates or both complemented gates.
+            if si.is_complement() != sj.is_complement() {
+                continue;
+            }
+            let flipped = si.is_complement();
+            let (gi, gj) = match (built.gate_children(si), built.gate_children(sj)) {
+                (Some(a), Some(b)) => (a, b),
+                _ => continue,
+            };
+            // Only profitable when the inner gates die after the merge. The
+            // mapped signals may not correspond 1:1 to the source children,
+            // so we conservatively require the *source* children at the
+            // same positions to be single-fanout gates too.
+            if !single_fanout(view, children[i]) || !single_fanout(view, children[j]) {
+                continue;
+            }
+            let (shared, num_shared) = shared_signals(&gi, &gj);
+            if num_shared != 2 {
+                continue;
+            }
+            let shared = &shared[..2];
+            let u = leftover(&gi, shared)?;
+            let v = leftover(&gj, shared)?;
+            let (x, y) = (shared[0], shared[1]);
+            if flipped {
+                // ⟨ḡi ḡj z⟩ with gi=⟨x y u⟩: ḡi = ⟨x̄ ȳ ū⟩, so
+                // pattern = ⟨⟨x̄ȳū⟩ ⟨x̄ȳv̄⟩ z⟩ = ⟨x̄ ȳ ⟨ū v̄ z⟩⟩.
+                return Some(([!x, !y], [!u, !v, z]));
+            }
+            return Some(([x, y], [u, v, z]));
         }
-        let flipped = si.is_complement();
-        let (gi, gj) = match (gate_children(new, si), gate_children(new, sj)) {
-            (Some(a), Some(b)) => (a, b),
-            _ => continue,
-        };
-        // Only profitable when the inner gates die after the merge. The
-        // mapped signals may not correspond 1:1 to the old children, so we
-        // conservatively require the *old* children at the same positions to
-        // be single-fanout gates too.
-        if !old_single_fanout(view, old_children[i]) || !old_single_fanout(view, old_children[j]) {
-            continue;
-        }
-        let (shared, num_shared) = shared_signals(&gi, &gj);
-        if num_shared != 2 {
-            continue;
-        }
-        let shared = &shared[..2];
-        let u = leftover(&gi, shared)?;
-        let v = leftover(&gj, shared)?;
-        let (x, y) = (shared[0], shared[1]);
-        if flipped {
-            // ⟨ḡi ḡj z⟩ with gi=⟨x y u⟩: ḡi = ⟨x̄ ȳ ū⟩, so
-            // pattern = ⟨⟨x̄ȳū⟩ ⟨x̄ȳv̄⟩ z⟩ = ⟨x̄ ȳ ⟨ū v̄ z⟩⟩.
-            let inner = new.add_maj(!u, !v, z);
-            return Some(new.add_maj(!x, !y, inner));
-        }
-        let inner = new.add_maj(u, v, z);
-        return Some(new.add_maj(x, y, inner));
+        None
     }
-    None
+
+    fn apply(&mut self, new: &mut Mig, (outer, inner): Self::Match) -> Signal {
+        add_nested(new, outer, inner)
+    }
 }
 
 #[cfg(test)]

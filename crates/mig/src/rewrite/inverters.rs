@@ -14,7 +14,7 @@
 //! reads constants in either polarity for free.
 
 use crate::mig::Mig;
-use crate::rewrite::rebuild_into;
+use crate::rewrite::{Built, Rule};
 use crate::signal::Signal;
 use crate::view::StructuralView;
 
@@ -35,25 +35,29 @@ fn complemented_count(children: &[Signal; 3]) -> usize {
         .count()
 }
 
-pub(crate) fn run(
-    old: &Mig,
-    new: &mut Mig,
-    view: &mut StructuralView,
-    map: &mut Vec<Signal>,
-    mode: InverterMode,
-) {
-    rebuild_into(old, new, view, map, |new, _view, _old_gate, ch| {
-        let count = complemented_count(&ch);
-        let flip = match mode {
+/// A match is the gate's mapped children, to be flipped.
+impl Rule for InverterMode {
+    type Match = [Signal; 3];
+
+    #[inline]
+    fn find(
+        &mut self,
+        _: &impl Built,
+        _: &StructuralView,
+        _: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<[Signal; 3]> {
+        let count = complemented_count(&mapped);
+        let flip = match self {
             InverterMode::TwoOrThree => count >= 2,
             InverterMode::ThreeOnly => count == 3,
         };
-        if flip {
-            !new.add_maj(!ch[0], !ch[1], !ch[2])
-        } else {
-            new.add_maj(ch[0], ch[1], ch[2])
-        }
-    })
+        flip.then_some(mapped)
+    }
+
+    fn apply(&mut self, new: &mut Mig, ch: [Signal; 3]) -> Signal {
+        !new.add_maj(!ch[0], !ch[1], !ch[2])
+    }
 }
 
 #[cfg(test)]

@@ -19,85 +19,82 @@
 //! single-fanout so the restructuring cannot duplicate logic.
 
 use crate::mig::Mig;
-use crate::rewrite::{gate_children, old_single_fanout, other_two, rebuild_into, two_excluding};
+use crate::rewrite::associativity::find_swap;
+use crate::rewrite::{add_nested, Built, Rule};
 use crate::signal::Signal;
 use crate::view::StructuralView;
 
-/// Level of a signal in the graph under construction, memoised per node.
-fn level_of(new: &Mig, cache: &mut Vec<u32>, s: Signal) -> u32 {
+/// Level of a signal in the graph matched against, memoised per node.
+fn level_of(built: &impl Built, cache: &mut Vec<u32>, s: Signal) -> u32 {
     let idx = s.node().index();
     if idx >= cache.len() {
-        cache.resize(new.num_nodes(), u32::MAX);
+        cache.resize(idx + 1, u32::MAX);
     }
     if cache[idx] != u32::MAX {
         return cache[idx];
     }
-    let level = if new.is_gate(s.node()) {
-        1 + new
-            .children(s.node())
-            .into_iter()
-            .map(|c| level_of(new, cache, c))
-            .max()
-            .expect("gates have three children")
-    } else {
-        0
+    let level = match built.gate_children(s) {
+        Some(children) => {
+            1 + children
+                .into_iter()
+                .map(|c| level_of(built, cache, c))
+                .max()
+                .expect("gates have three children")
+        }
+        None => 0,
     };
     cache[idx] = level;
     level
 }
 
-pub(crate) fn run(
-    old: &Mig,
-    new: &mut Mig,
-    view: &mut StructuralView,
-    map: &mut Vec<Signal>,
-    levels: &mut Vec<u32>,
-) {
-    levels.clear();
-    rebuild_into(old, new, view, map, move |new, view, g, ch| {
-        let old_children = view.old.children(g);
-        for inner_idx in 0..3 {
-            let m = ch[inner_idx];
-            if m.is_complement() || !old_single_fanout(view, old_children[inner_idx]) {
-                continue;
-            }
-            let inner = match gate_children(new, m) {
-                Some(c) => c,
-                None => continue,
+/// The level-balancing Ω.A rule over a level memo of the graph it
+/// matches against. A match is the outer pair `z u` and the new inner
+/// triple `y u x`.
+pub(super) struct LevelBalance<'a> {
+    levels: &'a mut Vec<u32>,
+}
+
+impl<'a> LevelBalance<'a> {
+    /// The rule with an emptied memo, for one rebuild or one scan.
+    pub(super) fn new(levels: &'a mut Vec<u32>) -> Self {
+        levels.clear();
+        LevelBalance { levels }
+    }
+}
+
+impl Rule for LevelBalance<'_> {
+    type Match = ([Signal; 2], [Signal; 3]);
+
+    fn find(
+        &mut self,
+        built: &impl Built,
+        view: &StructuralView,
+        children: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<Self::Match> {
+        let levels = &mut *self.levels;
+        find_swap(built, view, children, mapped, |x, u, [r0, r1]| {
+            // Pick the deeper of the two remaining inner children as z.
+            let (y, z) = {
+                let l0 = level_of(built, levels, r0);
+                let l1 = level_of(built, levels, r1);
+                if l0 >= l1 {
+                    (r1, r0)
+                } else {
+                    (r0, r1)
+                }
             };
-            let outer = other_two(ch, inner_idx);
-            for &u in &outer {
-                if !inner.contains(&u) {
-                    continue;
-                }
-                let Some(&x) = outer.iter().find(|&&s| s != u) else {
-                    continue;
-                };
-                let Some([r0, r1]) = two_excluding(&inner, u) else {
-                    continue;
-                };
-                // Pick the deeper of the two remaining inner children as z.
-                let (y, z) = {
-                    let l0 = level_of(new, levels, r0);
-                    let l1 = level_of(new, levels, r1);
-                    if l0 >= l1 {
-                        (r1, r0)
-                    } else {
-                        (r0, r1)
-                    }
-                };
-                let lz = level_of(new, levels, z);
-                let lx = level_of(new, levels, x);
-                // Swap only when it strictly narrows the span: the hidden
-                // signal is deeper than the exposed one.
-                if lz > lx {
-                    let shared = new.add_maj(y, u, x);
-                    return new.add_maj(z, u, shared);
-                }
-            }
-        }
-        new.add_maj(ch[0], ch[1], ch[2])
-    })
+            let lz = level_of(built, levels, z);
+            let lx = level_of(built, levels, x);
+            // Swap only when it strictly narrows the span: the hidden
+            // signal is deeper than the exposed one.
+            (lz > lx).then_some(([z, u], [y, u, x]))
+        })
+    }
+
+    fn apply(&mut self, new: &mut Mig, (outer, inner): Self::Match) -> Signal {
+        add_nested(new, outer, inner)
+    }
 }
 
 #[cfg(test)]

@@ -6,14 +6,24 @@
 //! graph buffer. Structural hashing plus the Ω.M axiom run on every node
 //! insertion, so each pass also performs node minimisation and dead-node
 //! garbage collection. [`rewrite`] double-buffers two recycled [`Mig`]s and
-//! a shared internal `Workspace` (structural view, signal map, level memo), so the
+//! a shared internal `Workspace` (signal map, level memo), so the
 //! passes of one call stay away from the allocator instead of
 //! constructing a graph, strash table and derived-index vectors each.
+//!
 //! A call runs at most `1 + effort × cycle length` passes (51 for
 //! Algorithm 2 at the paper's effort 5), but it stops at the fixed point
-//! and skips a pass already seen to leave the current graph unchanged:
-//! over the 18 benchmarks at effort 5, Algorithm 2 runs 153 passes in
-//! all (318 without the skip) and Algorithm 1 runs 245 (314).
+//! and skips a pass already known to leave the current graph unchanged.
+//! Before it rebuilds, it runs the pass's matcher read-only over the
+//! current graph ([`Pass::proves_idle`]): when every gate is live and no
+//! gate matches, the rebuild would return the graph as it is, so the pass
+//! is skipped with nothing built. Each rule's matcher exists once and
+//! serves both the rebuild and this scan, and the fanout and liveness view
+//! is computed once per graph version for both. Over the 18 benchmarks at
+//! effort 5, Algorithm 2 scans 153 passes and rebuilds 32 of them (all 153
+//! rebuilt before the scan, 318 without any skip), and Algorithm 1 scans
+//! 245 and rebuilds 61 (245 before, 314 without any skip); one rebuild per
+//! algorithm comes back unchanged. An input with no dead gates is cloned
+//! instead of getting a cleanup rebuild.
 //! Functional equivalence of every pass is enforced by the test-suite via
 //! random simulation.
 //!
@@ -33,9 +43,16 @@ pub mod rules;
 
 pub use inverters::InverterMode;
 
+use std::convert::Infallible;
+
 use crate::mig::Mig;
-use crate::signal::{NodeId, Signal};
+use crate::signal::Signal;
 use crate::view::StructuralView;
+
+use associativity::Associativity;
+use distributivity::DistributivityRl;
+use level_balance::LevelBalance;
+use psi::ComplementaryAssociativity;
 
 /// One rewriting pass over the whole graph.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,28 +81,54 @@ impl Pass {
     /// Runs this pass, producing a rewritten graph in fresh buffers.
     pub fn run(self, mig: &Mig) -> Mig {
         let mut new = Mig::new(mig.num_inputs());
-        self.run_into(mig, &mut new, &mut Workspace::default());
+        self.rebuild(mig, &structure_of(mig), &mut new, &mut Workspace::default());
         new
     }
 
-    /// Runs this pass, rebuilding `old` into the recycled `new` buffer
-    /// using `ws` for every piece of derived scratch state.
-    pub(crate) fn run_into(self, old: &Mig, new: &mut Mig, ws: &mut Workspace) {
-        let Workspace { view, map, levels } = ws;
+    /// Whether a read-only scan of `mig` proves that [`Pass::run`] would
+    /// return `mig` unchanged. `false` means the pass may change it: the
+    /// scan is sound but not complete, since a match can rebuild the very
+    /// node it replaces (Ω.A's `⟨x u ⟨y u x⟩⟩` does).
+    pub fn proves_idle(self, mig: &Mig) -> bool {
+        self.scan(mig, &structure_of(mig), &mut Workspace::default())
+    }
+
+    /// Rebuilds `old` into the recycled `new` buffer. `view` is the
+    /// structure of `old`; `ws` holds every other piece of scratch state.
+    pub(crate) fn rebuild(
+        self,
+        old: &Mig,
+        view: &StructuralView,
+        new: &mut Mig,
+        ws: &mut Workspace,
+    ) {
+        let Workspace { map, levels } = ws;
         match self {
-            Pass::Majority => rebuild_into(old, new, view, map, |new, _, _, ch| {
-                new.add_maj(ch[0], ch[1], ch[2])
-            }),
-            Pass::DistributivityRl => distributivity::run(old, new, view, map),
-            Pass::Associativity => associativity::run(old, new, view, map),
-            Pass::ComplementaryAssociativity => psi::run(old, new, view, map),
+            Pass::Majority => rebuild_into(old, view, new, map, Majority),
+            Pass::DistributivityRl => rebuild_into(old, view, new, map, DistributivityRl),
+            Pass::Associativity => rebuild_into(old, view, new, map, Associativity),
+            Pass::ComplementaryAssociativity => {
+                rebuild_into(old, view, new, map, ComplementaryAssociativity)
+            }
             Pass::InvertersTwoOrThree => {
-                inverters::run(old, new, view, map, InverterMode::TwoOrThree)
+                rebuild_into(old, view, new, map, InverterMode::TwoOrThree)
             }
-            Pass::InvertersThreeOnly => {
-                inverters::run(old, new, view, map, InverterMode::ThreeOnly)
-            }
-            Pass::LevelBalance => level_balance::run(old, new, view, map, levels),
+            Pass::InvertersThreeOnly => rebuild_into(old, view, new, map, InverterMode::ThreeOnly),
+            Pass::LevelBalance => rebuild_into(old, view, new, map, LevelBalance::new(levels)),
+        }
+    }
+
+    /// Whether a rebuild of `mig` would return it unchanged, decided by
+    /// the same matcher the rebuild runs; see [`scan_idle`].
+    pub(crate) fn scan(self, mig: &Mig, view: &StructuralView, ws: &mut Workspace) -> bool {
+        match self {
+            Pass::Majority => scan_idle(mig, view, Majority),
+            Pass::DistributivityRl => scan_idle(mig, view, DistributivityRl),
+            Pass::Associativity => scan_idle(mig, view, Associativity),
+            Pass::ComplementaryAssociativity => scan_idle(mig, view, ComplementaryAssociativity),
+            Pass::InvertersTwoOrThree => scan_idle(mig, view, InverterMode::TwoOrThree),
+            Pass::InvertersThreeOnly => scan_idle(mig, view, InverterMode::ThreeOnly),
+            Pass::LevelBalance => scan_idle(mig, view, LevelBalance::new(&mut ws.levels)),
         }
     }
 }
@@ -176,6 +219,18 @@ impl std::str::FromStr for Algorithm {
     }
 }
 
+/// How much work one [`rewrite_with_stats`] call did, pass by pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RewriteStats {
+    /// Read-only idle scans run, the one over the input graph included.
+    pub scans: usize,
+    /// Passes that rebuilt the graph, the input's cleanup pass included.
+    pub rebuilds: usize,
+    /// Rebuilds that came back equal to their input: the scan could not
+    /// prove them idle, but they were.
+    pub unchanged: usize,
+}
+
 /// Runs `effort` cycles of the given algorithm (the paper uses `effort = 5`).
 ///
 /// # Examples
@@ -192,11 +247,32 @@ impl std::str::FromStr for Algorithm {
 /// assert!(rewritten.num_gates() <= mig.num_gates());
 /// ```
 pub fn rewrite(mig: &Mig, algorithm: Algorithm, effort: usize) -> Mig {
+    rewrite_with_stats(mig, algorithm, effort).0
+}
+
+/// [`rewrite`], also returning how many passes it scanned and rebuilt.
+pub fn rewrite_with_stats(mig: &Mig, algorithm: Algorithm, effort: usize) -> (Mig, RewriteStats) {
+    let mut stats = RewriteStats::default();
     let mut ws = Workspace::default();
-    let mut current = Mig::new(mig.num_inputs());
+    // The structure of `current`, recomputed only when `current` changes:
+    // every scan of a graph version and the rebuild from it share it.
+    let mut view = structure_of(mig);
     let mut spare = Mig::new(mig.num_inputs());
-    Pass::Majority.run_into(mig, &mut current, &mut ws);
-    // Passes seen to rebuild `current` exactly as it is. A pass is a pure
+    stats.scans += 1;
+    let mut current = if Pass::Majority.scan(mig, &view, &mut ws) {
+        debug_assert!(
+            Pass::Majority.run(mig) == *mig,
+            "cleanup scan misjudged the input"
+        );
+        mig.clone()
+    } else {
+        stats.rebuilds += 1;
+        let mut current = Mig::new(mig.num_inputs());
+        Pass::Majority.rebuild(mig, &view, &mut current, &mut ws);
+        view.compute_structure(&current);
+        current
+    };
+    // Passes known to rebuild `current` exactly as it is. A pass is a pure
     // function of its input graph (the workspace is scratch), so running
     // one of them again before the graph changes would only repeat that.
     let mut idle: Vec<Pass> = Vec::new();
@@ -206,11 +282,23 @@ pub fn rewrite(mig: &Mig, algorithm: Algorithm, effort: usize) -> Mig {
             if idle.contains(&pass) {
                 continue;
             }
-            pass.run_into(&current, &mut spare, &mut ws);
+            stats.scans += 1;
+            if pass.scan(&current, &view, &mut ws) {
+                debug_assert!(
+                    pass.run(&current) == current,
+                    "{pass:?} scan misjudged the graph"
+                );
+                idle.push(pass);
+                continue;
+            }
+            stats.rebuilds += 1;
+            pass.rebuild(&current, &view, &mut spare, &mut ws);
             if spare == current {
+                stats.unchanged += 1;
                 idle.push(pass);
             } else {
                 std::mem::swap(&mut current, &mut spare);
+                view.compute_structure(&current);
                 idle.clear();
             }
         }
@@ -220,7 +308,7 @@ pub fn rewrite(mig: &Mig, algorithm: Algorithm, effort: usize) -> Mig {
         }
         before = after;
     }
-    current
+    (current, stats)
 }
 
 /// The convergence fingerprint of [`rewrite`]'s fixed-point check: the
@@ -236,65 +324,175 @@ pub(crate) fn fingerprint(mig: &Mig) -> u128 {
     mig.fingerprint()
 }
 
+/// The fanout and liveness half of a [`StructuralView`]: all a pass reads
+/// of its source graph.
+fn structure_of(mig: &Mig) -> StructuralView {
+    let mut view = StructuralView::new();
+    view.compute_structure(mig);
+    view
+}
+
 /// Reusable scratch shared by every pass of a [`rewrite`] call: the
-/// structural view of the pass's source graph, the old-node → new-signal
-/// map, and the level memo used by [`Pass::LevelBalance`]. Together with
-/// the two recycled [`Mig`] buffers (whose strash tables clear without
-/// deallocating), this keeps the rebuilds of a call away from the
-/// allocator once buffers reach their high-water mark.
+/// old-node → new-signal map and the level memo used by
+/// [`Pass::LevelBalance`]. Together with the two recycled [`Mig`] buffers
+/// (whose strash tables clear without deallocating), this keeps the
+/// rebuilds of a call away from the allocator once buffers reach their
+/// high-water mark.
 #[derive(Debug, Default)]
 pub(crate) struct Workspace {
-    /// Structural view of the graph currently being rebuilt *from*.
-    view: StructuralView,
     /// `map[old node index]` -> new signal for the node's value.
     map: Vec<Signal>,
-    /// Level memo over the graph being built (LevelBalance only).
+    /// Level memo over the graph being matched against (LevelBalance only).
     levels: Vec<u32>,
 }
 
-/// Read-only context handed to rebuild transforms.
-pub(crate) struct View<'a> {
-    /// The graph being rebuilt.
-    pub old: &'a Mig,
-    /// Structural view (levels, fanout, liveness, parents) of `old`.
-    pub structure: &'a StructuralView,
+/// Read-only access to the graph a rule matches against. During a
+/// rebuild that is the graph under construction; during an idle scan it
+/// is the source graph cut off below the gate being matched ([`Prefix`]).
+pub(crate) trait Built {
+    /// The children of the gate behind `s` (in either polarity), or
+    /// `None` when `s` is a constant or an input.
+    fn gate_children(&self, s: Signal) -> Option<[Signal; 3]>;
+    /// The signal `⟨a b c⟩` simplifies or hashes to, if it exists.
+    fn lookup(&self, a: Signal, b: Signal, c: Signal) -> Option<Signal>;
 }
 
-/// Rebuilds `old` gate by gate into the recycled `new` buffer.
-/// `transform(new, view, old_gate, mapped_children)` must return the new
-/// signal implementing the gate's (uncomplemented) function. Dead gates are
-/// skipped; outputs are remapped at the end.
-pub(crate) fn rebuild_into<F>(
+impl Built for Mig {
+    #[inline]
+    fn gate_children(&self, s: Signal) -> Option<[Signal; 3]> {
+        self.is_gate(s.node()).then(|| self.children(s.node()))
+    }
+
+    #[inline]
+    fn lookup(&self, a: Signal, b: Signal, c: Signal) -> Option<Signal> {
+        self.lookup_maj(a, b, c)
+    }
+}
+
+/// The nodes of a graph below index `end`: what a rebuild of that graph
+/// has built by the time it reaches gate `end`, if every earlier gate
+/// rebuilt to itself.
+struct Prefix<'a> {
+    mig: &'a Mig,
+    end: usize,
+}
+
+impl Built for Prefix<'_> {
+    #[inline]
+    fn gate_children(&self, s: Signal) -> Option<[Signal; 3]> {
+        debug_assert!(s.node().index() < self.end);
+        self.mig.gate_children(s)
+    }
+
+    #[inline]
+    fn lookup(&self, a: Signal, b: Signal, c: Signal) -> Option<Signal> {
+        self.mig
+            .lookup_maj(a, b, c)
+            .filter(|s| s.node().index() < self.end)
+    }
+}
+
+/// One rewrite rule, split into a read-only matcher and the constructor
+/// of its replacement. The rebuild and the idle scan both call
+/// [`Rule::find`], so each rule's match logic exists once.
+pub(crate) trait Rule {
+    /// What a match found: everything [`Rule::apply`] needs.
+    type Match;
+    /// Looks for a rewrite of one live gate. `children` are the gate's
+    /// children in the source graph, whose structure `view` holds;
+    /// `mapped` are the same children as signals of `built`.
+    fn find(
+        &mut self,
+        built: &impl Built,
+        view: &StructuralView,
+        children: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<Self::Match>;
+    /// Builds the replacement for a match in `new` and returns the
+    /// signal of the gate's (uncomplemented) function.
+    fn apply(&mut self, new: &mut Mig, found: Self::Match) -> Signal;
+}
+
+/// Ω.M and structural hashing alone: a rule that never matches, so its
+/// rebuild only drops dead gates.
+struct Majority;
+
+impl Rule for Majority {
+    type Match = Infallible;
+
+    #[inline]
+    fn find(
+        &mut self,
+        _: &impl Built,
+        _: &StructuralView,
+        _: [Signal; 3],
+        _: [Signal; 3],
+    ) -> Option<Infallible> {
+        None
+    }
+
+    fn apply(&mut self, _: &mut Mig, found: Infallible) -> Signal {
+        match found {}
+    }
+}
+
+/// Rebuilds `old` gate by gate into the recycled `new` buffer: each live
+/// gate becomes `rule`'s replacement when it matches, and the majority of
+/// its mapped children otherwise. Dead gates are skipped; outputs are
+/// remapped at the end. `view` must be the structure of `old`.
+fn rebuild_into<R: Rule>(
     old: &Mig,
+    view: &StructuralView,
     new: &mut Mig,
-    view_buf: &mut StructuralView,
     map: &mut Vec<Signal>,
-    mut transform: F,
-) where
-    F: FnMut(&mut Mig, &View<'_>, NodeId, [Signal; 3]) -> Signal,
-{
-    view_buf.compute_structure(old);
-    let view = View {
-        old,
-        structure: view_buf,
-    };
+    mut rule: R,
+) {
     new.reset(old.num_inputs());
+    new.reserve(old.num_gates());
     map.clear();
     map.resize(old.num_nodes(), Signal::FALSE);
     for i in 0..old.num_inputs() {
         map[i + 1] = new.input(i);
     }
     for g in old.gates() {
-        if !view.structure.is_live(g) {
+        if !view.is_live(g) {
             continue;
         }
-        let mapped = old.children(g).map(|s| map_signal(map, s));
-        map[g.index()] = transform(new, &view, g, mapped);
+        let children = old.children(g);
+        let mapped = children.map(|s| map_signal(map, s));
+        map[g.index()] = match rule.find(new, view, children, mapped) {
+            Some(found) => rule.apply(new, found),
+            None => new.add_maj(mapped[0], mapped[1], mapped[2]),
+        };
     }
     for &po in old.outputs() {
         let s = map_signal(map, po);
         new.add_output(s);
     }
+}
+
+/// Proves, without building anything, that [`rebuild_into`] would return
+/// `mig` unchanged; `view` must be the structure of `mig`.
+///
+/// Every [`Mig`] is canonical: [`Mig::add_maj`] is the only code that
+/// adds a node, so each gate's triple is sorted, not Ω.M-simplifiable and
+/// unique. If every gate before `g` rebuilt to itself, the map is the
+/// identity and the buffer holds exactly the nodes below `g`, so taking
+/// the fallback `add_maj(children)` at `g` rebuilds `g` itself at the
+/// same index. The rebuild therefore returns `mig` unchanged when every
+/// gate is live and `rule` finds no match at any gate against that
+/// prefix. The scan stops at the first gate where either fails. It is
+/// sound but not complete: a match can still rebuild the node it
+/// replaces, which only a rebuild and a comparison can tell.
+fn scan_idle<R: Rule>(mig: &Mig, view: &StructuralView, mut rule: R) -> bool {
+    mig.gates().all(|g| {
+        let children = mig.children(g);
+        let prefix = Prefix {
+            mig,
+            end: g.index(),
+        };
+        view.is_live(g) && rule.find(&prefix, view, children, children).is_none()
+    })
 }
 
 /// Maps an old-graph signal through a node map, carrying the complement.
@@ -303,22 +501,40 @@ pub(crate) fn map_signal(map: &[Signal], s: Signal) -> Signal {
     map[s.node().index()].complement_if(s.is_complement())
 }
 
-/// Returns the children of `s.node()` in graph `mig` if `s` points at a
-/// gate, regardless of complement.
+/// Whether the source-graph node behind `child` has fanout 1 — used by
+/// restructuring rules to avoid duplicating shared logic.
 #[inline]
-pub(crate) fn gate_children(mig: &Mig, s: Signal) -> Option<[Signal; 3]> {
-    if mig.is_gate(s.node()) {
-        Some(mig.children(s.node()))
-    } else {
-        None
-    }
+pub(crate) fn single_fanout(view: &StructuralView, child: Signal) -> bool {
+    view.fanout(child.node()) <= 1
 }
 
-/// Whether the old-graph node behind this *old* signal had fanout 1 —
-/// used by restructuring passes to avoid duplicating shared logic.
+/// The `⟨o₀ o₁ ⟨inner⟩⟩` readings of one gate that Ω.A, Ψ.C and level
+/// balancing restructure: for each uncomplemented child that is a gate of
+/// `built` whose source node has fanout 1, in child order, that gate's
+/// children and the gate's two other children.
 #[inline]
-pub(crate) fn old_single_fanout(view: &View<'_>, old_child: Signal) -> bool {
-    view.structure.fanout(old_child.node()) <= 1
+pub(crate) fn nested_readings<'a, B: Built>(
+    built: &'a B,
+    view: &'a StructuralView,
+    children: [Signal; 3],
+    mapped: [Signal; 3],
+) -> impl Iterator<Item = ([Signal; 3], [Signal; 2])> + 'a {
+    (0..3).filter_map(move |i| {
+        let m = mapped[i];
+        // The inner gate must be uncomplemented (as the axioms are stated)
+        // and about to die, otherwise restructuring duplicates it.
+        if m.is_complement() || !single_fanout(view, children[i]) {
+            return None;
+        }
+        Some((built.gate_children(m)?, other_two(mapped, i)))
+    })
+}
+
+/// Builds `⟨outer₀ outer₁ ⟨inner⟩⟩`, the inner gate first.
+#[inline]
+pub(crate) fn add_nested(new: &mut Mig, outer: [Signal; 2], inner: [Signal; 3]) -> Signal {
+    let inner = new.add_maj(inner[0], inner[1], inner[2]);
+    new.add_maj(outer[0], outer[1], inner)
 }
 
 /// The two children of `ch` other than `ch[skip]`, in order.
@@ -492,10 +708,11 @@ pub(crate) mod tests {
             for pass in PASSES {
                 let mut ws = Workspace::default();
                 let mut recycled = Mig::new(other.num_inputs());
-                pass.run_into(&other, &mut recycled, &mut ws);
+                pass.rebuild(&other, &structure_of(&other), &mut recycled, &mut ws);
                 let mut first = Mig::new(0);
-                pass.run_into(&input, &mut first, &mut ws);
-                pass.run_into(&input, &mut recycled, &mut ws);
+                let view = structure_of(&input);
+                pass.rebuild(&input, &view, &mut first, &mut ws);
+                pass.rebuild(&input, &view, &mut recycled, &mut ws);
                 assert!(first == recycled, "{pass:?} is not pure on seed {seed}");
                 assert!(
                     first == pass.run(&input),

@@ -13,23 +13,26 @@
 //! paper, and is validated by exhaustive truth-table tests below.)
 
 use crate::mig::Mig;
-use crate::rewrite::{gate_children, old_single_fanout, other_two, rebuild_into};
+use crate::rewrite::{add_nested, nested_readings, Built, Rule};
 use crate::signal::Signal;
 use crate::view::StructuralView;
 
-pub(crate) fn run(old: &Mig, new: &mut Mig, view: &mut StructuralView, map: &mut Vec<Signal>) {
-    rebuild_into(old, new, view, map, |new, view, g, ch| {
-        let old_children = view.old.children(g);
-        for inner_idx in 0..3 {
-            let m = ch[inner_idx];
-            if m.is_complement() || !old_single_fanout(view, old_children[inner_idx]) {
-                continue;
-            }
-            let inner = match gate_children(new, m) {
-                Some(c) => c,
-                None => continue,
-            };
-            let outer = other_two(ch, inner_idx);
+/// The Ψ.C rule. A match is the outer pair `x u` and the fixed inner
+/// triple, with `x` in place of `ū`.
+pub(super) struct ComplementaryAssociativity;
+
+impl Rule for ComplementaryAssociativity {
+    type Match = ([Signal; 2], [Signal; 3]);
+
+    #[inline]
+    fn find(
+        &mut self,
+        built: &impl Built,
+        view: &StructuralView,
+        children: [Signal; 3],
+        mapped: [Signal; 3],
+    ) -> Option<Self::Match> {
+        for (inner, outer) in nested_readings(built, view, children, mapped) {
             // Try both assignments of (x, u) to the outer pair: we need the
             // inner gate to contain ū.
             for (x, u) in [(outer[0], outer[1]), (outer[1], outer[0])] {
@@ -39,13 +42,16 @@ pub(crate) fn run(old: &Mig, new: &mut Mig, view: &mut StructuralView, map: &mut
                 if let Some(pos) = inner.iter().position(|&s| s == !u) {
                     let mut fixed = inner;
                     fixed[pos] = x;
-                    let new_inner = new.add_maj(fixed[0], fixed[1], fixed[2]);
-                    return new.add_maj(x, u, new_inner);
+                    return Some(([x, u], fixed));
                 }
             }
         }
-        new.add_maj(ch[0], ch[1], ch[2])
-    })
+        None
+    }
+
+    fn apply(&mut self, new: &mut Mig, (outer, inner): Self::Match) -> Signal {
+        add_nested(new, outer, inner)
+    }
 }
 
 #[cfg(test)]

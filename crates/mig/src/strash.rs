@@ -2,9 +2,10 @@
 //!
 //! [`Mig::add_maj`](crate::Mig::add_maj) runs on every node insertion of
 //! every rewriting pass (full-graph rebuilds: up to 51 per `rewrite()`
-//! call at the paper's effort 5, about 9 on average over the benchmark
-//! suite for Algorithm 2), so the strash lookup is the hottest operation
-//! in the whole kernel. The
+//! call at the paper's effort 5; over the benchmark suite Algorithm 2
+//! rebuilds about 1.8 times per call, down from 8.5 before `rewrite()`
+//! proved idle passes with a read-only scan), so the strash lookup is the
+//! hottest operation in the whole kernel. The
 //! `std` `HashMap` it replaces pays SipHash on every probe and cannot hand
 //! its allocation to the next pass. This table instead
 //!
@@ -14,7 +15,9 @@
 //!   re-reads the key from the graph's node array on probe, since a gate's
 //!   children *are* its key,
 //! * supports [`Strash::clear`], which zeroes the slots but keeps the
-//!   allocation, so a table can be reused across pass rebuilds.
+//!   allocation, so a table can be reused across pass rebuilds, and
+//!   [`Strash::reserve`], which presizes it, so the first rebuild into a
+//!   fresh buffer does not double and rehash its way up.
 //!
 //! Deduplication semantics are exactly those of the `HashMap`: keys are the
 //! canonically sorted child triples, compared for full equality (node ids
@@ -92,6 +95,12 @@ impl Strash {
         self.len
     }
 
+    /// Number of gates the table holds before it grows.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.slots.len() * 7 / 8
+    }
+
     /// Whether the table stores no gates.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -102,6 +111,19 @@ impl Strash {
     pub fn clear(&mut self) {
         self.slots.fill(0);
         self.len = 0;
+    }
+
+    /// Makes room for `additional` more gates, so that many inserts do
+    /// not grow the slot array. Stored entries are rehashed from `nodes`
+    /// when the table grows; a table that already has room is left as is.
+    pub fn reserve(&mut self, additional: usize, nodes: &[[Signal; 3]]) {
+        // Inserts grow the table past 7/8 occupancy (see `insert_or_get`).
+        let needed = (self.len + additional) * 8;
+        if needed <= self.slots.len() * 7 {
+            return;
+        }
+        let cap = needed.div_ceil(7).next_power_of_two().max(16);
+        self.rehash(cap, nodes);
     }
 
     /// Looks up the gate whose sorted children equal `key`. `nodes` must be
@@ -148,7 +170,7 @@ impl Strash {
         // Grow at 7/8 occupancy (counting the entry we may add) *before*
         // probing, so the claimed slot survives.
         if (self.len + 1) * 8 > self.slots.len() * 7 {
-            self.grow(nodes);
+            self.rehash((self.slots.len() * 2).max(16), nodes);
         }
         let mask = self.slots.len() - 1;
         let hash = mix(key);
@@ -171,11 +193,11 @@ impl Strash {
         }
     }
 
-    /// Doubles the slot array and rehashes every stored id. The tag is the
-    /// hash's upper half, so rehashing needs no access to `nodes` beyond
-    /// recomputing slot positions — done from the stored keys.
-    fn grow(&mut self, nodes: &[[Signal; 3]]) {
-        let new_cap = (self.slots.len() * 2).max(16);
+    /// Moves every stored id into a slot array of `new_cap` (a power of
+    /// two). The tag is the hash's upper half, so rehashing needs no
+    /// access to `nodes` beyond recomputing slot positions — done from the
+    /// stored keys.
+    fn rehash(&mut self, new_cap: usize, nodes: &[[Signal; 3]]) {
         let old = std::mem::replace(&mut self.slots, vec![0u64; new_cap]);
         let mask = new_cap - 1;
         for slot in old {
@@ -250,6 +272,55 @@ mod tests {
         assert_eq!(table.len(), 0);
         assert_eq!(table.slots.len(), cap, "allocation must survive clear()");
         assert_eq!(table.get(&key, &nodes), None);
+    }
+
+    #[test]
+    fn reserve_presizes_and_keeps_entries() {
+        let key = |i: u32| [sig(1, false), sig(2, i & 1 == 0), sig(3 + i, false)];
+        let mut nodes: Vec<[Signal; 3]> = vec![[Signal::FALSE; 3]; 3];
+        let mut table = Strash::new();
+        // Entries stored before a growing reserve must survive its rehash.
+        for i in 0..10u32 {
+            let id = NodeId::new(nodes.len() as u32);
+            assert_eq!(table.insert_or_get(&key(i), id, &nodes), None);
+            nodes.push(key(i));
+        }
+        table.reserve(1000, &nodes);
+        let cap = table.slots.len();
+        assert!(cap.is_power_of_two());
+        for i in 10..1010u32 {
+            let id = NodeId::new(nodes.len() as u32);
+            assert_eq!(table.insert_or_get(&key(i), id, &nodes), None);
+            nodes.push(key(i));
+            assert_eq!(table.slots.len(), cap, "insert {i} grew a reserved table");
+        }
+        for i in 0..1010u32 {
+            assert_eq!(table.get(&key(i), &nodes), Some(NodeId::new(3 + i)));
+        }
+        // A reserve the table already has room for is a no-op.
+        table.reserve(0, &nodes);
+        table.reserve(cap * 7 / 8 - table.len(), &nodes);
+        assert_eq!(table.slots.len(), cap);
+        table.clear();
+        table.reserve(500, &nodes);
+        assert_eq!(table.slots.len(), cap, "a smaller reserve must not shrink");
+        // Exactly `n` inserts fit after `reserve(n)`, at every size.
+        for n in 1..300u32 {
+            let mut nodes: Vec<[Signal; 3]> = vec![[Signal::FALSE; 3]; 3];
+            let mut table = Strash::new();
+            table.reserve(n as usize, &nodes);
+            let cap = table.slots.len();
+            for i in 0..n {
+                let id = NodeId::new(nodes.len() as u32);
+                table.insert_or_get(&key(i), id, &nodes);
+                nodes.push(key(i));
+            }
+            assert_eq!(table.slots.len(), cap, "{n} inserts grew the table");
+        }
+        // The smallest table is the one the first insert would allocate.
+        let mut empty = Strash::new();
+        empty.reserve(1, &[]);
+        assert_eq!(empty.slots.len(), 16);
     }
 
     #[test]

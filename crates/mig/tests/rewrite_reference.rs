@@ -60,7 +60,13 @@ fn repeated_rewrites_share_buffers_and_stay_equivalent() {
         let out = rewrite(&mig, Algorithm::EnduranceAware, 5);
         assert!(equiv_random(&mig, &out, 16, 99).is_equal());
     }
-    for benchmark in [Benchmark::Ctrl, Benchmark::Sin, Benchmark::Log2] {
+    for benchmark in [
+        Benchmark::Ctrl,
+        Benchmark::Sin,
+        Benchmark::Log2,
+        Benchmark::Adder,
+        Benchmark::Voter,
+    ] {
         assert_matches_reference(benchmark.name(), &benchmark.build());
     }
 }
