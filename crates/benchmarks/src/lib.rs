@@ -102,7 +102,7 @@ impl Benchmark {
     }
 
     /// A small subset that compiles in milliseconds — used by tests and
-    /// Criterion benches that sweep the whole pipeline.
+    /// the table binaries' `--quick` runs that sweep the whole pipeline.
     pub fn small() -> &'static [Benchmark] {
         use Benchmark::*;
         &[Cavlc, Ctrl, Dec, Int2float, Priority, Router]

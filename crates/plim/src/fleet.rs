@@ -529,9 +529,10 @@ impl Fleet {
 
     /// How many more jobs of write cost `cost` the fleet can absorb before
     /// every array is exhausted: `Σᵢ ⌊remainingᵢ / cost⌋` over live
-    /// arrays. `None` when no write budget is configured (unbounded);
-    /// `Some(u64::MAX)` for write-free jobs (`cost == 0`) while any array
-    /// is live, since such jobs consume no budget.
+    /// arrays, saturating at `u64::MAX`. `None` when no write budget is
+    /// configured (unbounded); `Some(u64::MAX)` for write-free jobs
+    /// (`cost == 0`) while any array is live, since such jobs consume no
+    /// budget.
     pub fn remaining_jobs(&self, cost: u64) -> Option<u64> {
         let budget = self.write_budget?;
         if cost == 0 {
@@ -543,7 +544,7 @@ impl Fleet {
                 .iter()
                 .filter(|s| !s.retired)
                 .map(|s| budget.saturating_sub(s.total) / cost)
-                .sum(),
+                .fold(0, u64::saturating_add),
         )
     }
 
@@ -1369,6 +1370,14 @@ mod tests {
         let free = Fleet::new(FleetConfig::new(2));
         assert_eq!(free.remaining_jobs(2), None);
         assert_eq!(free.first_retirement_horizon(2), None);
+    }
+
+    #[test]
+    fn remaining_jobs_saturates_instead_of_overflowing() {
+        // Four untouched arrays with a maximal budget each absorb
+        // `u64::MAX` unit-cost jobs; the sum caps rather than wrapping.
+        let fleet = Fleet::new(FleetConfig::new(4).with_write_budget(u64::MAX));
+        assert_eq!(fleet.remaining_jobs(1), Some(u64::MAX));
     }
 
     /// A one-instruction program storing `value` into cell r0.

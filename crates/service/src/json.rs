@@ -2,13 +2,13 @@
 //!
 //! The build environment has no registry access, so serde is out of
 //! reach; every JSON document in the workspace — the [`crate::Report`]
-//! serialization and `bench_compile`'s `BENCH_compile.json` — is emitted
-//! through this one module instead of hand-concatenated strings.
+//! serialization and the daemon's wire lines and metrics payloads — is
+//! emitted through this one module instead of hand-concatenated strings.
 //!
 //! The model is a tree of [`Json`] values with **ordered** object keys
-//! (documents render exactly in insertion order, so committed files stay
-//! diff-friendly) and per-value float precision (measurement files pin
-//! `{:.6}`-style formatting; statistics pin `{:.4}`). Rendering is
+//! (documents render exactly in insertion order, so pinned documents stay
+//! diff-friendly) and per-value float precision (statistics pin
+//! `{:.4}`-style formatting). Rendering is
 //! pretty-printed with two-space indentation ([`Json::render`]) or
 //! single-line compact ([`Json::render_compact`] — the daemon's
 //! JSON-lines wire framing).
@@ -18,8 +18,8 @@
 //! into a [`Json`] tree, preserving key order and float precision, so
 //! `parse(doc.render_compact())` reproduces `doc` exactly for every
 //! canonically rendered document. [`Fields`] and the `as_*` helpers are
-//! the one typed decoder over a parsed tree: the daemon's wire codec,
-//! its metrics payloads and the bench DB all read through them.
+//! the one typed decoder over a parsed tree: the daemon's wire codec and
+//! its metrics payloads both read through them.
 
 use std::fmt::{self, Write as _};
 
@@ -569,7 +569,7 @@ impl Parser<'_> {
 
 /// Typed, strict read access to one object of a parsed document — the
 /// one decoder behind every pinned JSON shape in the workspace (the
-/// daemon's wire lines and metrics payloads, the bench DB).
+/// daemon's wire lines and metrics payloads).
 ///
 /// Every accessor fails with a message naming the offending path, such
 /// as `options.effort: expected an unsigned integer`. Each caller maps

@@ -240,77 +240,6 @@ fn report_json_golden_document() {
     assert_eq!(json, again.to_json_string());
 }
 
-// ---- Bench-DB golden schema -----------------------------------------------
-
-/// The exact on-disk text of a bench-DB record — field order, float
-/// precision and indentation are all load-bearing (the DB reader
-/// line-scrapes this shape, and committed history must stay
-/// diff-stable). Bump deliberately, never accidentally.
-const BENCH_DB_GOLDEN: &str = "\
-[
-  {
-    \"run\": 1,
-    \"benchmark\": \"div\",
-    \"arrays\": 4,
-    \"jobs\": 256,
-    \"instructions\": 25000000,
-    \"scalar_seconds\": 0.125000,
-    \"scalar_ops_per_second\": 200000000,
-    \"simd_seconds\": 0.005000,
-    \"simd_ops_per_second\": 5000000000,
-    \"speedup\": 25.000,
-    \"max_cell_writes\": 10,
-    \"write_stdev\": 1.9700
-  }
-]
-";
-
-fn bench_record(run: u64) -> rlim_bench::db::BenchRecord {
-    rlim_bench::db::BenchRecord {
-        run,
-        benchmark: "div".to_owned(),
-        arrays: 4,
-        jobs: 256,
-        instructions: 25_000_000,
-        scalar_seconds: 0.125,
-        scalar_ops_per_second: 2.0e8,
-        simd_seconds: 0.005,
-        simd_ops_per_second: 5.0e9,
-        speedup: 25.0,
-        max_cell_writes: 10,
-        write_stdev: 1.97,
-    }
-}
-
-/// Satellite: the bench-DB serialization is pinned — one record renders
-/// to the exact golden text, and appending is a pure suffix splice that
-/// leaves committed records byte-identical and round-trips through the
-/// reader.
-#[test]
-fn bench_db_schema_is_pinned_and_append_only() {
-    use rlim_bench::db;
-
-    let path = std::env::temp_dir().join(format!(
-        "rlim_service_api_bench_db_{}.json",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&path);
-
-    db::append(&path, &bench_record(1)).unwrap();
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), BENCH_DB_GOLDEN);
-
-    // Appending keeps every committed byte up to the closing bracket.
-    db::append(&path, &bench_record(2)).unwrap();
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.starts_with(BENCH_DB_GOLDEN.strip_suffix("\n]\n").unwrap()));
-    assert!(text.ends_with("\n]\n"));
-
-    // And the reader reconstructs exactly what was written.
-    let records = db::records(&path).unwrap();
-    assert_eq!(records, vec![bench_record(1), bench_record(2)]);
-    std::fs::remove_file(&path).unwrap();
-}
-
 // ---- Batch determinism ----------------------------------------------------
 
 fn determinism_batch() -> Vec<JobSpec> {
