@@ -177,6 +177,20 @@ impl Backend for WideRm3Backend {
 
 /// The material-implication baseline: NAND synthesis over the (optionally
 /// rewritten) graph, executed on the IMPLY machine.
+///
+/// Of the [`CompileOptions`], IMPLY synthesis honours:
+///
+/// * `rewriting` and `effort`: the graph is rewritten first, as for RM3;
+/// * `allocation`: LIFO or minimum-write cell reuse;
+/// * `peephole`: the ISA-generic dead-write elision.
+///
+/// It ignores `selection` (gates are synthesised in index order),
+/// `max_writes` (no cell is retired, so the report's `max` can exceed
+/// the cap), `copy_reuse` and `esat` with its budgets. A report still
+/// echoes every option it was given: `rlim report div --backend imp
+/// --max-writes 20 --json` shows `"max_writes": 20` beside `"max": 1609`.
+/// Such specs are accepted, not rejected, because a client may send one
+/// option set to every backend.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ImpBackend;
 

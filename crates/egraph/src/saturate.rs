@@ -75,10 +75,32 @@ const PERMS: [[usize; 3]; 6] = [
     [2, 1, 0],
 ];
 
+/// Binds variable `var` to `want`, or checks an earlier binding: false
+/// when `var` is already bound to another signal. Variables bind
+/// first-come, so the binding a match ends with does not depend on the
+/// order its variable obligations are met in.
+fn bind(binding: &mut Binding, var: u8, want: Signal) -> bool {
+    let slot = &mut binding[var as usize];
+    match *slot {
+        Some(bound) => bound == want,
+        None => {
+            *slot = Some(want);
+            true
+        }
+    }
+}
+
 /// Matches `pattern` against the class signal `target`, extending
 /// `binding`; complete bindings are appended to `out` (up to `cap`).
 /// Class members are read from `classes`, the round's frozen copy of
 /// the e-graph's class lists.
+///
+/// A majority pattern meets its variable children as soon as it picks
+/// an e-node and a permutation, and defers only its majority children to
+/// the obligation stack, so a permutation that contradicts a bound
+/// variable is dropped before any child class is expanded. Variable
+/// obligations open no choice, so the matches and their order are those
+/// of meeting every child through the stack.
 fn match_class(
     eg: &EGraph,
     classes: &[Vec<NodeId>],
@@ -96,19 +118,11 @@ fn match_class(
     };
     match pattern {
         Pattern::Var { var, complement } => {
-            let want = target.complement_if(*complement);
-            let v = *var as usize;
-            match binding[v] {
-                Some(bound) if bound == want => {
-                    match_class(eg, classes, obligations, binding, out, cap)
-                }
-                Some(_) => {}
-                None => {
-                    binding[v] = Some(want);
-                    match_class(eg, classes, obligations, binding, out, cap);
-                    binding[v] = None;
-                }
+            let saved = *binding;
+            if bind(binding, *var, target.complement_if(*complement)) {
+                match_class(eg, classes, obligations, binding, out, cap);
             }
+            *binding = saved;
         }
         Pattern::Maj {
             children,
@@ -127,11 +141,24 @@ fn match_class(
                     tri[2].complement_if(dual),
                 ];
                 for perm in &PERMS {
-                    for k in 0..3 {
-                        obligations.push((&children[k], t[perm[k]]));
+                    let saved = *binding;
+                    let consistent = (0..3).all(|k| match &children[k] {
+                        Pattern::Var { var, complement } => {
+                            bind(binding, *var, t[perm[k]].complement_if(*complement))
+                        }
+                        Pattern::Maj { .. } => true,
+                    });
+                    if consistent {
+                        let depth = obligations.len();
+                        for k in 0..3 {
+                            if let Pattern::Maj { .. } = children[k] {
+                                obligations.push((&children[k], t[perm[k]]));
+                            }
+                        }
+                        match_class(eg, classes, obligations, binding, out, cap);
+                        obligations.truncate(depth);
                     }
-                    match_class(eg, classes, obligations, binding, out, cap);
-                    obligations.truncate(obligations.len() - 3);
+                    *binding = saved;
                 }
             }
         }

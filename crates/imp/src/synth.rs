@@ -17,6 +17,21 @@
 //! The synthesiser supports the same two allocation policies as the PLiM
 //! compiler — LIFO (baseline) and minimum-write (the paper's technique 1)
 //! — so IMP and RM3 write traffic can be compared like for like.
+//!
+//! # Allocation cost and tie-break
+//!
+//! Freed cells sit in one free list in release order, and a pick removes
+//! its cell with `swap_remove`, so the list's last cell moves into the
+//! hole. LIFO pops the list's end in O(1). Minimum-write picks the
+//! **first** cell, in the free list's current order, among those with the
+//! fewest writes: the cell a front-to-back scan keeping the first minimum
+//! returns. An index finds it without the scan: a tournament tree over
+//! the free-list positions, keyed by write count and then position, whose
+//! root is the pick. Free cells are never written, so a position's key
+//! changes only when a cell moves into or out of it: a pick re-keys the
+//! hole and the vacated last position, a release the new last position.
+//! Each costs O(log n) against O(n) for the scan, and the tree holds no
+//! stale entry that could outlive its cell's move.
 
 use rlim_mig::{Mig, NodeId, Signal};
 use rlim_rram::CellId;
@@ -75,15 +90,134 @@ impl ImpSynthOptions {
 /// assert_eq!(machine.run(&program, &[true, true]).unwrap(), vec![true]);
 /// ```
 pub fn synthesize(mig: &Mig, options: &ImpSynthOptions) -> ImpProgram {
-    Synthesiser::new(mig, *options).run()
+    Synthesiser::<FreeCells>::new(mig, *options).run()
 }
 
-struct Synthesiser<'a> {
+/// The cells available for reuse, handed out under one allocation
+/// policy. `writes` is the synthesiser's per-cell write count.
+trait Pool {
+    fn new(allocation: ImpAllocation) -> Self;
+    /// The next free cell to reuse, if any.
+    fn take(&mut self, writes: &[u64]) -> Option<CellId>;
+    /// Returns `cell` to the pool.
+    fn put(&mut self, cell: CellId, writes: &[u64]);
+}
+
+/// The free list in release order, with an exact min-write index (see
+/// the module docs).
+struct FreeCells {
+    allocation: ImpAllocation,
+    free: Vec<CellId>,
+    /// Min-write only: a tournament tree over free-list positions, root
+    /// at 1. Leaf `leaves + i` holds position `i`'s key, or `VACANT`
+    /// past the list's end; an inner node holds the smaller key of its
+    /// two children.
+    tree: Vec<u64>,
+    leaves: usize,
+}
+
+/// The key of a leaf with no free cell; above every real key.
+const VACANT: u64 = u64::MAX;
+
+impl FreeCells {
+    /// Position `i`'s key: its cell's write count, then `i`, so the
+    /// smallest key is the first least-written cell.
+    fn key(&self, i: usize, writes: &[u64]) -> u64 {
+        let count = writes[self.free[i].index()];
+        assert!(
+            count < u64::from(u32::MAX),
+            "a cell's write count fits in 32 bits"
+        );
+        count << 32 | i as u64
+    }
+
+    /// Sets leaf `i` to `key` and re-plays the matches above it, up to
+    /// the first one whose winner stays the same.
+    fn set(&mut self, i: usize, key: u64) {
+        let mut node = self.leaves + i;
+        self.tree[node] = key;
+        while node > 1 {
+            node /= 2;
+            let winner = self.tree[2 * node].min(self.tree[2 * node + 1]);
+            if self.tree[node] == winner {
+                break;
+            }
+            self.tree[node] = winner;
+        }
+    }
+
+    /// Doubles the leaves, re-keying every position.
+    fn grow(&mut self, writes: &[u64]) {
+        self.leaves = (2 * self.leaves).max(16);
+        self.tree = vec![VACANT; 2 * self.leaves];
+        for i in 0..self.free.len() {
+            self.tree[self.leaves + i] = self.key(i, writes);
+        }
+        for node in (1..self.leaves).rev() {
+            self.tree[node] = self.tree[2 * node].min(self.tree[2 * node + 1]);
+        }
+    }
+}
+
+impl Pool for FreeCells {
+    fn new(allocation: ImpAllocation) -> Self {
+        FreeCells {
+            allocation,
+            free: Vec::new(),
+            tree: Vec::new(),
+            leaves: 0,
+        }
+    }
+
+    fn take(&mut self, writes: &[u64]) -> Option<CellId> {
+        if self.allocation == ImpAllocation::Lifo || self.free.is_empty() {
+            return self.free.pop();
+        }
+        let position = (self.tree[1] & u64::from(u32::MAX)) as usize;
+        debug_assert_eq!(
+            Some(position),
+            first_least_written(&self.free, writes),
+            "the index picks what a scan of the free list picks"
+        );
+        let cell = self.free.swap_remove(position);
+        let last = self.free.len();
+        if position < last {
+            // The last cell moved into the hole.
+            let moved = self.key(position, writes);
+            self.set(position, moved);
+        }
+        self.set(last, VACANT);
+        Some(cell)
+    }
+
+    fn put(&mut self, cell: CellId, writes: &[u64]) {
+        self.free.push(cell);
+        if self.allocation == ImpAllocation::MinWrite {
+            let i = self.free.len() - 1;
+            if i == self.leaves {
+                self.grow(writes);
+            } else {
+                let key = self.key(i, writes);
+                self.set(i, key);
+            }
+        }
+    }
+}
+
+/// Position of the first cell of `free` with the fewest writes: the
+/// min-write pick as a linear scan, which the index must agree with.
+fn first_least_written(free: &[CellId], writes: &[u64]) -> Option<usize> {
+    free.iter()
+        .enumerate()
+        .min_by_key(|(_, &c)| writes[c.index()])
+        .map(|(i, _)| i)
+}
+
+struct Synthesiser<'a, P> {
     mig: &'a Mig,
-    options: ImpSynthOptions,
     ops: Vec<ImpOp>,
     write_counts: Vec<u64>,
-    free: Vec<CellId>,
+    pool: P,
     node_cell: Vec<Option<CellId>>,
     inv_cell: Vec<Option<CellId>>,
     fanout_remaining: Vec<u32>,
@@ -92,7 +226,7 @@ struct Synthesiser<'a> {
     input_cells: Vec<CellId>,
 }
 
-impl<'a> Synthesiser<'a> {
+impl<'a, P: Pool> Synthesiser<'a, P> {
     fn new(mig: &'a Mig, options: ImpSynthOptions) -> Self {
         let live = mig.live_mask();
         let mut fanout_remaining = vec![0u32; mig.num_nodes()];
@@ -113,10 +247,9 @@ impl<'a> Synthesiser<'a> {
         }
         Synthesiser {
             mig,
-            options,
             ops: Vec::new(),
             write_counts: Vec::new(),
-            free: Vec::new(),
+            pool: P::new(options.allocation),
             node_cell: vec![None; mig.num_nodes()],
             inv_cell: vec![None; mig.num_nodes()],
             fanout_remaining,
@@ -141,18 +274,16 @@ impl<'a> Synthesiser<'a> {
 
         // Gates are stored children-before-parents, so index order is a
         // valid topological schedule.
-        let gates: Vec<NodeId> = self.mig.gates().collect();
-        for n in gates {
-            if !self.live[n.index()] {
-                continue;
+        let mig = self.mig;
+        for n in mig.gates() {
+            if self.live[n.index()] {
+                self.translate(n);
             }
-            self.translate(n);
         }
 
         // Resolve primary outputs (resolution memoises, so shared or
         // complemented outputs reuse one cell).
-        let outputs: Vec<Signal> = self.mig.outputs().to_vec();
-        let output_cells = outputs.iter().map(|&s| self.resolve(s)).collect();
+        let output_cells = mig.outputs().iter().map(|&s| self.resolve(s)).collect();
 
         ImpProgram {
             instructions: self.ops,
@@ -171,27 +302,14 @@ impl<'a> Synthesiser<'a> {
     }
 
     fn alloc(&mut self) -> CellId {
-        match self.options.allocation {
-            ImpAllocation::Lifo => self.free.pop().unwrap_or_else(|| self.alloc_fresh()),
-            ImpAllocation::MinWrite => {
-                if self.free.is_empty() {
-                    self.alloc_fresh()
-                } else {
-                    let best = self
-                        .free
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, &c)| self.write_counts[c.index()])
-                        .map(|(i, _)| i)
-                        .expect("non-empty free list");
-                    self.free.swap_remove(best)
-                }
-            }
+        match self.pool.take(&self.write_counts) {
+            Some(cell) => cell,
+            None => self.alloc_fresh(),
         }
     }
 
     fn release(&mut self, cell: CellId) {
-        self.free.push(cell);
+        self.pool.put(cell, &self.write_counts);
     }
 
     // ---- Emission ---------------------------------------------------------
@@ -251,27 +369,34 @@ impl<'a> Synthesiser<'a> {
         let ch = self.mig.children(n);
         let constant_child = ch.iter().find_map(|s| s.constant_value());
 
+        // Operand cells, resolved in child order.
+        let mut cells = [CellId::new(0); 3];
+        let mut k = 0;
         let result = match constant_child {
             // ⟨a b 1⟩ = a ∨ b = NAND(ā, b̄)
             Some(true) => {
-                let non_const: Vec<Signal> =
-                    ch.iter().copied().filter(|s| !s.is_constant()).collect();
-                let inv: Vec<CellId> = non_const.iter().map(|&s| self.resolve(!s)).collect();
-                self.nand_into(&inv)
+                for &s in ch.iter().filter(|s| !s.is_constant()) {
+                    cells[k] = self.resolve(!s);
+                    k += 1;
+                }
+                self.nand_into(&cells[..k])
             }
             // ⟨a b 0⟩ = a ∧ b = NOT(NAND(a, b))
             Some(false) => {
-                let non_const: Vec<Signal> =
-                    ch.iter().copied().filter(|s| !s.is_constant()).collect();
-                let direct: Vec<CellId> = non_const.iter().map(|&s| self.resolve(s)).collect();
-                let t = self.nand_into(&direct);
+                for &s in ch.iter().filter(|s| !s.is_constant()) {
+                    cells[k] = self.resolve(s);
+                    k += 1;
+                }
+                let t = self.nand_into(&cells[..k]);
                 let result = self.nand_into(&[t]);
                 self.release(t);
                 result
             }
             // Full majority: NAND of the three pairwise NANDs.
             None => {
-                let cells: Vec<CellId> = ch.iter().map(|&s| self.resolve(s)).collect();
+                for (cell, &s) in cells.iter_mut().zip(&ch) {
+                    *cell = self.resolve(s);
+                }
                 let n1 = self.nand_into(&[cells[0], cells[1]]);
                 let n2 = self.nand_into(&[cells[0], cells[2]]);
                 let n3 = self.nand_into(&[cells[1], cells[2]]);
@@ -310,6 +435,151 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use rlim_mig::random::{generate, RandomMigConfig};
+
+    /// The reference pool: the free list picked by a linear scan, the
+    /// allocator as it was before the index.
+    struct ScanCells {
+        allocation: ImpAllocation,
+        free: Vec<CellId>,
+    }
+
+    impl Pool for ScanCells {
+        fn new(allocation: ImpAllocation) -> Self {
+            ScanCells {
+                allocation,
+                free: Vec::new(),
+            }
+        }
+
+        fn take(&mut self, writes: &[u64]) -> Option<CellId> {
+            match self.allocation {
+                ImpAllocation::Lifo => self.free.pop(),
+                ImpAllocation::MinWrite => {
+                    first_least_written(&self.free, writes).map(|i| self.free.swap_remove(i))
+                }
+            }
+        }
+
+        fn put(&mut self, cell: CellId, _writes: &[u64]) {
+            self.free.push(cell);
+        }
+    }
+
+    fn assert_matches_scan(mig: &Mig, context: &str) {
+        for options in [ImpSynthOptions::lifo(), ImpSynthOptions::min_write()] {
+            let reference = Synthesiser::<ScanCells>::new(mig, options).run();
+            assert_eq!(
+                synthesize(mig, &options),
+                reference,
+                "{context} {:?}",
+                options.allocation
+            );
+        }
+    }
+
+    #[test]
+    fn a_cell_freed_back_into_its_old_position_is_rekeyed() {
+        let cell = CellId::new;
+        // Write counts: a = 2, b = 0, x = 1, d = 9.
+        let mut writes = vec![2, 0, 1, 9];
+        let mut pool = FreeCells::new(ImpAllocation::MinWrite);
+        for c in 0..3 {
+            pool.put(cell(c), &writes);
+        }
+        // [a b x]: b goes and x moves from position 2 to 1.
+        assert_eq!(pool.take(&writes), Some(cell(1)));
+        pool.put(cell(3), &writes);
+        // [a x d]: x goes, d moves into position 1.
+        assert_eq!(pool.take(&writes), Some(cell(2)));
+        writes[2] += 3;
+        pool.put(cell(2), &writes);
+        // [a d x]: x is back in position 2 with 4 writes, so its key
+        // there from before (1 write) must not pick it ahead of a.
+        assert_eq!(pool.free, [cell(0), cell(3), cell(2)]);
+        assert_eq!(pool.take(&writes), Some(cell(0)));
+        assert_eq!(pool.take(&writes), Some(cell(2)));
+        assert_eq!(pool.take(&writes), Some(cell(3)));
+        assert_eq!(pool.take(&writes), None);
+    }
+
+    #[test]
+    fn index_picks_what_the_scan_picks() {
+        for seed in 0..200u64 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let mut writes: Vec<u64> = Vec::new();
+            let mut busy: Vec<CellId> = Vec::new();
+            let mut pool = FreeCells::new(ImpAllocation::MinWrite);
+            let mut scan = ScanCells::new(ImpAllocation::MinWrite);
+            for step in 0..300 {
+                match rng.gen_range(0..3) {
+                    // A new cell, freed with a few writes (inputs free
+                    // with none).
+                    0 => {
+                        let c = CellId::new(writes.len() as u32);
+                        writes.push(rng.gen_range(0..4u64));
+                        pool.put(c, &writes);
+                        scan.put(c, &writes);
+                    }
+                    1 => {
+                        let got = pool.take(&writes);
+                        assert_eq!(got, scan.take(&writes), "seed {seed} step {step}");
+                        if let Some(c) = got {
+                            writes[c.index()] += rng.gen_range(1..5u64);
+                            busy.push(c);
+                        }
+                    }
+                    _ => {
+                        if !busy.is_empty() {
+                            let c = busy.swap_remove(rng.gen_range(0..busy.len()));
+                            pool.put(c, &writes);
+                            scan.put(c, &writes);
+                        }
+                    }
+                }
+                assert_eq!(pool.free, scan.free, "seed {seed} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn programs_match_the_scan_on_random_graphs() {
+        for seed in 0..24 {
+            let cfg = RandomMigConfig {
+                inputs: 4 + seed as usize % 9,
+                outputs: 1 + seed as usize % 6,
+                gates: 40 + 25 * seed as usize,
+                complement_prob: 0.1 * (seed % 5) as f64,
+                ..Default::default()
+            };
+            assert_matches_scan(&generate(&cfg, seed), &format!("seed {seed}"));
+        }
+    }
+
+    #[test]
+    fn programs_match_the_scan_on_the_serve_pool() {
+        use rlim_benchmarks::Benchmark;
+        use rlim_mig::rewrite::{rewrite, Algorithm};
+        // The circuits the repository benchmark's serve workload compiles,
+        // as they reach synthesis under endurance-aware rewriting.
+        for b in [
+            Benchmark::Cavlc,
+            Benchmark::Ctrl,
+            Benchmark::Dec,
+            Benchmark::Int2float,
+            Benchmark::Priority,
+            Benchmark::Router,
+            Benchmark::I2c,
+            Benchmark::Sin,
+            Benchmark::Max,
+            Benchmark::Bar,
+            Benchmark::Adder,
+            Benchmark::Voter,
+        ] {
+            let mig = b.build();
+            assert_matches_scan(&mig, b.name());
+            assert_matches_scan(&rewrite(&mig, Algorithm::EnduranceAware, 5), b.name());
+        }
+    }
 
     fn assert_functional(mig: &Mig, options: &ImpSynthOptions, seed: u64) {
         let program = synthesize(mig, options);

@@ -14,7 +14,6 @@
 //! back to the [`Machine`](crate::Machine) without the compiler — the
 //! artefact a real PLiM toolchain would hand to its loader.
 
-use std::fmt::Write as _;
 use std::str::FromStr;
 
 use rlim_rram::CellId;
@@ -45,35 +44,78 @@ use crate::isa::{Instruction, Operand, Program};
 /// # Ok::<(), asm::ParseAsmError>(())
 /// ```
 pub fn to_text(program: &Program) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, ".cells {}", program.num_cells);
-    let _ = write!(out, ".inputs");
-    for c in &program.input_cells {
-        let _ = write!(out, " r{}", c.index());
+    // The exact length, so the listing is written into one allocation.
+    let cell = |c: CellId| 1 + digits(c.index());
+    let cells = |cells: &[CellId]| cells.iter().map(|&c| 1 + cell(c)).sum::<usize>();
+    let operand = |op: Operand| match op {
+        Operand::Const(_) => 1,
+        Operand::Cell(c) => cell(c),
+    };
+    let len = ".cells \n.inputs\n.outputs\n".len()
+        + digits(program.num_cells)
+        + cells(&program.input_cells)
+        + cells(&program.output_cells)
+        + program
+            .instructions
+            .iter()
+            .map(|inst| "RM3   \n".len() + operand(inst.p) + operand(inst.q) + cell(inst.z))
+            .sum::<usize>();
+    let mut out = String::with_capacity(len);
+    out.push_str(".cells ");
+    push_number(&mut out, program.num_cells);
+    out.push_str("\n.inputs");
+    for &c in &program.input_cells {
+        out.push(' ');
+        push_cell(&mut out, c);
     }
-    out.push('\n');
-    let _ = write!(out, ".outputs");
-    for c in &program.output_cells {
-        let _ = write!(out, " r{}", c.index());
+    out.push_str("\n.outputs");
+    for &c in &program.output_cells {
+        out.push(' ');
+        push_cell(&mut out, c);
     }
     out.push('\n');
     for inst in &program.instructions {
-        let _ = writeln!(
-            out,
-            "RM3 {} {} r{}",
-            operand_text(inst.p),
-            operand_text(inst.q),
-            inst.z.index()
-        );
+        out.push_str("RM3 ");
+        push_operand(&mut out, inst.p);
+        out.push(' ');
+        push_operand(&mut out, inst.q);
+        out.push(' ');
+        push_cell(&mut out, inst.z);
+        out.push('\n');
     }
+    debug_assert_eq!(out.len(), len, "the listing fills its presized buffer");
     out
 }
 
-fn operand_text(op: Operand) -> String {
+/// Decimal digits of `n`.
+fn digits(n: usize) -> usize {
+    n.checked_ilog10().map_or(1, |log| log as usize + 1)
+}
+
+fn push_number(out: &mut String, mut n: usize) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ASCII digits"));
+}
+
+fn push_cell(out: &mut String, cell: CellId) {
+    out.push('r');
+    push_number(out, cell.index());
+}
+
+fn push_operand(out: &mut String, op: Operand) {
     match op {
-        Operand::Const(false) => "0".into(),
-        Operand::Const(true) => "1".into(),
-        Operand::Cell(c) => format!("r{}", c.index()),
+        Operand::Const(false) => out.push('0'),
+        Operand::Const(true) => out.push('1'),
+        Operand::Cell(c) => push_cell(out, c),
     }
 }
 

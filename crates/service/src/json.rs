@@ -246,27 +246,42 @@ fn indent(out: &mut String, depth: usize) {
 }
 
 /// Appends `s` as a quoted, escaped JSON string literal.
+///
+/// Runs of bytes that need no escape are copied whole. Every byte that
+/// does (a quote, a backslash, a control byte) is ASCII, and ASCII bytes
+/// never occur inside a multi-byte UTF-8 sequence, so each run is whole
+/// characters.
 fn escape_into(s: &str, out: &mut String) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.reserve(s.len() + 2);
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[start..i]);
+        start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
 /// Escapes `s` as a standalone JSON string literal (with quotes).
 pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+    let mut out = String::new();
     escape_into(s, &mut out);
     out
 }
@@ -439,32 +454,34 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, ParseError> {
         self.eat(b'"')?;
         let mut out = String::new();
-        let mut start = self.pos;
         loop {
+            // Copy the run of plain bytes up to the next quote, backslash
+            // or control byte in one piece.
+            let start = self.pos;
+            let rest = &self.bytes[start..];
+            self.pos += rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(self.raw_slice(start));
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
-                    out.push_str(self.raw_slice(start));
                     self.pos += 1;
                     return Ok(out);
                 }
                 Some(b'\\') => {
-                    out.push_str(self.raw_slice(start));
                     self.pos += 1;
                     out.push(self.escape_char()?);
-                    start = self.pos;
                 }
-                Some(c) if c < 0x20 => {
-                    return Err(self.error("raw control character in string"));
-                }
-                Some(_) => self.pos += 1,
+                Some(_) => return Err(self.error("raw control character in string")),
             }
         }
     }
 
     /// The input between `start` and the cursor. Both ends sit on ASCII
-    /// delimiters (quote/backslash bytes never occur inside a UTF-8
-    /// multi-byte sequence), so the slice is always valid UTF-8.
+    /// bytes or the input's ends, and an ASCII byte never occurs inside
+    /// a UTF-8 multi-byte sequence, so the slice is always valid UTF-8.
     fn raw_slice(&self, start: usize) -> &str {
         std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii-delimited slice")
     }
@@ -761,6 +778,86 @@ mod tests {
         assert_eq!(escape("\u{1}"), "\"\\u0001\"");
         // Non-ASCII passes through unescaped (JSON is UTF-8).
         assert_eq!(escape("Ω.A"), "\"Ω.A\"");
+    }
+
+    /// The escaper as it was before it copied plain runs whole: one
+    /// character at a time.
+    fn escape_by_char(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    /// A string mixing every byte class the escaper and the reader tell
+    /// apart.
+    fn mixed_string(rng: &mut impl rand::Rng) -> String {
+        let mut s = String::new();
+        for _ in 0..rng.gen_range(0..40usize) {
+            match rng.gen_range(0..7u32) {
+                0 => s.push('"'),
+                1 => s.push('\\'),
+                2 => s.push(char::from(rng.gen_range(0..0x20u8))),
+                3 => s.push('\u{7f}'),
+                4 => s.push(['é', 'Ω', '⟨', '\u{1d11e}'][rng.gen_range(0..4usize)]),
+                5 => s.push_str(&"plain run ".repeat(rng.gen_range(1..40usize))),
+                _ => s.push(char::from(rng.gen_range(0x20..0x7fu8))),
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn escape_equals_the_char_by_char_escaper() {
+        use rand::SeedableRng;
+        for c in 0..=0x7fu8 {
+            let s = format!("a{}b", char::from(c));
+            assert_eq!(escape(&s), escape_by_char(&s), "byte 0x{c:02x}");
+        }
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
+        for case in 0..2000 {
+            let s = mixed_string(&mut rng);
+            let escaped = escape(&s);
+            assert_eq!(escaped, escape_by_char(&s), "case {case}: {s:?}");
+            assert_eq!(parse(&escaped), Ok(Json::Str(s.clone())), "case {case}");
+            let doc = Json::object([(s.clone(), Json::array([Json::from(s.as_str())]))]);
+            assert_eq!(parse(&doc.render_compact()), Ok(doc.clone()), "case {case}");
+            assert_eq!(parse(&doc.render()), Ok(doc), "case {case}");
+        }
+    }
+
+    #[test]
+    fn string_errors_keep_their_offsets_and_messages() {
+        let err = |text: &str| {
+            let e = parse(text).unwrap_err();
+            (e.offset, e.message)
+        };
+        let at = |offset: usize, message: &str| (offset, message.to_string());
+        assert_eq!(
+            err("\"plain\u{1}tail\""),
+            at(6, "raw control character in string")
+        );
+        assert_eq!(
+            err("[\"a\\n\u{1f}\"]"),
+            at(5, "raw control character in string")
+        );
+        assert_eq!(err("\"unterminated"), at(13, "unterminated string"));
+        assert_eq!(err("\"Ω\\\"tail"), at(9, "unterminated string"));
+        assert_eq!(err("\"dangling\\"), at(10, "unterminated escape"));
+        assert_eq!(err("\"bad \\q escape\""), at(7, "unknown escape `\\q`"));
+        assert_eq!(err("\"\\u12\""), at(5, "expected four hex digits"));
     }
 
     #[test]
