@@ -9,7 +9,7 @@
 //!   `bar`, `div`, `max`, `multiplier`, `sqrt`, `square`, `dec`,
 //!   `int2float`, `priority`, `voter`.
 //! * **Profile-matched synthetic circuits** (seeded layered random MIGs
-//!   with the paper's PI/PO interface; see [`synthetic`] and DESIGN.md §4):
+//!   with the paper's PI/PO interface; see [`synthetic`]):
 //!   `log2`, `sin`, `cavlc`, `ctrl`, `i2c`, `mem_ctrl`, `router`.
 //!
 //! The [`Benchmark`] enum is the main entry point:
@@ -157,7 +157,7 @@ impl Benchmark {
     }
 
     /// Whether this benchmark is an exact functional circuit (`true`) or a
-    /// profile-matched synthetic stand-in (`false`); see DESIGN.md §4.
+    /// profile-matched synthetic stand-in (`false`); see [`synthetic`].
     pub fn is_exact(self) -> bool {
         !matches!(
             self,

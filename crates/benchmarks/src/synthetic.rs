@@ -9,7 +9,7 @@
 //! write-traffic *shape* induced by MIG structure (complemented-edge
 //! density, fanout level spread, blocked cells), which is exactly what the
 //! layered generator controls; the Boolean function itself is immaterial
-//! for those claims (see DESIGN.md §4 for the substitution record).
+//! for those claims.
 //!
 //! Every generator is deterministic: a fixed per-benchmark seed makes
 //! `log2()` always return the same graph, like loading a file from disk.

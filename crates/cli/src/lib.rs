@@ -7,22 +7,9 @@
 //! its argv onto a [`JobSpec`], submits it to a [`Service`], and formats
 //! the returned [`Report`].
 //!
-//! ```text
-//! rlim compile <circuit.blif> [--policy P] [--max-writes W] [--effort N] [--peephole]
-//!              [--copy-reuse] [-o prog.plim]
-//! rlim report  <benchmark|circuit.blif> [--policy P] [--backend B] [--json]
-//!              [--remote ADDR] …                     # --remote goes through a daemon
-//! rlim run     <prog.plim> --inputs 1011…            # execute on the simulated crossbar
-//! rlim stats   <prog.plim>                           # #I, #R, write distribution, wear map
-//! rlim bench   <name> [--policy P] [--max-writes W]  # compile a built-in benchmark
-//! rlim fleet   <name> [--arrays N] [--jobs J] [--dispatch D] [--write-budget W]
-//! rlim serve   [--addr A] [--workers N] [--queue-depth D]   # run the rlimd daemon
-//! rlim daemon  <addr> <metrics|healthz|shutdown>     # poke a running daemon
-//! rlim list                                          # list built-in benchmarks
-//! ```
-//!
-//! Policies: `naive`, `plim21`, `min-write`, `ea-rewriting`,
-//! `endurance-aware` (default).
+//! The commands and their flags are listed in [`USAGE`]. The compile
+//! options come from `rlim_service::options`, the table the wire and
+//! the report's policy block read too.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,6 +22,8 @@ use rlim_benchmarks::Benchmark;
 use rlim_compiler::{Backend, CompileOptions, Rm3Backend};
 use rlim_plim::{asm, Program};
 use rlim_rram::{WearMap, WriteStats};
+use rlim_service::json::Json;
+use rlim_service::options::{self, Flag, OptionRow};
 use rlim_service::{BackendKind, ChaosSpec, Error, FleetSpec, JobSpec, Report, Service, Source};
 
 /// A command-line failure: message for stderr plus the exit code.
@@ -100,14 +89,14 @@ rlim — endurance-aware logic-in-memory toolchain (DATE 2017 reproduction)
 
 usage:
   rlim compile <circuit.blif> [--policy P] [--max-writes W] [--effort N] [--peephole]
-               [--copy-reuse] [--esat] [-o out.plim]
+               [--copy-reuse] [--esat] [--esat-nodes N] [--esat-iters N] [-o out.plim]
   rlim report  <benchmark|circuit.blif> [--policy P] [--max-writes W] [--effort N]
                [--peephole] [--copy-reuse] [--esat] [--esat-nodes N] [--esat-iters N]
                [--backend B] [--arrays N] [--program] [--json] [--remote ADDR]
   rlim run     <prog.plim> --inputs <bits>
   rlim stats   <prog.plim> [--wear-map]
   rlim bench   <benchmark> [--policy P] [--max-writes W] [--effort N] [--peephole]
-               [--copy-reuse] [--esat] [-o out.plim]
+               [--copy-reuse] [--esat] [--esat-nodes N] [--esat-iters N] [-o out.plim]
   rlim fleet   <benchmark> [--arrays N] [--jobs J] [--dispatch D] [--write-budget W]
                [--effort N] [--threads N] [--simd]
                [--chaos] [--fault-seed N] [--no-recovery]
@@ -150,11 +139,19 @@ dispatch: round-robin | least-worn (default)
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let mut it = args.iter().map(String::as_str);
     match it.next() {
-        Some("compile") => cmd_compile(&args[1..]),
+        Some("compile") => cmd_compile(
+            &args[1..],
+            |path| Ok(JobSpec::blif_path(path)),
+            "compile needs exactly one BLIF file",
+        ),
         Some("report") => cmd_report(&args[1..]),
         Some("run") => cmd_run(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
+        Some("bench") => cmd_compile(
+            &args[1..],
+            benchmark_spec,
+            "bench needs exactly one benchmark name (see `rlim list`)",
+        ),
         Some("fleet") => cmd_fleet(&args[1..]),
         Some("serve") => cmd_serve(&args[1..]),
         Some("daemon") => cmd_daemon(&args[1..]),
@@ -166,147 +163,116 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-/// Parsed common options.
-struct CommonOpts {
-    policy: CompileOptions,
-    output: Option<String>,
-    positional: Vec<String>,
-    inputs: Option<String>,
-    wear_map: bool,
+type Args<'a> = std::slice::Iter<'a, String>;
+
+/// The argument after `flag`.
+fn value_of<'a>(flag: &str, rest: &mut Args<'a>) -> Result<&'a str, CliError> {
+    rest.next()
+        .map(String::as_str)
+        .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
 }
 
-fn parse_common(args: &[String]) -> Result<CommonOpts, CliError> {
-    let mut policy_name = "endurance-aware".to_string();
-    let mut max_writes: Option<u64> = None;
-    let mut effort: Option<usize> = None;
-    let mut output = None;
-    let mut positional = Vec::new();
-    let mut inputs = None;
-    let mut wear_map = false;
-    let mut peephole = false;
-    let mut copy_reuse = false;
-    let mut esat = false;
-    let mut esat_nodes: Option<u32> = None;
-    let mut esat_iters: Option<u32> = None;
+/// The number after `flag`.
+fn number<T: std::str::FromStr>(flag: &str, rest: &mut Args<'_>) -> Result<T, CliError> {
+    let v = value_of(flag, rest)?;
+    v.parse()
+        .map_err(|_| CliError::usage(format!("bad {flag} `{v}`")))
+}
 
+/// Walks `args`: `flag` takes each argument that starts with `-` (and
+/// its value, from the iterator it is handed) and answers `false` for a
+/// flag the command does not know. The rest are the positionals.
+fn walk<'a>(
+    args: &'a [String],
+    mut flag: impl FnMut(&'a str, &mut Args<'a>) -> Result<bool, CliError>,
+) -> Result<Vec<&'a str>, CliError> {
+    let mut positional = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--policy" => policy_name = value_of("--policy")?,
-            "--max-writes" => {
-                let v = value_of("--max-writes")?;
-                max_writes = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad --max-writes `{v}`")))?,
-                );
-            }
-            "--effort" => {
-                let v = value_of("--effort")?;
-                effort = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad --effort `{v}`")))?,
-                );
-            }
-            "-o" | "--output" => output = Some(value_of("-o")?),
-            "--inputs" => inputs = Some(value_of("--inputs")?),
-            "--wear-map" => wear_map = true,
-            "--peephole" => peephole = true,
-            "--copy-reuse" => copy_reuse = true,
-            "--esat" => esat = true,
-            "--esat-nodes" => {
-                let v = value_of("--esat-nodes")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --esat-nodes `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--esat-nodes must be positive"));
-                }
-                esat_nodes = Some(n);
-            }
-            "--esat-iters" => {
-                let v = value_of("--esat-iters")?;
-                let n: u32 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --esat-iters `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--esat-iters must be positive"));
-                }
-                esat_iters = Some(n);
-            }
-            other if other.starts_with('-') => {
-                return Err(CliError::usage(format!("unknown flag `{other}`")));
-            }
-            other => positional.push(other.to_string()),
+        if !arg.starts_with('-') {
+            positional.push(arg.as_str());
+        } else if !flag(arg, &mut it)? {
+            return Err(CliError::usage(format!("unknown flag `{arg}`")));
         }
     }
+    Ok(positional)
+}
 
-    let mut policy = parse_policy(&policy_name)?;
-    if let Some(w) = max_writes {
-        if w < 3 {
-            return Err(CliError::usage("--max-writes must be at least 3"));
+/// The compile options of one command line: `--policy` and the flags of
+/// the option table, applied once the whole line is read, so the flags
+/// adjust the preset wherever `--policy` stands.
+#[derive(Default)]
+struct CompileFlags {
+    policy: Option<String>,
+    set: Vec<(&'static str, &'static OptionRow, Json)>,
+}
+
+impl CompileFlags {
+    /// Takes `arg` (and its value) if it is `--policy` or a table flag.
+    fn take(&mut self, arg: &str, rest: &mut Args<'_>) -> Result<bool, CliError> {
+        if arg == "--policy" {
+            self.policy = Some(value_of(arg, rest)?.to_string());
+        } else if let Some((flag, row)) = options::by_flag(arg) {
+            let value = match flag {
+                Flag::Number(_) => Json::UInt(number(arg, rest)?),
+                Flag::Switch(_) => Json::Bool(true),
+            };
+            self.set.push((flag.name(), row, value));
+        } else {
+            return Ok(false);
         }
-        policy = policy.with_max_writes(w);
+        Ok(true)
     }
-    if let Some(e) = effort {
-        policy = policy.with_effort(e);
+
+    /// The `--policy` preset (endurance-aware by default) with each flag
+    /// set through its row, which holds the flag's bound.
+    fn options(self) -> Result<CompileOptions, CliError> {
+        let name = self.policy.as_deref().unwrap_or("endurance-aware");
+        let preset = CompileOptions::preset(name).ok_or_else(|| {
+            CliError::usage(format!(
+                "unknown policy `{name}` ({})",
+                CompileOptions::preset_names().join(" | ")
+            ))
+        })?;
+        self.set
+            .iter()
+            .try_fold(preset, |options, (flag, row, value)| {
+                (row.set)(options, value, flag).map_err(CliError::usage)
+            })
     }
-    if peephole {
-        policy = policy.with_peephole(true);
-    }
-    if copy_reuse {
-        policy = policy.with_copy_reuse(true);
-    }
-    if esat {
-        policy = policy.with_esat(true);
-    }
-    if let Some(n) = esat_nodes {
-        policy = policy.with_esat_nodes(n);
-    }
-    if let Some(n) = esat_iters {
-        policy = policy.with_esat_iters(n);
-    }
-    Ok(CommonOpts {
-        policy,
-        output,
-        positional,
-        inputs,
-        wear_map,
-    })
 }
 
-/// Maps a `--policy` value onto its [`CompileOptions`] preset.
-fn parse_policy(name: &str) -> Result<CompileOptions, CliError> {
-    CompileOptions::preset(name).ok_or_else(|| {
-        CliError::usage(format!(
-            "unknown policy `{name}` (naive | plim21 | min-write | ea-rewriting | endurance-aware)"
-        ))
-    })
+/// The spec for built-in benchmark `name`.
+fn benchmark_spec(name: &str) -> Result<JobSpec, CliError> {
+    JobSpec::named_benchmark(name).map_err(|e| CliError::usage(format!("{e}; see `rlim list`")))
 }
 
-/// Renders the `compile`/`bench` output from a service [`Report`]: the
-/// circuit interface, the headline metrics, then the program listing
-/// (inline or written to `output`).
-fn render_compiled(report: &Report, output: Option<&str>) -> Result<String, CliError> {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: {} PI / {} PO / {} gates",
-        report.label, report.circuit.inputs, report.circuit.outputs, report.circuit.gates
-    );
-    let _ = writeln!(
-        out,
-        "compiled: {} instructions, {} cells, writes min={} max={} stdev={:.2}",
-        report.instructions,
-        report.rrams,
-        report.writes.min,
-        report.writes.max,
-        report.writes.stdev
-    );
+/// `compile` and `bench`: the one positional argument made a spec by
+/// `source`, compiled through the service, rendered as the circuit
+/// interface, the headline metrics and the program listing (inline or
+/// written to `-o`).
+fn cmd_compile(
+    args: &[String],
+    source: fn(&str) -> Result<JobSpec, CliError>,
+    usage: &str,
+) -> Result<String, CliError> {
+    let mut flags = CompileFlags::default();
+    let mut output = None;
+    let positional = walk(args, |arg, rest| {
+        if arg != "-o" && arg != "--output" {
+            return flags.take(arg, rest);
+        }
+        output = Some(value_of(arg, rest)?);
+        Ok(true)
+    })?;
+    let [name] = positional.as_slice() else {
+        return Err(CliError::usage(usage));
+    };
+    let spec = source(name)?
+        .with_options(flags.options()?)
+        .with_program_text(true);
+    let report = Service::new().run(&spec)?;
+    let mut out = headline(&report, "");
     let text = report.program.as_deref().expect("listing always requested");
     match output {
         Some(path) => {
@@ -319,97 +285,45 @@ fn render_compiled(report: &Report, output: Option<&str>) -> Result<String, CliE
     Ok(out)
 }
 
-fn cmd_compile(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_common(args)?;
-    let [path] = opts.positional.as_slice() else {
-        return Err(CliError::usage("compile needs exactly one BLIF file"));
-    };
-    let spec = JobSpec::blif_path(path)
-        .with_options(opts.policy)
-        .with_program_text(true);
-    let report = Service::new().run(&spec)?;
-    render_compiled(&report, opts.output.as_deref())
-}
-
-fn cmd_bench(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_common(args)?;
-    let [name] = opts.positional.as_slice() else {
-        return Err(CliError::usage(
-            "bench needs exactly one benchmark name (see `rlim list`)",
-        ));
-    };
-    let spec = JobSpec::named_benchmark(name)
-        .map_err(|e| CliError::usage(format!("{e}; see `rlim list`")))?
-        .with_options(opts.policy)
-        .with_program_text(true);
-    let report = Service::new().run(&spec)?;
-    render_compiled(&report, opts.output.as_deref())
-}
-
 /// Parses `rlim report` arguments (everything after the subcommand,
-/// `--json` excluded) into a [`JobSpec`].
+/// `--json` and `--remote` excluded) into a [`JobSpec`].
 ///
 /// The positional argument is resolved as a benchmark name first and a
-/// BLIF path otherwise. The compiler-configuration flags
-/// (`--policy/--effort/--max-writes/--peephole`) are the shared
-/// vocabulary of `parse_common`, so `report` can never drift from
-/// `compile`/`bench`; `--backend` selects the flow, `--program`
-/// includes the listing, and `--arrays` sets the lifetime projection's
-/// fleet size. [`report_argv`] is the exact inverse on canonical specs.
+/// BLIF path otherwise. The compile options are `--policy` and the
+/// option table's flags, the same vocabulary as `compile` and `bench`;
+/// `--backend` selects the flow, `--program` includes the listing, and
+/// `--arrays` sets the lifetime projection's fleet size. [`report_argv`]
+/// is the exact inverse on canonical specs.
 ///
 /// # Errors
 ///
 /// Returns a usage [`CliError`] for unknown flags or malformed values.
 pub fn parse_report_spec(args: &[String]) -> Result<JobSpec, CliError> {
-    // Split off the report-only flags, hand the rest to the shared
-    // compile-options parser.
+    let mut flags = CompileFlags::default();
     let mut backend = BackendKind::Rm3;
     let mut program = false;
     let mut arrays: Option<usize> = None;
-    let mut rest: Vec<String> = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-        };
-        match arg.as_str() {
-            "--backend" => {
-                let v = value_of("--backend")?;
-                backend = v.parse().map_err(CliError::usage)?;
-            }
-            "--arrays" => {
-                let v = value_of("--arrays")?;
-                let n: usize = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --arrays `{v}`")))?;
-                if n == 0 {
-                    return Err(CliError::usage("--arrays must be positive"));
-                }
-                arrays = Some(n);
-            }
+    let positional = walk(args, |arg, rest| {
+        match arg {
+            "--backend" => backend = value_of(arg, rest)?.parse().map_err(CliError::usage)?,
+            "--arrays" => arrays = Some(number(arg, rest)?),
             "--program" => program = true,
-            other => rest.push(other.to_string()),
+            _ => return flags.take(arg, rest),
         }
+        Ok(true)
+    })?;
+    if arrays == Some(0) {
+        return Err(CliError::usage("--arrays must be positive"));
     }
-    let opts = parse_common(&rest)?;
-    if opts.output.is_some() || opts.inputs.is_some() || opts.wear_map {
-        return Err(CliError::usage(
-            "report does not accept -o, --inputs or --wear-map",
-        ));
-    }
-    let [source] = opts.positional.as_slice() else {
+    let [source] = positional.as_slice() else {
         return Err(CliError::usage(
             "report needs exactly one benchmark name or BLIF path",
         ));
     };
-
-    let mut spec = JobSpec::named_benchmark(source).unwrap_or_else(|_| JobSpec::blif_path(source));
-    spec = spec
+    let mut spec = JobSpec::named_benchmark(source)
+        .unwrap_or_else(|_| JobSpec::blif_path(source))
         .with_backend(backend)
-        .with_options(opts.policy)
+        .with_options(flags.options()?)
         .with_program_text(program);
     if let Some(n) = arrays {
         spec = spec.with_projection_arrays(n);
@@ -447,35 +361,17 @@ pub fn report_argv(spec: &JobSpec) -> Result<Vec<String>, CliError> {
     let preset_name = options
         .preset_name()
         .ok_or_else(|| CliError::usage("options match no named policy preset"))?;
-    let preset = CompileOptions::preset(preset_name).expect("canonical name resolves");
     if preset_name != "endurance-aware" {
         argv.push("--policy".to_string());
         argv.push(preset_name.to_string());
     }
-    if options.effort != preset.effort {
-        argv.push("--effort".to_string());
-        argv.push(options.effort.to_string());
-    }
-    if let Some(w) = options.max_writes {
-        argv.push("--max-writes".to_string());
-        argv.push(w.to_string());
-    }
-    if options.peephole {
-        argv.push("--peephole".to_string());
-    }
-    if options.copy_reuse {
-        argv.push("--copy-reuse".to_string());
-    }
-    if options.esat {
-        argv.push("--esat".to_string());
-    }
-    if options.esat_nodes != rlim_compiler::DEFAULT_ESAT_NODES {
-        argv.push("--esat-nodes".to_string());
-        argv.push(options.esat_nodes.to_string());
-    }
-    if options.esat_iters != rlim_compiler::DEFAULT_ESAT_ITERS {
-        argv.push("--esat-iters".to_string());
-        argv.push(options.esat_iters.to_string());
+    for (flag, value) in options::off_preset(options) {
+        argv.push(flag.name().to_string());
+        match (flag, &value) {
+            (Flag::Switch(_), Json::Bool(true)) => {}
+            (Flag::Number(_), Json::UInt(n)) => argv.push(n.to_string()),
+            _ => return Err(CliError::usage(format!("{flag:?} cannot spell {value:?}"))),
+        }
     }
     if spec.backend() != BackendKind::Rm3 {
         argv.push("--backend".to_string());
@@ -491,46 +387,36 @@ pub fn report_argv(spec: &JobSpec) -> Result<Vec<String>, CliError> {
     Ok(argv)
 }
 
+/// The circuit interface, the `policy` echo lines and the headline
+/// metrics that open a compile's text output.
+fn headline(report: &Report, policy: &str) -> String {
+    let (r, c, w) = (report, &report.circuit, &report.writes);
+    format!(
+        "{}: {} PI / {} PO / {} gates\n{policy}\
+         compiled: {} instructions, {} cells, writes min={} max={} stdev={:.2}\n",
+        r.label, c.inputs, c.outputs, c.gates, r.instructions, r.rrams, w.min, w.max, w.stdev
+    )
+}
+
 /// Renders a report as human-readable text (the `--json` alternative).
 fn render_report_text(report: &Report) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{}: {} PI / {} PO / {} gates",
-        report.label, report.circuit.inputs, report.circuit.outputs, report.circuit.gates
+    // The policy echo: effort always, then every other flag off preset.
+    let o = &report.options;
+    let policy = o.preset_name().unwrap_or("custom");
+    let mut line = format!(
+        "backend {}, policy {policy}, effort {}",
+        report.backend, o.effort
     );
-    let policy = report.options.preset_name().unwrap_or("custom");
-    let _ = writeln!(
-        out,
-        "backend {}, policy {}, effort {}{}{}{}{}",
-        report.backend,
-        policy,
-        report.options.effort,
-        match report.options.max_writes {
-            Some(w) => format!(", max-writes {w}"),
-            None => String::new(),
-        },
-        if report.options.peephole {
-            ", peephole"
-        } else {
-            ""
-        },
-        if report.options.copy_reuse {
-            ", copy-reuse"
-        } else {
-            ""
-        },
-        if report.options.esat { ", esat" } else { "" }
-    );
-    let _ = writeln!(
-        out,
-        "compiled: {} instructions, {} cells, writes min={} max={} stdev={:.2}",
-        report.instructions,
-        report.rrams,
-        report.writes.min,
-        report.writes.max,
-        report.writes.stdev
-    );
+    for (flag, value) in options::off_preset(o) {
+        let name = &flag.name()[2..];
+        let _ = match value {
+            _ if name == "effort" => Ok(()),
+            Json::Bool(true) => write!(line, ", {name}"),
+            value => write!(line, ", {name} {}", value.render_compact()),
+        };
+    }
+    line.push('\n');
+    let mut out = headline(report, &line);
     let _ = writeln!(
         out,
         "lifetime: {} runs on one array, {} on a fleet of {} (endurance {} writes/cell)",
@@ -554,19 +440,13 @@ fn render_report_text(report: &Report) -> String {
 /// in the JSON rendering).
 fn cmd_report(args: &[String]) -> Result<String, CliError> {
     let mut json = false;
-    let mut remote: Option<String> = None;
+    let mut remote = None;
     let mut rest: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--remote" => {
-                remote = Some(
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| CliError::usage("--remote needs a value"))?,
-                );
-            }
+            "--remote" => remote = Some(value_of(arg, &mut it)?),
             other => rest.push(other.to_string()),
         }
     }
@@ -579,7 +459,7 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
             Ok(render_report_text(&report))
         };
     };
-    let mut client = rlim_daemon::Client::connect(addr.as_str())?;
+    let mut client = rlim_daemon::Client::connect(addr)?;
     match client.submit(&spec)? {
         rlim_daemon::Response::Report(line) => {
             if json {
@@ -621,31 +501,19 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
 fn cmd_serve(args: &[String]) -> Result<String, CliError> {
     let mut config = rlim_daemon::DaemonConfig::default();
     let mut watch_stdin = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-        };
-        let parse = |flag: &str, v: String| -> Result<usize, CliError> {
-            v.parse()
-                .map_err(|_| CliError::usage(format!("bad {flag} `{v}`")))
-        };
-        match arg.as_str() {
-            "--addr" => config.addr = value_of("--addr")?,
-            "--workers" => config.workers = parse("--workers", value_of("--workers")?)?,
-            "--queue-depth" => {
-                config.queue_depth = parse("--queue-depth", value_of("--queue-depth")?)?;
-            }
-            "--cache-capacity" => {
-                config.cache_capacity = parse("--cache-capacity", value_of("--cache-capacity")?)?;
-            }
+    let positional = walk(args, |arg, rest| {
+        match arg {
+            "--addr" => config.addr = value_of(arg, rest)?.to_string(),
+            "--workers" => config.workers = number(arg, rest)?,
+            "--queue-depth" => config.queue_depth = number(arg, rest)?,
+            "--cache-capacity" => config.cache_capacity = number(arg, rest)?,
             "--watch-stdin" => watch_stdin = true,
-            other => {
-                return Err(CliError::usage(format!("unknown serve argument `{other}`")));
-            }
+            _ => return Ok(false),
         }
+        Ok(true)
+    })?;
+    if let Some(other) = positional.first() {
+        return Err(CliError::usage(format!("unknown serve argument `{other}`")));
     }
     if config.queue_depth == 0 {
         return Err(CliError::usage("--queue-depth must be positive"));
@@ -707,71 +575,38 @@ fn cmd_daemon(args: &[String]) -> Result<String, CliError> {
 /// `rlim fleet`: run an alternating heavy/light workload of a built-in
 /// benchmark on a multi-crossbar fleet and report per-array wear.
 fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
-    use rlim_plim::DispatchPolicy;
-
-    let mut arrays = 4usize;
-    let mut jobs = 24usize;
-    let mut dispatch = DispatchPolicy::LeastWorn;
-    let mut write_budget: Option<u64> = None;
-    let mut simd = false;
+    let mut fleet = FleetSpec::new(4);
     let mut chaos = false;
     let mut fault_seed: Option<u64> = None;
     let mut no_recovery = false;
-    let mut effort = 5usize;
+    let mut compile = CompileFlags::default();
     let mut threads = std::env::var("RLIM_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(0);
-    let mut positional = Vec::new();
-
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value_of = |flag: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::usage(format!("{flag} needs a value")))
-        };
-        let parse = |flag: &str, v: String| -> Result<usize, CliError> {
-            v.parse()
-                .map_err(|_| CliError::usage(format!("bad {flag} `{v}`")))
-        };
-        match arg.as_str() {
-            "--arrays" => arrays = parse("--arrays", value_of("--arrays")?)?,
-            "--jobs" => jobs = parse("--jobs", value_of("--jobs")?)?,
-            "--effort" => effort = parse("--effort", value_of("--effort")?)?,
-            "--threads" => threads = parse("--threads", value_of("--threads")?)?,
+    let positional = walk(args, |arg, rest| {
+        match arg {
+            "--arrays" => fleet.arrays = number(arg, rest)?,
+            "--jobs" => fleet.jobs = number(arg, rest)?,
+            "--effort" => return compile.take(arg, rest),
+            "--threads" => threads = number(arg, rest)?,
             "--dispatch" => {
-                let v = value_of("--dispatch")?;
-                dispatch = v.parse().map_err(CliError::usage)?;
+                fleet.dispatch = value_of(arg, rest)?.parse().map_err(CliError::usage)?
             }
-            "--write-budget" => {
-                let v = value_of("--write-budget")?;
-                let w: u64 = v
-                    .parse()
-                    .map_err(|_| CliError::usage(format!("bad --write-budget `{v}`")))?;
-                if w == 0 {
-                    return Err(CliError::usage("--write-budget must be positive"));
-                }
-                write_budget = Some(w);
-            }
-            "--simd" => simd = true,
+            "--write-budget" => fleet.write_budget = Some(number(arg, rest)?),
+            "--simd" => fleet.simd = true,
             "--chaos" => chaos = true,
-            "--fault-seed" => {
-                let v = value_of("--fault-seed")?;
-                fault_seed = Some(
-                    v.parse()
-                        .map_err(|_| CliError::usage(format!("bad --fault-seed `{v}`")))?,
-                );
-            }
+            "--fault-seed" => fault_seed = Some(number(arg, rest)?),
             "--no-recovery" => no_recovery = true,
-            other if other.starts_with('-') => {
-                return Err(CliError::usage(format!("unknown flag `{other}`")));
-            }
-            other => positional.push(other.to_string()),
+            _ => return Ok(false),
         }
-    }
-    if arrays == 0 {
+        Ok(true)
+    })?;
+    if fleet.arrays == 0 {
         return Err(CliError::usage("--arrays must be positive"));
+    }
+    if fleet.write_budget == Some(0) {
+        return Err(CliError::usage("--write-budget must be positive"));
     }
     if (fault_seed.is_some() || no_recovery) && !chaos {
         return Err(CliError::usage(
@@ -783,21 +618,12 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
             "fleet needs exactly one benchmark name (see `rlim list`)",
         ));
     };
-    let mut fleet_spec = FleetSpec::new(arrays)
-        .with_jobs(jobs)
-        .with_dispatch(dispatch)
-        .with_simd(simd);
-    if let Some(w) = write_budget {
-        fleet_spec = fleet_spec.with_write_budget(w);
-    }
     if chaos {
-        fleet_spec = fleet_spec
-            .with_chaos(ChaosSpec::new(fault_seed.unwrap_or(0)).with_recovery(!no_recovery));
+        fleet.chaos = Some(ChaosSpec::new(fault_seed.unwrap_or(0)).with_recovery(!no_recovery));
     }
-    let spec = JobSpec::named_benchmark(name)
-        .map_err(|e| CliError::usage(format!("{e}; see `rlim list`")))?
-        .with_options(CompileOptions::endurance_aware().with_effort(effort))
-        .with_fleet(fleet_spec);
+    let spec = benchmark_spec(name)?
+        .with_options(compile.options()?)
+        .with_fleet(fleet);
     let report = Service::new()
         .with_threads(threads)
         .run(&spec)
@@ -817,7 +643,8 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{name}: fleet of {arrays} arrays, {} dispatch{}, {} jobs (alternating naive / endurance-aware)",
+        "{name}: fleet of {} arrays, {} dispatch{}, {} jobs (alternating naive / endurance-aware)",
+        fleet.arrays,
         fleet.dispatch,
         if fleet.simd { " (simd)" } else { "" },
         fleet.jobs
@@ -837,12 +664,12 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
         );
     }
     let _ = writeln!(out, "fleet: {}", fleet.wear);
-    if write_budget.is_some() {
+    if let Some(remaining) = fleet.remaining_jobs {
         let _ = writeln!(
             out,
             "budget: {} arrays retired, capacity for {} more heavy jobs (first retirement within {})",
             fleet.retired,
-            fleet.remaining_jobs.expect("budget configured"),
+            remaining,
             fleet.first_retirement_horizon.expect("budget configured"),
         );
     }
@@ -875,15 +702,19 @@ fn load_program(path: &str) -> Result<Program, CliError> {
 }
 
 fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_common(args)?;
-    let [path] = opts.positional.as_slice() else {
+    let mut bits = None;
+    let positional = walk(args, |arg, rest| {
+        if arg != "--inputs" {
+            return Ok(false);
+        }
+        bits = Some(value_of(arg, rest)?);
+        Ok(true)
+    })?;
+    let [path] = positional.as_slice() else {
         return Err(CliError::usage("run needs exactly one .plim file"));
     };
     let program = load_program(path)?;
-    let bits = opts
-        .inputs
-        .as_deref()
-        .ok_or_else(|| CliError::usage("run needs --inputs <bits>"))?;
+    let bits = bits.ok_or_else(|| CliError::usage("run needs --inputs <bits>"))?;
     let inputs: Vec<bool> = bits
         .chars()
         .map(|c| match c {
@@ -907,8 +738,13 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_common(args)?;
-    let [path] = opts.positional.as_slice() else {
+    let mut wear_map = false;
+    let positional = walk(args, |arg, _| {
+        let known = arg == "--wear-map";
+        wear_map |= known;
+        Ok(known)
+    })?;
+    let [path] = positional.as_slice() else {
         return Err(CliError::usage("stats needs exactly one .plim file"));
     };
     let program = load_program(path)?;
@@ -928,7 +764,7 @@ fn cmd_stats(args: &[String]) -> Result<String, CliError> {
         "writes: min={} max={} mean={:.2} stdev={:.2}",
         stats.min, stats.max, stats.mean, stats.stdev
     );
-    if opts.wear_map {
+    if wear_map {
         let map = WearMap::square(counts);
         let _ = write!(out, "{map}");
     }
@@ -1168,6 +1004,66 @@ mod tests {
     }
 
     #[test]
+    fn compile_flags_belong_to_the_commands_that_compile() {
+        let blif_path = write_temp(
+            "scope.blif",
+            ".inputs a b\n.outputs f\n.names a b f\n11 1\n",
+        );
+        let plim_path = write_temp("scope.plim", "");
+        run_str(&["compile", &blif_path, "-o", &plim_path]).unwrap();
+        let code = |args: &[&str]| run_str(args).unwrap_err().code;
+        // run and stats take their own flags only…
+        let stats = &["stats", &plim_path];
+        let err = run_str(&[stats, &["--esat", "--copy-reuse", "--max-writes", "5"][..]].concat());
+        assert_eq!(err.unwrap_err().message, "unknown flag `--esat`");
+        assert_eq!(code(&[stats, &["--max-writes", "2"][..]].concat()), 2);
+        assert_eq!(code(&[stats, &["--policy", "yolo"][..]].concat()), 2);
+        assert_eq!(
+            code(&["run", &plim_path, "--inputs", "11", "--peephole"]),
+            2
+        );
+        // …and compile and bench take none of theirs.
+        assert_eq!(
+            code(&["compile", &blif_path, "--wear-map", "--inputs", "0"]),
+            2
+        );
+        assert_eq!(code(&["bench", "dec", "--inputs", "0"]), 2);
+        assert_eq!(code(&["bench", "dec", "--wear-map"]), 2);
+        // fleet sets the effort through the effort row, and nothing else.
+        assert_eq!(code(&["fleet", "ctrl", "--effort", "x"]), 2);
+        assert_eq!(code(&["fleet", "ctrl", "--peephole"]), 2);
+        assert_eq!(code(&["fleet", "ctrl", "--policy", "naive"]), 2);
+        let out = run_str(&[
+            "fleet", "ctrl", "--arrays", "2", "--jobs", "2", "--effort", "1",
+        ]);
+        assert!(out.unwrap().contains("fleet of 2 arrays"));
+        remove_temp(&blif_path);
+        remove_temp(&plim_path);
+    }
+
+    #[test]
+    fn usage_names_every_option_flag_and_preset() {
+        for command in ["compile", "bench", "report"] {
+            let block = USAGE
+                .split("\n  rlim ")
+                .find(|block| block.starts_with(command))
+                .expect(command);
+            for flag in options::OPTIONS.iter().filter_map(|row| row.flag) {
+                let spelled = match flag {
+                    Flag::Switch(name) => format!("[{name}]"),
+                    Flag::Number(name) => format!("[{name} "),
+                };
+                assert!(
+                    block.contains(&spelled),
+                    "`{command}` usage lacks {spelled}"
+                );
+            }
+        }
+        let presets = CompileOptions::preset_names().join(" | ");
+        assert!(USAGE.contains(&format!("policies: {presets} (default)")));
+    }
+
+    #[test]
     fn run_checks_input_arity_and_bits() {
         let plim_path = write_temp(
             "arity.plim",
@@ -1221,7 +1117,25 @@ mod tests {
     #[test]
     fn report_esat_flag_reaches_the_policy_line() {
         let text = run_str(&["report", "int2float", "--esat", "--esat-iters", "2"]).unwrap();
-        assert!(text.contains(", esat"), "{text}");
+        assert!(text.contains(", esat, esat-iters 2\n"), "{text}");
+        // Budgets off their defaults are echoed; defaults are not.
+        let args = [
+            "report",
+            "ctrl",
+            "--esat",
+            "--esat-nodes",
+            "2000",
+            "--esat-iters",
+            "2",
+        ];
+        let text = run_str(&args).unwrap();
+        let line = text.lines().nth(1).unwrap();
+        assert_eq!(
+            line,
+            "backend rm3, policy endurance-aware, effort 5, esat, esat-nodes 2000, esat-iters 2"
+        );
+        let text = run_str(&["report", "ctrl", "--esat"]).unwrap();
+        assert!(text.contains(", effort 5, esat\n"), "{text}");
         let off = run_str(&["report", "int2float"]).unwrap();
         assert!(!off.contains("esat"), "{off}");
 

@@ -81,8 +81,8 @@ impl std::str::FromStr for Selection {
 
 /// Full compiler configuration.
 ///
-/// The constructors mirror the columns of the paper's Table I (see
-/// `DESIGN.md` §3.6 for the mapping).
+/// The constructors mirror the columns of the paper's Table I (the
+/// mapping is in ARCHITECTURE.md, "Where the paper's algorithms live").
 ///
 /// # Examples
 ///
@@ -322,9 +322,10 @@ impl CompileOptions {
     /// The canonical name of the preset this configuration is based on,
     /// judged by the technique triple (rewriting algorithm, selection,
     /// allocation) — the knobs that define the paper's columns. Effort,
-    /// write budget and the peephole pass are per-run modifiers and do not
-    /// affect the answer. Returns `None` for hand-rolled combinations that
-    /// match no column.
+    /// write budget, the peephole pass, copy-reuse, equality saturation
+    /// and its two budgets are per-run modifiers and do not affect the
+    /// answer. Returns `None` for hand-rolled combinations that match no
+    /// column.
     pub fn preset_name(&self) -> Option<&'static str> {
         Self::preset_names().iter().copied().find(|name| {
             let p = Self::preset(name).expect("every canonical name resolves");

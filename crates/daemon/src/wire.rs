@@ -24,9 +24,9 @@
 
 use std::fmt::Display;
 
-use rlim_compiler::CompileOptions;
 use rlim_rram::WriteStats;
 use rlim_service::json::{self, Fields, Json};
+use rlim_service::options;
 use rlim_service::{
     BackendKind, ChaosSpec, CircuitSummary, Error, FleetSpec, JobSpec, LifetimeProjection, Report,
     Source,
@@ -38,20 +38,6 @@ use crate::metrics::{Health, MetricsSnapshot};
 /// report's `fault` section: median at 1, spreads at 4).
 const MEDIAN_PRECISION: usize = 1;
 const SIGMA_PRECISION: usize = 4;
-
-/// The keys of the wire's `options` object.
-const OPTION_KEYS: [&str; 10] = [
-    "rewriting",
-    "effort",
-    "selection",
-    "allocation",
-    "max_writes",
-    "peephole",
-    "copy_reuse",
-    "esat",
-    "esat_nodes",
-    "esat_iters",
-];
 
 /// One request line, decoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,21 +117,6 @@ fn exact(value: f64, precision: usize, path: impl Display) -> Result<f64, String
 
 // ---- spec encoding ------------------------------------------------------
 
-fn options_json(o: &CompileOptions) -> Json {
-    Json::object([
-        ("rewriting", Json::from(o.rewriting.map(|a| a.name()))),
-        ("effort", Json::from(o.effort)),
-        ("selection", Json::from(o.selection.name())),
-        ("allocation", Json::from(o.allocation.name())),
-        ("max_writes", Json::from(o.max_writes)),
-        ("peephole", Json::from(o.peephole)),
-        ("copy_reuse", Json::from(o.copy_reuse)),
-        ("esat", Json::from(o.esat)),
-        ("esat_nodes", Json::from(o.esat_nodes as u64)),
-        ("esat_iters", Json::from(o.esat_iters as u64)),
-    ])
-}
-
 fn chaos_json(c: &ChaosSpec) -> Result<Json, String> {
     let float = |key: &str, value: f64, precision: usize| {
         exact(value, precision, format_args!("chaos.{key}")).map(|v| Json::float(v, precision))
@@ -193,7 +164,7 @@ fn spec_json(spec: &JobSpec, source: Option<Json>, backend: &str) -> Result<Json
     fields.extend(source.map(|source| ("source", source)));
     fields.extend([
         ("backend", Json::from(backend)),
-        ("options", options_json(spec.options())),
+        ("options", options::to_json(spec.options())),
         ("fleet", Json::from(fleet)),
         ("program", Json::from(spec.includes_program())),
         ("projection_arrays", Json::from(spec.projection_arrays())),
@@ -255,32 +226,6 @@ pub fn encode_request(request: &Request) -> Result<String, Error> {
 
 // ---- spec decoding ------------------------------------------------------
 
-/// Decodes an `options` object, or a report's `policy` block, which
-/// carries the same keys plus the `extra` ones.
-fn decode_options(o: &Fields<'_>, extra: &[&str]) -> Result<CompileOptions, String> {
-    o.expect_keys(&[&OPTION_KEYS[..], extra].concat())?;
-    let max_writes = o.opt("max_writes", |j, path| json::as_u64(j, path))?;
-    if max_writes.is_some_and(|w| w < 3) {
-        return Err(format!("{} must be at least 3", o.path("max_writes")));
-    }
-    let esat_budget = |key: &str| match u32::try_from(o.u64(key)?) {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{} must be a positive 32-bit value", o.path(key))),
-    };
-    Ok(CompileOptions {
-        rewriting: o.opt("rewriting", |j, path| json::as_str(j, path)?.parse())?,
-        effort: o.usize("effort")?,
-        selection: o.str("selection")?.parse()?,
-        allocation: o.str("allocation")?.parse()?,
-        max_writes,
-        peephole: o.bool("peephole")?,
-        copy_reuse: o.bool("copy_reuse")?,
-        esat: o.bool("esat")?,
-        esat_nodes: esat_budget("esat_nodes")?,
-        esat_iters: esat_budget("esat_iters")?,
-    })
-}
-
 fn decode_chaos(c: &Fields<'_>) -> Result<ChaosSpec, String> {
     c.expect_keys(&[
         "fault_seed",
@@ -339,7 +284,7 @@ fn decode_job(s: &Fields<'_>, spec: JobSpec) -> Result<JobSpec, String> {
     }
     let spec = spec
         .with_backend(s.str("backend")?.parse()?)
-        .with_options(decode_options(&s.object("options")?, &[])?)
+        .with_options(options::decode(&s.object("options")?, &[])?)
         .with_program_text(s.bool("program")?)
         .with_projection_arrays(projection_arrays);
     Ok(
@@ -552,7 +497,7 @@ fn decode_report(doc: &Json) -> Result<Report, String> {
     Ok(Report {
         label: r.str("label")?.to_string(),
         backend: backend.name(),
-        options: decode_options(&r.object("policy")?, &["preset"])?,
+        options: options::decode(&r.object("policy")?, &["preset"])?,
         circuit: CircuitSummary {
             inputs: circuit.usize("inputs")?,
             outputs: circuit.usize("outputs")?,
@@ -588,6 +533,7 @@ fn decode_report(doc: &Json) -> Result<Report, String> {
 mod tests {
     use super::*;
     use rlim_benchmarks::Benchmark;
+    use rlim_compiler::CompileOptions;
     use rlim_plim::DispatchPolicy;
     use rlim_service::Service;
 

@@ -1,4 +1,4 @@
-//! Ablation study (DESIGN.md §7): isolates each design choice by sweeping
+//! Ablation study: isolates each design choice by sweeping
 //! the full grid of {rewriting} × {node selection} × {allocation} instead
 //! of the paper's incremental stack. Shows which technique contributes
 //! what, independent of the order the paper adds them in.

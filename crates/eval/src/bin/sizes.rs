@@ -1,6 +1,6 @@
 //! Prints the size profile of every benchmark — gates, naive-compiled
 //! instruction/cell counts — next to the paper's Table II reference values,
-//! for calibrating the synthetic profiles (DESIGN.md §4).
+//! for calibrating the synthetic profiles (see `rlim_benchmarks::synthetic`).
 
 use rlim_benchmarks::Benchmark;
 use rlim_eval::{Column, Measurement, RunPlan, TextTable};

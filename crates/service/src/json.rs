@@ -693,6 +693,11 @@ impl<'a> Fields<'a> {
         }
     }
 
+    /// The path naming this object in error messages.
+    pub fn name(&self) -> &str {
+        &self.path
+    }
+
     /// The path of the value under `key`, for a caller's own messages.
     pub fn path(&self, key: &str) -> String {
         format!("{}.{key}", self.path)

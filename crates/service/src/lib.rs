@@ -41,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod options;
 
 mod error;
 mod report;

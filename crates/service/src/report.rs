@@ -3,7 +3,6 @@
 //! stable JSON serialization.
 
 use rlim_compiler::CompileOptions;
-use rlim_mig::rewrite::Algorithm;
 use rlim_plim::ArrayStats;
 use rlim_rram::{FleetWriteStats, WriteStats};
 
@@ -195,20 +194,7 @@ impl Report {
     /// wall-clock timings are deliberately excluded so serial and
     /// parallel batch runs serialize byte-identically).
     pub fn to_json(&self) -> Json {
-        let o = &self.options;
-        let policy = Json::object([
-            ("preset", Json::from(o.preset_name())),
-            ("rewriting", Json::from(o.rewriting.map(Algorithm::name))),
-            ("selection", Json::from(o.selection.name())),
-            ("allocation", Json::from(o.allocation.name())),
-            ("effort", Json::from(o.effort)),
-            ("max_writes", Json::from(o.max_writes)),
-            ("peephole", Json::from(o.peephole)),
-            ("copy_reuse", Json::from(o.copy_reuse)),
-            ("esat", Json::from(o.esat)),
-            ("esat_nodes", Json::from(o.esat_nodes as u64)),
-            ("esat_iters", Json::from(o.esat_iters as u64)),
-        ]);
+        let policy = crate::options::policy_json(&self.options);
         let circuit = Json::object([
             ("inputs", Json::from(self.circuit.inputs)),
             ("outputs", Json::from(self.circuit.outputs)),

@@ -1,7 +1,7 @@
 //! End-to-end functional equivalence: for every benchmark × configuration,
 //! the compiled PLiM program executed on the crossbar machine must compute
 //! the same outputs as direct MIG evaluation — the load-bearing invariant
-//! of the whole reproduction (DESIGN.md §7).
+//! of the whole reproduction (README.md, "Verification").
 //!
 //! Coverage is delegated to `rlim-testkit`: circuits with few enough
 //! inputs are proven over their **entire truth table** (MIG ≡ RM3 ≡ IMPLY
