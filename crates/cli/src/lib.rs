@@ -466,7 +466,7 @@ fn cmd_report(args: &[String]) -> Result<String, CliError> {
                 // Re-render the wire line pretty: the parser preserves
                 // key order and float precision, so this matches the
                 // in-process rendering byte for byte (modulo `cached`).
-                let mut out = line.json.render();
+                let mut out = line.json()?.render();
                 out.push('\n');
                 Ok(out)
             } else {

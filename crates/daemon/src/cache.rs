@@ -1,4 +1,4 @@
-//! The daemon's compile cache: finished [`Report`]s keyed by the full
+//! The daemon's compile cache: finished report lines keyed by the full
 //! semantic identity of a job.
 //!
 //! The key is the Strash fingerprint of the source graph followed by the
@@ -11,8 +11,8 @@
 //! * **Backend-class sharing.** `rm3`, `hosted-rm3` and `rm3-wide`
 //!   execute the same compiled program, so they share one entry, exactly
 //!   as [`rlim_service::Service::run_batch`]'s in-batch dedup shares one
-//!   compile. The report's `label` and `backend` fields are overridden
-//!   per request on a hit.
+//!   compile. The report's `label` and `backend` fields are written per
+//!   request on a hit.
 //! * **Source-identity, not source-spelling.** The fingerprint hashes
 //!   the graph structure ([`rlim_mig::Mig::fingerprint`]), so a BLIF
 //!   file that parses to the same graph as a named benchmark hits the
@@ -24,12 +24,22 @@
 //!   precision (see [`crate::wire`]), so equal key bytes mean an equal
 //!   fault model.
 //!
+//! An entry is a [`CachedReply`]: the miss's compact reply line, rendered
+//! once and shared with the connection that asked for it. A hit splices
+//! its own `label` and `backend` onto the stored body and ends it with
+//! `"cached":true`, so serving it costs one copy of the line.
+//!
 //! Eviction is least-recently-used over a bounded entry count, with
-//! hit/miss/eviction counters surfaced through the `metrics` verb.
+//! hit/miss/eviction counters surfaced through the `metrics` verb. The
+//! recency order is a doubly linked list threaded through the entry
+//! slots, so lookups, inserts and evictions are O(1).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
+use std::sync::Arc;
 
-use rlim_service::{Error, JobSpec, Report};
+use rlim_service::json;
+use rlim_service::{Error, JobSpec, Report, REPORT_SCHEMA_VERSION};
 
 use crate::wire;
 
@@ -65,26 +75,120 @@ pub fn cache_key(fingerprint: u128, spec: &JobSpec) -> Result<String, Error> {
     ))
 }
 
-/// The bounded LRU report cache. Not internally synchronized — the
-/// daemon wraps it in a `Mutex` and keeps compiles outside the lock.
+/// The tail of a miss's reply line, newline included.
+const MISS_TAIL: &str = "\"cached\":false}\n";
+/// The tail a hit puts in its place.
+const HIT_TAIL: &str = "\"cached\":true}\n";
+
+/// Appends a report line's head: every field before `policy`, the only
+/// ones besides `cached` that differ between requests sharing an entry.
+fn write_head(out: &mut String, label: &str, backend: &str) {
+    let _ = write!(
+        out,
+        "{{\"schema\":{REPORT_SCHEMA_VERSION},\"label\":{},\"backend\":{}",
+        json::escape(label),
+        json::escape(backend)
+    );
+}
+
+/// A miss's rendered reply line, shared between the cache and the
+/// connection that asked for it, with the offset where its body starts.
+///
+/// A compact report line is laid out as the head (`schema`, `label`,
+/// `backend`), the body (from `,"policy":` through `"fleet":…,`) and
+/// the tail `"cached":false}`. The body depends only on the cache key,
+/// so [`CachedReply::splice`] answers any request sharing the key by
+/// writing that request's head around a copy of it.
+#[derive(Debug, Clone)]
+pub struct CachedReply {
+    line: Arc<String>,
+    body: usize,
+}
+
+impl CachedReply {
+    /// Renders a freshly compiled `report` as a reply line (with its
+    /// trailing newline) and records where the body starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `report` is marked `cached` (only a miss fills an
+    /// entry), or if its line does not open with `schema`, `label` and
+    /// `backend` and close with `cached`, the layout a hit splices into.
+    pub fn render(report: &Report) -> Self {
+        assert!(!report.cached, "only a compiled report fills an entry");
+        let mut line = report.to_json().render_compact();
+        line.push('\n');
+        // An entry outlives many requests: drop the render's growth slack
+        // (glibc's realloc shrinks a block in place).
+        line.shrink_to_fit();
+        let mut head = String::new();
+        write_head(&mut head, &report.label, report.backend);
+        // The layout is `Report::to_json`'s key order; a reorder there
+        // must fail here, not corrupt every later hit.
+        assert!(
+            line.starts_with(&head) && line.ends_with(MISS_TAIL),
+            "a report line starts with schema, label and backend and ends with cached"
+        );
+        CachedReply {
+            line: Arc::new(line),
+            body: head.len(),
+        }
+    }
+
+    /// The miss's own reply line, newline included.
+    pub fn line(&self) -> &Arc<String> {
+        &self.line
+    }
+
+    /// The reply line for a request `spec` sharing this entry: the
+    /// spec's own `label` and `backend`, this entry's body, and
+    /// `"cached":true`. Equals the miss's report re-personalized for the
+    /// request and rendered with `render_compact`, plus the newline.
+    pub fn splice(&self, spec: &JobSpec) -> String {
+        let label = spec.label();
+        let body = &self.line[self.body..self.line.len() - MISS_TAIL.len()];
+        let mut out = String::with_capacity(label.len() + body.len() + 64);
+        write_head(&mut out, &label, spec.backend().name());
+        out.push_str(body);
+        out.push_str(HIT_TAIL);
+        out
+    }
+}
+
+/// Marks the ends of the recency list.
+const NIL: usize = usize::MAX;
+
+/// The bounded LRU reply cache. Not internally synchronized — the
+/// daemon wraps it in a `Mutex` and keeps compiles and renders outside
+/// the lock.
 #[derive(Debug)]
 pub struct ReportCache {
-    entries: HashMap<String, Entry>,
+    /// Key → index into `slots`.
+    index: HashMap<String, usize>,
+    /// At most `capacity` entries; an evicted slot is reused in place.
+    slots: Vec<Slot>,
+    /// Most recently used slot (`NIL` when empty).
+    newest: usize,
+    /// Least recently used slot, the next victim (`NIL` when empty).
+    oldest: usize,
     capacity: usize,
-    tick: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
 #[derive(Debug)]
-struct Entry {
-    report: Report,
-    last_used: u64,
+struct Slot {
+    key: String,
+    reply: CachedReply,
+    /// The next more recently used slot.
+    newer: usize,
+    /// The next less recently used slot.
+    older: usize,
 }
 
 impl ReportCache {
-    /// A cache holding at most `capacity` reports.
+    /// A cache holding at most `capacity` replies.
     ///
     /// # Panics
     ///
@@ -92,9 +196,11 @@ impl ReportCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be at least 1");
         ReportCache {
-            entries: HashMap::new(),
+            index: HashMap::new(),
+            slots: Vec::new(),
+            newest: NIL,
+            oldest: NIL,
             capacity,
-            tick: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -102,68 +208,110 @@ impl ReportCache {
     }
 
     /// Looks `key` up, counting a hit (and refreshing recency) or a
-    /// miss. The returned report is the entry as inserted — the caller
-    /// overrides `label`/`backend`/`cached` for the requesting spec.
-    pub fn lookup(&mut self, key: &str) -> Option<Report> {
-        self.tick += 1;
-        match self.entries.get_mut(key) {
-            Some(entry) => {
-                entry.last_used = self.tick;
-                self.hits += 1;
-                Some(entry.report.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+    /// miss. The returned entry answers the requesting spec through
+    /// [`CachedReply::splice`].
+    pub fn lookup(&mut self, key: &str) -> Option<CachedReply> {
+        let hit = self.hit(key);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
+    }
+
+    /// Looks `key` up, counting and refreshing a hit but counting no
+    /// miss: for a probe whose absence a later [`ReportCache::lookup`]
+    /// of the same key will count.
+    pub fn hit(&mut self, key: &str) -> Option<CachedReply> {
+        let slot = *self.index.get(key)?;
+        self.touch(slot);
+        self.hits += 1;
+        Some(self.slots[slot].reply.clone())
     }
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one when at capacity.
-    pub fn insert(&mut self, key: String, report: Report) {
-        self.tick += 1;
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            let victim = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-                .expect("a full cache has a least-recently-used entry");
-            self.entries.remove(&victim);
-            self.evictions += 1;
+    pub fn insert(&mut self, key: String, reply: CachedReply) {
+        if let Some(&slot) = self.index.get(&key) {
+            self.slots[slot].reply = reply;
+            self.touch(slot);
+            return;
         }
-        self.entries.insert(
-            key,
-            Entry {
-                report,
-                last_used: self.tick,
-            },
-        );
+        let slot = if self.slots.len() < self.capacity {
+            self.slots.push(Slot {
+                key: key.clone(),
+                reply,
+                newer: NIL,
+                older: NIL,
+            });
+            self.slots.len() - 1
+        } else {
+            let victim = self.oldest;
+            self.unlink(victim);
+            let old = std::mem::replace(&mut self.slots[victim].key, key.clone());
+            self.index.remove(&old);
+            self.slots[victim].reply = reply;
+            self.evictions += 1;
+            victim
+        };
+        self.push_newest(slot);
+        self.index.insert(key, slot);
     }
 
     /// The current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            entries: self.entries.len(),
+            entries: self.index.len(),
             capacity: self.capacity,
             hits: self.hits,
             misses: self.misses,
             evictions: self.evictions,
         }
     }
+
+    /// Moves a linked slot to the most recently used end.
+    fn touch(&mut self, slot: usize) {
+        if self.newest != slot {
+            self.unlink(slot);
+            self.push_newest(slot);
+        }
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Slot { newer, older, .. } = self.slots[slot];
+        match newer {
+            NIL => self.newest = older,
+            n => self.slots[n].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            o => self.slots[o].newer = newer,
+        }
+    }
+
+    fn push_newest(&mut self, slot: usize) {
+        self.slots[slot].newer = NIL;
+        self.slots[slot].older = self.newest;
+        match self.newest {
+            NIL => self.oldest = slot,
+            n => self.slots[n].newer = slot,
+        }
+        self.newest = slot;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rlim_benchmarks::Benchmark;
+    use rlim_compiler::CompileOptions;
     use rlim_service::{BackendKind, ChaosSpec, FleetSpec, Service};
 
-    fn report() -> Report {
-        Service::new()
+    fn reply() -> CachedReply {
+        let report = Service::new()
             .run(&JobSpec::benchmark(Benchmark::Ctrl))
-            .unwrap()
+            .unwrap();
+        CachedReply::render(&report)
     }
 
     fn key(fingerprint: u128, spec: &JobSpec) -> String {
@@ -271,7 +419,7 @@ mod tests {
     #[test]
     fn lru_eviction_and_counters() {
         let mut cache = ReportCache::new(2);
-        let r = report();
+        let r = reply();
         assert!(cache.lookup("a").is_none());
         cache.insert("a".into(), r.clone());
         cache.insert("b".into(), r.clone());
@@ -289,5 +437,130 @@ mod tests {
         cache.insert("a".into(), r);
         assert_eq!(cache.stats().evictions, 1);
         assert_eq!(cache.stats().entries, 2);
+    }
+
+    #[test]
+    fn probes_count_hits_but_never_misses() {
+        let mut cache = ReportCache::new(2);
+        assert!(cache.hit("a").is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 0));
+        cache.insert("a".into(), reply());
+        cache.insert("b".into(), reply());
+        assert!(cache.hit("a").is_some(), "a probe refreshes recency");
+        cache.insert("c".into(), reply());
+        assert!(cache.hit("b").is_none(), "b was least recently used");
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 0));
+    }
+
+    /// The cache as it was before the recency list: a tick per access
+    /// and a scan for the oldest entry on every eviction.
+    #[derive(Default)]
+    struct ScanLru {
+        last_used: HashMap<u8, u64>,
+        tick: u64,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The linked recency order evicts exactly what a full scan for
+        /// the least recently used entry would.
+        #[test]
+        fn eviction_order_matches_a_full_scan(
+            capacity in 1usize..6,
+            ops in proptest::collection::vec((any::<bool>(), 0u8..10), 0..80),
+        ) {
+            let entry = reply();
+            let mut cache = ReportCache::new(capacity);
+            let mut model = ScanLru::default();
+            for (insert, k) in ops {
+                model.tick += 1;
+                let key = k.to_string();
+                if insert {
+                    if !model.last_used.contains_key(&k) && model.last_used.len() >= capacity {
+                        let victim = *model.last_used.iter().min_by_key(|(_, t)| **t).unwrap().0;
+                        model.last_used.remove(&victim);
+                    }
+                    model.last_used.insert(k, model.tick);
+                    cache.insert(key, entry.clone());
+                } else {
+                    let hit = model.last_used.get_mut(&k).map(|t| *t = model.tick).is_some();
+                    prop_assert_eq!(cache.lookup(&key).is_some(), hit);
+                }
+                prop_assert_eq!(cache.stats().entries, model.last_used.len());
+            }
+        }
+    }
+
+    /// Labels as BLIF paths that need escaping: quotes, backslashes,
+    /// control bytes and non-ASCII between plain runs.
+    fn label_strategy() -> impl Strategy<Value = String> {
+        proptest::collection::vec(
+            prop_oneof![
+                Just('"'),
+                Just('\\'),
+                (1u8..0x20).prop_map(char::from),
+                Just('\u{7f}'),
+                Just('é'),
+                Just('Ω'),
+                Just('\u{1d11e}'),
+                (0x20u8..0x7f).prop_map(char::from),
+            ],
+            0..24,
+        )
+        .prop_map(|chars| format!("/tmp/{}.blif", chars.into_iter().collect::<String>()))
+    }
+
+    const BACKENDS: [BackendKind; 4] = [
+        BackendKind::Rm3,
+        BackendKind::HostedRm3,
+        BackendKind::WideRm3,
+        BackendKind::Imp,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// A spliced hit is byte-identical to the miss's report
+        /// personalized for the hit's request and rendered whole.
+        #[test]
+        fn spliced_hits_equal_personalized_renders(
+            bench in prop_oneof![Just(Benchmark::Ctrl), Just(Benchmark::Int2float), Just(Benchmark::Dec)],
+            preset in 0usize..5,
+            backend in 0usize..4,
+            program in any::<bool>(),
+            fleet in prop_oneof![Just(None), Just(Some(false)), Just(Some(true))],
+            miss_label in label_strategy(),
+            hit_label in label_strategy(),
+        ) {
+            let options = CompileOptions::preset(CompileOptions::preset_names()[preset])
+                .expect("a listed preset");
+            let mut spec = JobSpec::benchmark(bench)
+                .with_backend(BACKENDS[backend])
+                .with_options(options)
+                .with_program_text(program);
+            // Fleets execute RM3 programs only.
+            if let Some(chaos) = fleet.filter(|_| BACKENDS[backend] != BackendKind::Imp) {
+                let fleet = FleetSpec::new(2).with_jobs(4);
+                spec = spec.with_fleet(if chaos { fleet.with_chaos(ChaosSpec::new(3)) } else { fleet });
+            }
+            let mut report = Service::new().with_threads(1).run(&spec).unwrap();
+            report.label = miss_label;
+            let entry = CachedReply::render(&report);
+            prop_assert_eq!(
+                entry.line().as_str(),
+                format!("{}\n", report.to_json().render_compact())
+            );
+            for hit_backend in BACKENDS {
+                let hit = JobSpec::blif_path(&hit_label).with_backend(hit_backend);
+                report.label = hit.label();
+                report.backend = hit_backend.name();
+                report.cached = true;
+                prop_assert_eq!(
+                    entry.splice(&hit),
+                    format!("{}\n", report.to_json().render_compact())
+                );
+            }
+        }
     }
 }

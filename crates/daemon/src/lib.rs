@@ -13,15 +13,17 @@
 //!
 //! * [`serve`] binds a [`std::net::TcpListener`] (port 0 for an
 //!   ephemeral port) and spawns an acceptor plus a worker pool;
-//! * connection threads decode request lines and `try_push` jobs onto a
+//! * a [`ReportCache`] keyed by [`cache_key`] — the source graph's
+//!   structural fingerprint plus the spec's canonical wire encoding,
+//!   with the source dropped and the backend replaced by its compile
+//!   class — holds each miss's rendered reply line, so repeat jobs are
+//!   answered byte-identically (modulo the report's `cached` flag)
+//!   without recompiling or re-rendering;
+//! * connection threads decode request lines, answer a hit on a known
+//!   benchmark themselves, and `try_push` every other job onto a
 //!   [`BoundedQueue`] — a full queue answers `rejected` immediately
 //!   (admission control) without disturbing in-flight work;
-//! * workers drain the queue through a [`ReportCache`] keyed by
-//!   [`cache_key`] — the source graph's structural fingerprint plus the
-//!   spec's canonical wire encoding, with the source dropped and the
-//!   backend replaced by its compile class — so repeat jobs are
-//!   answered byte-identically (modulo the report's `cached` flag)
-//!   without recompiling;
+//! * workers drain the queue, compiling misses into the cache;
 //! * the `shutdown` verb (or a [`ShutdownTrigger`]) stops accepting,
 //!   drains the queue and lets [`DaemonHandle::join`] return the final
 //!   counters for a clean exit 0.
@@ -39,7 +41,7 @@ pub mod queue;
 pub mod server;
 pub mod wire;
 
-pub use cache::{cache_key, CacheStats, ReportCache};
+pub use cache::{cache_key, CacheStats, CachedReply, ReportCache};
 pub use client::Client;
 pub use metrics::{Health, MetricsSnapshot};
 pub use queue::{BoundedQueue, PushError};

@@ -4,12 +4,18 @@
 //! ## Thread layout
 //!
 //! * one **acceptor** owning the [`TcpListener`];
-//! * one reader thread per live **connection**, answering `metrics` /
-//!   `healthz` / `shutdown` inline and pushing `job` requests onto the
-//!   queue (a connection therefore has at most one job in flight);
-//! * `N` **workers** blocking on the queue, each running jobs through a
-//!   single-threaded [`Service`] — the worker pool is the parallelism
-//!   axis, exactly like a batch run's per-spec axis.
+//! * one reader thread per live **connection**, reading request lines
+//!   of at most 1 MiB (`MAX_REQUEST_LINE`) and answering `metrics` /
+//!   `healthz` / `shutdown` inline. It answers a `job` inline too when
+//!   the job is a cache hit whose key it can derive without a build (a
+//!   benchmark some earlier job built): it splices the stored reply and
+//!   never waits behind a worker's miss. Every other job goes onto the
+//!   queue with its key, if derived (a connection therefore has at most
+//!   one job in flight);
+//! * `N` **workers** blocking on the queue, each looking a job up once
+//!   more (it may have been filled while queued) and compiling misses
+//!   through a single-threaded [`Service`] — the worker pool is the
+//!   parallelism axis, exactly like a batch run's per-spec axis.
 //!
 //! ## Shutdown state machine
 //!
@@ -23,7 +29,7 @@
 //! CLI turns that return into exit code 0.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -33,9 +39,9 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rlim_mig::Mig;
-use rlim_service::{Error, JobSpec, Report, Service, Source};
+use rlim_service::{Error, JobSpec, Service, Source};
 
-use crate::cache::{cache_key, ReportCache};
+use crate::cache::{cache_key, CachedReply, ReportCache};
 use crate::metrics::{Health, MetricsSnapshot};
 use crate::queue::{BoundedQueue, PushError};
 use crate::wire::{self, Request};
@@ -65,11 +71,27 @@ impl Default for DaemonConfig {
     }
 }
 
-/// One admitted job: the decoded spec plus the channel its response
-/// line travels back through.
+/// The longest request line a connection may send, newline excluded.
+/// A longer line is answered with an `error` and its connection closed,
+/// so no peer can grow a reader's buffer without bound.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// One reply line, newline included. A miss's line is shared with the
+/// cache entry it fills rather than copied.
+type Line = Arc<String>;
+
+fn line(mut text: String) -> Line {
+    text.push('\n');
+    Arc::new(text)
+}
+
+/// One admitted job: the decoded spec, its cache key when the connection
+/// thread already derived it, and the channel its reply travels back
+/// through.
 struct QueuedJob {
     spec: JobSpec,
-    reply: SyncSender<String>,
+    key: Option<String>,
+    reply: SyncSender<Line>,
 }
 
 /// Counts requests between admission and the moment their response hit
@@ -264,24 +286,47 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         return;
     };
     let mut writer = BufWriter::new(write_half);
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells a line of exactly the cap, newline
+        // included, from a longer one.
+        let limit = MAX_REQUEST_LINE as u64 + 1;
+        match (&mut reader).take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
         }
+        let oversize = buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
+        let request = if oversize {
+            None
+        } else {
+            let Ok(text) = std::str::from_utf8(&buf) else {
+                break;
+            };
+            let text = text.strip_suffix('\n').unwrap_or(text);
+            let text = text.strip_suffix('\r').unwrap_or(text);
+            if text.trim().is_empty() {
+                continue;
+            }
+            Some(text)
+        };
         shared.pending.enter();
-        // One `write_all` per line: a reply larger than the writer's
-        // buffer goes straight to the socket, and a separate newline
-        // write would then trail it as a second segment that waits out
-        // the peer's delayed ACK.
-        let mut reply = shared.respond(&line);
-        reply.push('\n');
+        let reply = match request {
+            Some(text) => shared.respond(text),
+            None => line(wire::error_line(&Error::InvalidRequest(format!(
+                "request line exceeds {MAX_REQUEST_LINE} bytes"
+            )))),
+        };
+        // One `write_all` per line, newline included: a reply larger than
+        // the writer's buffer goes straight to the socket, and a separate
+        // newline write would then trail it as a second segment that
+        // waits out the peer's delayed ACK.
         let written = writer
             .write_all(reply.as_bytes())
             .and_then(|()| writer.flush());
         shared.pending.exit();
-        if written.is_err() {
+        if written.is_err() || oversize {
             break;
         }
     }
@@ -293,18 +338,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         // A panicking job (a compiler bug on some exotic input) must
         // cost one response, not one worker: catch it and answer with a
         // structured error.
-        let reply = match catch_unwind(AssertUnwindSafe(|| shared.run_job(&job.spec))) {
-            Ok(Ok(line)) => line,
-            Ok(Err(error)) => {
-                shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                wire::error_line(&error)
-            }
-            Err(_) => {
-                shared.jobs_failed.fetch_add(1, Ordering::SeqCst);
-                wire::error_line(&Error::Run("internal: job panicked".to_string()))
-            }
-        };
-        shared.jobs_served.fetch_add(1, Ordering::SeqCst);
+        let result = catch_unwind(AssertUnwindSafe(|| shared.run_job(&job.spec, job.key)))
+            .unwrap_or_else(|_| Err(Error::Run("internal: job panicked".to_string())));
+        let reply = shared.answer(result);
         shared.workers_busy.fetch_sub(1, Ordering::SeqCst);
         let _ = job.reply.send(reply);
     }
@@ -320,34 +356,90 @@ impl Shared {
         }
     }
 
-    fn respond(self: &Arc<Self>, line: &str) -> String {
-        match wire::decode_request(line) {
-            Err(error) => wire::error_line(&error),
-            Ok(Request::Healthz) => wire::healthz_line(&self.health()),
-            Ok(Request::Metrics) => wire::metrics_line(&self.metrics()),
+    fn respond(self: &Arc<Self>, text: &str) -> Line {
+        match wire::decode_request(text) {
+            Err(error) => line(wire::error_line(&error)),
+            Ok(Request::Healthz) => line(wire::healthz_line(&self.health())),
+            Ok(Request::Metrics) => line(wire::metrics_line(&self.metrics())),
             Ok(Request::Shutdown) => {
                 self.begin_shutdown();
-                wire::shutdown_line()
+                line(wire::shutdown_line())
             }
             Ok(Request::Job(spec)) => self.serve_job(*spec),
         }
     }
 
-    fn serve_job(&self, spec: JobSpec) -> String {
+    /// Answers a hit on the calling connection thread when the spec's
+    /// key can be derived without a build, and queues every other job.
+    /// A probe that finds nothing counts no miss: the worker's lookup of
+    /// the queued job counts it (or a hit, if a sibling filled the entry
+    /// meanwhile).
+    fn serve_job(&self, spec: JobSpec) -> Line {
+        let key = match self
+            .known_fingerprint(&spec)
+            .map(|fingerprint| cache_key(fingerprint, &spec))
+            .transpose()
+        {
+            Ok(key) => key,
+            Err(error) => return self.answer(Err(error)),
+        };
+        if let Some(key) = &key {
+            // A draining daemon takes no more jobs, hits included.
+            if self.accepting.load(Ordering::SeqCst) {
+                let hit = self
+                    .cache
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .hit(key);
+                if let Some(entry) = hit {
+                    return self.answer(Ok(Arc::new(entry.splice(&spec))));
+                }
+            }
+        }
         let (reply, response) = std::sync::mpsc::sync_channel(1);
-        match self.queue.try_push(QueuedJob { spec, reply }) {
+        match self.queue.try_push(QueuedJob { spec, key, reply }) {
             Err(refusal) => {
                 self.jobs_rejected.fetch_add(1, Ordering::SeqCst);
                 let message = match refusal {
                     PushError::Full => "job queue full",
                     PushError::Closed => "daemon is draining",
                 };
-                wire::rejected_line(self.queue.len(), self.queue.capacity(), message)
+                line(wire::rejected_line(
+                    self.queue.len(),
+                    self.queue.capacity(),
+                    message,
+                ))
             }
             Ok(()) => response.recv().unwrap_or_else(|_| {
-                wire::error_line(&Error::Run("internal: worker dropped the job".to_string()))
+                line(wire::error_line(&Error::Run(
+                    "internal: worker dropped the job".to_string(),
+                )))
             }),
         }
+    }
+
+    /// Counts a served job (and a failed one) and turns its outcome into
+    /// the reply line.
+    fn answer(&self, result: Result<Line, Error>) -> Line {
+        let reply = result.unwrap_or_else(|error| {
+            self.jobs_failed.fetch_add(1, Ordering::SeqCst);
+            line(wire::error_line(&error))
+        });
+        self.jobs_served.fetch_add(1, Ordering::SeqCst);
+        reply
+    }
+
+    /// The spec's source fingerprint when no build is needed to know it:
+    /// a benchmark that an earlier job already built.
+    fn known_fingerprint(&self, spec: &JobSpec) -> Option<u128> {
+        let Source::Benchmark(b) = spec.source() else {
+            return None;
+        };
+        self.sources
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(b.name())
+            .map(|&(_, fingerprint)| fingerprint)
     }
 
     /// Loads (or reuses) the spec's source graph and its fingerprint.
@@ -387,17 +479,19 @@ impl Shared {
         }
     }
 
-    fn run_job(&self, spec: &JobSpec) -> Result<String, Error> {
+    fn run_job(&self, spec: &JobSpec, key: Option<String>) -> Result<Line, Error> {
         let (mig, fingerprint) = self.load_source(spec)?;
-        let key = cache_key(fingerprint, spec)?;
+        let key = match key {
+            Some(key) => key,
+            None => cache_key(fingerprint, spec)?,
+        };
         let hit = self
             .cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .lookup(&key);
-        if let Some(mut report) = hit {
-            self.personalize(&mut report, spec, true);
-            return Ok(report.to_json().render_compact());
+        if let Some(entry) = hit {
+            return Ok(Arc::new(entry.splice(spec)));
         }
         let mut run_spec = JobSpec::shared_mig(mig)
             .with_backend(spec.backend())
@@ -408,22 +502,18 @@ impl Shared {
             run_spec = run_spec.with_fleet(*fleet);
         }
         let mut report = self.service.run(&run_spec)?;
-        self.personalize(&mut report, spec, false);
+        // The daemon compiles through an in-memory graph whose label
+        // would read `<mig>`; the reply names the request's own source.
+        report.label = spec.label();
+        // Rendered outside the lock, once: the entry and this reply
+        // share the line.
+        let entry = CachedReply::render(&report);
+        let reply = Arc::clone(entry.line());
         self.cache
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, report.clone());
-        Ok(report.to_json().render_compact())
-    }
-
-    /// Rewrites the per-request fields: `label` (the daemon compiles
-    /// through an in-memory graph whose label would read `<mig>`),
-    /// `backend` (class-sharing cache hits may have been produced by a
-    /// sibling backend) and `cached`.
-    fn personalize(&self, report: &mut Report, spec: &JobSpec, cached: bool) {
-        report.label = spec.label();
-        report.backend = spec.backend().name();
-        report.cached = cached;
+            .insert(key, entry);
+        Ok(reply)
     }
 
     fn metrics(&self) -> MetricsSnapshot {

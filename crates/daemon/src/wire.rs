@@ -87,16 +87,18 @@ pub enum Response {
     Shutdown,
 }
 
-/// A report as it came off the wire: the raw line plus its parsed tree.
+/// A report as it came off the wire: the raw line, checked to be one
+/// well-formed JSON document and parsed only on demand.
 ///
-/// Byte-level consumers (tests, `--json` passthrough) use
-/// [`ReportLine::line`]; typed consumers call [`ReportLine::decode`].
+/// Byte-level consumers (tests, hit/miss comparisons) read
+/// [`ReportLine::line`] and never pay for a tree; [`ReportLine::json`]
+/// parses the line (the CLI's `--json` re-render) and
+/// [`ReportLine::decode`] parses it into a typed [`Report`]. Each call
+/// parses the line anew.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportLine {
     /// The exact response line (no trailing newline).
     pub line: String,
-    /// The parsed document.
-    pub json: Json,
 }
 
 fn invalid(message: impl Into<String>) -> Error {
@@ -410,19 +412,31 @@ pub fn shutdown_line() -> String {
 
 /// Classifies and decodes one response line.
 ///
+/// A report line, which the daemon always starts with `{"schema":`, is
+/// only validated ([`json::validate`]: the grammar of [`json::parse`]
+/// without building a tree) and kept as its text; its fields are read
+/// when the caller asks (see [`ReportLine`]). Every other line is parsed
+/// and its envelope decoded here.
+///
 /// # Errors
 ///
 /// Returns [`Error::Run`] when the line is not valid JSON or not one of
 /// the protocol's response shapes — a daemon bug or a non-daemon peer.
 pub fn decode_response(line: &str) -> Result<Response, Error> {
-    let doc = json::parse(line).map_err(|e| Error::Run(format!("malformed response line: {e}")))?;
+    let malformed = |e: json::ParseError| Error::Run(format!("malformed response line: {e}"));
+    if line.starts_with("{\"schema\":") {
+        json::validate(line).map_err(malformed)?;
+        return Ok(Response::Report(ReportLine {
+            line: line.to_string(),
+        }));
+    }
+    let doc = json::parse(line).map_err(malformed)?;
     let Json::Object(entries) = &doc else {
         return Err(Error::Run("response is not a JSON object".to_string()));
     };
     if entries.iter().any(|(k, _)| k == "schema") {
         return Ok(Response::Report(ReportLine {
             line: line.to_string(),
-            json: doc,
         }));
     }
     let envelope = |kind: &str, body: &Json| -> Result<Response, String> {
@@ -463,8 +477,19 @@ pub fn decode_response(line: &str) -> Result<Response, Error> {
 // ---- report decoding ----------------------------------------------------
 
 impl ReportLine {
-    /// Decodes the compile-side report fields back into a typed
-    /// [`Report`].
+    /// Parses the line into its JSON tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Run`] when the line is not one JSON document,
+    /// which [`decode_response`] has already ruled out for lines it
+    /// built.
+    pub fn json(&self) -> Result<Json, Error> {
+        json::parse(&self.line).map_err(|e| Error::Run(format!("malformed report: {e}")))
+    }
+
+    /// Parses the line and decodes the compile-side report fields back
+    /// into a typed [`Report`].
     ///
     /// The `fleet` section is **not** reconstructed (it stays `None`) —
     /// fleet riders are batch/CLI workloads whose consumers read the
@@ -473,10 +498,10 @@ impl ReportLine {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Run`] when the document does not have the pinned
-    /// report schema.
+    /// Returns [`Error::Run`] when the line does not parse or the
+    /// document does not have the pinned report schema.
     pub fn decode(&self) -> Result<Report, Error> {
-        decode_report(&self.json).map_err(|e| Error::Run(format!("malformed report: {e}")))
+        decode_report(&self.json()?).map_err(|e| Error::Run(format!("malformed report: {e}")))
     }
 }
 
@@ -702,5 +727,22 @@ mod tests {
         );
         assert!(decode_response("{\"weird\":1}").is_err());
         assert!(decode_response("garbage").is_err());
+    }
+
+    #[test]
+    fn malformed_report_lines_are_errors_without_a_parse() {
+        let line = Service::new()
+            .run(&JobSpec::benchmark(Benchmark::Ctrl))
+            .unwrap()
+            .to_json()
+            .render_compact();
+        for bad in [
+            &line[..line.len() - 1],
+            &format!("{line} trailing"),
+            &line.replace("\"cached\":false", "\"cached\":nope"),
+        ] {
+            let err = decode_response(bad).expect_err(bad);
+            assert!(err.to_string().contains("malformed response line"), "{err}");
+        }
     }
 }

@@ -17,11 +17,14 @@
 //! the writer with a strict reader: [`parse`] turns one document back
 //! into a [`Json`] tree, preserving key order and float precision, so
 //! `parse(doc.render_compact())` reproduces `doc` exactly for every
-//! canonically rendered document. [`Fields`] and the `as_*` helpers are
+//! canonically rendered document, and [`validate`] runs the same grammar
+//! without building anything, for a caller that only needs to know a
+//! document is well formed. [`Fields`] and the `as_*` helpers are
 //! the one typed decoder over a parsed tree: the daemon's wire codec and
 //! its metrics payloads both read through them.
 
 use std::fmt::{self, Write as _};
+use std::marker::PhantomData;
 
 /// One JSON value.
 ///
@@ -325,9 +328,41 @@ const MAX_DEPTH: usize = 128;
 /// out-of-range integers, nesting deeper than 128 levels, or trailing
 /// non-whitespace after the document.
 pub fn parse(text: &str) -> Result<Json, ParseError> {
-    let mut p = Parser {
+    read::<Tree>(text)
+}
+
+/// Checks that `text` is one JSON document without building it.
+///
+/// Runs the same grammar as [`parse`] with every value discarded, so it
+/// accepts exactly the documents [`parse`] accepts and fails with the
+/// same [`ParseError`] (offset and message) on the rest. It allocates
+/// nothing on success: a caller that only needs to know a line is well
+/// formed, such as a client holding a daemon reply it may never read,
+/// pays one scan of the bytes.
+///
+/// # Examples
+///
+/// ```
+/// use rlim_service::json::{parse, validate};
+///
+/// assert!(validate("{\"schema\":6,\"xs\":[1,2.50]}").is_ok());
+/// let bad = "{\"a\":[1,}";
+/// assert_eq!(validate(bad), parse(bad).map(|_| ()));
+/// ```
+///
+/// # Errors
+///
+/// As [`parse`].
+pub fn validate(text: &str) -> Result<(), ParseError> {
+    read::<Check>(text)
+}
+
+fn read<S: Sink>(text: &str) -> Result<S::Value, ParseError> {
+    let mut p = Parser::<S> {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
+        sink: PhantomData,
     };
     p.skip_ws();
     let value = p.value(0)?;
@@ -338,12 +373,84 @@ pub fn parse(text: &str) -> Result<Json, ParseError> {
     Ok(value)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// What one pass of the reader makes of the values it reads: [`Tree`]
+/// builds them ([`parse`]), [`Check`] drops them ([`validate`]). Both
+/// drive the one [`Parser`], so the two accept the same language.
+trait Sink {
+    type Value;
+    type Text: Default;
+    type Items: Default;
+    type Entries: Default;
+    fn scalar(value: Json) -> Self::Value;
+    fn push_str(text: &mut Self::Text, s: &str);
+    fn push_char(text: &mut Self::Text, c: char);
+    fn string(text: Self::Text) -> Self::Value;
+    fn push_item(items: &mut Self::Items, value: Self::Value);
+    fn array(items: Self::Items) -> Self::Value;
+    fn push_entry(entries: &mut Self::Entries, key: Self::Text, value: Self::Value);
+    fn object(entries: Self::Entries) -> Self::Value;
 }
 
-impl Parser<'_> {
+struct Tree;
+
+impl Sink for Tree {
+    type Value = Json;
+    type Text = String;
+    type Items = Vec<Json>;
+    type Entries = Vec<(String, Json)>;
+
+    fn scalar(value: Json) -> Json {
+        value
+    }
+    fn push_str(text: &mut String, s: &str) {
+        text.push_str(s);
+    }
+    fn push_char(text: &mut String, c: char) {
+        text.push(c);
+    }
+    fn string(text: String) -> Json {
+        Json::Str(text)
+    }
+    fn push_item(items: &mut Vec<Json>, value: Json) {
+        items.push(value);
+    }
+    fn array(items: Vec<Json>) -> Json {
+        Json::Array(items)
+    }
+    fn push_entry(entries: &mut Vec<(String, Json)>, key: String, value: Json) {
+        entries.push((key, value));
+    }
+    fn object(entries: Vec<(String, Json)>) -> Json {
+        Json::Object(entries)
+    }
+}
+
+struct Check;
+
+impl Sink for Check {
+    type Value = ();
+    type Text = ();
+    type Items = ();
+    type Entries = ();
+
+    fn scalar(_: Json) {}
+    fn push_str((): &mut (), _: &str) {}
+    fn push_char((): &mut (), _: char) {}
+    fn string((): ()) {}
+    fn push_item((): &mut (), (): ()) {}
+    fn array((): ()) {}
+    fn push_entry((): &mut (), (): (), (): ()) {}
+    fn object((): ()) {}
+}
+
+struct Parser<'a, S> {
+    text: &'a str,
+    bytes: &'a [u8],
+    pos: usize,
+    sink: PhantomData<S>,
+}
+
+impl<S: Sink> Parser<'_, S> {
     fn error(&self, message: impl Into<String>) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -370,16 +477,16 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+    fn literal(&mut self, word: &str, value: Json) -> Result<S::Value, ParseError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(S::scalar(value))
         } else {
             Err(self.error(format!("expected `{word}`")))
         }
     }
 
-    fn value(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn value(&mut self, depth: usize) -> Result<S::Value, ParseError> {
         if depth > MAX_DEPTH {
             return Err(self.error("nesting deeper than 128 levels"));
         }
@@ -388,24 +495,24 @@ impl Parser<'_> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => self.string().map(Json::Str),
+            Some(b'"') => self.string().map(S::string),
             Some(b'[') => self.array(depth),
             Some(b'{') => self.object(depth),
-            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'-' | b'0'..=b'9') => self.number().map(S::scalar),
             Some(c) => Err(self.error(format!("unexpected byte 0x{c:02x}"))),
         }
     }
 
-    fn array(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<S::Value, ParseError> {
         self.eat(b'[')?;
         self.skip_ws();
-        let mut items = Vec::new();
+        let mut items = S::Items::default();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Json::Array(items));
+            return Ok(S::array(items));
         }
         loop {
-            items.push(self.value(depth + 1)?);
+            S::push_item(&mut items, self.value(depth + 1)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -414,20 +521,20 @@ impl Parser<'_> {
                 }
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Json::Array(items));
+                    return Ok(S::array(items));
                 }
                 _ => return Err(self.error("expected `,` or `]` in array")),
             }
         }
     }
 
-    fn object(&mut self, depth: usize) -> Result<Json, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<S::Value, ParseError> {
         self.eat(b'{')?;
         self.skip_ws();
-        let mut entries = Vec::new();
+        let mut entries = S::Entries::default();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Json::Object(entries));
+            return Ok(S::object(entries));
         }
         loop {
             let key = self.string()?;
@@ -435,7 +542,7 @@ impl Parser<'_> {
             self.eat(b':')?;
             self.skip_ws();
             let value = self.value(depth + 1)?;
-            entries.push((key, value));
+            S::push_entry(&mut entries, key, value);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -444,16 +551,16 @@ impl Parser<'_> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Json::Object(entries));
+                    return Ok(S::object(entries));
                 }
                 _ => return Err(self.error("expected `,` or `}` in object")),
             }
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseError> {
+    fn string(&mut self) -> Result<S::Text, ParseError> {
         self.eat(b'"')?;
-        let mut out = String::new();
+        let mut out = S::Text::default();
         loop {
             // Copy the run of plain bytes up to the next quote, backslash
             // or control byte in one piece.
@@ -463,7 +570,7 @@ impl Parser<'_> {
                 .iter()
                 .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
-            out.push_str(self.raw_slice(start));
+            S::push_str(&mut out, self.raw_slice(start));
             match self.peek() {
                 None => return Err(self.error("unterminated string")),
                 Some(b'"') => {
@@ -472,7 +579,7 @@ impl Parser<'_> {
                 }
                 Some(b'\\') => {
                     self.pos += 1;
-                    out.push(self.escape_char()?);
+                    S::push_char(&mut out, self.escape_char()?);
                 }
                 Some(_) => return Err(self.error("raw control character in string")),
             }
@@ -481,9 +588,9 @@ impl Parser<'_> {
 
     /// The input between `start` and the cursor. Both ends sit on ASCII
     /// bytes or the input's ends, and an ASCII byte never occurs inside
-    /// a UTF-8 multi-byte sequence, so the slice is always valid UTF-8.
+    /// a UTF-8 multi-byte sequence, so both are character boundaries.
     fn raw_slice(&self, start: usize) -> &str {
-        std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii-delimited slice")
+        &self.text[start..self.pos]
     }
 
     fn escape_char(&mut self) -> Result<char, ParseError> {
@@ -988,6 +1095,39 @@ mod tests {
             let err = parse(garbage).expect_err(garbage);
             assert!(!err.message.is_empty());
             assert!(err.to_string().contains("invalid JSON at byte"));
+        }
+    }
+
+    #[test]
+    fn validate_agrees_with_parse_on_every_edge_case() {
+        let deep = "[".repeat(200) + &"]".repeat(200);
+        let ok = "[".repeat(100) + &"]".repeat(100);
+        for text in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "{\"a\" 1}",
+            "nul",
+            "1.2.3",
+            "1e9",
+            "01a",
+            "{} trailing",
+            "18446744073709551616",
+            "-9223372036854775809",
+            "\u{1}",
+            "\"plain\u{1}tail\"",
+            "\"dangling\\",
+            "\"bad \\q escape\"",
+            "\"\\u12\"",
+            "\"\\ud834\"",
+            "\"\\udd1e\"",
+            "\"\\ud834\\udd1e\"",
+            " {\"a\": [1, -2, 3.50, true, null, \"Ω\"]}\n",
+            &deep,
+            &ok,
+        ] {
+            assert_eq!(validate(text), parse(text).map(|_| ()), "{text:?}");
         }
     }
 

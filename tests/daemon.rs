@@ -10,14 +10,16 @@
 //!   bytes (modulo the `cached` flag) and a frozen miss counter;
 //! * a full queue answers structured rejections while in-flight jobs
 //!   run to completion;
+//! * a hit is answered while the only worker is stuck on a miss;
 //! * `shutdown` drains in-flight work, then the socket refuses
 //!   connections;
 //! * random `JobSpec`s round-trip exactly through the wire encoding,
-//!   and garbage lines get structured errors without killing workers.
+//!   garbage lines get structured errors without killing workers, and
+//!   an oversize line is refused without hurting other connections.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -27,7 +29,7 @@ use rlim::daemon::{
     cache_key, decode_request, decode_response, encode_request, serve, Client, DaemonConfig,
     Request, Response,
 };
-use rlim::service::{ChaosSpec, FleetSpec};
+use rlim::service::{json, ChaosSpec, FleetSpec};
 use rlim::{BackendKind, JobSpec, Service};
 
 fn daemon(workers: usize, queue_depth: usize) -> rlim::daemon::DaemonHandle {
@@ -64,6 +66,14 @@ fn slow_spec() -> JobSpec {
     JobSpec::benchmark(Benchmark::Ctrl)
         .with_options(CompileOptions::naive())
         .with_fleet(FleetSpec::new(1).with_jobs(64_000))
+}
+
+/// The line of a report response.
+fn report_line(response: Response) -> String {
+    match response {
+        Response::Report(line) => line.line,
+        other => panic!("expected a report, got {other:?}"),
+    }
 }
 
 fn submit_on_thread(
@@ -311,20 +321,24 @@ fn full_queue_rejects_without_disturbing_in_flight_jobs() {
 fn shutdown_drains_in_flight_work_then_refuses_connections() {
     let handle = daemon(1, 4);
     let addr = handle.addr();
+    let hit = JobSpec::benchmark(Benchmark::Ctrl).with_options(CompileOptions::naive());
+    let mut control = Client::connect(addr).unwrap();
+    let miss = report_line(control.submit(&hit).unwrap());
 
     let running = submit_on_thread(addr, slow_spec());
     wait_for(addr, "the worker to go busy", |m| m.workers_busy == 1);
+    // While accepting, the busy worker does not hold the hit up.
+    assert_eq!(
+        report_line(control.submit(&hit).unwrap()),
+        miss.replace("\"cached\":false", "\"cached\":true")
+    );
 
-    let mut control = Client::connect(addr).unwrap();
     control.shutdown().expect("shutdown acknowledged");
     // Once draining, health reports the daemon is no longer accepting
-    // and fresh jobs on a live connection are refused.
+    // and fresh jobs on a live connection are refused, hits included.
     let health = control.healthz().unwrap();
     assert!(!health.accepting);
-    match control
-        .submit(&JobSpec::benchmark(Benchmark::Ctrl).with_options(CompileOptions::naive()))
-        .unwrap()
-    {
+    match control.submit(&hit).unwrap() {
         Response::Rejected { message, .. } => assert_eq!(message, "daemon is draining"),
         other => panic!("expected a drain rejection, got {other:?}"),
     }
@@ -338,12 +352,86 @@ fn shutdown_drains_in_flight_work_then_refuses_connections() {
     }
 
     let last = handle.join();
-    assert_eq!(last.jobs_served, 1);
+    assert_eq!(
+        last.jobs_served, 3,
+        "the warm-up miss, the hit and the slow job"
+    );
     // The listener is gone: connections are refused.
     assert!(
         Client::connect(addr).is_err(),
         "socket must refuse connections after shutdown"
     );
+}
+
+// ---- (e) hits never wait behind a miss ----------------------------------
+
+/// A hit on a benchmark the daemon has built is answered by its
+/// connection thread, not queued: it arrives while the only worker is
+/// stuck on a miss. The gate is a FIFO, so the stuck worker sits in the
+/// read of its BLIF source until the test writes the circuit.
+#[test]
+fn hits_are_answered_while_the_only_worker_is_stuck_on_a_miss() {
+    let dir = std::env::temp_dir().join(format!("rlimd-gate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fifo = dir.join("gate.blif");
+    let _ = std::fs::remove_file(&fifo);
+    let made = std::process::Command::new("mkfifo")
+        .arg(&fifo)
+        .status()
+        .expect("mkfifo runs");
+    assert!(made.success(), "mkfifo {}", fifo.display());
+
+    let handle = daemon(1, 4);
+    let addr = handle.addr();
+    let warm = JobSpec::benchmark(Benchmark::Ctrl).with_options(CompileOptions::naive());
+    let miss = report_line(Client::connect(addr).unwrap().submit(&warm).unwrap());
+
+    let gated_spec = JobSpec::blif_path(&fifo).with_options(CompileOptions::naive());
+    let gated = submit_on_thread(addr, gated_spec.clone());
+    wait_for(addr, "the worker to take the gated job", |m| {
+        m.workers_busy == 1
+    });
+
+    let (sent, received) = mpsc::channel();
+    let asker = std::thread::spawn(move || {
+        let response = Client::connect(addr).unwrap().submit(&warm);
+        let _ = sent.send(response);
+    });
+    let hit = received
+        .recv_timeout(Duration::from_secs(30))
+        .expect("a hit is answered while the worker is stuck")
+        .unwrap();
+    asker.join().unwrap();
+    assert_eq!(
+        report_line(hit),
+        miss.replace("\"cached\":false", "\"cached\":true")
+    );
+    let metrics = Client::connect(addr).unwrap().metrics().unwrap();
+    assert_eq!(metrics.workers_busy, 1, "the gated job is still running");
+
+    // Open the gate: the stuck job completes, byte-identical to a direct
+    // run over the same FIFO, fed again from a writer thread.
+    let blif = rlim::mig::blif::write_blif(&Benchmark::Int2float.build(), "gate");
+    std::fs::write(&fifo, &blif).unwrap();
+    let gated = report_line(gated.join().unwrap());
+    let feeder = {
+        let fifo = fifo.clone();
+        std::thread::spawn(move || std::fs::write(fifo, blif).unwrap())
+    };
+    let direct = Service::new()
+        .with_threads(1)
+        .run(&gated_spec)
+        .unwrap()
+        .to_json()
+        .render_compact();
+    feeder.join().unwrap();
+    assert_eq!(gated, direct);
+
+    handle.shutdown();
+    let last = handle.join();
+    assert_eq!(last.jobs_served, last.cache.hits + last.cache.misses);
+    assert_eq!((last.cache.hits, last.cache.misses), (1, 2));
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 // ---- wire round-trip and framing fuzz ----------------------------------
@@ -736,6 +824,111 @@ proptest! {
         reader.read_line(&mut reply).unwrap();
         prop_assert!(reply.starts_with("{\"healthz\":"), "{reply}");
     }
+}
+
+/// Report lines as the daemon renders them: plain, with a listing full
+/// of escaped newlines, and with a chaos fleet section.
+fn rendered_reports() -> &'static [String] {
+    static LINES: OnceLock<Vec<String>> = OnceLock::new();
+    LINES.get_or_init(|| {
+        let naive = CompileOptions::naive();
+        let specs = [
+            JobSpec::benchmark(Benchmark::Ctrl).with_options(naive),
+            JobSpec::benchmark(Benchmark::Dec)
+                .with_options(naive)
+                .with_program_text(true),
+            JobSpec::benchmark(Benchmark::Ctrl)
+                .with_options(naive)
+                .with_fleet(FleetSpec::new(2).with_jobs(8).with_chaos(ChaosSpec::new(5))),
+        ];
+        let service = Service::new().with_threads(1);
+        specs
+            .iter()
+            .flat_map(|spec| {
+                let doc = service.run(spec).unwrap().to_json();
+                [doc.render_compact(), doc.render()]
+            })
+            .collect()
+    })
+}
+
+/// Bytes that steer the JSON grammar, for one-byte edits of report lines.
+const GRAMMAR_BYTES: &[u8] = b"\"\\{}[],:-.0e tnf\n\x01";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `json::validate` accepts exactly what `json::parse` accepts and
+    /// fails at the same byte with the same message: over the framing
+    /// fuzz's garbage, whole report lines, and their truncations and
+    /// one-byte edits.
+    #[test]
+    fn validate_agrees_with_parse(
+        garbage in garbage_strategy(),
+        which in 0usize..6,
+        cut in any::<usize>(),
+        at in any::<usize>(),
+        byte in 0..GRAMMAR_BYTES.len(),
+    ) {
+        let agree = |text: &str| -> Result<(), TestCaseError> {
+            prop_assert_eq!(json::validate(text), json::parse(text).map(|_| ()), "{:?}", text);
+            Ok(())
+        };
+        agree(&garbage)?;
+        let report = &rendered_reports()[which];
+        agree(report)?;
+        let cut = cut % (report.len() + 1);
+        if report.is_char_boundary(cut) {
+            agree(&report[..cut])?;
+        }
+        let at = at % report.len();
+        if report.as_bytes()[at].is_ascii() {
+            let mut edited = report.clone().into_bytes();
+            edited[at] = GRAMMAR_BYTES[byte];
+            agree(&String::from_utf8(edited).expect("an ASCII byte replaced by an ASCII byte"))?;
+        }
+    }
+}
+
+/// A request line over the daemon's 1 MiB cap gets a structured error
+/// and its connection is closed; other connections are still served.
+#[test]
+fn oversize_request_lines_are_refused_and_other_connections_served() {
+    let handle = daemon(1, 4);
+    let addr = handle.addr();
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    // The daemon stops reading at the cap, so the rest of the 2 MiB may
+    // never be taken: write from a thread that tolerates the reset.
+    let mut flood_half = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        let _ = flood_half.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(&stream);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    match decode_response(reply.trim_end()).unwrap() {
+        Response::Error { message, usage } => {
+            assert!(usage, "{message}");
+            assert!(message.contains("request line exceeds"), "{message}");
+        }
+        other => panic!("expected an error, got {other:?}"),
+    }
+    let mut rest = String::new();
+    assert!(
+        !matches!(reader.read_line(&mut rest), Ok(n) if n > 0),
+        "the connection is closed after the error, got {rest:?}"
+    );
+    flood.join().unwrap();
+
+    let mut client = Client::connect(addr).unwrap();
+    assert!(client.healthz().unwrap().accepting);
+    let spec = JobSpec::benchmark(Benchmark::Ctrl).with_options(CompileOptions::naive());
+    assert!(report_line(client.submit(&spec).unwrap()).contains("\"label\":\"ctrl\""));
+    handle.shutdown();
+    handle.join();
 }
 
 /// After the fuzz barrage, the worker pool still compiles — no thread
