@@ -22,11 +22,11 @@
 
 use rlim_imp::{synthesize, ImpAllocation, ImpMachine, ImpOp, ImpSynthOptions};
 use rlim_isa::{Isa, Program};
-use rlim_mig::rewrite::rewrite;
 use rlim_mig::Mig;
 use rlim_plim::{Controller, Instruction, Machine, WideMachine};
 use rlim_rram::WriteFault;
 
+use crate::frontend::{FrontEnd, FrontKey};
 use crate::options::{Allocation, CompileOptions};
 use crate::peephole::elide_dead_writes;
 
@@ -65,8 +65,17 @@ pub trait Backend {
     /// Compiles `mig` into a program under the shared options (each
     /// backend interprets the applicable subset: rewriting and allocation
     /// apply everywhere; selection and the write budget are RM3 pipeline
-    /// stages).
-    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<Self::Instr>;
+    /// stages). This is [`Backend::compile_front`] on a fresh
+    /// [`FrontEnd`].
+    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<Self::Instr> {
+        self.compile_front(&FrontEnd::build(mig, FrontKey::of(options)), options)
+    }
+
+    /// Compiles from an already rewritten front end (see
+    /// [`crate::compile_front`]), so configurations that differ only in
+    /// back-end options share one rewrite and one schedule per selection
+    /// policy.
+    fn compile_front(&self, front: &FrontEnd, options: &CompileOptions) -> Program<Self::Instr>;
 
     /// Executes `program` on this backend's machine model, returning the
     /// primary outputs.
@@ -92,8 +101,8 @@ impl Backend for Rm3Backend {
     type Instr = Instruction;
     const NAME: &'static str = "rm3";
 
-    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<Instruction> {
-        crate::compile(mig, options).program
+    fn compile_front(&self, front: &FrontEnd, options: &CompileOptions) -> Program<Instruction> {
+        crate::compile_front(front, options).program
     }
 
     fn execute(
@@ -114,8 +123,8 @@ impl Backend for HostedRm3Backend {
     type Instr = Instruction;
     const NAME: &'static str = "hosted-rm3";
 
-    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<Instruction> {
-        Rm3Backend.compile(mig, options)
+    fn compile_front(&self, front: &FrontEnd, options: &CompileOptions) -> Program<Instruction> {
+        Rm3Backend.compile_front(front, options)
     }
 
     fn execute(
@@ -160,8 +169,8 @@ impl Backend for WideRm3Backend {
     type Instr = Instruction;
     const NAME: &'static str = "rm3-wide";
 
-    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<Instruction> {
-        Rm3Backend.compile(mig, options)
+    fn compile_front(&self, front: &FrontEnd, options: &CompileOptions) -> Program<Instruction> {
+        Rm3Backend.compile_front(front, options)
     }
 
     fn execute(
@@ -198,16 +207,16 @@ impl Backend for ImpBackend {
     type Instr = ImpOp;
     const NAME: &'static str = "imp";
 
-    fn compile(&self, mig: &Mig, options: &CompileOptions) -> Program<ImpOp> {
+    fn compile_front(&self, front: &FrontEnd, options: &CompileOptions) -> Program<ImpOp> {
+        assert!(
+            front.serves(options),
+            "a front end compiles only the rewriting it was built with"
+        );
         let allocation = match options.allocation {
             Allocation::Lifo => ImpAllocation::Lifo,
             Allocation::MinWrite => ImpAllocation::MinWrite,
         };
-        let synth_options = ImpSynthOptions { allocation };
-        let mut program = match options.rewriting {
-            Some(algorithm) => synthesize(&rewrite(mig, algorithm, options.effort), &synth_options),
-            None => synthesize(mig, &synth_options),
-        };
+        let mut program = synthesize(front.graph(), &ImpSynthOptions { allocation });
         if options.peephole {
             // IMPLY has no redundant-set recipes to fold, but the generic
             // dead-write elision applies to any ISA.

@@ -1,27 +1,31 @@
 //! The MIG → PLiM compile entry point and its result type.
 //!
-//! [`compile`] runs the standard pass pipeline (rewrite → schedule →
-//! translate → optional peephole → finalize), plus the best-of guards of
-//! copy-reuse and esat, which share the graph stages and branch only at
-//! translation; see [`crate::pipeline`] for the pass manager and
-//! [`crate::translate`] for the node-translation rules.
+//! [`compile`] builds the [`FrontEnd`] (rewrite, then schedule) and
+//! compiles from it ([`compile_front`]): translate → optional peephole →
+//! finalize, plus the best-of guards of copy-reuse and esat, which share
+//! the graph stages and branch only at translation. See
+//! [`crate::pipeline`] for the passes and [`crate::translate`] for the
+//! node-translation rules.
 
-use rlim_mig::rewrite::rewrite;
+use std::sync::Arc;
+
 use rlim_mig::Mig;
 use rlim_plim::Program;
 use rlim_rram::WriteStats;
 
+use crate::frontend::{FrontEnd, FrontKey};
 use crate::options::CompileOptions;
 use crate::peephole::{elide_dead_writes, elide_redundant_writes};
-use crate::pipeline::{esat_search, translate_arms, PassManager};
+use crate::pipeline::{esat_search, translate_arms};
 
 /// Output of [`compile`]: the program plus the graph it was generated from.
 #[derive(Debug, Clone)]
 pub struct CompileResult {
     /// The compiled PLiM program.
     pub program: Program,
-    /// The (possibly rewritten) MIG the program computes.
-    pub mig: Mig,
+    /// The (possibly rewritten) MIG the program computes, shared with
+    /// the front end it came from when esat kept no other graph.
+    pub mig: Arc<Mig>,
     /// The options used.
     pub options: CompileOptions,
 }
@@ -109,6 +113,10 @@ impl WearScore {
 /// translate and peephole per arm. The result is the one the guarded
 /// pipelines would each produce when run on their own.
 ///
+/// This is [`compile_front`] on a fresh [`FrontEnd`]; compile many
+/// configurations of one circuit through one front end to rewrite and
+/// schedule it once.
+///
 /// # Examples
 ///
 /// ```
@@ -125,13 +133,23 @@ impl WearScore {
 /// assert_eq!(result.num_rrams(), 3);
 /// ```
 pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
-    if !options.copy_reuse && !options.esat {
-        return PassManager::standard(options).run(mig, options);
-    }
-    let rewritten = options
-        .rewriting
-        .map(|algorithm| rewrite(mig, algorithm, options.effort));
-    let greedy = rewritten.as_ref().unwrap_or(mig);
+    compile_front(&FrontEnd::build(mig, FrontKey::of(options)), options)
+}
+
+/// [`compile`] from an already built front end: everything after
+/// rewrite and schedule, reading the front end's graph and its schedule
+/// under `options.selection` (filled on first use).
+///
+/// # Panics
+///
+/// Panics if `front` was built for another rewriting algorithm or
+/// effort ([`FrontEnd::serves`]).
+pub fn compile_front(front: &FrontEnd, options: &CompileOptions) -> CompileResult {
+    assert!(
+        front.serves(options),
+        "a front end compiles only the rewriting it was built with"
+    );
+    let greedy = front.graph();
     // Translate arms, the one the guard prefers first. Copy discovery
     // always removes instructions, but on graphs with little reuse the
     // elided materialisations double as implicit wear leveling, so the
@@ -140,7 +158,7 @@ pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
     if options.copy_reuse {
         arms.push(options.with_copy_reuse(false));
     }
-    let greedy_programs = translate_arms(greedy, &arms);
+    let greedy_programs = translate_arms(greedy, front.schedule(options.selection), &arms);
     // The extraction cost is a tree estimate, so on reconvergent graphs
     // the saturated pick can lose to the greedy fixed point once real
     // scheduling and allocation run: the greedy arms compete.
@@ -148,16 +166,17 @@ pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
         .esat
         .then(|| esat_search(greedy, options, &arms, greedy_programs.clone()));
 
-    // The guard: the preferred arm unless it is worse somewhere.
-    type Arm = (WearScore, Option<Mig>, Program);
+    // The guard: the preferred arm unless it is worse somewhere. Scores
+    // are taken only where two arms compete.
+    type Arm = (Option<Arc<Mig>>, Program);
     let prefer = |preferred: Arm, other: Arm| {
-        if preferred.0.no_worse_than(&other.0) {
+        if WearScore::of(&preferred.1).no_worse_than(&WearScore::of(&other.1)) {
             preferred
         } else {
             other
         }
     };
-    let guarded = |candidates: Vec<(Option<Mig>, Program)>| {
+    let guarded = |candidates: Vec<Arm>| {
         candidates
             .into_iter()
             .map(|(graph, mut program)| {
@@ -166,7 +185,7 @@ pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
                     elide_dead_writes(&mut program);
                     debug_assert_eq!(program.validate(), Ok(()));
                 }
-                (WearScore::of(&program), graph, program)
+                (graph, program)
             })
             .reduce(prefer)
             .expect("at least one translate arm")
@@ -176,10 +195,10 @@ pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
         let esat = saturated.into_iter().map(|b| (b.graph, b.program));
         best = prefer(guarded(esat.collect()), best);
     }
-    let (_, graph, program) = best;
+    let (graph, program) = best;
     CompileResult {
         program,
-        mig: graph.or(rewritten).unwrap_or_else(|| mig.clone()),
+        mig: graph.unwrap_or_else(|| Arc::clone(greedy)),
         options: *options,
     }
 }

@@ -54,6 +54,7 @@
 mod backend;
 pub mod cells;
 mod compiler;
+mod frontend;
 mod options;
 mod peephole;
 mod pipeline;
@@ -63,11 +64,12 @@ pub mod values;
 
 pub use backend::{Backend, HostedRm3Backend, ImpBackend, Rm3Backend, WideRm3Backend};
 pub use cells::CellManager;
-pub use compiler::{compile, CompileResult};
+pub use compiler::{compile, compile_front, CompileResult};
+pub use frontend::{FrontEnd, FrontKey};
 pub use options::{Allocation, CompileOptions, Selection, DEFAULT_ESAT_ITERS, DEFAULT_ESAT_NODES};
 pub use peephole::{elide_dead_writes, elide_redundant_writes, PeepholePass};
 pub use pipeline::{
-    EsatPass, FinalizePass, Pass, PassManager, PipelineState, RewritePass, SchedulePass,
+    EsatPass, FinalizePass, Pass, PassManager, PipelineState, RewritePass, Schedule, SchedulePass,
     ESAT_ROUNDS,
 };
 pub use select::Candidate;

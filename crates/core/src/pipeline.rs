@@ -20,6 +20,14 @@
 //! Every paper technique plugs into exactly one pass, so baselines are
 //! pipelines with passes swapped or dropped rather than separate
 //! compilers.
+//!
+//! Rewrite and schedule read only the graph, the rewriting algorithm,
+//! its effort and the selection policy. [`crate::compile`] therefore
+//! runs them once per [`crate::FrontEnd`] and translates from the
+//! front end's [`Schedule`], which the translate pass borrows.
+
+use std::borrow::Cow;
+use std::sync::Arc;
 
 use rlim_mig::rewrite::rewrite;
 use rlim_mig::{Mig, NodeId, StructuralView};
@@ -28,6 +36,48 @@ use rlim_plim::Program;
 use crate::compiler::{CompileResult, WearScore};
 use crate::options::{CompileOptions, Selection};
 use crate::select::schedule;
+
+/// A node translation order under one selection policy, with the
+/// initial pending-use counts translation starts from (live
+/// gate-children edges plus PO references per node).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Schedule {
+    /// The order translation computes the live gates in.
+    pub order: Vec<NodeId>,
+    /// Initial pending-use counts per node, indexed by node.
+    pub fanout: Vec<u32>,
+}
+
+impl Schedule {
+    /// Schedules `graph` under `selection`: the [`SchedulePass`] body.
+    ///
+    /// The scheduler replays exactly the interleaving the translator will
+    /// perform: after a node is picked, each non-constant child loses one
+    /// pending use (refreshing the releasing counts of candidates) before
+    /// the node's parents are unlocked.
+    pub fn of(graph: &Mig, selection: Selection) -> Self {
+        // One structural view serves both the pending-use counts and the
+        // scheduler's liveness/levels/parent queries. The topological
+        // order reads liveness only, so it skips levels and parents.
+        let mut view = StructuralView::new();
+        if selection == Selection::Topological {
+            view.compute_structure(graph);
+        } else {
+            view.compute(graph);
+        }
+        let fanout = initial_fanout(graph, &view);
+        Schedule {
+            order: schedule(graph, selection, &view, &fanout),
+            fanout,
+        }
+    }
+
+    /// Bytes the schedule holds on the heap, allocated capacity included.
+    pub fn heap_bytes(&self) -> usize {
+        self.order.capacity() * std::mem::size_of::<NodeId>()
+            + self.fanout.capacity() * std::mem::size_of::<u32>()
+    }
+}
 
 /// Shared state the passes read and write: the blackboard of the pipeline.
 #[derive(Debug)]
@@ -40,11 +90,9 @@ pub struct PipelineState<'a> {
     /// until the rewrite pass ran; [`PipelineState::graph`] falls back to
     /// the source.
     pub mig: Option<Mig>,
-    /// Initial pending-use counts per node (live gate-children edges plus
-    /// PO references), shared between scheduling and translation.
-    pub fanout: Option<Vec<u32>>,
-    /// The node translation order fixed by the schedule pass.
-    pub schedule: Option<Vec<NodeId>>,
+    /// The schedule translation reads: computed by the schedule pass, or
+    /// borrowed from a [`crate::FrontEnd`] that already holds it.
+    pub schedule: Option<Cow<'a, Schedule>>,
     /// The emitted program.
     pub program: Option<Program>,
 }
@@ -56,7 +104,6 @@ impl<'a> PipelineState<'a> {
             source,
             options,
             mig: None,
-            fanout: None,
             schedule: None,
             program: None,
         }
@@ -182,7 +229,7 @@ impl PassManager {
         };
         CompileResult {
             program,
-            mig: graph,
+            mig: Arc::new(graph),
             options: *options,
         }
     }
@@ -273,11 +320,15 @@ impl Pass for EsatPass {
 
     fn run(&self, state: &mut PipelineState<'_>) {
         let arms = [*state.options];
-        let start = translate_arms(state.graph(), &arms);
-        let best = esat_search(state.graph(), state.options, &arms, start)
+        let graph = state.graph();
+        let start = translate_arms(graph, &Schedule::of(graph, arms[0].selection), &arms);
+        let best = esat_search(graph, state.options, &arms, start)
             .pop()
             .expect("one best per arm");
-        let graph = best.graph.unwrap_or_else(|| state.graph().clone());
+        let graph = match best.graph {
+            Some(found) => Arc::unwrap_or_clone(found),
+            None => state.graph().clone(),
+        };
         state.mig = Some(graph);
     }
 }
@@ -285,7 +336,7 @@ impl Pass for EsatPass {
 /// The best graph an [`esat_search`] found for one translate arm.
 pub(crate) struct ArmBest {
     /// `None` while the search's start graph is still the best.
-    pub(crate) graph: Option<Mig>,
+    pub(crate) graph: Option<Arc<Mig>>,
     /// The baseline pipeline's program for the graph under the arm.
     pub(crate) program: Program,
     score: WearScore,
@@ -330,53 +381,61 @@ pub(crate) fn esat_search(
             program,
         })
         .collect();
-    let mut scored = vec![start.clone()];
-    let mut cur = start.clone();
+    // Every graph scored so far besides `start`, shared with the bests
+    // that keep one.
+    let mut scored: Vec<Arc<Mig>> = Vec::new();
+    // The round's input graph; `None` is `start`.
+    let mut cur: Option<Arc<Mig>> = None;
     for _ in 0..ESAT_ROUNDS {
-        let before = cur.fingerprint();
-        let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(&cur);
+        let graph = cur.as_deref().unwrap_or(start);
+        let before = graph.fingerprint();
+        let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(graph);
         egraph_saturate(&mut eg, &rules, &budget);
-        let raw = extract_around(&eg, &outputs, &weights, &cur, &classes);
+        let raw = Arc::new(extract_around(&eg, &outputs, &weights, graph, &classes));
         // Without a rewriting algorithm the polished graph is the raw one,
         // whose equal score could not win a second time.
         let polished = options
             .rewriting
-            .map(|algorithm| rewrite(&raw, algorithm, options.effort));
+            .map(|algorithm| Arc::new(rewrite(&raw, algorithm, options.effort)));
         for cand in std::iter::once(&raw).chain(polished.as_ref()) {
-            if scored.contains(cand) {
+            if **cand == *start || scored.contains(cand) {
                 continue;
             }
-            scored.push(cand.clone());
-            for (arm, program) in best.iter_mut().zip(translate_arms(cand, arms)) {
+            scored.push(Arc::clone(cand));
+            let schedule = Schedule::of(cand, arms[0].selection);
+            for (arm, program) in best.iter_mut().zip(translate_arms(cand, &schedule, arms)) {
                 let score = WearScore::of(&program);
                 if score.dominates(&arm.score) {
                     *arm = ArmBest {
-                        graph: Some(cand.clone()),
+                        graph: Some(Arc::clone(cand)),
                         program,
                         score,
                     };
                 }
             }
         }
-        cur = polished.unwrap_or(raw);
-        if cur.fingerprint() == before {
+        let next = polished.unwrap_or(raw);
+        let fixed_point = next.fingerprint() == before;
+        cur = Some(next);
+        if fixed_point {
             break;
         }
     }
     best
 }
 
-/// The baseline pipeline (schedule → translate → finalize) of `graph`
-/// under each translate arm, in order. Scheduling reads only
-/// `selection`, which the arms share, so it runs once.
-pub(crate) fn translate_arms(graph: &Mig, arms: &[CompileOptions]) -> Vec<Program> {
-    let mut scheduled = PipelineState::new(graph, &arms[0]);
-    SchedulePass.run(&mut scheduled);
+/// The baseline pipeline (translate → finalize) of `graph` under each
+/// translate arm, in order, all from one borrowed `schedule`: the arms
+/// share `selection`, the only option scheduling reads.
+pub(crate) fn translate_arms(
+    graph: &Mig,
+    schedule: &Schedule,
+    arms: &[CompileOptions],
+) -> Vec<Program> {
     arms.iter()
         .map(|options| {
             let mut state = PipelineState::new(graph, options);
-            state.fanout = scheduled.fanout.clone();
-            state.schedule = scheduled.schedule.clone();
+            state.schedule = Some(Cow::Borrowed(schedule));
             crate::translate::TranslatePass.run(&mut state);
             FinalizePass.run(&mut state);
             state.program.expect("translate emits a program")
@@ -384,13 +443,9 @@ pub(crate) fn translate_arms(graph: &Mig, arms: &[CompileOptions]) -> Vec<Progra
         .collect()
 }
 
-/// Fixes the node translation order under the configured selection policy.
-///
-/// The pass replays exactly the interleaving the translator will perform:
-/// after a node is picked, each non-constant child loses one pending use
-/// (refreshing the releasing counts of candidates) before the node's
-/// parents are unlocked — so the schedule is identical to the one the old
-/// monolithic compile loop produced.
+/// Fixes the node translation order under the configured selection
+/// policy ([`Schedule::of`]), so the schedule is identical to the one
+/// the old monolithic compile loop produced.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SchedulePass;
 
@@ -400,20 +455,8 @@ impl Pass for SchedulePass {
     }
 
     fn run(&self, state: &mut PipelineState<'_>) {
-        let graph = state.graph();
-        let selection = state.options.selection;
-        // One structural view serves both the pending-use counts and the
-        // scheduler's liveness/levels/parent queries. The topological
-        // order reads liveness only, so it skips levels and parents.
-        let mut view = StructuralView::new();
-        if selection == Selection::Topological {
-            view.compute_structure(graph);
-        } else {
-            view.compute(graph);
-        }
-        let fanout = initial_fanout(graph, &view);
-        state.schedule = Some(schedule(graph, selection, &view, &fanout));
-        state.fanout = Some(fanout);
+        let scheduled = Schedule::of(state.graph(), state.options.selection);
+        state.schedule = Some(Cow::Owned(scheduled));
     }
 }
 
@@ -501,12 +544,16 @@ mod tests {
         let mut state = PipelineState::new(&mig, &options);
         SchedulePass.run(&mut state);
         let schedule = state.schedule.expect("schedule produced");
-        assert_eq!(schedule.len(), mig.num_live_gates());
+        assert_eq!(schedule.order.len(), mig.num_live_gates());
         let mut seen = std::collections::HashSet::new();
-        for n in &schedule {
+        for n in &schedule.order {
             assert!(seen.insert(*n), "{n} scheduled twice");
         }
-        assert!(state.fanout.is_some(), "fanout shared with translation");
+        assert_eq!(
+            schedule.fanout.len(),
+            mig.num_nodes(),
+            "fanout shared with translation"
+        );
     }
 
     #[test]

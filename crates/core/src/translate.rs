@@ -64,7 +64,7 @@ use rlim_rram::CellId;
 
 use crate::cells::CellManager;
 use crate::options::CompileOptions;
-use crate::pipeline::{initial_fanout, Pass, PipelineState};
+use crate::pipeline::{Pass, PipelineState};
 use crate::values::{value_index, Holders, ValueId, Values, FALSE, TRUE};
 
 /// Translates the scheduled nodes into an RM3 [`Program`], allocating
@@ -80,15 +80,13 @@ impl Pass for TranslatePass {
     fn run(&self, state: &mut PipelineState<'_>) {
         let schedule = state
             .schedule
-            .take()
+            .as_deref()
             .expect("translate pass needs a schedule");
-        // The schedule pass leaves the initial pending-use counts behind so
-        // the structural view is computed only once per compilation.
-        let fanout = state.fanout.take().unwrap_or_else(|| {
-            let graph = state.graph();
-            initial_fanout(graph, &rlim_mig::StructuralView::of(graph))
-        });
-        let program = Translator::new(state.graph(), state.options, fanout).run(&schedule);
+        // The schedule carries the initial pending-use counts, so the
+        // structural view is computed once per schedule; translation
+        // consumes its own copy of the counts.
+        let program = Translator::new(state.graph(), state.options, schedule.fanout.clone())
+            .run(&schedule.order);
         state.program = Some(program);
     }
 }

@@ -29,16 +29,16 @@
 //! its own `label` and `backend` onto the stored body and ends it with
 //! `"cached":true`, so serving it costs one copy of the line.
 //!
-//! Eviction is least-recently-used over a bounded entry count, with
-//! hit/miss/eviction counters surfaced through the `metrics` verb. The
-//! recency order is a doubly linked list threaded through the entry
-//! slots, so lookups, inserts and evictions are O(1).
+//! Eviction is least-recently-used over a bounded entry count (an
+//! [`Lru`] weighing each entry 1), with hit/miss/eviction counters
+//! surfaced through the `metrics` verb. Lookups, inserts and evictions
+//! are O(1).
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
 use rlim_service::json;
+use rlim_service::lru::Lru;
 use rlim_service::{Error, JobSpec, Report, REPORT_SCHEMA_VERSION};
 
 use crate::wire;
@@ -155,36 +155,15 @@ impl CachedReply {
     }
 }
 
-/// Marks the ends of the recency list.
-const NIL: usize = usize::MAX;
-
 /// The bounded LRU reply cache. Not internally synchronized — the
 /// daemon wraps it in a `Mutex` and keeps compiles and renders outside
 /// the lock.
 #[derive(Debug)]
 pub struct ReportCache {
-    /// Key → index into `slots`.
-    index: HashMap<String, usize>,
-    /// At most `capacity` entries; an evicted slot is reused in place.
-    slots: Vec<Slot>,
-    /// Most recently used slot (`NIL` when empty).
-    newest: usize,
-    /// Least recently used slot, the next victim (`NIL` when empty).
-    oldest: usize,
-    capacity: usize,
+    /// Every entry weighs 1, so the bound is an entry count.
+    lru: Lru<String, CachedReply>,
     hits: u64,
     misses: u64,
-    evictions: u64,
-}
-
-#[derive(Debug)]
-struct Slot {
-    key: String,
-    reply: CachedReply,
-    /// The next more recently used slot.
-    newer: usize,
-    /// The next less recently used slot.
-    older: usize,
 }
 
 impl ReportCache {
@@ -196,14 +175,9 @@ impl ReportCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be at least 1");
         ReportCache {
-            index: HashMap::new(),
-            slots: Vec::new(),
-            newest: NIL,
-            oldest: NIL,
-            capacity,
+            lru: Lru::new(capacity),
             hits: 0,
             misses: 0,
-            evictions: 0,
         }
     }
 
@@ -222,80 +196,26 @@ impl ReportCache {
     /// miss: for a probe whose absence a later [`ReportCache::lookup`]
     /// of the same key will count.
     pub fn hit(&mut self, key: &str) -> Option<CachedReply> {
-        let slot = *self.index.get(key)?;
-        self.touch(slot);
+        let reply = self.lru.get(key)?.clone();
         self.hits += 1;
-        Some(self.slots[slot].reply.clone())
+        Some(reply)
     }
 
     /// Inserts (or refreshes) an entry, evicting the least-recently-used
     /// one when at capacity.
     pub fn insert(&mut self, key: String, reply: CachedReply) {
-        if let Some(&slot) = self.index.get(&key) {
-            self.slots[slot].reply = reply;
-            self.touch(slot);
-            return;
-        }
-        let slot = if self.slots.len() < self.capacity {
-            self.slots.push(Slot {
-                key: key.clone(),
-                reply,
-                newer: NIL,
-                older: NIL,
-            });
-            self.slots.len() - 1
-        } else {
-            let victim = self.oldest;
-            self.unlink(victim);
-            let old = std::mem::replace(&mut self.slots[victim].key, key.clone());
-            self.index.remove(&old);
-            self.slots[victim].reply = reply;
-            self.evictions += 1;
-            victim
-        };
-        self.push_newest(slot);
-        self.index.insert(key, slot);
+        self.lru.insert(key, reply, 1);
     }
 
     /// The current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            entries: self.index.len(),
-            capacity: self.capacity,
+            entries: self.lru.len(),
+            capacity: self.lru.capacity(),
             hits: self.hits,
             misses: self.misses,
-            evictions: self.evictions,
+            evictions: self.lru.evictions(),
         }
-    }
-
-    /// Moves a linked slot to the most recently used end.
-    fn touch(&mut self, slot: usize) {
-        if self.newest != slot {
-            self.unlink(slot);
-            self.push_newest(slot);
-        }
-    }
-
-    fn unlink(&mut self, slot: usize) {
-        let Slot { newer, older, .. } = self.slots[slot];
-        match newer {
-            NIL => self.newest = older,
-            n => self.slots[n].older = older,
-        }
-        match older {
-            NIL => self.oldest = newer,
-            o => self.slots[o].newer = newer,
-        }
-    }
-
-    fn push_newest(&mut self, slot: usize) {
-        self.slots[slot].newer = NIL;
-        self.slots[slot].older = self.newest;
-        match self.newest {
-            NIL => self.oldest = slot,
-            n => self.slots[n].newer = slot,
-        }
-        self.newest = slot;
     }
 }
 
@@ -306,6 +226,7 @@ mod tests {
     use rlim_benchmarks::Benchmark;
     use rlim_compiler::CompileOptions;
     use rlim_service::{BackendKind, ChaosSpec, FleetSpec, Service};
+    use std::collections::HashMap;
 
     fn reply() -> CachedReply {
         let report = Service::new()

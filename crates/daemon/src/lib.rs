@@ -23,7 +23,10 @@
 //!   benchmark themselves, and `try_push` every other job onto a
 //!   [`BoundedQueue`] — a full queue answers `rejected` immediately
 //!   (admission control) without disturbing in-flight work;
-//! * workers drain the queue, compiling misses into the cache;
+//! * workers drain the queue, compiling misses into the cache through
+//!   one shared, byte-bounded [`rlim_service::FrontEnds`] memo, so a miss
+//!   that differs from an earlier one only in back-end options skips
+//!   rewrite and schedule;
 //! * the `shutdown` verb (or a [`ShutdownTrigger`]) stops accepting,
 //!   drains the queue and lets [`DaemonHandle::join`] return the final
 //!   counters for a clean exit 0.

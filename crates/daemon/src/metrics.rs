@@ -6,11 +6,12 @@
 //! byte-for-byte by the wire-protocol goldens in `tests/service_api.rs`.
 
 use rlim_service::json::{Fields, Json};
-use rlim_service::Error;
+use rlim_service::{Error, FrontEndStats};
 
 use crate::cache::CacheStats;
 
-/// One point-in-time counters snapshot: queue, workers, jobs, cache.
+/// One point-in-time counters snapshot: queue, workers, jobs, cache and
+/// front-end memo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// Whole seconds since the daemon booted.
@@ -31,6 +32,9 @@ pub struct MetricsSnapshot {
     pub jobs_rejected: u64,
     /// Compile-cache counters.
     pub cache: CacheStats,
+    /// Front-end memo counters: rewritten graphs and schedules the
+    /// workers' misses share.
+    pub frontends: FrontEndStats,
 }
 
 impl MetricsSnapshot {
@@ -55,6 +59,16 @@ impl MetricsSnapshot {
                     ("evictions", Json::from(self.cache.evictions)),
                 ]),
             ),
+            (
+                "frontends",
+                Json::object([
+                    ("entries", Json::from(self.frontends.entries)),
+                    ("bytes", Json::from(self.frontends.bytes)),
+                    ("hits", Json::from(self.frontends.hits)),
+                    ("misses", Json::from(self.frontends.misses)),
+                    ("evictions", Json::from(self.frontends.evictions)),
+                ]),
+            ),
         ])
     }
 
@@ -72,6 +86,7 @@ impl MetricsSnapshot {
 
     pub(crate) fn decode(m: &Fields<'_>) -> Result<Self, String> {
         let cache = m.object("cache")?;
+        let frontends = m.object("frontends")?;
         Ok(MetricsSnapshot {
             uptime_ticks: m.u64("uptime_ticks")?,
             workers: m.usize("workers")?,
@@ -87,6 +102,13 @@ impl MetricsSnapshot {
                 hits: cache.u64("hits")?,
                 misses: cache.u64("misses")?,
                 evictions: cache.u64("evictions")?,
+            },
+            frontends: FrontEndStats {
+                entries: frontends.usize("entries")?,
+                bytes: frontends.usize("bytes")?,
+                hits: frontends.u64("hits")?,
+                misses: frontends.u64("misses")?,
+                evictions: frontends.u64("evictions")?,
             },
         })
     }
@@ -160,6 +182,13 @@ mod tests {
                 hits: 90,
                 misses: 10,
                 evictions: 0,
+            },
+            frontends: FrontEndStats {
+                entries: 3,
+                bytes: 4096,
+                hits: 20,
+                misses: 3,
+                evictions: 1,
             },
         };
         assert_eq!(

@@ -15,7 +15,10 @@
 //! * `N` **workers** blocking on the queue, each looking a job up once
 //!   more (it may have been filled while queued) and compiling misses
 //!   through a single-threaded [`Service`] — the worker pool is the
-//!   parallelism axis, exactly like a batch run's per-spec axis.
+//!   parallelism axis, exactly like a batch run's per-spec axis. The
+//!   workers share one [`FrontEnds`] memo, so a miss that differs from
+//!   an earlier one only in back-end options (cap, backend, listing)
+//!   skips rewrite and schedule.
 //!
 //! ## Shutdown state machine
 //!
@@ -39,7 +42,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use rlim_mig::Mig;
-use rlim_service::{Error, JobSpec, Service, Source};
+use rlim_service::{Error, FrontEnds, JobSpec, Service, Source};
 
 use crate::cache::{cache_key, CachedReply, ReportCache};
 use crate::metrics::{Health, MetricsSnapshot};
@@ -70,6 +73,11 @@ impl Default for DaemonConfig {
         }
     }
 }
+
+/// The bytes the front-end memo may hold: a fixed bound, like the
+/// request-line cap, not a knob. It fits the rewritten graphs and
+/// schedules of every benchmark under every preset many times over.
+const FRONT_END_BYTES: usize = 64 << 20;
 
 /// The longest request line a connection may send, newline excluded.
 /// A longer line is answered with an `error` and its connection closed,
@@ -131,6 +139,8 @@ struct Shared {
     service: Service,
     queue: BoundedQueue<QueuedJob>,
     cache: Mutex<ReportCache>,
+    /// Rewritten graphs and their schedules, shared by all workers.
+    frontends: FrontEnds,
     /// Benchmark graphs built once per daemon lifetime, with their
     /// fingerprints (keyed by benchmark name).
     sources: Mutex<HashMap<String, (Arc<Mig>, u128)>>,
@@ -231,6 +241,7 @@ pub fn serve(config: DaemonConfig) -> std::io::Result<DaemonHandle> {
         service: Service::new().with_threads(1),
         queue: BoundedQueue::new(config.queue_depth),
         cache: Mutex::new(ReportCache::new(config.cache_capacity)),
+        frontends: FrontEnds::new(FRONT_END_BYTES),
         sources: Mutex::new(HashMap::new()),
         started: Instant::now(),
         local_addr,
@@ -299,24 +310,26 @@ fn handle_connection(shared: &Arc<Shared>, stream: TcpStream) {
         }
         let oversize = buf.len() > MAX_REQUEST_LINE && buf.last() != Some(&b'\n');
         let request = if oversize {
-            None
+            Err(format!("request line exceeds {MAX_REQUEST_LINE} bytes"))
         } else {
-            let Ok(text) = std::str::from_utf8(&buf) else {
-                break;
-            };
-            let text = text.strip_suffix('\n').unwrap_or(text);
-            let text = text.strip_suffix('\r').unwrap_or(text);
-            if text.trim().is_empty() {
-                continue;
+            match std::str::from_utf8(&buf) {
+                // Garbage like any other: answered, and the connection
+                // keeps serving.
+                Err(_) => Err("request line is not UTF-8".to_string()),
+                Ok(text) => {
+                    let text = text.strip_suffix('\n').unwrap_or(text);
+                    let text = text.strip_suffix('\r').unwrap_or(text);
+                    if text.trim().is_empty() {
+                        continue;
+                    }
+                    Ok(text)
+                }
             }
-            Some(text)
         };
         shared.pending.enter();
         let reply = match request {
-            Some(text) => shared.respond(text),
-            None => line(wire::error_line(&Error::InvalidRequest(format!(
-                "request line exceeds {MAX_REQUEST_LINE} bytes"
-            )))),
+            Ok(text) => shared.respond(text),
+            Err(message) => line(wire::error_line(&Error::InvalidRequest(message))),
         };
         // One `write_all` per line, newline included: a reply larger than
         // the writer's buffer goes straight to the socket, and a separate
@@ -501,7 +514,7 @@ impl Shared {
         if let Some(fleet) = spec.fleet() {
             run_spec = run_spec.with_fleet(*fleet);
         }
-        let mut report = self.service.run(&run_spec)?;
+        let mut report = self.service.run_with(&run_spec, &self.frontends)?;
         // The daemon compiles through an in-memory graph whose label
         // would read `<mig>`; the reply names the request's own source.
         report.label = spec.label();
@@ -531,6 +544,7 @@ impl Shared {
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .stats(),
+            frontends: self.frontends.stats(),
         }
     }
 

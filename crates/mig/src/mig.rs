@@ -404,6 +404,15 @@ impl Mig {
         self.gates().filter(|g| live[g.index()]).count()
     }
 
+    /// Bytes the graph holds on the heap: its node array, output list
+    /// and strash slots, allocated capacity included. This is what a
+    /// byte-bounded cache of graphs charges for one.
+    pub fn heap_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<[Signal; 3]>()
+            + self.outputs.capacity() * std::mem::size_of::<Signal>()
+            + self.strash.heap_bytes()
+    }
+
     /// A 128-bit structural fingerprint: two independent FxHash-style
     /// streams over the input count, every gate's child triple (in
     /// topological node order) and the primary-output list.

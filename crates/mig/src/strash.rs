@@ -106,6 +106,11 @@ impl Strash {
         self.len == 0
     }
 
+    /// Bytes the slot array holds on the heap.
+    pub fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u64>()
+    }
+
     /// Forgets every entry but keeps the slot allocation, so the table can
     /// be reused by the next graph rebuild without reallocating.
     pub fn clear(&mut self) {

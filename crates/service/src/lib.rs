@@ -41,13 +41,16 @@
 #![warn(missing_docs)]
 
 pub mod json;
+pub mod lru;
 pub mod options;
 
 mod error;
+mod frontends;
 mod report;
 mod spec;
 
 pub use error::Error;
+pub use frontends::{FrontEndStats, FrontEnds};
 pub use report::{
     CircuitSummary, FaultSummary, FleetReport, LifetimeProjection, Report, REPORT_SCHEMA_VERSION,
 };
@@ -61,7 +64,9 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use rlim_benchmarks::Benchmark;
-use rlim_compiler::{Backend, CompileOptions, ImpBackend, Rm3Backend};
+use rlim_compiler::{
+    Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, Rm3Backend, Selection,
+};
 use rlim_imp::ImpOp;
 use rlim_isa::Program;
 use rlim_mig::{blif, Mig};
@@ -77,7 +82,8 @@ use rlim_testkit::parallel::parallel_map;
 ///
 /// A `Service` is cheap to construct and stateless between calls; it
 /// carries only run-wide configuration (worker threads, the endurance
-/// constant used for lifetime projections).
+/// constant used for lifetime projections). State that outlives a call,
+/// such as a [`FrontEnds`] memo, belongs to the caller.
 #[derive(Debug, Clone, Copy)]
 pub struct Service {
     threads: usize,
@@ -195,6 +201,15 @@ fn source_key(source: &Source) -> SourceKey {
     }
 }
 
+/// The index of `item` in `items`, appending it first when absent: the
+/// dedup behind every stage of a batch.
+fn index_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
+    items.iter().position(|k| *k == item).unwrap_or_else(|| {
+        items.push(item);
+        items.len() - 1
+    })
+}
+
 fn load_blif(path: &Path) -> Result<Mig, Error> {
     let label = path.display().to_string();
     let text = std::fs::read_to_string(path).map_err(|e| Error::io(label.clone(), &e))?;
@@ -243,21 +258,70 @@ impl Service {
         Ok(reports.pop().expect("one report per spec"))
     }
 
+    /// Runs one job, taking its front end from (and leaving it in) the
+    /// caller's memo; see [`Service::run_batch_with`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Service::run`].
+    pub fn run_with(&self, spec: &JobSpec, frontends: &FrontEnds) -> Result<Report, Error> {
+        let mut reports = self.run_batch_with(std::slice::from_ref(spec), frontends)?;
+        Ok(reports.pop().expect("one report per spec"))
+    }
+
     /// Runs a batch of jobs, returning one report per spec **in spec
     /// order**, independent of scheduling.
     ///
-    /// The batch is executed in three deterministic stages on the
-    /// workspace's scoped worker pool: distinct sources are built once,
-    /// distinct (source, backend, options) combinations are compiled
-    /// once (RM3 and hosted-RM3 share entries; a parameter sweep over
-    /// one graph never rebuilds it), then per-spec reports are
-    /// assembled — so a forced-serial run (`with_threads(1)`) yields
-    /// byte-identical serialized reports to a parallel one.
+    /// The batch is executed in four deterministic stages on the
+    /// workspace's scoped worker pool:
+    ///
+    /// 1. distinct sources are built once (a parameter sweep over one
+    ///    graph never rebuilds it);
+    /// 2. distinct front ends — `(source, rewriting, effort)` — are
+    ///    rewritten once, and each is scheduled once per selection policy
+    ///    its RM3 jobs use ([`FrontEnd`]);
+    /// 3. distinct (source, backend class, options) combinations are
+    ///    compiled once from their front end (RM3, hosted-RM3 and wide-RM3
+    ///    share entries);
+    /// 4. per-spec reports are assembled.
+    ///
+    /// So a table matrix rewrites each circuit once per rewriting however
+    /// many back-end configurations it sweeps, and a forced-serial run
+    /// (`with_threads(1)`) yields byte-identical serialized reports to a
+    /// parallel one. The front ends live only as long as the call, which
+    /// keeps the service stateless; [`Service::run_batch_with`] keeps
+    /// them in the caller's memo instead. A report's `seconds` is the
+    /// time its compile took in this call, the front-end stages it needed
+    /// included (shared ones are charged to each compile that reads them;
+    /// a front end found in a memo costs nothing).
     ///
     /// # Errors
     ///
     /// Returns the first failing spec's [`Error`] (in spec order).
     pub fn run_batch(&self, specs: &[JobSpec]) -> Result<Vec<Report>, Error> {
+        self.run_stages(specs, None)
+    }
+
+    /// [`Service::run_batch`] with stage 2 reading and filling the
+    /// caller's `frontends` memo, so front ends carry over between calls.
+    /// The reports are byte-identical to a memo-free run's.
+    ///
+    /// # Errors
+    ///
+    /// As [`Service::run_batch`].
+    pub fn run_batch_with(
+        &self,
+        specs: &[JobSpec],
+        frontends: &FrontEnds,
+    ) -> Result<Vec<Report>, Error> {
+        self.run_stages(specs, Some(frontends))
+    }
+
+    fn run_stages(
+        &self,
+        specs: &[JobSpec],
+        frontends: Option<&FrontEnds>,
+    ) -> Result<Vec<Report>, Error> {
         // Validate requests before doing any work.
         for spec in specs {
             if let Some(fleet) = spec.fleet() {
@@ -285,15 +349,10 @@ impl Service {
 
         // ---- Stage 1: build every distinct source once ------------------
         let mut keys: Vec<SourceKey> = Vec::new();
-        let mut src_of: Vec<usize> = Vec::with_capacity(specs.len());
-        for spec in specs {
-            let key = source_key(spec.source());
-            let idx = keys.iter().position(|k| *k == key).unwrap_or_else(|| {
-                keys.push(key.clone());
-                keys.len() - 1
-            });
-            src_of.push(idx);
-        }
+        let src_of: Vec<usize> = specs
+            .iter()
+            .map(|spec| index_of(&mut keys, source_key(spec.source())))
+            .collect();
         let loaders: Vec<(usize, SourceKey)> = keys.into_iter().enumerate().collect();
         let sources: Vec<&Source> = {
             // First spec mentioning each key, for Arc'd MIG access.
@@ -319,18 +378,10 @@ impl Service {
             migs.push(result?);
         }
 
-        // ---- Stage 2: compile every distinct job once -------------------
+        // Every distinct (source, compile class, options) combination.
         type CompileKey = (usize, CompileClass, CompileOptions);
         let mut compile_keys: Vec<CompileKey> = Vec::new();
-        let mut dedup = |key: CompileKey| -> usize {
-            compile_keys
-                .iter()
-                .position(|k| *k == key)
-                .unwrap_or_else(|| {
-                    compile_keys.push(key);
-                    compile_keys.len() - 1
-                })
-        };
+        let mut dedup = |key: CompileKey| index_of(&mut compile_keys, key);
         let mut main_of: Vec<usize> = Vec::with_capacity(specs.len());
         let mut heavy_of: Vec<Option<usize>> = Vec::with_capacity(specs.len());
         for (spec, &src) in specs.iter().zip(&src_of) {
@@ -340,18 +391,68 @@ impl Service {
                 dedup((src, CompileClass::Rm3, CompileOptions::naive()))
             }));
         }
-        let compiled: Vec<(Compiled, f64)> =
-            parallel_map(compile_keys, self.threads, |(src, class, options)| {
-                let mig = &migs[src];
+
+        // ---- Stage 2: rewrite and schedule every distinct front end once
+        // Each compile's front end, and the (front end, selection) of its
+        // schedule for the RM3 class (IMPLY synthesis schedules nothing).
+        let mut front_keys: Vec<(usize, FrontKey)> = Vec::new();
+        let mut schedule_keys: Vec<(usize, Selection)> = Vec::new();
+        let mut front_of: Vec<(usize, Option<usize>)> = Vec::with_capacity(compile_keys.len());
+        for &(src, class, options) in &compile_keys {
+            let front = index_of(&mut front_keys, (src, FrontKey::of(&options)));
+            let schedule = (class == CompileClass::Rm3)
+                .then(|| index_of(&mut schedule_keys, (front, options.selection)));
+            front_of.push((front, schedule));
+        }
+        // A memo finds a front end by its source's fingerprint; without
+        // one, the dedup above is all the sharing there is, and no source
+        // is hashed.
+        let fronts: Vec<(Arc<FrontEnd>, Option<u128>, f64)> =
+            parallel_map(front_keys, self.threads, |(src, key)| {
                 let start = Instant::now();
-                let program = match class {
-                    CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile(mig, &options)),
-                    CompileClass::Imp => Compiled::Imp(ImpBackend.compile(mig, &options)),
+                let (front, fingerprint) = match frontends {
+                    Some(memo) => {
+                        let fingerprint = migs[src].fingerprint();
+                        (memo.get(fingerprint, &migs[src], key), Some(fingerprint))
+                    }
+                    None => (Arc::new(FrontEnd::new(&migs[src], key)), None),
                 };
-                (program, start.elapsed().as_secs_f64())
+                (front, fingerprint, start.elapsed().as_secs_f64())
+            });
+        let scheduled: Vec<f64> =
+            parallel_map(schedule_keys, self.threads, |(front, selection)| {
+                let start = Instant::now();
+                let (front, fingerprint, _) = &fronts[front];
+                match frontends.zip(*fingerprint) {
+                    Some((memo, fingerprint)) => memo.schedule(fingerprint, front, selection),
+                    None => {
+                        front.schedule(selection);
+                    }
+                }
+                start.elapsed().as_secs_f64()
             });
 
-        // ---- Stage 3: assemble reports, one per spec --------------------
+        // ---- Stage 3: compile every distinct job once from its front end
+        let jobs: Vec<(CompileKey, (usize, Option<usize>))> =
+            compile_keys.into_iter().zip(front_of).collect();
+        let compiled: Vec<(Compiled, f64)> = parallel_map(
+            jobs,
+            self.threads,
+            |((_, class, options), (front, schedule))| {
+                let (front, _, front_seconds) = &fronts[front];
+                let start = Instant::now();
+                let program = match class {
+                    CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile_front(front, &options)),
+                    CompileClass::Imp => Compiled::Imp(ImpBackend.compile_front(front, &options)),
+                };
+                let seconds = start.elapsed().as_secs_f64()
+                    + front_seconds
+                    + schedule.map_or(0.0, |s| scheduled[s]);
+                (program, seconds)
+            },
+        );
+
+        // ---- Stage 4: assemble reports, one per spec --------------------
         // A single-spec run gives its fleet rider the full worker pool;
         // in a batch the specs themselves are the parallel axis.
         let fleet_threads = if specs.len() == 1 { self.threads } else { 1 };

@@ -52,7 +52,8 @@ fn schedule_pass(mig: &Mig, selection: Selection) -> Vec<NodeId> {
     };
     let mut state = PipelineState::new(mig, &options);
     SchedulePass.run(&mut state);
-    state.schedule.expect("the schedule pass emits a schedule")
+    let schedule = state.schedule.expect("the schedule pass emits a schedule");
+    schedule.into_owned().order
 }
 
 /// The schedule by definition: until every live gate is computed, score

@@ -14,8 +14,11 @@
 //! * `shutdown` drains in-flight work, then the socket refuses
 //!   connections;
 //! * random `JobSpec`s round-trip exactly through the wire encoding,
-//!   garbage lines get structured errors without killing workers, and
-//!   an oversize line is refused without hurting other connections.
+//!   garbage lines (non-UTF-8 ones included) get structured errors
+//!   without killing workers, and an oversize line is refused without
+//!   hurting other connections;
+//! * misses that differ only in back-end options share one front end,
+//!   also when two workers race on it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -929,6 +932,116 @@ fn oversize_request_lines_are_refused_and_other_connections_served() {
     assert!(report_line(client.submit(&spec).unwrap()).contains("\"label\":\"ctrl\""));
     handle.shutdown();
     handle.join();
+}
+
+/// A request line that is not UTF-8 is garbage like any other: it gets
+/// a structured usage error and the connection keeps serving.
+#[test]
+fn non_utf8_request_lines_get_structured_errors_and_the_connection_survives() {
+    let addr = fuzz_daemon_addr();
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    for _ in 0..2 {
+        stream
+            .write_all(b"\xff\xfe{\"verb\":\"healthz\"}\n")
+            .unwrap();
+        let mut reply = String::new();
+        reader.read_line(&mut reply).unwrap();
+        match decode_response(reply.trim_end()) {
+            Ok(Response::Error { message, usage }) => {
+                assert!(usage, "{message}");
+                assert!(message.contains("not UTF-8"), "{message}");
+            }
+            other => panic!("expected a usage error, got {other:?} from {reply:?}"),
+        }
+    }
+    stream.write_all(b"{\"verb\":\"healthz\"}\n").unwrap();
+    let mut reply = String::new();
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("{\"healthz\":"), "{reply:?}");
+}
+
+/// Misses that differ only in back-end options (cap, backend, listing)
+/// share one front end: the second is a memo hit, and both replies are
+/// the bytes a direct run gives.
+#[test]
+fn back_end_variants_of_a_miss_share_its_front_end() {
+    let handle = daemon(1, 8);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let options = CompileOptions::endurance_aware();
+    let specs = [
+        JobSpec::benchmark(Benchmark::Ctrl).with_options(options),
+        JobSpec::benchmark(Benchmark::Ctrl)
+            .with_options(options.with_max_writes(20))
+            .with_program_text(true),
+        JobSpec::benchmark(Benchmark::Ctrl)
+            .with_options(options.with_max_writes(20))
+            .with_backend(BackendKind::Imp),
+    ];
+    let service = Service::new().with_threads(1);
+    for (i, spec) in specs.iter().enumerate() {
+        let remote = report_line(client.submit(spec).unwrap());
+        let direct = service.run(spec).unwrap().to_json().render_compact();
+        assert_eq!(remote, direct, "spec {i}");
+        let frontends = client.metrics().unwrap().frontends;
+        assert_eq!(
+            (
+                frontends.entries,
+                frontends.hits,
+                frontends.misses,
+                frontends.evictions
+            ),
+            (1, i as u64, 1, 0),
+            "after spec {i}"
+        );
+        assert!(frontends.bytes > 0);
+    }
+    handle.shutdown();
+    handle.join();
+}
+
+/// Two workers racing on one front end (same circuit and rewriting,
+/// different back-end options) keep one memo entry and answer what a
+/// direct run answers.
+#[test]
+fn workers_racing_on_one_front_end_give_identical_replies() {
+    let handle = daemon(2, 8);
+    let addr = handle.addr();
+    let options = CompileOptions::endurance_aware();
+    let specs: Vec<JobSpec> = [None, Some(5), Some(9), Some(30)]
+        .into_iter()
+        .map(|cap| {
+            JobSpec::benchmark(Benchmark::Voter)
+                .with_options(CompileOptions {
+                    max_writes: cap,
+                    ..options
+                })
+                .with_program_text(true)
+        })
+        .collect();
+    let threads: Vec<_> = specs
+        .iter()
+        .map(|spec| submit_on_thread(addr, spec.clone()))
+        .collect();
+    let remote: Vec<String> = threads
+        .into_iter()
+        .map(|t| report_line(t.join().unwrap()))
+        .collect();
+    let service = Service::new().with_threads(1);
+    for (spec, remote) in specs.iter().zip(&remote) {
+        assert_eq!(
+            *remote,
+            service.run(spec).unwrap().to_json().render_compact()
+        );
+    }
+    handle.shutdown();
+    let frontends = handle.join().frontends;
+    // A racing loser counts a miss but its front end is dropped.
+    assert_eq!(frontends.entries, 1, "{frontends:?}");
+    assert_eq!(frontends.hits + frontends.misses, 4, "{frontends:?}");
 }
 
 /// After the fuzz barrage, the worker pool still compiles — no thread

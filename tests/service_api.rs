@@ -495,6 +495,7 @@ fn daemon_wire_protocol_is_pinned() {
 fn daemon_response_envelopes_are_pinned() {
     use rlim::daemon::wire;
     use rlim::daemon::{CacheStats, Health, MetricsSnapshot};
+    use rlim::service::FrontEndStats;
     use rlim::Error;
 
     assert_eq!(
@@ -536,13 +537,21 @@ fn daemon_response_envelopes_are_pinned() {
             misses: 2,
             evictions: 0,
         },
+        frontends: FrontEndStats {
+            entries: 1,
+            bytes: 5120,
+            hits: 1,
+            misses: 1,
+            evictions: 0,
+        },
     };
     assert_eq!(
         wire::metrics_line(&snapshot),
         "{\"metrics\":{\"uptime_ticks\":5,\"workers\":2,\"workers_busy\":1,\
 \"queue_depth\":0,\"queue_capacity\":8,\"jobs_served\":3,\"jobs_failed\":0,\
 \"jobs_rejected\":1,\"cache\":{\"entries\":2,\"capacity\":256,\"hits\":1,\
-\"misses\":2,\"evictions\":0}}}"
+\"misses\":2,\"evictions\":0},\"frontends\":{\"entries\":1,\"bytes\":5120,\
+\"hits\":1,\"misses\":1,\"evictions\":0}}}"
     );
 }
 
