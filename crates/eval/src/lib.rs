@@ -97,11 +97,6 @@ impl RunPlan {
     }
 }
 
-// The benchmark × configuration matrices previously distributed
-// themselves over the testkit's worker pool; the service owns that now.
-// The raw pool stays available as `rlim_testkit::parallel` for the
-// oracle and any bespoke experiment.
-
 /// One measured compilation: the paper's per-cell metrics.
 #[derive(Debug, Clone)]
 pub struct Measurement {

@@ -27,14 +27,16 @@
 //!
 //! ## Determinism
 //!
-//! Dispatch is planned serially before anything executes: a PLiM program's
-//! write cost is static (every execution writes the same cells the same
-//! number of times), so the plan depends only on the job sequence and the
-//! fleet's accumulated wear — never on thread scheduling. Execution then
-//! runs each array's job list in plan order, arrays in parallel on a
-//! scoped worker pool following the workspace convention (`threads == 0`
-//! means one worker per core, `1` forces serial); arrays are disjoint, so
-//! serial and parallel runs are byte-identical.
+//! Every batch runs through one plan → execute → collect loop. Dispatch is
+//! planned serially before anything executes: a PLiM program's write cost
+//! is static (every execution writes the same cells the same number of
+//! times), so the plan depends only on the job sequence and the fleet's
+//! accumulated wear — never on thread scheduling. Each array's job list
+//! then runs in plan order through one executor (scalar, SIMD lanes, or
+//! scalar with remap-and-retry), arrays in parallel on the workspace pool
+//! [`crate::parallel`] (`threads == 0` means one worker per core, `1`
+//! forces serial). Arrays are disjoint and their results merge in job
+//! order, so serial and parallel runs are byte-identical.
 //!
 //! ## Example
 //!
@@ -66,13 +68,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use rlim_rram::{CellId, Crossbar, FaultModel, FleetWriteStats, WideCrossbar, WriteFault};
 
 use crate::isa::Program;
 use crate::machine::Machine;
+use crate::parallel::parallel_map;
 use crate::recovery::{
     patch_program, remap_target, FaultEvent, FaultKind, FaultRecorder, RecoveryAction,
     RecoveryConfig,
@@ -353,13 +354,6 @@ struct Slot {
     broken: Vec<CellId>,
     /// Faults detected on this array (the watchdog's counter).
     faults: u64,
-    /// Patched programs keyed by original program identity; cleared when
-    /// `broken` grows (every cached binding is stale then).
-    patches: HashMap<usize, Program>,
-    /// Fault events of the in-flight round, drained into the fleet's
-    /// [`FaultRecorder`] after the parallel phase (merged in job order,
-    /// keeping the log deterministic under any thread schedule).
-    events: Vec<FaultEvent>,
 }
 
 /// One array's dispatch bookkeeping, as reported by
@@ -421,8 +415,6 @@ impl Fleet {
                 retired: false,
                 broken: Vec::new(),
                 faults: 0,
-                patches: HashMap::new(),
-                events: Vec::new(),
             })
             .collect();
         Fleet {
@@ -574,9 +566,9 @@ impl Fleet {
     ///
     /// Dispatch is planned serially first (see the module docs), then each
     /// array executes its assigned jobs in plan order, arrays in parallel
-    /// over `threads` scoped workers (`0` = one per available core, `1` =
-    /// forced serial). Serial and parallel runs produce identical outputs
-    /// and identical wear.
+    /// over `threads` workers of [`crate::parallel`] (`0` = one per
+    /// available core, `1` = forced serial). Serial and parallel runs
+    /// produce identical outputs and identical wear.
     ///
     /// # Errors
     ///
@@ -602,7 +594,7 @@ impl Fleet {
     /// for some job. Completed outputs equal a fault-free run's byte for
     /// byte: a write that slips through verification stored the intended
     /// value by definition, and remapping never changes the instruction
-    /// sequence.
+    /// sequence. Patched programs are cached for one batch only.
     ///
     /// # Panics
     ///
@@ -613,94 +605,7 @@ impl Fleet {
         jobs: &[Job<'_>],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.recovery.is_some() {
-            return self.run_batch_recovering(jobs, threads);
-        }
-        let (assignment, per_array) = self.prepare_batch(jobs)?;
-        let results: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.execute_arrays(&per_array, threads, |_, slot, list| {
-            for &j in list {
-                let outcome = slot.machine.run(jobs[j].program, jobs[j].inputs);
-                let failed = outcome.is_err();
-                *results[j].lock().expect("result lock") = Some(outcome);
-                if failed {
-                    return; // this array is dead; its later jobs never ran
-                }
-            }
-        });
-        self.collect_results(&assignment, results)
-    }
-
-    /// The recovering batch path: plan, execute with per-array
-    /// remap-and-retry, then re-plan whatever a retired array left
-    /// unfinished onto the survivors. Each round either finishes every
-    /// pending job or retires at least one array, so the loop runs at
-    /// most `arrays + 1` rounds.
-    fn run_batch_recovering(
-        &mut self,
-        jobs: &[Job<'_>],
-        threads: usize,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
-        let recovery = self.recovery.expect("recovery configured");
-        let mut outputs: Vec<Option<Vec<bool>>> = jobs.iter().map(|_| None).collect();
-        let mut pending: Vec<usize> = (0..jobs.len()).collect();
-        while !pending.is_empty() {
-            let round: Vec<Job<'_>> = pending.iter().map(|&j| jobs[j]).collect();
-            let (_, per_array) = self.prepare_batch(&round).map_err(|e| match e {
-                // Report the unplaceable job under its original batch index.
-                FleetError::Exhausted {
-                    job,
-                    cost,
-                    live_arrays,
-                } => FleetError::Exhausted {
-                    job: pending[job],
-                    cost,
-                    live_arrays,
-                },
-                other => other,
-            })?;
-            let results: Vec<Mutex<Option<Vec<bool>>>> =
-                round.iter().map(|_| Mutex::new(None)).collect();
-            let global = pending.as_slice();
-            self.execute_arrays(&per_array, threads, |array, slot, list| {
-                for &r in list {
-                    match run_with_recovery(slot, array, global[r], round[r], recovery) {
-                        Some(out) => *results[r].lock().expect("result lock") = Some(out),
-                        // Watchdog retired the array; this job and the
-                        // rest of the list wait for the next round.
-                        None => return,
-                    }
-                }
-            });
-            // Drain per-array fault events into the recorder, merged in
-            // job order (each job runs on exactly one array, so a stable
-            // sort by job keeps per-job retry order), and reconcile the
-            // planned wear totals with what retries actually wrote.
-            let mut round_events = Vec::new();
-            for slot in &mut self.slots {
-                round_events.append(&mut slot.events);
-                slot.total = slot.machine.array().write_counts().iter().sum();
-            }
-            round_events.sort_by_key(|e| e.job);
-            for event in round_events {
-                self.recorder.record(event);
-            }
-            let mut still = Vec::new();
-            for (r, result) in results.into_iter().enumerate() {
-                match result.into_inner().expect("no poisoned lock") {
-                    Some(out) => outputs[pending[r]] = Some(out),
-                    None => still.push(pending[r]),
-                }
-            }
-            pending = still;
-        }
-        Ok(outputs
-            .into_iter()
-            .map(|o| o.expect("every job completed or the loop errored"))
-            .collect())
+        self.run_rounds(jobs, threads, self.executor(false))
     }
 
     /// [`Fleet::run_batch`] with the batch packed into SIMD lanes: jobs
@@ -729,7 +634,7 @@ impl Fleet {
     /// Fault injection is a scalar-path feature: a word-level write has
     /// no per-lane readback to verify against, so a fleet configured with
     /// [`FleetConfig::with_faults`] or [`FleetConfig::with_recovery`]
-    /// transparently falls back to the scalar [`Fleet::run_batch`].
+    /// runs the batch exactly as [`Fleet::run_batch`] does.
     ///
     /// # Errors
     ///
@@ -744,54 +649,101 @@ impl Fleet {
         jobs: &[Job<'_>],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, FleetError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        if self.faults.is_some() || self.recovery.is_some() {
-            return self.run_batch(jobs, threads);
-        }
-        let (assignment, per_array) = self.prepare_batch(jobs)?;
-        let results: Vec<ResultSlot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        self.execute_arrays(&per_array, threads, |_, slot, list| {
-            for group in lane_groups(jobs, list) {
-                let lanes = group.len();
-                let program = jobs[group[0]].program;
-                let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
-                let overlay = WideCrossbar::from_scalar(slot.machine.array());
-                let mut wide = WideMachine::with_array(overlay, lanes);
-                let outcome = wide.run(program, &lane_inputs);
-                // Commit even on failure: wear performed before the failing
-                // word write persists, as in the scalar path.
-                wide.array()
-                    .commit_into(slot.machine.array_mut(), lanes - 1);
-                match outcome {
-                    Ok(lane_outputs) => {
-                        for (&j, out) in group.iter().zip(lane_outputs) {
-                            *results[j].lock().expect("result lock") = Some(Ok(out));
-                        }
-                    }
-                    Err(error) => {
-                        *results[group[0]].lock().expect("result lock") = Some(Err(error.into()));
-                        return; // this array is dead; later groups never ran
-                    }
-                }
-            }
-        });
-        self.collect_results(&assignment, results)
+        self.run_rounds(jobs, threads, self.executor(true))
     }
 
-    /// Plans a batch and commits the plan: wear totals, job counts,
-    /// retirement and the round-robin cursor. Returns the job → array
-    /// assignment and each array's job list (in dispatch order), with
-    /// every involved crossbar grown to its largest program.
+    /// The executor a batch runs on: remap-and-retry under recovery,
+    /// word-level lanes when `simd` is asked for and no injected fault
+    /// needs a per-write readback, one scalar run per job otherwise.
+    fn executor(&self, simd: bool) -> Executor {
+        match self.recovery {
+            Some(recovery) => Executor::Recovering(recovery),
+            None if simd && self.faults.is_none() => Executor::Wide,
+            None => Executor::Scalar,
+        }
+    }
+
+    /// The one batch loop: plan the pending jobs, run each array's list
+    /// through `executor` on the worker pool, and merge the per-array
+    /// results in job order — outputs, fault events, the earliest run-time
+    /// fault and the wear reconciliation. Only a recovering round can end
+    /// with jobs unfinished and no error (the watchdog retired their
+    /// array); they re-plan onto the survivors in the next round. Each
+    /// such round retires at least one array, so the loop runs at most
+    /// `arrays + 1` rounds.
+    fn run_rounds(
+        &mut self,
+        jobs: &[Job<'_>],
+        threads: usize,
+        executor: Executor,
+    ) -> Result<Vec<Vec<bool>>, FleetError> {
+        let mut outputs: Vec<Option<Vec<bool>>> = vec![None; jobs.len()];
+        let mut pending: Vec<usize> = (0..jobs.len()).collect();
+        while !pending.is_empty() {
+            let per_array = self.prepare_batch(jobs, &pending)?;
+            let tasks: Vec<(usize, &mut Slot, Vec<usize>)> = self
+                .slots
+                .iter_mut()
+                .zip(per_array)
+                .enumerate()
+                .filter(|(_, (_, list))| !list.is_empty())
+                .map(|(array, (slot, list))| (array, slot, list))
+                .collect();
+            let runs = parallel_map(tasks, threads, |(array, slot, list)| {
+                executor.run(array, slot, jobs, &list)
+            });
+            let mut events = Vec::new();
+            let mut faults = Vec::new();
+            for run in runs {
+                for (j, out) in run.outputs {
+                    outputs[j] = Some(out);
+                }
+                events.extend(run.events);
+                let slot = &mut self.slots[run.array];
+                // Retries and failed writes make executed wear differ from
+                // the plan; a dead cell is permanent, so a fault retires
+                // the array and later batches go to the survivors.
+                if run.fault.is_some() || matches!(executor, Executor::Recovering(_)) {
+                    slot.total = slot.machine.array().write_counts().iter().sum();
+                }
+                if let Some((job, fault)) = run.fault {
+                    slot.retired = true;
+                    faults.push(FleetError::Fault {
+                        job,
+                        array: run.array,
+                        fault,
+                    });
+                }
+            }
+            // Each job runs on one array per round, so a stable sort by
+            // job keeps every job's retry order.
+            events.sort_by_key(|e| e.job);
+            for event in events {
+                self.recorder.record(event);
+            }
+            if let Some(error) = faults.into_iter().min_by_key(FleetError::job) {
+                return Err(error);
+            }
+            pending.retain(|&j| outputs[j].is_none());
+        }
+        Ok(outputs
+            .into_iter()
+            .map(|o| o.expect("every job completed or the loop errored"))
+            .collect())
+    }
+
+    /// Plans the `pending` jobs of a batch and commits the plan: wear
+    /// totals, job counts, retirement and the round-robin cursor. Returns
+    /// each array's list of batch indices (in dispatch order), with every
+    /// involved crossbar grown to its largest program.
     ///
     /// Planning is serial, deterministic and transactional — a batch that
     /// exhausts the fleet leaves all bookkeeping untouched.
     fn prepare_batch(
         &mut self,
         jobs: &[Job<'_>],
-    ) -> Result<(Vec<usize>, Vec<Vec<usize>>), FleetError> {
-        let costs: Vec<u64> = jobs.iter().map(Job::cost).collect();
+        pending: &[usize],
+    ) -> Result<Vec<Vec<usize>>, FleetError> {
         let mut plan = Planner {
             totals: self.slots.iter().map(|s| s.total).collect(),
             job_counts: self.slots.iter().map(|s| s.jobs).collect(),
@@ -801,8 +753,9 @@ impl Fleet {
             write_budget: self.write_budget,
         };
         plan.retire_spent();
-        let mut assignment = Vec::with_capacity(jobs.len());
-        for (j, &cost) in costs.iter().enumerate() {
+        let mut per_array: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
+        for &j in pending {
+            let cost = jobs[j].cost();
             let slot = plan.place(cost).ok_or_else(|| FleetError::Exhausted {
                 job: j,
                 cost,
@@ -810,7 +763,7 @@ impl Fleet {
             })?;
             plan.totals[slot] += cost;
             plan.job_counts[slot] += 1;
-            assignment.push(slot);
+            per_array[slot].push(j);
             plan.retire_spent();
         }
         for (i, slot) in self.slots.iter_mut().enumerate() {
@@ -819,161 +772,157 @@ impl Fleet {
             slot.retired = plan.retired[i];
         }
         self.cursor = plan.cursor;
-        self.jobs_run += jobs.len() as u64;
+        self.jobs_run += pending.len() as u64;
 
-        let mut per_array: Vec<Vec<usize>> = vec![Vec::new(); self.slots.len()];
-        for (j, &slot) in assignment.iter().enumerate() {
-            per_array[slot].push(j);
-        }
         for (slot, list) in self.slots.iter_mut().zip(&per_array) {
             let cells = list.iter().map(|&j| jobs[j].program.num_cells).max();
             if let Some(cells) = cells {
                 slot.machine.ensure_cells(cells);
             }
         }
-        Ok((assignment, per_array))
-    }
-
-    /// Runs `run_task` once per non-empty array job list, arrays in
-    /// parallel over `threads` scoped workers (`0` = one per available
-    /// core, `1` = forced serial). Arrays are disjoint, so serial and
-    /// parallel schedules produce identical state.
-    fn execute_arrays<F>(&mut self, per_array: &[Vec<usize>], threads: usize, run_task: F)
-    where
-        F: Fn(usize, &mut Slot, &[usize]) + Sync,
-    {
-        type TaskSlot<'m> = Mutex<Option<(usize, &'m mut Slot, &'m [usize])>>;
-        let tasks: Vec<TaskSlot<'_>> = self
-            .slots
-            .iter_mut()
-            .enumerate()
-            .zip(per_array)
-            .filter(|(_, list)| !list.is_empty())
-            .map(|((i, slot), list)| Mutex::new(Some((i, slot, list.as_slice()))))
-            .collect();
-        let workers = resolve_threads(threads, tasks.len());
-        if workers <= 1 {
-            for task in &tasks {
-                let (i, slot, list) = task.lock().expect("task lock").take().expect("task set");
-                run_task(i, slot, list);
-            }
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            return;
-                        }
-                        let (array, slot, list) = tasks[i]
-                            .lock()
-                            .expect("task lock")
-                            .take()
-                            .expect("task set");
-                        run_task(array, slot, list);
-                    });
-                }
-            });
-        }
-    }
-
-    /// Aggregates per-job outcomes in batch order, retiring arrays that
-    /// failed on a device fault and reconciling their planned wear to the
-    /// writes that actually executed.
-    fn collect_results(
-        &mut self,
-        assignment: &[usize],
-        results: Vec<ResultSlot>,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
-        let mut outputs = Vec::with_capacity(results.len());
-        let mut first_error: Option<FleetError> = None;
-        for (j, cell) in results.into_iter().enumerate() {
-            match cell.into_inner().expect("no poisoned lock") {
-                Some(Ok(out)) => outputs.push(out),
-                Some(Err(fault)) => {
-                    // A dead cell is permanent: retire the array so later
-                    // batches go to the survivors, and replace its planned
-                    // wear with the writes that actually executed.
-                    let array = assignment[j];
-                    let slot = &mut self.slots[array];
-                    slot.retired = true;
-                    slot.total = slot.machine.array().write_counts().iter().sum();
-                    if first_error.is_none() {
-                        first_error = Some(FleetError::Fault {
-                            job: j,
-                            array,
-                            fault,
-                        });
-                    }
-                }
-                // Jobs queued behind a failed one on the same array never
-                // ran; the earliest failing job is the error reported.
-                None => {}
-            }
-        }
-        match first_error {
-            Some(e) => Err(e),
-            None => Ok(outputs),
-        }
+        Ok(per_array)
     }
 }
 
-/// Per-job outcome slot shared between the planner thread and the array
-/// workers.
-type ResultSlot = Mutex<Option<Result<Vec<bool>, WriteFault>>>;
+/// How one array runs its planned job list — the only part of a batch
+/// that differs between the scalar, SIMD and recovering paths.
+#[derive(Debug, Clone, Copy)]
+enum Executor {
+    /// One scalar [`Machine`] run per job; the first fault stops the array.
+    Scalar,
+    /// Jobs sharing a program run as one [`WideMachine`] pass per lane
+    /// group ([`lane_groups`]); a failing word write fails its whole group,
+    /// reported for the group's first job, and stops the array.
+    Wide,
+    /// Scalar runs with remap-and-retry ([`run_with_recovery`]); the
+    /// watchdog stops the array by retiring it, and its unfinished jobs
+    /// wait for the next round.
+    Recovering(RecoveryConfig),
+}
+
+/// What one array's executor hands back to the batch loop.
+struct ArrayRun {
+    array: usize,
+    /// Outputs of the jobs that completed, by batch index.
+    outputs: Vec<(usize, Vec<bool>)>,
+    /// The run-time fault that stopped a non-recovering array, with the
+    /// batch index it is reported for.
+    fault: Option<(usize, WriteFault)>,
+    /// Recovery events, in this array's execution order.
+    events: Vec<FaultEvent>,
+}
+
+impl Executor {
+    /// Runs `list` (batch indices into `jobs`, in dispatch order) on array
+    /// `array`.
+    fn run(self, array: usize, slot: &mut Slot, jobs: &[Job<'_>], list: &[usize]) -> ArrayRun {
+        let mut run = ArrayRun {
+            array,
+            outputs: Vec::with_capacity(list.len()),
+            fault: None,
+            events: Vec::new(),
+        };
+        match self {
+            Executor::Scalar => {
+                for &j in list {
+                    match slot.machine.run(jobs[j].program, jobs[j].inputs) {
+                        Ok(out) => run.outputs.push((j, out)),
+                        Err(fault) => {
+                            run.fault = Some((j, fault));
+                            break;
+                        }
+                    }
+                }
+            }
+            Executor::Wide => {
+                for group in lane_groups(jobs, list) {
+                    let lanes = group.len();
+                    let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
+                    let overlay = WideCrossbar::from_scalar(slot.machine.array());
+                    let mut wide = WideMachine::with_array(overlay, lanes);
+                    let outcome = wide.run(jobs[group[0]].program, &lane_inputs);
+                    // Commit even on failure: wear performed before the
+                    // failing word write persists, as in the scalar path.
+                    wide.array()
+                        .commit_into(slot.machine.array_mut(), lanes - 1);
+                    match outcome {
+                        Ok(lane_outputs) => {
+                            run.outputs.extend(group.iter().copied().zip(lane_outputs))
+                        }
+                        Err(error) => {
+                            run.fault = Some((group[0], error.into()));
+                            break;
+                        }
+                    }
+                }
+            }
+            Executor::Recovering(recovery) => {
+                // Patched programs keyed by program address. The batch's
+                // borrows keep every program alive for this call, so an
+                // address names one program only while the cache lives here.
+                let mut patches = HashMap::new();
+                for &j in list {
+                    match run_with_recovery(slot, j, jobs[j], recovery, &mut patches, &mut run) {
+                        Some(out) => run.outputs.push((j, out)),
+                        None => break,
+                    }
+                }
+            }
+        }
+        run
+    }
+}
 
 /// Runs one job on one array with remap-and-retry recovery. Returns the
 /// job's outputs, or `None` when the watchdog retired the array instead
 /// (the fault budget or the spare budget is spent).
 ///
-/// Every detected fault appends a [`FaultEvent`] to `slot.events` under
-/// the job's original batch index `job_index`; the fleet merges the
-/// per-array logs deterministically after the parallel phase.
+/// Every detected fault appends a [`FaultEvent`] to `run.events` under
+/// the job's batch index `job_index`; the batch loop merges the per-array
+/// logs deterministically after the parallel phase. `patches` caches each
+/// program's binding to the spares for the current broken-cell list.
 fn run_with_recovery(
     slot: &mut Slot,
-    array: usize,
     job_index: usize,
     job: Job<'_>,
     recovery: RecoveryConfig,
+    patches: &mut HashMap<usize, Program>,
+    run: &mut ArrayRun,
 ) -> Option<Vec<bool>> {
+    let key = std::ptr::from_ref(job.program) as usize;
     loop {
-        let key = std::ptr::from_ref(job.program) as usize;
-        if !slot.broken.is_empty() && !slot.patches.contains_key(&key) {
-            slot.patches
-                .insert(key, patch_program(job.program, &slot.broken));
+        if !slot.broken.is_empty() && !patches.contains_key(&key) {
+            patches.insert(key, patch_program(job.program, &slot.broken));
         }
-        let program = slot.patches.get(&key).unwrap_or(job.program);
+        let program = patches.get(&key).unwrap_or(job.program);
         slot.machine.ensure_cells(program.num_cells);
-        match slot.machine.run(program, job.inputs) {
+        let fault = match slot.machine.run(program, job.inputs) {
             Ok(out) => return Some(out),
-            Err(fault) => {
-                slot.faults += 1;
-                let cell = fault.cell();
-                let kind = FaultKind::of(&fault);
-                if slot.faults > recovery.max_faults || slot.broken.len() >= recovery.spares {
-                    slot.retired = true;
-                    slot.events.push(FaultEvent {
-                        job: job_index,
-                        array,
-                        cell,
-                        kind,
-                        action: RecoveryAction::Retired,
-                    });
-                    return None;
-                }
-                slot.broken.push(cell);
-                // Every cached binding is stale now; rebuild on demand.
-                slot.patches.clear();
-                let spare = remap_target(&slot.broken, cell);
-                slot.events.push(FaultEvent {
-                    job: job_index,
-                    array,
-                    cell,
-                    kind,
-                    action: RecoveryAction::Remapped { spare },
-                });
+            Err(fault) => fault,
+        };
+        slot.faults += 1;
+        let cell = fault.cell();
+        let retire = slot.faults > recovery.max_faults || slot.broken.len() >= recovery.spares;
+        let action = if retire {
+            slot.retired = true;
+            RecoveryAction::Retired
+        } else {
+            slot.broken.push(cell);
+            // Every cached binding is stale now; rebuild on demand.
+            patches.clear();
+            RecoveryAction::Remapped {
+                spare: remap_target(&slot.broken, cell),
             }
+        };
+        run.events.push(FaultEvent {
+            job: job_index,
+            array: run.array,
+            cell,
+            kind: FaultKind::of(&fault),
+            action,
+        });
+        if retire {
+            return None;
         }
     }
 }
@@ -1063,20 +1012,6 @@ impl Planner {
             }
         }
     }
-}
-
-/// Worker-count resolution following `rlim-testkit`'s convention (`0` =
-/// one per available core, never more workers than tasks). Local copy:
-/// `rlim-plim` sits below the testkit in the crate graph.
-fn resolve_threads(requested: usize, tasks: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        requested
-    };
-    t.clamp(1, tasks.max(1))
 }
 
 #[cfg(test)]
@@ -1285,25 +1220,42 @@ mod tests {
     fn endurance_failure_retires_array_and_reconciles_wear() {
         let job = burn(1); // one write on cell r0 per run
                            // Two arrays, each cell endures 2 writes. Least-worn alternates,
-                           // so jobs 4 and 5 (the third run on each array) both fail.
-        let mut fleet = Fleet::new(FleetConfig::new(2).with_endurance(2));
-        let err = fleet.run_batch(&[Job::new(&job, &[]); 6], 1).unwrap_err();
-        assert!(matches!(err, FleetError::Fault { job: 4, .. }), "{err:?}");
-        for i in 0..2 {
-            assert!(fleet.is_retired(i), "dead array {i} must retire");
-            // Planned totals (3 per array) reconciled to executed wear (2).
-            assert_eq!(fleet.total_writes(i), 2, "array {i}");
-        }
-        // A fully-dead fleet rejects further work at plan time.
-        let err = fleet.run_batch(&[Job::new(&job, &[])], 1).unwrap_err();
-        assert_eq!(
-            err,
-            FleetError::Exhausted {
-                job: 0,
-                cost: 1,
-                live_arrays: 0
+                           // so jobs 4 and 5 (the third run on each array) both fail; the
+                           // merge reports the earliest at any worker count.
+        for threads in [1, 0] {
+            let mut fleet = Fleet::new(FleetConfig::new(2).with_endurance(2));
+            let err = fleet
+                .run_batch(&[Job::new(&job, &[]); 6], threads)
+                .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FleetError::Fault {
+                        job: 4,
+                        array: 0,
+                        ..
+                    }
+                ),
+                "threads={threads}: {err:?}"
+            );
+            for i in 0..2 {
+                assert!(fleet.is_retired(i), "dead array {i} must retire");
+                // Planned totals (3 per array) reconciled to executed wear (2).
+                assert_eq!(fleet.total_writes(i), 2, "array {i}");
             }
-        );
+            // A fully-dead fleet rejects further work at plan time.
+            let err = fleet
+                .run_batch(&[Job::new(&job, &[])], threads)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                FleetError::Exhausted {
+                    job: 0,
+                    cost: 1,
+                    live_arrays: 0
+                }
+            );
+        }
     }
 
     #[test]
@@ -1329,23 +1281,43 @@ mod tests {
                                    // Round-robin over 2 arrays: array 0 serves every heavy job,
                                    // array 1 every light job. Endurance 4 → r0 on array 0 dies on
                                    // the third heavy run; r1 on array 1 survives four light runs.
-        let mut fleet = Fleet::new(
-            FleetConfig::new(2)
-                .with_policy(DispatchPolicy::RoundRobin)
-                .with_endurance(4),
-        );
-        let jobs = Job::alternating(&heavy, &light, &[], 4);
-        fleet.run_batch(&jobs, 1).unwrap(); // a0: r0=4, a1: r1=2
-        let err = fleet.run_batch(&jobs, 1).unwrap_err();
-        assert!(matches!(err, FleetError::Fault { array: 0, .. }), "{err:?}");
-        assert!(fleet.is_retired(0));
-        assert!(!fleet.is_retired(1));
-        // The fleet keeps serving on the survivor instead of failing
-        // forever on the dead array.
-        let probe = burn_at(2, 1); // fresh cell: no wear conflict
-        let survivors_serve = Job::alternating(&probe, &probe, &[], 2);
-        fleet.run_batch(&survivors_serve, 1).unwrap();
-        assert_eq!(fleet.jobs_on(1), 2 + 2 + 2);
+        for threads in [1, 0] {
+            let mut fleet = Fleet::new(
+                FleetConfig::new(2)
+                    .with_policy(DispatchPolicy::RoundRobin)
+                    .with_endurance(4),
+            );
+            let jobs = Job::alternating(&heavy, &light, &[], 4);
+            fleet.run_batch(&jobs, threads).unwrap(); // a0: r0=4, a1: r1=2
+            let err = fleet.run_batch(&jobs, threads).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    FleetError::Fault {
+                        job: 0,
+                        array: 0,
+                        ..
+                    }
+                ),
+                "threads={threads}: {err:?}"
+            );
+            assert!(fleet.is_retired(0));
+            assert!(!fleet.is_retired(1));
+            // The dead array's wear is reconciled to what executed (the
+            // failing write never lands: 4, not the planned 8); the
+            // survivor ran its whole list as planned.
+            assert_eq!(
+                (fleet.total_writes(0), fleet.total_writes(1)),
+                (4, 4),
+                "threads={threads}"
+            );
+            // The fleet keeps serving on the survivor instead of failing
+            // forever on the dead array.
+            let probe = burn_at(2, 1); // fresh cell: no wear conflict
+            let survivors_serve = Job::alternating(&probe, &probe, &[], 2);
+            fleet.run_batch(&survivors_serve, threads).unwrap();
+            assert_eq!(fleet.jobs_on(1), 2 + 2 + 2);
+        }
     }
 
     #[test]
@@ -1723,11 +1695,35 @@ mod tests {
                 .with_faults(model)
                 .with_recovery(RecoveryConfig::new().with_spares(4))
         };
-        let mut simd = Fleet::new(config());
-        let out_simd = simd.run_batch_simd(&jobs, 1).unwrap();
-        let mut scalar = Fleet::new(config());
-        assert_eq!(out_simd, scalar.run_batch(&jobs, 1).unwrap());
-        assert_eq!(simd.fault_log(), scalar.fault_log());
-        assert_eq!(simd.array(0).write_counts(), scalar.array(0).write_counts());
+        for threads in [1, 0] {
+            let mut simd = Fleet::new(config());
+            let out_simd = simd.run_batch_simd(&jobs, threads).unwrap();
+            let mut scalar = Fleet::new(config());
+            assert_eq!(out_simd, scalar.run_batch(&jobs, 1).unwrap());
+            assert_eq!(simd.fault_log(), scalar.fault_log());
+            assert_eq!(simd.array(0).write_counts(), scalar.array(0).write_counts());
+        }
+    }
+
+    #[test]
+    fn recovery_patches_do_not_outlive_their_batch() {
+        // r0 wears out on the third set1 run and is remapped. The program
+        // variable is then reassigned in place, so the set0 program lives
+        // at the address the set1 program had: a patch cached across
+        // batches by that address would run set1 again.
+        let mut program = set_prog(true);
+        let mut fleet = Fleet::new(
+            FleetConfig::new(1)
+                .with_faults(FaultModel::new(EnduranceModel::new(2.0, 0.0), 0.0, 11))
+                .with_recovery(RecoveryConfig::new().with_spares(4)),
+        );
+        fleet.run_batch(&[Job::new(&program, &[]); 3], 1).unwrap();
+        assert_eq!(fleet.broken_cells(0), &[CellId::new(0)]);
+        program = set_prog(false);
+        let out = fleet.run_batch(&[Job::new(&program, &[])], 1).unwrap();
+        let mut clean = Fleet::new(FleetConfig::new(1));
+        let expected = clean.run_batch(&[Job::new(&program, &[])], 1).unwrap();
+        assert_eq!(expected, vec![vec![false]]);
+        assert_eq!(out, expected);
     }
 }

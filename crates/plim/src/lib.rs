@@ -22,10 +22,13 @@
 //! [`rlim_rram::Crossbar`], the bit-parallel [`WideMachine`] that runs up
 //! to 64 input vectors per instruction with identical wear accounting,
 //! the self-hosted [`Controller`] FSM, and the multi-crossbar [`Fleet`]
-//! runtime with endurance-aware dispatch ([`DispatchPolicy`]), including
-//! SIMD-batched dispatch ([`Fleet::run_batch_simd`]) and online fault
-//! recovery ([`RecoveryConfig`], [`FaultRecorder`], [`patch_program`])
-//! over injected device faults ([`rlim_rram::FaultModel`]).
+//! runtime with endurance-aware dispatch ([`DispatchPolicy`]). Every
+//! fleet batch runs through one plan → execute → collect loop with a
+//! per-array executor: scalar, SIMD lanes ([`Fleet::run_batch_simd`]) or
+//! online fault recovery ([`RecoveryConfig`], [`FaultRecorder`],
+//! [`patch_program`]) over injected device faults
+//! ([`rlim_rram::FaultModel`]). The workspace's one worker pool lives in
+//! [`parallel`].
 //!
 //! ## Example
 //!
@@ -66,6 +69,7 @@ mod controller;
 mod fleet;
 mod isa;
 mod machine;
+pub mod parallel;
 mod recovery;
 mod trace;
 mod wide;

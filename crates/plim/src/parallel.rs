@@ -1,11 +1,12 @@
-//! Scoped worker-pool helpers shared by the parallel evaluation sweeps.
+//! The workspace's one scoped worker pool.
 //!
 //! One policy, defined once: `threads == 0` means one worker per
 //! available core, the worker count never exceeds the job count, results
 //! come back in input order regardless of scheduling, and a panicking job
-//! propagates to the caller when the scope joins. The differential
-//! oracle's preset matrix ([`crate::Oracle::verify`]) and `rlim-eval`'s
-//! benchmark × preset matrices all run on this pool.
+//! propagates to the caller when the scope joins. The [`crate::Fleet`]'s
+//! per-array executors, the differential oracle's preset matrix and the
+//! service's batch stages all run on this pool; it lives here because
+//! `rlim-plim` is the lowest crate with a parallel caller.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -70,13 +70,13 @@ use rlim_compiler::{
 use rlim_imp::ImpOp;
 use rlim_isa::Program;
 use rlim_mig::{blif, Mig};
+use rlim_plim::parallel::parallel_map;
 use rlim_plim::{asm, Fleet, FleetConfig, Instruction, Job, RecoveryConfig};
 use rlim_rram::lifetime::{
     executions_until_failure, fleet_executions_until_exhaustion, ENDURANCE_HFOX,
 };
 use rlim_rram::variability::EnduranceModel;
 use rlim_rram::{FaultModel, WriteStats};
-use rlim_testkit::parallel::parallel_map;
 
 /// The service front end: compiles [`JobSpec`]s into [`Report`]s.
 ///

@@ -46,8 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod parallel;
-
 use std::fmt;
 
 use rlim_compiler::{
@@ -55,6 +53,7 @@ use rlim_compiler::{
 };
 use rlim_isa::Program as IsaProgram;
 use rlim_mig::{equiv_random, Mig};
+use rlim_plim::parallel::parallel_map;
 use rlim_plim::{run_once, run_once_wide, Program};
 use rlim_rram::WideCrossbar;
 
@@ -461,7 +460,7 @@ fn parallel_sum<F>(jobs: usize, threads: usize, f: F) -> usize
 where
     F: Fn(usize) -> usize + Sync,
 {
-    parallel::parallel_map((0..jobs).collect(), threads, f)
+    parallel_map((0..jobs).collect(), threads, f)
         .into_iter()
         .sum()
 }

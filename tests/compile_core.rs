@@ -12,8 +12,8 @@ use rlim::compiler::{Candidate, CompileOptions, Pass, PipelineState, SchedulePas
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::rewrite::{rewrite, Algorithm};
 use rlim::mig::{Mig, NodeId, StructuralView};
+use rlim::plim::parallel::parallel_map;
 use rlim::rram::CellId;
-use rlim_testkit::parallel::parallel_map;
 
 const POLICIES: [Selection; 3] = [
     Selection::Topological,

@@ -6,8 +6,8 @@ use std::fmt::Write as _;
 
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{Backend, CompileOptions, Rm3Backend};
+use rlim::plim::parallel::parallel_map;
 use rlim::plim::{asm, Operand, Program};
-use rlim_testkit::parallel::parallel_map;
 
 /// The listing as `asm::to_text` wrote it before it wrote straight into
 /// one presized buffer: a `writeln!` per instruction and a `String` per

@@ -10,7 +10,7 @@ use rlim::compiler::{
 };
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::Mig;
-use rlim_testkit::parallel::parallel_map;
+use rlim::plim::parallel::parallel_map;
 use rlim_testkit::Oracle;
 
 fn mig_strategy() -> impl Strategy<Value = Mig> {
