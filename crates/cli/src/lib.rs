@@ -302,33 +302,27 @@ pub fn parse_report_spec(args: &[String]) -> Result<JobSpec, CliError> {
     let mut flags = CompileFlags::default();
     let mut backend = BackendKind::Rm3;
     let mut program = false;
-    let mut arrays: Option<usize> = None;
+    let mut arrays = rlim_service::DEFAULT_PROJECTION_ARRAYS;
     let positional = walk(args, |arg, rest| {
         match arg {
             "--backend" => backend = value_of(arg, rest)?.parse().map_err(CliError::usage)?,
-            "--arrays" => arrays = Some(number(arg, rest)?),
+            "--arrays" => arrays = number(arg, rest)?,
             "--program" => program = true,
             _ => return flags.take(arg, rest),
         }
         Ok(true)
     })?;
-    if arrays == Some(0) {
-        return Err(CliError::usage("--arrays must be positive"));
-    }
     let [source] = positional.as_slice() else {
         return Err(CliError::usage(
             "report needs exactly one benchmark name or BLIF path",
         ));
     };
-    let mut spec = JobSpec::named_benchmark(source)
+    Ok(JobSpec::named_benchmark(source)
         .unwrap_or_else(|_| JobSpec::blif_path(source))
         .with_backend(backend)
         .with_options(flags.options()?)
-        .with_program_text(program);
-    if let Some(n) = arrays {
-        spec = spec.with_projection_arrays(n);
-    }
-    Ok(spec)
+        .with_program_text(program)
+        .with_projection_arrays(arrays))
 }
 
 /// The canonical `rlim` argv for a report spec — the inverse of
@@ -602,12 +596,6 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
         }
         Ok(true)
     })?;
-    if fleet.arrays == 0 {
-        return Err(CliError::usage("--arrays must be positive"));
-    }
-    if fleet.write_budget == Some(0) {
-        return Err(CliError::usage("--write-budget must be positive"));
-    }
     if (fault_seed.is_some() || no_recovery) && !chaos {
         return Err(CliError::usage(
             "--fault-seed and --no-recovery require --chaos",

@@ -6,12 +6,14 @@
 //! * one **acceptor** owning the [`TcpListener`];
 //! * one reader thread per live **connection**, reading request lines
 //!   of at most 1 MiB (`MAX_REQUEST_LINE`) and answering `metrics` /
-//!   `healthz` / `shutdown` inline. It answers a `job` inline too when
-//!   the job is a cache hit whose key it can derive without a build (a
-//!   benchmark some earlier job built): it splices the stored reply and
-//!   never waits behind a worker's miss. Every other job goes onto the
-//!   queue with its key, if derived (a connection therefore has at most
-//!   one job in flight);
+//!   `healthz` / `shutdown` inline. A `job` whose spec fails
+//!   [`JobSpec::validate`] is answered inline with a usage `error`, like
+//!   a line that does not decode, and counts as neither served nor
+//!   failed. It answers a `job` inline too when the job is a cache hit
+//!   whose key it can derive without a build (a benchmark some earlier
+//!   job built): it splices the stored reply and never waits behind a
+//!   worker's miss. Every other job goes onto the queue with its key, if
+//!   derived (a connection therefore has at most one job in flight);
 //! * `N` **workers** blocking on the queue, each looking a job up once
 //!   more (it may have been filled while queued) and compiling misses
 //!   through a single-threaded [`Service`] — the worker pool is the
@@ -382,12 +384,16 @@ impl Shared {
         }
     }
 
-    /// Answers a hit on the calling connection thread when the spec's
-    /// key can be derived without a build, and queues every other job.
-    /// A probe that finds nothing counts no miss: the worker's lookup of
-    /// the queued job counts it (or a hit, if a sibling filled the entry
-    /// meanwhile).
+    /// Refuses an invalid spec the way a malformed line is refused (no
+    /// served, failed or miss count), answers a hit on the calling
+    /// connection thread when the spec's key can be derived without a
+    /// build, and queues every other job. A probe that finds nothing
+    /// counts no miss: the worker's lookup of the queued job counts it
+    /// (or a hit, if a sibling filled the entry meanwhile).
     fn serve_job(&self, spec: JobSpec) -> Line {
+        if let Err(error) = spec.validate() {
+            return line(wire::error_line(&error));
+        }
         let key = match self
             .known_fingerprint(&spec)
             .map(|fingerprint| cache_key(fingerprint, &spec))
@@ -455,41 +461,33 @@ impl Shared {
             .map(|&(_, fingerprint)| fingerprint)
     }
 
-    /// Loads (or reuses) the spec's source graph and its fingerprint.
+    /// Loads the spec's source graph with its fingerprint, building a
+    /// benchmark only on its first use in the daemon's lifetime.
     fn load_source(&self, spec: &JobSpec) -> Result<(Arc<Mig>, u128), Error> {
-        match spec.source() {
-            Source::Benchmark(b) => {
-                let sources = &self.sources;
-                if let Some(entry) = sources
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .get(b.name())
-                {
-                    return Ok(entry.clone());
-                }
-                // Build outside the lock so a large benchmark's first
-                // touch doesn't serialize the other workers; a racing
-                // builder's entry wins and becomes the canonical Arc.
-                let mig = Arc::new(b.build());
-                let fingerprint = mig.fingerprint();
-                Ok(sources
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry(b.name().to_string())
-                    .or_insert((mig, fingerprint))
-                    .clone())
-            }
-            Source::BlifPath(path) => {
-                let label = path.display().to_string();
-                let text =
-                    std::fs::read_to_string(path).map_err(|e| Error::io(label.clone(), &e))?;
-                let mig = rlim_mig::blif::parse_blif(&text)
-                    .map_err(|error| Error::Blif { path: label, error })?;
-                let fingerprint = mig.fingerprint();
-                Ok((Arc::new(mig), fingerprint))
-            }
-            Source::Mig(mig) => Ok((Arc::clone(mig), mig.fingerprint())),
+        let Source::Benchmark(b) = spec.source() else {
+            let mig = spec.source().load()?;
+            let fingerprint = mig.fingerprint();
+            return Ok((mig, fingerprint));
+        };
+        let sources = &self.sources;
+        if let Some(entry) = sources
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(b.name())
+        {
+            return Ok(entry.clone());
         }
+        // Build outside the lock so a large benchmark's first touch
+        // doesn't serialize the other workers; a racing builder's entry
+        // wins and becomes the canonical Arc.
+        let mig = spec.source().load()?;
+        let fingerprint = mig.fingerprint();
+        Ok(sources
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(b.name().to_string())
+            .or_insert((mig, fingerprint))
+            .clone())
     }
 
     fn run_job(&self, spec: &JobSpec, key: Option<String>) -> Result<Line, Error> {
@@ -506,14 +504,7 @@ impl Shared {
         if let Some(entry) = hit {
             return Ok(Arc::new(entry.splice(spec)));
         }
-        let mut run_spec = JobSpec::shared_mig(mig)
-            .with_backend(spec.backend())
-            .with_options(*spec.options())
-            .with_program_text(spec.includes_program())
-            .with_projection_arrays(spec.projection_arrays());
-        if let Some(fleet) = spec.fleet() {
-            run_spec = run_spec.with_fleet(*fleet);
-        }
+        let run_spec = spec.clone().with_source(Source::Mig(mig));
         let mut report = self.service.run_with(&run_spec, &self.frontends)?;
         // The daemon compiles through an in-memory graph whose label
         // would read `<mig>`; the reply names the request's own source.

@@ -260,12 +260,8 @@ fn decode_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
         "simd",
         "chaos",
     ])?;
-    let arrays = f.usize("arrays")?;
-    if arrays == 0 {
-        return Err(format!("{} must be at least 1", f.path("arrays")));
-    }
     Ok(FleetSpec {
-        arrays,
+        arrays: f.usize("arrays")?,
         jobs: f.usize("jobs")?,
         dispatch: f.str("dispatch")?.parse()?,
         write_budget: f.opt("write_budget", |j, path| json::as_u64(j, path))?,
@@ -277,18 +273,11 @@ fn decode_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
 
 /// Applies every field but `source` to `spec`.
 fn decode_job(s: &Fields<'_>, spec: JobSpec) -> Result<JobSpec, String> {
-    let projection_arrays = s.usize("projection_arrays")?;
-    if projection_arrays == 0 {
-        return Err(format!(
-            "{} must be at least 1",
-            s.path("projection_arrays")
-        ));
-    }
     let spec = spec
         .with_backend(s.str("backend")?.parse()?)
         .with_options(options::decode(&s.object("options")?, &[])?)
         .with_program_text(s.bool("program")?)
-        .with_projection_arrays(projection_arrays);
+        .with_projection_arrays(s.usize("projection_arrays")?);
     Ok(
         match s.opt("fleet", |j, path| decode_fleet(&Fields::of(j, path)?))? {
             Some(fleet) => spec.with_fleet(fleet),
@@ -303,9 +292,11 @@ fn decode_job(s: &Fields<'_>, spec: JobSpec) -> Result<JobSpec, String> {
 /// # Errors
 ///
 /// Returns [`Error::InvalidRequest`] on shape violations (wrong types,
-/// missing or unknown keys, out-of-range values, chaos floats that are
-/// not exact at their wire precision) and [`Error::UnknownBenchmark`]
-/// for benchmark names not in the suite.
+/// missing or unknown keys, out-of-range option values, chaos floats
+/// that are not exact at their wire precision) and
+/// [`Error::UnknownBenchmark`] for benchmark names not in the suite. A
+/// decoded spec is well-formed, not necessarily runnable: the daemon
+/// checks it with [`JobSpec::validate`] before it keys or queues it.
 pub fn decode_spec(json: &Json) -> Result<JobSpec, Error> {
     let s = Fields::of(json, "spec").map_err(invalid)?;
     s.expect_keys(&[

@@ -8,90 +8,17 @@
 //! cargo run -p rlim-eval --release --bin copy_table
 //! ```
 
-use rlim_eval::{fmt_stdev, improvement, Column, RunPlan, TextTable};
+use rlim_eval::{Column, RunPlan, Versus};
 
 fn main() {
-    let plan = RunPlan::from_env();
-    let columns = [Column::EnduranceAware, Column::CopyReuse];
-    let reports = rlim_eval::run_suite(&plan, &columns);
-
-    let mut table = TextTable::new([
-        "benchmark",
-        "PI/PO",
-        "EA #I",
-        "#R",
-        "max",
-        "STDEV",
-        "+copy #I",
-        "#R",
-        "max",
-        "STDEV",
-        "ΔI%",
-        "Δmax",
-    ]);
-
-    let mut sums = [0.0f64; 8];
-    let mut max_improved = 0usize;
-    let mut stdev_impr_sum = 0.0f64;
-    for report in &reports {
-        let (pi, po) = report.benchmark.interface();
-        let ea = report.get(Column::EnduranceAware).expect("EA column");
-        let cr = report.get(Column::CopyReuse).expect("copy-reuse column");
-        let di = 100.0 * (cr.instructions as f64 / ea.instructions as f64 - 1.0);
-        let dmax = cr.stats.max as i64 - ea.stats.max as i64;
-        if cr.stats.max < ea.stats.max {
-            max_improved += 1;
-        }
-        let impr = improvement(ea.stats.stdev, cr.stats.stdev);
-        stdev_impr_sum += if impr.is_finite() { impr } else { 0.0 };
-        table.row([
-            report.benchmark.name().to_string(),
-            format!("{pi}/{po}"),
-            ea.instructions.to_string(),
-            ea.rrams.to_string(),
-            ea.stats.max.to_string(),
-            fmt_stdev(ea.stats.stdev),
-            cr.instructions.to_string(),
-            cr.rrams.to_string(),
-            cr.stats.max.to_string(),
-            fmt_stdev(cr.stats.stdev),
-            format!("{di:+.2}%"),
-            format!("{dmax:+}"),
-        ]);
-        for (i, v) in [
-            ea.instructions as f64,
-            ea.rrams as f64,
-            ea.stats.max as f64,
-            ea.stats.stdev,
-            cr.instructions as f64,
-            cr.rrams as f64,
-            cr.stats.max as f64,
-            cr.stats.stdev,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            sums[i] += v;
-        }
-    }
-
-    let n = reports.len().max(1) as f64;
-    let mut avg = vec!["AVG".to_string(), String::new()];
-    for s in &sums {
-        avg.push(format!("{:.2}", s / n));
-    }
-    avg.push(format!("{:+.2}%", 100.0 * (sums[4] / sums[0] - 1.0)));
-    avg.push(format!("{:+.2}", (sums[6] - sums[2]) / n));
-    table.row(avg);
-
-    println!("COPY table — copy discovery + spilling vs endurance-aware compilation");
-    println!("(effort = {}, {} benchmarks)\n", plan.effort, reports.len());
-    println!("{}", table.render());
-    println!(
-        "max per-cell writes reduced on {max_improved}/{} benchmarks; \
-         avg STDEV impr {:.2}%; total #I {:+.2}%",
-        reports.len(),
-        stdev_impr_sum / n,
-        100.0 * (sums[4] / sums[0] - 1.0),
+    rlim_eval::print_versus_table(
+        &RunPlan::from_env(),
+        &Versus {
+            candidate: Column::CopyReuse,
+            label: "+copy",
+            title: "COPY table — copy discovery + spilling vs endurance-aware compilation",
+            improved_label: "max per-cell writes reduced",
+            improved: |copy, ea| copy.stats.max < ea.stats.max,
+        },
     );
 }

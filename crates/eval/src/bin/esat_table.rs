@@ -12,90 +12,20 @@
 //! cargo run -p rlim-eval --release --bin esat_table
 //! ```
 
-use rlim_eval::{fmt_stdev, improvement, Column, RunPlan, TextTable};
+use rlim_eval::{Column, RunPlan, Versus};
 
 fn main() {
-    let plan = RunPlan::from_env();
-    let columns = [Column::EnduranceAware, Column::Esat];
-    let reports = rlim_eval::run_suite(&plan, &columns);
-
-    let mut table = TextTable::new([
-        "benchmark",
-        "PI/PO",
-        "EA #I",
-        "#R",
-        "max",
-        "STDEV",
-        "+esat #I",
-        "#R",
-        "max",
-        "STDEV",
-        "ΔI%",
-        "Δmax",
-    ]);
-
-    let mut sums = [0.0f64; 8];
-    let mut improved = 0usize;
-    let mut stdev_impr_sum = 0.0f64;
-    for report in &reports {
-        let (pi, po) = report.benchmark.interface();
-        let ea = report.get(Column::EnduranceAware).expect("EA column");
-        let es = report.get(Column::Esat).expect("esat column");
-        let di = 100.0 * (es.instructions as f64 / ea.instructions as f64 - 1.0);
-        let dmax = es.stats.max as i64 - ea.stats.max as i64;
-        if es.instructions < ea.instructions || es.stats.max < ea.stats.max {
-            improved += 1;
-        }
-        let impr = improvement(ea.stats.stdev, es.stats.stdev);
-        stdev_impr_sum += if impr.is_finite() { impr } else { 0.0 };
-        table.row([
-            report.benchmark.name().to_string(),
-            format!("{pi}/{po}"),
-            ea.instructions.to_string(),
-            ea.rrams.to_string(),
-            ea.stats.max.to_string(),
-            fmt_stdev(ea.stats.stdev),
-            es.instructions.to_string(),
-            es.rrams.to_string(),
-            es.stats.max.to_string(),
-            fmt_stdev(es.stats.stdev),
-            format!("{di:+.2}%"),
-            format!("{dmax:+}"),
-        ]);
-        for (i, v) in [
-            ea.instructions as f64,
-            ea.rrams as f64,
-            ea.stats.max as f64,
-            ea.stats.stdev,
-            es.instructions as f64,
-            es.rrams as f64,
-            es.stats.max as f64,
-            es.stats.stdev,
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            sums[i] += v;
-        }
-    }
-
-    let n = reports.len().max(1) as f64;
-    let mut avg = vec!["AVG".to_string(), String::new()];
-    for s in &sums {
-        avg.push(format!("{:.2}", s / n));
-    }
-    avg.push(format!("{:+.2}%", 100.0 * (sums[4] / sums[0] - 1.0)));
-    avg.push(format!("{:+.2}", (sums[6] - sums[2]) / n));
-    table.row(avg);
-
-    println!("ESAT table — equality saturation + endurance-cost extraction vs endurance-aware compilation");
-    println!("(effort = {}, {} benchmarks)\n", plan.effort, reports.len());
-    println!("{}", table.render());
-    println!(
-        "#I or max per-cell writes strictly improved on {improved}/{} benchmarks; \
-         avg STDEV impr {:.2}%; total #I {:+.2}%",
-        reports.len(),
-        stdev_impr_sum / n,
-        100.0 * (sums[4] / sums[0] - 1.0),
+    rlim_eval::print_versus_table(
+        &RunPlan::from_env(),
+        &Versus {
+            candidate: Column::Esat,
+            label: "+esat",
+            title: "ESAT table — equality saturation + endurance-cost extraction vs \
+                    endurance-aware compilation",
+            improved_label: "#I or max per-cell writes strictly improved",
+            improved: |esat, ea| {
+                esat.instructions < ea.instructions || esat.stats.max < ea.stats.max
+            },
+        },
     );
 }

@@ -1,11 +1,15 @@
 //! Shared machinery for the experiment binaries that regenerate the
 //! paper's tables and figures.
 //!
-//! Each binary (`table1`, `table2`, `table3`, `figures`, `lifetime`,
-//! `sizes`) uses this library to describe benchmark × configuration
-//! matrices as [`rlim_service::JobSpec`] batches, submit them to the
-//! [`rlim_service::Service`], and print fixed-width text tables that
-//! mirror the paper's layout.
+//! `table1`, `table2`, `table3`, `copy_table` and `esat_table` (through
+//! [`run_suite`]), `sweep` and `fleet` (through the [`sweep`] and
+//! [`fleet`] modules) describe benchmark × configuration matrices as
+//! [`rlim_service::JobSpec`] batches and submit them to the
+//! [`rlim_service::Service`]. The other binaries (`figures`, `lifetime`,
+//! `sizes`, `ablation`, `level_aware`, `switching`, `imp_vs_rm3`,
+//! `chaos`) call the compiler or the fleet directly. All of them print
+//! fixed-width text tables ([`TextTable`]) that mirror the paper's
+//! layout.
 //!
 //! Binaries accept a common command line:
 //!
@@ -282,6 +286,116 @@ pub fn run_suite(plan: &RunPlan, columns: &[Column]) -> Vec<BenchmarkReport> {
                 .collect(),
         })
         .collect()
+}
+
+// ---- Endurance-aware comparison tables ----------------------------------
+
+/// One extension of the full endurance-aware compilation, set against it
+/// on the paper's per-cell metrics: the shape of the COPY and ESAT
+/// tables.
+#[derive(Debug, Clone, Copy)]
+pub struct Versus {
+    /// The extension's column; the reference is [`Column::EnduranceAware`].
+    pub candidate: Column,
+    /// The extension's header label, e.g. `+copy`.
+    pub label: &'static str,
+    /// The table's title line.
+    pub title: &'static str,
+    /// What the footer counts, e.g. `max per-cell writes reduced`.
+    pub improved_label: &'static str,
+    /// Whether the extension's measurement (first) improves on the
+    /// reference's (second), for the footer's count.
+    pub improved: fn(&Measurement, &Measurement) -> bool,
+}
+
+/// Runs the plan under the endurance-aware reference and
+/// `versus.candidate` and prints the comparison table: per benchmark
+/// `#I`, `#R`, max writes and STDEV of both, the `#I` change and the max
+/// change, an average row and a one-line summary.
+pub fn print_versus_table(plan: &RunPlan, versus: &Versus) {
+    let columns = [Column::EnduranceAware, versus.candidate];
+    let reports = run_suite(plan, &columns);
+
+    let candidate_instructions = format!("{} #I", versus.label);
+    let mut table = TextTable::new([
+        "benchmark",
+        "PI/PO",
+        "EA #I",
+        "#R",
+        "max",
+        "STDEV",
+        candidate_instructions.as_str(),
+        "#R",
+        "max",
+        "STDEV",
+        "ΔI%",
+        "Δmax",
+    ]);
+
+    let mut sums = [0.0f64; 8];
+    let mut improved = 0usize;
+    let mut stdev_impr_sum = 0.0f64;
+    for report in &reports {
+        let (pi, po) = report.benchmark.interface();
+        let ea = report.get(Column::EnduranceAware).expect("EA column");
+        let cand = report.get(versus.candidate).expect("candidate column");
+        let di = 100.0 * (cand.instructions as f64 / ea.instructions as f64 - 1.0);
+        let dmax = cand.stats.max as i64 - ea.stats.max as i64;
+        if (versus.improved)(cand, ea) {
+            improved += 1;
+        }
+        let impr = improvement(ea.stats.stdev, cand.stats.stdev);
+        stdev_impr_sum += if impr.is_finite() { impr } else { 0.0 };
+        table.row([
+            report.benchmark.name().to_string(),
+            format!("{pi}/{po}"),
+            ea.instructions.to_string(),
+            ea.rrams.to_string(),
+            ea.stats.max.to_string(),
+            fmt_stdev(ea.stats.stdev),
+            cand.instructions.to_string(),
+            cand.rrams.to_string(),
+            cand.stats.max.to_string(),
+            fmt_stdev(cand.stats.stdev),
+            format!("{di:+.2}%"),
+            format!("{dmax:+}"),
+        ]);
+        for (i, v) in [
+            ea.instructions as f64,
+            ea.rrams as f64,
+            ea.stats.max as f64,
+            ea.stats.stdev,
+            cand.instructions as f64,
+            cand.rrams as f64,
+            cand.stats.max as f64,
+            cand.stats.stdev,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            sums[i] += v;
+        }
+    }
+
+    let n = reports.len().max(1) as f64;
+    let mut avg = vec!["AVG".to_string(), String::new()];
+    for s in &sums {
+        avg.push(format!("{:.2}", s / n));
+    }
+    avg.push(format!("{:+.2}%", 100.0 * (sums[4] / sums[0] - 1.0)));
+    avg.push(format!("{:+.2}", (sums[6] - sums[2]) / n));
+    table.row(avg);
+
+    println!("{}", versus.title);
+    println!("(effort = {}, {} benchmarks)\n", plan.effort, reports.len());
+    println!("{}", table.render());
+    println!(
+        "{} on {improved}/{} benchmarks; avg STDEV impr {:.2}%; total #I {:+.2}%",
+        versus.improved_label,
+        reports.len(),
+        stdev_impr_sum / n,
+        100.0 * (sums[4] / sums[0] - 1.0),
+    );
 }
 
 // ---- Text-table rendering ------------------------------------------------

@@ -241,9 +241,10 @@ impl<'a> Job<'a> {
     /// The standard heterogeneous evaluation stream: `count` jobs
     /// alternating `heavy` and `light` (heavy first), all sharing one
     /// input vector. Periodic traffic like this is what separates
-    /// wear-aware dispatch from oblivious striping; the CLI, the bench
-    /// runner and the test-suite use it directly, and the `fleet` eval
-    /// sweep builds the same alternation with per-job random inputs.
+    /// wear-aware dispatch from oblivious striping. The test suites use
+    /// it directly; the service's fleet rider (behind `rlim fleet` and
+    /// the `fleet` eval tables) and the `chaos` eval table build the
+    /// same alternation, with per-job random inputs when seeded.
     pub fn alternating(
         heavy: &'a Program,
         light: &'a Program,

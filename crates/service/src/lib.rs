@@ -18,9 +18,11 @@
 //! * [`Error`] — the one typed error every client maps to its own
 //!   surface.
 //!
-//! The CLI, `rlim-eval`'s sweep/fleet binaries and the bench runner are
-//! thin clients of this API; future scaling work (sharding, async,
-//! caching) targets this seam.
+//! The CLI, the daemon (`rlim-daemon`), `rlim-eval`'s table, sweep and
+//! fleet binaries and the benchmark harness are thin clients of this
+//! API. What a valid job is ([`JobSpec::validate`]) and how a source
+//! becomes a graph ([`Source::load`]) are decided here, once, for all
+//! of them.
 //!
 //! ## Example
 //!
@@ -56,20 +58,18 @@ pub use report::{
 };
 pub use spec::{BackendKind, ChaosSpec, FleetSpec, JobSpec, Source, DEFAULT_PROJECTION_ARRAYS};
 
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use rlim_benchmarks::Benchmark;
 use rlim_compiler::{
     Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, Rm3Backend, Selection,
 };
 use rlim_imp::ImpOp;
 use rlim_isa::Program;
-use rlim_mig::{blif, Mig};
+use rlim_mig::Mig;
 use rlim_plim::parallel::parallel_map;
 use rlim_plim::{asm, Fleet, FleetConfig, Instruction, Job, RecoveryConfig};
 use rlim_rram::lifetime::{
@@ -183,24 +183,6 @@ impl Compiled {
     }
 }
 
-/// Identity of a spec's circuit source, for build deduplication.
-/// In-memory graphs are identified by the address of their shared
-/// allocation (compared only, never dereferenced).
-#[derive(Debug, Clone, PartialEq)]
-enum SourceKey {
-    Bench(Benchmark),
-    Path(std::path::PathBuf),
-    Mig(usize),
-}
-
-fn source_key(source: &Source) -> SourceKey {
-    match source {
-        Source::Benchmark(b) => SourceKey::Bench(*b),
-        Source::BlifPath(p) => SourceKey::Path(p.clone()),
-        Source::Mig(m) => SourceKey::Mig(Arc::as_ptr(m) as usize),
-    }
-}
-
 /// The index of `item` in `items`, appending it first when absent: the
 /// dedup behind every stage of a batch.
 fn index_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
@@ -208,12 +190,6 @@ fn index_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
         items.push(item);
         items.len() - 1
     })
-}
-
-fn load_blif(path: &Path) -> Result<Mig, Error> {
-    let label = path.display().to_string();
-    let text = std::fs::read_to_string(path).map_err(|e| Error::io(label.clone(), &e))?;
-    blif::parse_blif(&text).map_err(|error| Error::Blif { path: label, error })
 }
 
 impl Service {
@@ -275,8 +251,8 @@ impl Service {
     /// The batch is executed in four deterministic stages on the
     /// workspace's scoped worker pool:
     ///
-    /// 1. distinct sources are built once (a parameter sweep over one
-    ///    graph never rebuilds it);
+    /// 1. distinct sources are loaded once ([`Source::load`]; a parameter
+    ///    sweep over one graph never rebuilds it);
     /// 2. distinct front ends — `(source, rewriting, effort)` — are
     ///    rewritten once, and each is scheduled once per selection policy
     ///    its RM3 jobs use ([`FrontEnd`]);
@@ -297,7 +273,9 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Returns the first failing spec's [`Error`] (in spec order).
+    /// Returns [`Error::InvalidRequest`] for the first spec that fails
+    /// [`JobSpec::validate`], before any work is done; otherwise the first
+    /// failing spec's [`Error`] (in spec order).
     pub fn run_batch(&self, specs: &[JobSpec]) -> Result<Vec<Report>, Error> {
         self.run_stages(specs, None)
     }
@@ -322,59 +300,18 @@ impl Service {
         specs: &[JobSpec],
         frontends: Option<&FrontEnds>,
     ) -> Result<Vec<Report>, Error> {
-        // Validate requests before doing any work.
         for spec in specs {
-            if let Some(fleet) = spec.fleet() {
-                if spec.backend() == BackendKind::Imp {
-                    return Err(Error::InvalidRequest(
-                        "fleet workloads require an RM3 backend (the fleet executes \
-                         RM3 programs)"
-                            .to_string(),
-                    ));
-                }
-                if fleet.arrays == 0 {
-                    return Err(Error::InvalidRequest(
-                        "a fleet needs at least one array".to_string(),
-                    ));
-                }
-                if fleet.chaos.is_some() && fleet.simd {
-                    return Err(Error::InvalidRequest(
-                        "chaos mode requires scalar dispatch (word-level writes have \
-                         no per-lane readback, so SIMD batches cannot write-verify)"
-                            .to_string(),
-                    ));
-                }
-            }
+            spec.validate()?;
         }
 
-        // ---- Stage 1: build every distinct source once ------------------
-        let mut keys: Vec<SourceKey> = Vec::new();
+        // ---- Stage 1: load every distinct source once -------------------
+        let mut sources: Vec<&Source> = Vec::new();
         let src_of: Vec<usize> = specs
             .iter()
-            .map(|spec| index_of(&mut keys, source_key(spec.source())))
+            .map(|spec| index_of(&mut sources, spec.source()))
             .collect();
-        let loaders: Vec<(usize, SourceKey)> = keys.into_iter().enumerate().collect();
-        let sources: Vec<&Source> = {
-            // First spec mentioning each key, for Arc'd MIG access.
-            let mut by_key: Vec<&Source> = Vec::with_capacity(loaders.len());
-            for (spec, &idx) in specs.iter().zip(&src_of) {
-                if idx == by_key.len() {
-                    by_key.push(spec.source());
-                }
-            }
-            by_key
-        };
-        let built: Vec<Result<Arc<Mig>, Error>> =
-            parallel_map(loaders, self.threads, |(idx, key)| match key {
-                SourceKey::Bench(b) => Ok(Arc::new(b.build())),
-                SourceKey::Path(p) => load_blif(&p).map(Arc::new),
-                SourceKey::Mig(_) => match sources[idx] {
-                    Source::Mig(m) => Ok(Arc::clone(m)),
-                    _ => unreachable!("key kind matches source kind"),
-                },
-            });
-        let mut migs: Vec<Arc<Mig>> = Vec::with_capacity(built.len());
-        for result in built {
+        let mut migs: Vec<Arc<Mig>> = Vec::with_capacity(sources.len());
+        for result in parallel_map(sources, self.threads, |source| source.load()) {
             migs.push(result?);
         }
 
@@ -627,6 +564,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rlim_benchmarks::Benchmark;
     use rlim_compiler::compile;
     use rlim_plim::DispatchPolicy;
 
@@ -766,23 +704,15 @@ mod tests {
     }
 
     #[test]
-    fn chaos_with_simd_is_rejected() {
-        let spec = JobSpec::benchmark(Benchmark::Ctrl).with_fleet(
-            FleetSpec::new(2)
-                .with_simd(true)
-                .with_chaos(ChaosSpec::new(1)),
-        );
-        let err = Service::new().run(&spec).unwrap_err();
-        assert!(err.is_usage(), "{err:?}");
-    }
-
-    #[test]
-    fn fleet_on_imp_backend_is_rejected() {
-        let spec = JobSpec::benchmark(Benchmark::Ctrl)
-            .with_backend(BackendKind::Imp)
-            .with_fleet(FleetSpec::new(2));
-        let err = Service::new().run(&spec).unwrap_err();
-        assert!(err.is_usage(), "{err:?}");
+    fn invalid_specs_are_refused_before_any_work() {
+        for (spec, rule) in spec::tests::invalid_specs() {
+            let err = Service::new().run(&spec).unwrap_err();
+            assert_eq!(err, spec.validate().unwrap_err(), "{rule}");
+            assert!(matches!(err, Error::InvalidRequest(_)), "{rule}: {err:?}");
+            // One invalid spec fails its whole batch, wherever it sits.
+            let batch = [JobSpec::benchmark(Benchmark::Ctrl), spec];
+            assert_eq!(Service::new().run_batch(&batch).unwrap_err(), err);
+        }
     }
 
     #[test]

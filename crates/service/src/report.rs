@@ -1,5 +1,5 @@
 //! The structured answer to a [`crate::JobSpec`]: everything the paper's
-//! tables, the CLI and the bench runner print, as one typed value with a
+//! tables, the CLI and the daemon print, as one typed value with a
 //! stable JSON serialization.
 
 use rlim_compiler::CompileOptions;

@@ -3,16 +3,21 @@
 //!
 //! A [`JobSpec`] is built with a fluent builder and submitted to
 //! [`crate::Service`]; every consumer of the toolchain (the CLI, the
-//! evaluation binaries, the bench runner, library users) describes work
-//! in this one vocabulary instead of hand-assembling compiler calls.
+//! daemon, the evaluation binaries, the benchmark harness, library
+//! users) describes work in this one vocabulary instead of
+//! hand-assembling compiler calls. [`JobSpec::validate`] is the one
+//! statement of what a runnable job is, and [`Source::load`] the one way
+//! a source becomes a graph.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use rlim_benchmarks::Benchmark;
 use rlim_compiler::CompileOptions;
-use rlim_mig::Mig;
+use rlim_mig::{blif, Mig};
 use rlim_plim::DispatchPolicy;
+
+use crate::Error;
 
 /// Where the circuit comes from.
 #[derive(Debug, Clone)]
@@ -47,6 +52,28 @@ impl Source {
             Source::Benchmark(b) => b.name().to_string(),
             Source::BlifPath(p) => p.display().to_string(),
             Source::Mig(_) => "<mig>".to_string(),
+        }
+    }
+
+    /// The source's graph: a benchmark is built, a BLIF file read and
+    /// parsed, an in-memory graph shared.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Io`] when a BLIF file cannot be read and
+    /// [`Error::Blif`] when it does not parse.
+    pub fn load(&self) -> Result<Arc<Mig>, Error> {
+        match self {
+            Source::Benchmark(b) => Ok(Arc::new(b.build())),
+            Source::BlifPath(path) => {
+                let label = path.display().to_string();
+                let text =
+                    std::fs::read_to_string(path).map_err(|e| Error::io(label.clone(), &e))?;
+                let mig =
+                    blif::parse_blif(&text).map_err(|error| Error::Blif { path: label, error })?;
+                Ok(Arc::new(mig))
+            }
+            Source::Mig(mig) => Ok(Arc::clone(mig)),
         }
     }
 }
@@ -232,12 +259,7 @@ pub struct FleetSpec {
 impl FleetSpec {
     /// A fleet of `arrays` crossbars with least-worn dispatch, no budget
     /// and all-false job inputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrays` is zero.
     pub fn new(arrays: usize) -> Self {
-        assert!(arrays > 0, "a fleet needs at least one array");
         FleetSpec {
             arrays,
             jobs: 24,
@@ -343,12 +365,12 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::Error::UnknownBenchmark`] when `name` is not in the
+    /// Returns [`Error::UnknownBenchmark`] when `name` is not in the
     /// suite.
-    pub fn named_benchmark(name: &str) -> Result<Self, crate::Error> {
+    pub fn named_benchmark(name: &str) -> Result<Self, Error> {
         name.parse::<Benchmark>()
             .map(JobSpec::benchmark)
-            .map_err(|_| crate::Error::UnknownBenchmark(name.to_string()))
+            .map_err(|_| Error::UnknownBenchmark(name.to_string()))
     }
 
     /// A job over a BLIF netlist on disk.
@@ -395,14 +417,76 @@ impl JobSpec {
 
     /// Sets the fleet size assumed by the report's lifetime projection
     /// (default [`DEFAULT_PROJECTION_ARRAYS`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `arrays` is zero.
     pub fn with_projection_arrays(mut self, arrays: usize) -> Self {
-        assert!(arrays > 0, "a lifetime projection needs at least one array");
         self.projection_arrays = arrays;
         self
+    }
+
+    /// The same job over another source.
+    pub fn with_source(mut self, source: Source) -> Self {
+        self.source = source;
+        self
+    }
+
+    /// Checks every rule a job must meet before any work is done on it.
+    /// The service runs this before a batch, and the daemon before it
+    /// keys or queues a job; the builders check nothing, so a spec from
+    /// any client (argv, the wire, a struct literal) meets the same
+    /// rules. Compile-option bounds are the option table's
+    /// ([`crate::options`]) and are held when the options are set.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidRequest`] naming the first rule the spec
+    /// breaks.
+    pub fn validate(&self) -> Result<(), Error> {
+        fn invalid(message: impl Into<String>) -> Result<(), Error> {
+            Err(Error::InvalidRequest(message.into()))
+        }
+        if self.projection_arrays == 0 {
+            return invalid("a lifetime projection needs at least one array");
+        }
+        let Some(fleet) = self.fleet() else {
+            return Ok(());
+        };
+        if fleet.arrays == 0 {
+            return invalid("a fleet needs at least one array");
+        }
+        if fleet.write_budget == Some(0) {
+            return invalid("a fleet write budget must be at least 1");
+        }
+        if let Some(chaos) = &fleet.chaos {
+            let median = chaos.endurance_median;
+            if !(median.is_finite() && median > 0.0) {
+                return invalid(format!(
+                    "chaos endurance median must be finite and positive, got {median}"
+                ));
+            }
+            let sigma = chaos.endurance_sigma;
+            if !(sigma.is_finite() && sigma >= 0.0) {
+                return invalid(format!(
+                    "chaos endurance sigma must be finite and non-negative, got {sigma}"
+                ));
+            }
+            let stuck = chaos.stuck_probability;
+            if !(0.0..=1.0).contains(&stuck) {
+                return invalid(format!(
+                    "chaos stuck probability must be in [0, 1], got {stuck}"
+                ));
+            }
+        }
+        if self.backend == BackendKind::Imp {
+            return invalid(
+                "fleet workloads require an RM3 backend (the fleet executes RM3 programs)",
+            );
+        }
+        if fleet.chaos.is_some() && fleet.simd {
+            return invalid(
+                "chaos mode requires scalar dispatch (word-level writes have no per-lane \
+                 readback, so SIMD batches cannot write-verify)",
+            );
+        }
+        Ok(())
     }
 
     /// The circuit source.
@@ -442,7 +526,7 @@ impl JobSpec {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -480,7 +564,7 @@ mod tests {
         let spec = JobSpec::named_benchmark("ctrl").unwrap();
         assert_eq!(spec, JobSpec::benchmark(Benchmark::Ctrl));
         let err = JobSpec::named_benchmark("nonesuch").unwrap_err();
-        assert_eq!(err, crate::Error::UnknownBenchmark("nonesuch".into()));
+        assert_eq!(err, Error::UnknownBenchmark("nonesuch".into()));
         assert!(err.is_usage());
     }
 
@@ -528,9 +612,128 @@ mod tests {
         assert_eq!(f.chaos, Some(c));
     }
 
+    /// One spec per rule [`JobSpec::validate`] holds, each breaking only
+    /// that rule, with a fragment of the rule's error text.
+    pub(crate) fn invalid_specs() -> Vec<(JobSpec, &'static str)> {
+        let fleet = |f: FleetSpec| JobSpec::benchmark(Benchmark::Ctrl).with_fleet(f);
+        let chaos = |c: ChaosSpec| FleetSpec::new(2).with_chaos(c);
+        vec![
+            (
+                JobSpec::benchmark(Benchmark::Ctrl).with_projection_arrays(0),
+                "lifetime projection needs at least one array",
+            ),
+            (fleet(FleetSpec::new(0)), "fleet needs at least one array"),
+            (
+                fleet(FleetSpec::new(2).with_write_budget(0)),
+                "write budget must be at least 1",
+            ),
+            (
+                fleet(chaos(ChaosSpec::new(1).with_endurance_median(-1.0))),
+                "median must be finite and positive, got -1",
+            ),
+            (
+                fleet(chaos(ChaosSpec::new(1).with_endurance_sigma(-0.5))),
+                "sigma must be finite and non-negative, got -0.5",
+            ),
+            (
+                fleet(chaos(ChaosSpec::new(1).with_stuck_probability(1.5))),
+                "stuck probability must be in [0, 1], got 1.5",
+            ),
+            (
+                fleet(FleetSpec::new(2)).with_backend(BackendKind::Imp),
+                "require an RM3 backend",
+            ),
+            (
+                fleet(chaos(ChaosSpec::new(1)).with_simd(true)),
+                "requires scalar dispatch",
+            ),
+        ]
+    }
+
     #[test]
-    #[should_panic(expected = "at least one array")]
-    fn zero_array_fleet_rejected() {
-        let _ = FleetSpec::new(0);
+    fn validate_names_the_broken_rule() {
+        for (spec, rule) in invalid_specs() {
+            match spec.validate() {
+                Err(Error::InvalidRequest(message)) => {
+                    assert!(message.contains(rule), "{message:?} lacks {rule:?}")
+                }
+                other => panic!("{rule}: expected an invalid request, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_non_finite_chaos_floats() {
+        let chaos = |c: ChaosSpec| {
+            JobSpec::benchmark(Benchmark::Ctrl).with_fleet(FleetSpec::new(2).with_chaos(c))
+        };
+        for spec in [
+            chaos(ChaosSpec::new(1).with_endurance_median(f64::NAN)),
+            chaos(ChaosSpec::new(1).with_endurance_median(f64::INFINITY)),
+            chaos(ChaosSpec::new(1).with_endurance_median(0.0)),
+            chaos(ChaosSpec::new(1).with_endurance_sigma(f64::NAN)),
+            chaos(ChaosSpec::new(1).with_endurance_sigma(f64::INFINITY)),
+            chaos(ChaosSpec::new(1).with_stuck_probability(f64::NAN)),
+            chaos(ChaosSpec::new(1).with_stuck_probability(-0.01)),
+        ] {
+            assert!(spec.validate().unwrap_err().is_usage(), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn validate_accepts_the_edges_of_every_range() {
+        let chaos = ChaosSpec::new(1)
+            .with_endurance_median(0.1)
+            .with_endurance_sigma(0.0);
+        for spec in [
+            JobSpec::benchmark(Benchmark::Ctrl),
+            JobSpec::benchmark(Benchmark::Ctrl)
+                .with_projection_arrays(1)
+                .with_backend(BackendKind::Imp),
+            JobSpec::benchmark(Benchmark::Ctrl).with_fleet(
+                FleetSpec::new(1)
+                    .with_write_budget(1)
+                    .with_chaos(chaos.with_stuck_probability(0.0)),
+            ),
+            JobSpec::benchmark(Benchmark::Ctrl)
+                .with_backend(BackendKind::WideRm3)
+                .with_fleet(FleetSpec::new(1).with_chaos(chaos.with_stuck_probability(1.0))),
+            JobSpec::benchmark(Benchmark::Ctrl).with_fleet(FleetSpec::new(1).with_simd(true)),
+        ] {
+            assert_eq!(spec.validate(), Ok(()), "{spec:?}");
+        }
+    }
+
+    #[test]
+    fn sources_load_their_graphs() {
+        let built = Source::Benchmark(Benchmark::Ctrl).load().unwrap();
+        assert_eq!(built.fingerprint(), Benchmark::Ctrl.build().fingerprint());
+        let shared = Arc::new(Mig::new(3));
+        assert!(Arc::ptr_eq(
+            &Source::Mig(Arc::clone(&shared)).load().unwrap(),
+            &shared
+        ));
+        let missing = Source::BlifPath("/nonexistent/x.blif".into()).load();
+        assert!(matches!(missing, Err(Error::Io { .. })), "{missing:?}");
+    }
+
+    #[test]
+    fn with_source_keeps_every_other_field() {
+        let spec = JobSpec::benchmark(Benchmark::Ctrl)
+            .with_backend(BackendKind::HostedRm3)
+            .with_program_text(true)
+            .with_projection_arrays(7)
+            .with_fleet(FleetSpec::new(3));
+        let mig = Arc::new(Mig::new(2));
+        let moved = spec.clone().with_source(Source::Mig(Arc::clone(&mig)));
+        assert_eq!(
+            moved,
+            JobSpec::shared_mig(mig)
+                .with_backend(BackendKind::HostedRm3)
+                .with_program_text(true)
+                .with_projection_arrays(7)
+                .with_fleet(FleetSpec::new(3))
+        );
+        assert_eq!(moved.with_source(spec.source().clone()), spec);
     }
 }

@@ -27,8 +27,8 @@
 //! * [`benchmarks`] — generators for the 18-benchmark evaluation suite.
 //! * [`service`] — the typed job/report front end: a [`JobSpec`] built
 //!   with a fluent builder goes in, a structured [`Report`] (with a
-//!   stable JSON serialization) comes out. The CLI, the evaluation
-//!   binaries and the bench runner are thin clients of this API.
+//!   stable JSON serialization) comes out. The CLI, the daemon and the
+//!   evaluation binaries are thin clients of this API.
 //! * [`daemon`] — `rlimd`, the concurrent compile-job daemon: a JSON-lines
 //!   TCP protocol over the service API with a bounded admission queue, a
 //!   worker pool, a structural-hash compile cache and graceful shutdown

@@ -18,7 +18,9 @@
 //!   without killing workers, and an oversize line is refused without
 //!   hurting other connections;
 //! * misses that differ only in back-end options share one front end,
-//!   also when two workers race on it.
+//!   also when two workers race on it;
+//! * a spec that decodes but fails `JobSpec::validate` is refused with a
+//!   usage error before it is keyed or queued.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1063,4 +1065,63 @@ fn workers_survive_malformed_specs_that_pass_framing() {
         Response::Report(line) => assert!(line.line.contains("\"label\":\"ctrl\"")),
         other => panic!("{other:?}"),
     }
+}
+
+/// Specs that decode but break a rule of `JobSpec::validate` are refused
+/// before they are keyed or queued: each gets a usage error (never a
+/// worker panic), no counter moves, and the same connection is then
+/// served a valid job.
+#[test]
+fn invalid_specs_are_refused_before_the_queue() {
+    let handle = daemon(1, 4);
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let ctrl = || JobSpec::benchmark(Benchmark::Ctrl).with_options(CompileOptions::naive());
+    let fleet = |f: FleetSpec| ctrl().with_fleet(f.with_jobs(2));
+    let chaos = |c: ChaosSpec| FleetSpec::new(2).with_chaos(c);
+    let invalid = [
+        fleet(FleetSpec::new(2).with_write_budget(0)),
+        fleet(chaos(ChaosSpec::new(1).with_endurance_median(-1.0))),
+        fleet(chaos(ChaosSpec::new(1).with_endurance_sigma(-0.5))),
+        fleet(chaos(ChaosSpec::new(1).with_stuck_probability(1.5))),
+        fleet(FleetSpec::new(0)),
+        ctrl().with_projection_arrays(0),
+        fleet(FleetSpec::new(2)).with_backend(BackendKind::Imp),
+        fleet(chaos(ChaosSpec::new(1)).with_simd(true)),
+    ];
+    for spec in &invalid {
+        match client.submit(spec).unwrap() {
+            Response::Error { message, usage } => {
+                assert!(usage, "{spec:?}: {message}");
+                assert!(!message.contains("panicked"), "{spec:?}: {message}");
+                assert_eq!(message, spec.validate().unwrap_err().to_string());
+            }
+            other => panic!("{spec:?}: expected a usage error, got {other:?}"),
+        }
+    }
+    let metrics = client.metrics().unwrap();
+    assert_eq!(
+        (
+            metrics.jobs_served,
+            metrics.jobs_failed,
+            metrics.jobs_rejected
+        ),
+        (0, 0, 0)
+    );
+    assert_eq!((metrics.cache.hits, metrics.cache.misses), (0, 0));
+
+    let spec = ctrl();
+    assert_eq!(
+        report_line(client.submit(&spec).unwrap()),
+        Service::new()
+            .with_threads(1)
+            .run(&spec)
+            .unwrap()
+            .to_json()
+            .render_compact()
+    );
+    let metrics = client.metrics().unwrap();
+    assert_eq!((metrics.jobs_served, metrics.jobs_failed), (1, 0));
+    assert_eq!(metrics.cache.misses, 1);
+    handle.shutdown();
+    handle.join();
 }
