@@ -32,6 +32,13 @@ enum Slot {
 
 /// Compile-time model of the crossbar's allocation state.
 ///
+/// Free cells wait in a binary heap of packed `u64` entries, one per
+/// release: the pool key in the high 32 bits (the write count under
+/// [`Allocation::MinWrite`], the inverted release number under
+/// [`Allocation::Lifo`]) and the cell index in the low 32, so the
+/// smallest entry is the policy's pick, ties going to the lower cell.
+/// Both halves are checked to fit in 32 bits when an entry is made.
+///
 /// # Examples
 ///
 /// ```
@@ -58,10 +65,12 @@ pub struct CellManager {
     /// Pool key of each free cell, fixed at its release: the write count
     /// under `MinWrite`, the inverted release sequence number under `Lifo`
     /// (so the latest-released cell has the smallest key).
-    key: Vec<u64>,
-    /// The free pool, smallest `(key, cell)` first. Entries whose cell is
-    /// no longer `Free` under that key are stale and skipped lazily.
-    pool: BinaryHeap<Reverse<(u64, u32)>>,
+    key: Vec<u32>,
+    /// The free pool, smallest `(key, cell)` first, each entry packed
+    /// into one `u64` as `key << 32 | cell` (see [`pack`]). Entries whose
+    /// cell is no longer `Free` under that key are stale and skipped
+    /// lazily.
+    pool: BinaryHeap<Reverse<u64>>,
     /// Cells parked since the last [`CellManager::alloc`]; entries for
     /// cells taken or unparked since are stale.
     parked: Vec<CellId>,
@@ -200,14 +209,14 @@ impl CellManager {
     ) -> Option<CellId> {
         let mut unfit = Vec::new();
         let mut found = None;
-        while let Some(Reverse((key, raw))) = self.pool.pop() {
-            let cell = CellId::new(raw);
+        while let Some(Reverse(entry)) = self.pool.pop() {
+            let (key, cell) = unpack(entry);
             let i = cell.index();
             if self.slot[i] != Slot::Free || self.key[i] != key {
                 continue; // stale
             }
             if !self.fits_budget(cell, budget) {
-                unfit.push(Reverse((key, raw)));
+                unfit.push(Reverse(entry));
                 // Min-write keys are write counts: if the least-worn cell
                 // does not fit, nothing does.
                 if self.allocation == Allocation::MinWrite {
@@ -235,7 +244,7 @@ impl CellManager {
         let i = cell.index();
         if self.slot[i] == Slot::Parked {
             self.slot[i] = Slot::Free;
-            self.pool.push(Reverse((self.key[i], cell.raw_u32())));
+            self.pool.push(Reverse(pack(self.key[i], cell)));
         }
     }
 
@@ -249,11 +258,15 @@ impl CellManager {
         self.releases += 1;
         let i = cell.index();
         self.key[i] = match self.allocation {
-            Allocation::Lifo => u64::MAX - self.releases,
-            Allocation::MinWrite => self.writes[i],
+            Allocation::Lifo => {
+                u32::MAX - u32::try_from(self.releases).expect("release count fits in 32 bits")
+            }
+            Allocation::MinWrite => {
+                u32::try_from(self.writes[i]).expect("a pooled cell's write count fits in 32 bits")
+            }
         };
         self.slot[i] = Slot::Free;
-        self.pool.push(Reverse((self.key[i], cell.raw_u32())));
+        self.pool.push(Reverse(pack(self.key[i], cell)));
     }
 
     /// Number of cells currently free (pooled or parked).
@@ -262,15 +275,16 @@ impl CellManager {
     }
 }
 
-/// Extension trait: `CellId` raw access for heap keys.
-trait CellRaw {
-    fn raw_u32(self) -> u32;
+/// A pool entry: `key` in the high 32 bits, `cell` in the low 32, so
+/// the packed values order exactly as the `(key, cell)` pairs do.
+fn pack(key: u32, cell: CellId) -> u64 {
+    let cell = u32::try_from(cell.index()).expect("cell index fits in 32 bits");
+    u64::from(key) << 32 | u64::from(cell)
 }
 
-impl CellRaw for CellId {
-    fn raw_u32(self) -> u32 {
-        u32::try_from(self.index()).expect("cell index fits u32")
-    }
+/// The `(key, cell)` pair [`pack`] packed.
+fn unpack(entry: u64) -> (u32, CellId) {
+    ((entry >> 32) as u32, CellId::new(entry as u32))
 }
 
 #[cfg(test)]

@@ -1,33 +1,71 @@
-//! The front end of a compilation: the rewritten graph and its
-//! schedules, shared by every compile that differs only in back-end
-//! options.
+//! The front end of a compilation: the rewritten graph, its schedules
+//! and the wear of its IMPLY programs, shared by every compile that
+//! differs only in back-end options.
 //!
 //! Rewriting (paper Algorithm 1/2) reads only the source graph, the
 //! algorithm and its effort; scheduling (Algorithm 3) reads only that
 //! graph and the selection policy. Neither reads allocation, the write
-//! cap, peephole, copy-reuse, esat or the backend. A [`FrontEnd`] holds
-//! the result of both stages so a sweep over back-end options rewrites
-//! its circuit once and schedules it once per selection policy.
+//! cap, peephole, copy-reuse, esat or the backend. IMPLY synthesis
+//! (paper §II) reads only the graph, the allocation policy and
+//! `peephole`. A [`FrontEnd`] holds the result of all three so a sweep
+//! over back-end options rewrites its circuit once, schedules it once
+//! per selection policy and synthesizes its IMPLY baseline once per
+//! `(allocation, peephole)` pair.
 
 use std::sync::{Arc, OnceLock};
 
+use rlim_isa::{Isa, Program};
 use rlim_mig::rewrite::{rewrite, Algorithm};
 use rlim_mig::Mig;
+use rlim_rram::WriteStats;
 
+use crate::backend::{Backend, ImpBackend};
 use crate::options::{CompileOptions, Selection};
 use crate::pipeline::Schedule;
 
+/// What a report reads of a compiled program: `#I`, `#R`, the total
+/// writes and the per-cell write statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct WearSummary {
+    /// Instructions — the paper's `#I`.
+    pub instructions: usize,
+    /// Cells — the paper's `#R`.
+    pub rrams: usize,
+    /// Writes one execution makes.
+    pub total_writes: u64,
+    /// Per-cell write statistics.
+    pub writes: WriteStats,
+}
+
+impl WearSummary {
+    /// The summary of `program`.
+    pub fn of<I: Isa>(program: &Program<I>) -> Self {
+        WearSummary {
+            instructions: program.num_instructions(),
+            rrams: program.num_rrams(),
+            total_writes: program.total_writes(),
+            writes: program.write_stats(),
+        }
+    }
+}
+
 /// The rewritten graph of one `(source, rewriting, effort)` triple, with
-/// a lazily filled [`Schedule`] slot per [`Selection`].
+/// a lazily filled [`Schedule`] slot per [`Selection`] and a lazily
+/// filled IMPLY [`WearSummary`] slot per `(allocation, peephole)` pair.
 ///
-/// A front end is immutable apart from its schedule slots, which fill
-/// at most once each (a concurrent reader waits for the one filling the
-/// slot), so it can be shared across threads behind an `Arc`.
+/// A front end is immutable apart from its slots, which fill at most
+/// once each (a concurrent reader waits for the one filling the slot),
+/// so it can be shared across threads behind an `Arc`. An IMPLY slot
+/// keeps the summary, not the program: a front end kept for many
+/// compiles holds a few numbers per pair, and a caller that needs the
+/// listing synthesizes it with [`ImpBackend`].
 ///
 /// # Examples
 ///
 /// ```
-/// use rlim_compiler::{compile, compile_front, CompileOptions, FrontEnd, FrontKey};
+/// use rlim_compiler::{
+///     compile, compile_front, Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, WearSummary,
+/// };
 /// use rlim_mig::Mig;
 ///
 /// let mut mig = Mig::new(3);
@@ -46,6 +84,12 @@ use crate::pipeline::Schedule;
 ///     let shared = compile_front(&front, &options);
 ///     assert_eq!(shared.program, compile(&mig, &options).program);
 /// }
+///
+/// // They share the summary of their IMPLY program too: one synthesis.
+/// let capped = CompileOptions { max_writes: Some(3), ..options };
+/// assert!(std::ptr::eq(front.imp_summary(&options), front.imp_summary(&capped)));
+/// let program = ImpBackend.compile(&mig, &capped);
+/// assert_eq!(*front.imp_summary(&capped), WearSummary::of(&program));
 /// ```
 #[derive(Debug)]
 pub struct FrontEnd {
@@ -53,6 +97,15 @@ pub struct FrontEnd {
     key: FrontKey,
     /// One slot per [`Selection`], indexed by its discriminant.
     schedules: [OnceLock<Schedule>; 3],
+    /// One IMPLY slot per `(allocation, peephole)` pair, indexed by
+    /// [`imp_slot`].
+    imp: [OnceLock<WearSummary>; 4],
+}
+
+/// The IMPLY slot `options` compile into: the only two options IMPLY
+/// synthesis reads besides the front end's own.
+fn imp_slot(options: &CompileOptions) -> usize {
+    2 * options.allocation as usize + usize::from(options.peephole)
 }
 
 /// What a front end depends on besides its source graph: the rewriting
@@ -106,6 +159,7 @@ impl FrontEnd {
             graph,
             key,
             schedules: Default::default(),
+            imp: Default::default(),
         }
     }
 
@@ -136,10 +190,28 @@ impl FrontEnd {
         })
     }
 
+    /// The wear summary of the IMPLY program `options` compile from this
+    /// front end, synthesized ([`ImpBackend`]) on the first call for
+    /// `options`' allocation and peephole; every later call for the pair
+    /// answers from the slot, whatever the other options.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options` name another rewriting than this front end's.
+    pub fn imp_summary(&self, options: &CompileOptions) -> &WearSummary {
+        assert!(
+            self.serves(options),
+            "a front end compiles only the rewriting it was built with"
+        );
+        self.imp[imp_slot(options)]
+            .get_or_init(|| WearSummary::of(&ImpBackend.compile_front(self, options)))
+    }
+
     /// Bytes this front end holds: the graph and every schedule filled
-    /// so far, allocated capacity included. The graph counts in full even
-    /// when it is the shared source, so a cache charging this never
-    /// undercounts what it keeps alive.
+    /// so far, allocated capacity included; the IMPLY slots are inline,
+    /// so they count from the start and a filling one adds nothing. The
+    /// graph counts in full even when it is the shared source, so a
+    /// cache charging this never undercounts what it keeps alive.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<FrontEnd>()
             + self.graph.heap_bytes()
@@ -149,5 +221,132 @@ impl FrontEnd {
                 .filter_map(OnceLock::get)
                 .map(Schedule::heap_bytes)
                 .sum::<usize>()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::options::Allocation;
+    use rlim_benchmarks::Benchmark;
+    use rlim_mig::random::{generate, RandomMigConfig};
+
+    fn presets() -> impl Iterator<Item = CompileOptions> {
+        CompileOptions::preset_names()
+            .iter()
+            .map(|name| CompileOptions::preset(name).expect("a listed preset"))
+    }
+
+    fn filled(front: &FrontEnd) -> usize {
+        front.imp.iter().filter(|slot| slot.get().is_some()).count()
+    }
+
+    /// Options that differ only in what IMPLY synthesis ignores (the
+    /// write cap, selection, copy-reuse, esat and its budgets) read one
+    /// slot, filled once; allocation and peephole each pick their own.
+    #[test]
+    fn imp_slots_are_shared_across_ignored_options() {
+        let mig = generate(&RandomMigConfig::default(), 5);
+        for preset in presets() {
+            let front = FrontEnd::build(&mig, FrontKey::of(&preset));
+            let first = front.imp_summary(&preset);
+            let variants = [
+                preset.with_max_writes(3),
+                preset.with_max_writes(40),
+                CompileOptions {
+                    selection: Selection::Topological,
+                    ..preset
+                },
+                CompileOptions {
+                    selection: Selection::EnduranceAware,
+                    ..preset
+                },
+                preset.with_copy_reuse(true),
+                preset.with_esat(true).with_esat_nodes(7).with_esat_iters(1),
+            ];
+            for options in variants {
+                assert!(
+                    std::ptr::eq(first, front.imp_summary(&options)),
+                    "{options:?}"
+                );
+            }
+            assert_eq!(filled(&front), 1, "{preset:?}");
+            let bytes = front.heap_bytes();
+            for allocation in [Allocation::Lifo, Allocation::MinWrite] {
+                for peephole in [false, true] {
+                    let options = CompileOptions {
+                        allocation,
+                        ..preset.with_peephole(peephole)
+                    };
+                    let slot = front.imp_summary(&options);
+                    assert!(std::ptr::eq(slot, front.imp_summary(&options)));
+                }
+            }
+            assert_eq!(filled(&front), 4, "{preset:?}");
+            assert_eq!(front.heap_bytes(), bytes, "the slots are inline");
+        }
+    }
+
+    /// Every slot, filled in an order that would expose a shared or
+    /// misplaced index, equals the summary of a freshly synthesized
+    /// program: every preset's rewriting × allocation × peephole, on
+    /// random graphs and on the 18 benchmarks.
+    ///
+    /// A debug build checks every min-write pick of IMPLY synthesis
+    /// against a scan of the whole free list, which makes synthesis
+    /// quadratic (hundreds of times slower than a release build on
+    /// `mem_ctrl`), so there the benchmarks stop at 5 000 gates: 11 of
+    /// the 18. A release run takes all 18.
+    #[test]
+    fn imp_slots_equal_fresh_synthesis() {
+        let mut migs: Vec<(String, Mig)> = (0..4)
+            .map(|seed| {
+                let config = RandomMigConfig {
+                    inputs: 7,
+                    outputs: 5,
+                    gates: 90,
+                    ..Default::default()
+                };
+                (format!("random {seed}"), generate(&config, seed))
+            })
+            .collect();
+        migs.extend(
+            Benchmark::all()
+                .iter()
+                .map(|b| (b.name().to_string(), b.build()))
+                .filter(|(_, mig)| !cfg!(debug_assertions) || mig.num_gates() <= 5_000),
+        );
+        // The presets name three rewritings; effort 1, since the slots
+        // are under test, not the rewrite.
+        let mut keys: Vec<FrontKey> = presets().map(|p| FrontKey::of(&p.with_effort(1))).collect();
+        keys.dedup();
+        for (name, mig) in &migs {
+            for &key in &keys {
+                let front = FrontEnd::build(mig, key);
+                let mut all = Vec::new();
+                for allocation in [Allocation::MinWrite, Allocation::Lifo] {
+                    for peephole in [true, false] {
+                        all.push(CompileOptions {
+                            rewriting: key.rewriting,
+                            effort: 1,
+                            allocation,
+                            peephole,
+                            ..CompileOptions::naive()
+                        });
+                    }
+                }
+                for options in &all {
+                    front.imp_summary(options);
+                }
+                for options in &all {
+                    let program = ImpBackend.compile_front(&front, options);
+                    assert_eq!(
+                        *front.imp_summary(options),
+                        WearSummary::of(&program),
+                        "{name} {options:?}"
+                    );
+                }
+            }
+        }
     }
 }

@@ -65,7 +65,7 @@ pub mod values;
 pub use backend::{Backend, HostedRm3Backend, ImpBackend, Rm3Backend, WideRm3Backend};
 pub use cells::CellManager;
 pub use compiler::{compile, compile_front, CompileResult};
-pub use frontend::{FrontEnd, FrontKey};
+pub use frontend::{FrontEnd, FrontKey, WearSummary};
 pub use options::{Allocation, CompileOptions, Selection, DEFAULT_ESAT_ITERS, DEFAULT_ESAT_NODES};
 pub use peephole::{elide_dead_writes, elide_redundant_writes, PeepholePass};
 pub use pipeline::{

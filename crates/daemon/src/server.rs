@@ -505,7 +505,9 @@ impl Shared {
             return Ok(Arc::new(entry.splice(spec)));
         }
         let run_spec = spec.clone().with_source(Source::Mig(mig));
-        let mut report = self.service.run_with(&run_spec, &self.frontends)?;
+        let mut report = self
+            .service
+            .run_with(&run_spec, &self.frontends, fingerprint)?;
         // The daemon compiles through an in-memory graph whose label
         // would read `<mig>`; the reply names the request's own source.
         report.label = spec.label();

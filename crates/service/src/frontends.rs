@@ -1,13 +1,14 @@
-//! The front-end memo: rewritten graphs and their schedules, keyed by
-//! `(source fingerprint, rewriting, effort)` and shared by every compile
-//! that differs only in back-end options.
+//! The front-end memo: rewritten graphs with their schedules and IMPLY
+//! wear summaries, keyed by `(source fingerprint, rewriting, effort)`
+//! and shared by every compile that differs only in back-end options.
 //!
 //! [`Service::run_batch`](crate::Service::run_batch) shares front ends
 //! within one call; a caller that keeps them across calls (the daemon)
 //! passes a memo to
 //! [`Service::run_batch_with`](crate::Service::run_batch_with). The memo
 //! is least-recently-used under a byte bound: an entry is charged its
-//! [`FrontEnd::heap_bytes`], which grows as schedule slots fill.
+//! [`FrontEnd::heap_bytes`], which grows as schedule slots fill (the
+//! IMPLY slots are inline, counted from the start).
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 

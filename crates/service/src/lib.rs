@@ -13,8 +13,9 @@
 //!   ([`Service::run_batch`]) on the workspace's scoped worker pool with
 //!   deterministic ordering (serial and parallel runs are byte-identical);
 //! * [`Report`] — the structured answer: programs, `#I` / `#R`,
-//!   [`WriteStats`], lifetime projections and fleet wear, with a stable
-//!   JSON serialization through the in-tree [`json`] writer;
+//!   [`WriteStats`](rlim_rram::WriteStats), lifetime projections and
+//!   fleet wear, with a stable JSON serialization through the in-tree
+//!   [`json`] writer;
 //! * [`Error`] — the one typed error every client maps to its own
 //!   surface.
 //!
@@ -65,18 +66,16 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use rlim_compiler::{
-    Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, Rm3Backend, Selection,
+    Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, Rm3Backend, Selection, WearSummary,
 };
 use rlim_imp::ImpOp;
 use rlim_isa::Program;
 use rlim_mig::Mig;
 use rlim_plim::parallel::parallel_map;
 use rlim_plim::{asm, Fleet, FleetConfig, Instruction, Job, RecoveryConfig};
-use rlim_rram::lifetime::{
-    executions_until_failure, fleet_executions_until_exhaustion, ENDURANCE_HFOX,
-};
+use rlim_rram::lifetime::{executions_until_failure, ENDURANCE_HFOX};
 use rlim_rram::variability::EnduranceModel;
-use rlim_rram::{FaultModel, WriteStats};
+use rlim_rram::FaultModel;
 
 /// The service front end: compiles [`JobSpec`]s into [`Report`]s.
 ///
@@ -131,38 +130,21 @@ impl BackendKind {
     }
 }
 
-/// One compiled program, type-erased over the two instruction sets.
+/// One compile, type-erased over the two instruction sets.
 enum Compiled {
+    /// An RM3 program, which fleets run and listings print.
     Rm3(Program<Instruction>),
-    Imp(Program<ImpOp>),
+    /// An IMPLY compile: its wear, with the program only when a spec
+    /// sharing the compile lists it.
+    Imp(WearSummary, Option<Program<ImpOp>>),
 }
 
 impl Compiled {
-    fn num_instructions(&self) -> usize {
+    /// What the report reads of the program.
+    fn wear(&self) -> WearSummary {
         match self {
-            Compiled::Rm3(p) => p.num_instructions(),
-            Compiled::Imp(p) => p.num_instructions(),
-        }
-    }
-
-    fn num_rrams(&self) -> usize {
-        match self {
-            Compiled::Rm3(p) => p.num_rrams(),
-            Compiled::Imp(p) => p.num_rrams(),
-        }
-    }
-
-    fn total_writes(&self) -> u64 {
-        match self {
-            Compiled::Rm3(p) => p.total_writes(),
-            Compiled::Imp(p) => p.total_writes(),
-        }
-    }
-
-    fn write_stats(&self) -> WriteStats {
-        match self {
-            Compiled::Rm3(p) => p.write_stats(),
-            Compiled::Imp(p) => p.write_stats(),
+            Compiled::Rm3(p) => WearSummary::of(p),
+            Compiled::Imp(wear, _) => *wear,
         }
     }
 
@@ -171,14 +153,38 @@ impl Compiled {
     fn listing(&self) -> String {
         match self {
             Compiled::Rm3(p) => asm::to_text(p),
-            Compiled::Imp(p) => p.disassemble(),
+            Compiled::Imp(_, p) => p
+                .as_ref()
+                .expect("a listed IMPLY compile keeps its program")
+                .disassemble(),
         }
     }
 
     fn as_rm3(&self) -> &Program<Instruction> {
         match self {
             Compiled::Rm3(p) => p,
-            Compiled::Imp(_) => unreachable!("fleet jobs are validated to be RM3"),
+            Compiled::Imp(..) => unreachable!("fleet jobs are validated to be RM3"),
+        }
+    }
+}
+
+/// A caller's front-end memo, with the fingerprint of the one source of
+/// a single-spec run when the caller knows it.
+#[derive(Clone, Copy)]
+struct Memo<'a> {
+    frontends: &'a FrontEnds,
+    fingerprint: Option<u128>,
+}
+
+impl Memo<'_> {
+    /// The fingerprint `source` is memoized under.
+    fn fingerprint_of(&self, source: &Mig) -> u128 {
+        match self.fingerprint {
+            Some(known) => {
+                debug_assert_eq!(known, source.fingerprint(), "a wrong known fingerprint");
+                known
+            }
+            None => source.fingerprint(),
         }
     }
 }
@@ -235,13 +241,25 @@ impl Service {
     }
 
     /// Runs one job, taking its front end from (and leaving it in) the
-    /// caller's memo; see [`Service::run_batch_with`].
+    /// caller's memo; see [`Service::run_batch_with`]. `fingerprint` is
+    /// the [`Mig::fingerprint`] of the spec's source graph, which the
+    /// caller already knows, so the source is not hashed again (a debug
+    /// build checks it).
     ///
     /// # Errors
     ///
     /// As [`Service::run`].
-    pub fn run_with(&self, spec: &JobSpec, frontends: &FrontEnds) -> Result<Report, Error> {
-        let mut reports = self.run_batch_with(std::slice::from_ref(spec), frontends)?;
+    pub fn run_with(
+        &self,
+        spec: &JobSpec,
+        frontends: &FrontEnds,
+        fingerprint: u128,
+    ) -> Result<Report, Error> {
+        let memo = Memo {
+            frontends,
+            fingerprint: Some(fingerprint),
+        };
+        let mut reports = self.run_stages(std::slice::from_ref(spec), Some(memo))?;
         Ok(reports.pop().expect("one report per spec"))
     }
 
@@ -258,7 +276,11 @@ impl Service {
     ///    its RM3 jobs use ([`FrontEnd`]);
     /// 3. distinct (source, backend class, options) combinations are
     ///    compiled once from their front end (RM3, hosted-RM3 and wide-RM3
-    ///    share entries);
+    ///    share entries); an IMPLY compile reads its wear from the front
+    ///    end's slot for its allocation and peephole
+    ///    ([`FrontEnd::imp_summary`]), synthesized once per front end, and
+    ///    synthesizes a program only when one of its specs asks for the
+    ///    listing;
     /// 4. per-spec reports are assembled.
     ///
     /// So a table matrix rewrites each circuit once per rewriting however
@@ -292,14 +314,14 @@ impl Service {
         specs: &[JobSpec],
         frontends: &FrontEnds,
     ) -> Result<Vec<Report>, Error> {
-        self.run_stages(specs, Some(frontends))
+        let memo = Memo {
+            frontends,
+            fingerprint: None,
+        };
+        self.run_stages(specs, Some(memo))
     }
 
-    fn run_stages(
-        &self,
-        specs: &[JobSpec],
-        frontends: Option<&FrontEnds>,
-    ) -> Result<Vec<Report>, Error> {
+    fn run_stages(&self, specs: &[JobSpec], memo: Option<Memo<'_>>) -> Result<Vec<Report>, Error> {
         for spec in specs {
             spec.validate()?;
         }
@@ -328,6 +350,11 @@ impl Service {
                 dedup((src, CompileClass::Rm3, CompileOptions::naive()))
             }));
         }
+        // The compiles some spec lists: only these keep an IMPLY program.
+        let mut listed = vec![false; compile_keys.len()];
+        for (spec, &main) in specs.iter().zip(&main_of) {
+            listed[main] |= spec.includes_program();
+        }
 
         // ---- Stage 2: rewrite and schedule every distinct front end once
         // Each compile's front end, and the (front end, selection) of its
@@ -341,16 +368,18 @@ impl Service {
                 .then(|| index_of(&mut schedule_keys, (front, options.selection)));
             front_of.push((front, schedule));
         }
-        // A memo finds a front end by its source's fingerprint; without
-        // one, the dedup above is all the sharing there is, and no source
-        // is hashed.
+        // A memo finds a front end by its source's fingerprint, hashing
+        // the source unless the caller knows it; without a memo, the
+        // dedup above is all the sharing there is, and no source is
+        // hashed.
         let fronts: Vec<(Arc<FrontEnd>, Option<u128>, f64)> =
             parallel_map(front_keys, self.threads, |(src, key)| {
                 let start = Instant::now();
-                let (front, fingerprint) = match frontends {
+                let (front, fingerprint) = match memo {
                     Some(memo) => {
-                        let fingerprint = migs[src].fingerprint();
-                        (memo.get(fingerprint, &migs[src], key), Some(fingerprint))
+                        let fingerprint = memo.fingerprint_of(&migs[src]);
+                        let front = memo.frontends.get(fingerprint, &migs[src], key);
+                        (front, Some(fingerprint))
                     }
                     None => (Arc::new(FrontEnd::new(&migs[src], key)), None),
                 };
@@ -360,8 +389,10 @@ impl Service {
             parallel_map(schedule_keys, self.threads, |(front, selection)| {
                 let start = Instant::now();
                 let (front, fingerprint, _) = &fronts[front];
-                match frontends.zip(*fingerprint) {
-                    Some((memo, fingerprint)) => memo.schedule(fingerprint, front, selection),
+                match memo.zip(*fingerprint) {
+                    Some((memo, fingerprint)) => {
+                        memo.frontends.schedule(fingerprint, front, selection)
+                    }
                     None => {
                         front.schedule(selection);
                     }
@@ -370,24 +401,25 @@ impl Service {
             });
 
         // ---- Stage 3: compile every distinct job once from its front end
-        let jobs: Vec<(CompileKey, (usize, Option<usize>))> =
-            compile_keys.into_iter().zip(front_of).collect();
-        let compiled: Vec<(Compiled, f64)> = parallel_map(
-            jobs,
-            self.threads,
-            |((_, class, options), (front, schedule))| {
-                let (front, _, front_seconds) = &fronts[front];
-                let start = Instant::now();
-                let program = match class {
-                    CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile_front(front, &options)),
-                    CompileClass::Imp => Compiled::Imp(ImpBackend.compile_front(front, &options)),
-                };
-                let seconds = start.elapsed().as_secs_f64()
-                    + front_seconds
-                    + schedule.map_or(0.0, |s| scheduled[s]);
-                (program, seconds)
-            },
-        );
+        let jobs: Vec<usize> = (0..compile_keys.len()).collect();
+        let compiled: Vec<(Compiled, f64)> = parallel_map(jobs, self.threads, |i| {
+            let (_, class, options) = &compile_keys[i];
+            let (front, schedule) = front_of[i];
+            let (front, _, front_seconds) = &fronts[front];
+            let start = Instant::now();
+            let program = match class {
+                CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile_front(front, options)),
+                CompileClass::Imp if listed[i] => {
+                    let program = ImpBackend.compile_front(front, options);
+                    Compiled::Imp(WearSummary::of(&program), Some(program))
+                }
+                CompileClass::Imp => Compiled::Imp(*front.imp_summary(options), None),
+            };
+            let seconds = start.elapsed().as_secs_f64()
+                + front_seconds
+                + schedule.map_or(0.0, |s| scheduled[s]);
+            (program, seconds)
+        });
 
         // ---- Stage 4: assemble reports, one per spec --------------------
         // A single-spec run gives its fleet rider the full worker pool;
@@ -415,17 +447,17 @@ impl Service {
         fleet_threads: usize,
     ) -> Result<Report, Error> {
         let (program, seconds) = main;
-        let writes = program.write_stats();
-        let peak = writes.max;
+        let wear = program.wear();
         let fleet_arrays = spec.projection_arrays();
+        // Every array runs the same program, so the fleet's capacity
+        // Σᵢ ⌊E / peakᵢ⌋ is `fleet_arrays` equal terms.
+        let single_array_runs = executions_until_failure([wear.writes.max], self.endurance);
         let lifetime = LifetimeProjection {
             endurance: self.endurance,
-            single_array_runs: executions_until_failure([peak], self.endurance),
+            single_array_runs,
             fleet_arrays,
-            fleet_runs: fleet_executions_until_exhaustion(
-                std::iter::repeat_n(peak, fleet_arrays),
-                self.endurance,
-            ),
+            fleet_runs: single_array_runs
+                .saturating_mul(u64::try_from(fleet_arrays).unwrap_or(u64::MAX)),
         };
         let fleet = match spec.fleet() {
             None => None,
@@ -446,10 +478,10 @@ impl Service {
                 outputs: mig.num_outputs(),
                 gates: mig.num_gates(),
             },
-            instructions: program.num_instructions(),
-            rrams: program.num_rrams(),
-            total_writes: program.total_writes(),
-            writes,
+            instructions: wear.instructions,
+            rrams: wear.rrams,
+            total_writes: wear.total_writes,
+            writes: wear.writes,
             lifetime,
             program: spec.includes_program().then(|| program.listing()),
             fleet,
@@ -738,6 +770,67 @@ mod tests {
         assert_eq!(reports[1].label, "int2float");
         assert_eq!(reports[2].label, "ctrl");
         assert_ne!(reports[0].instructions, reports[2].instructions);
+    }
+
+    /// `fleet_runs` is one saturating product, equal to the sum of
+    /// `projection_arrays` equal terms it replaces, and answered at once
+    /// for any array count.
+    #[test]
+    fn lifetime_projection_is_one_saturating_product() {
+        use rlim_rram::lifetime::fleet_executions_until_exhaustion;
+        let spec = JobSpec::benchmark(Benchmark::Ctrl);
+        // HfOx endurance, and one below ctrl's peak (no run survives).
+        for service in [Service::new(), Service::new().with_endurance(2)] {
+            for arrays in [1, 2, 7, 4096] {
+                let report = service
+                    .run(&spec.clone().with_projection_arrays(arrays))
+                    .unwrap();
+                let summed = fleet_executions_until_exhaustion(
+                    std::iter::repeat_n(report.writes.max, arrays),
+                    service.endurance,
+                );
+                assert_eq!(report.lifetime.fleet_runs, summed, "{arrays} arrays");
+            }
+        }
+        let huge = Service::new()
+            .run(&spec.with_projection_arrays(usize::MAX))
+            .unwrap()
+            .lifetime;
+        assert_eq!((huge.fleet_arrays, huge.fleet_runs), (usize::MAX, u64::MAX));
+    }
+
+    /// IMPLY specs that differ only in options synthesis ignores read
+    /// one front-end slot, and a compile keeps its program when any of
+    /// its specs lists it: the reports equal per-spec runs, and only a
+    /// listed spec carries a listing.
+    #[test]
+    fn imp_compiles_read_their_front_end_summary() {
+        let preset = CompileOptions::endurance_aware();
+        let imp = |options: CompileOptions| {
+            JobSpec::benchmark(Benchmark::Int2float)
+                .with_backend(BackendKind::Imp)
+                .with_options(options)
+        };
+        let specs = [
+            imp(preset).with_program_text(true),
+            imp(preset),
+            imp(preset.with_max_writes(3)),
+            imp(preset.with_copy_reuse(true)),
+            imp(preset.with_peephole(true)),
+            imp(CompileOptions {
+                allocation: rlim_compiler::Allocation::Lifo,
+                ..preset
+            }),
+        ];
+        let reports = Service::new().with_threads(2).run_batch(&specs).unwrap();
+        for (spec, report) in specs.iter().zip(&reports) {
+            let alone = Service::new().with_threads(1).run(spec).unwrap();
+            assert_eq!(report.to_json_string(), alone.to_json_string(), "{spec:?}");
+            assert_eq!(report.program.is_some(), spec.includes_program());
+        }
+        let program = ImpBackend.compile(&Benchmark::Int2float.build(), &preset);
+        assert_eq!(reports[1].writes, program.write_stats());
+        assert_eq!(reports[1].instructions, program.num_instructions());
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! * misses that differ only in back-end options share one front end,
 //!   also when two workers race on it;
 //! * a spec that decodes but fails `JobSpec::validate` is refused with a
-//!   usage error before it is keyed or queued.
+//!   usage error before it is keyed or queued;
+//! * a lifetime projection over `usize::MAX` arrays is answered
+//!   promptly.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -1044,6 +1046,41 @@ fn workers_racing_on_one_front_end_give_identical_replies() {
     // A racing loser counts a miss but its front end is dropped.
     assert_eq!(frontends.entries, 1, "{frontends:?}");
     assert_eq!(frontends.hits + frontends.misses, 4, "{frontends:?}");
+}
+
+/// A lifetime projection over any number of arrays costs one product:
+/// a `projection_arrays` near `usize::MAX` is answered promptly, with a
+/// saturated `fleet_runs` and the bytes a direct run gives.
+#[test]
+fn huge_projection_fleets_are_answered_promptly() {
+    let handle = daemon(1, 4);
+    let (tx, rx) = mpsc::channel();
+    let addr = handle.addr();
+    std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        for arrays in [usize::MAX, usize::MAX - 1] {
+            let spec = JobSpec::benchmark(Benchmark::Ctrl)
+                .with_options(CompileOptions::naive())
+                .with_projection_arrays(arrays);
+            let reply = client.submit(&spec).unwrap();
+            tx.send((spec, reply)).unwrap();
+        }
+    });
+    for _ in 0..2 {
+        let (spec, reply) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a prompt reply");
+        let Response::Report(line) = reply else {
+            panic!("expected a report, got {reply:?}");
+        };
+        let lifetime = line.decode().unwrap().lifetime;
+        assert_eq!(lifetime.fleet_arrays, spec.projection_arrays());
+        assert_eq!(lifetime.fleet_runs, u64::MAX);
+        let direct = Service::new().with_threads(1).run(&spec).unwrap();
+        assert_eq!(line.line, direct.to_json().render_compact());
+    }
+    handle.shutdown();
+    handle.join();
 }
 
 /// After the fuzz barrage, the worker pool still compiles — no thread

@@ -5,7 +5,9 @@
 //! Rewrite and schedule read only the graph, the rewriting algorithm,
 //! its effort and the selection policy, so a batch (or a daemon) shares
 //! them across every spec that differs only in back-end options: write
-//! cap, allocation, peephole, copy-reuse, esat and the backend. These
+//! cap, allocation, peephole, copy-reuse, esat and the backend. IMPLY
+//! synthesis reads only the graph, the allocation and peephole, so an
+//! unlisted IMPLY compile shares its front end's summary for that pair. These
 //! tests sweep those options over benchmarks and random graphs and
 //! compare rendered reports byte for byte, with the memo roomy, tiny
 //! (every entry evicted at once) and tight (one entry at a time).
@@ -13,7 +15,7 @@
 use std::sync::Arc;
 
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::{CompileOptions, FrontEnd, FrontKey};
+use rlim::compiler::{Allocation, CompileOptions, FrontEnd, FrontKey};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::service::FrontEnds;
 use rlim::{BackendKind, JobSpec, Service};
@@ -45,8 +47,10 @@ fn sources() -> Vec<JobSpec> {
 
 /// Every preset × caps {none, 3, 20} × every backend, plus each preset
 /// with copy-reuse, with peephole and with (small-budget) esat on both
-/// compile classes; every report carries its listing, so programs are
-/// compared whole.
+/// compile classes, each report with its listing so programs are
+/// compared whole; then each preset's rewriting under every IMPLY
+/// allocation × peephole pair without a listing, so the summaries the
+/// front end keeps per pair are compared too.
 fn sweep(source: &JobSpec) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for name in CompileOptions::preset_names() {
@@ -78,6 +82,25 @@ fn sweep(source: &JobSpec) -> Vec<JobSpec> {
                         .with_backend(backend)
                         .with_program_text(true),
                 );
+            }
+        }
+        // Unlisted IMPLY compiles read the front end's summary for their
+        // (allocation, peephole) pair: every pair, each with and without
+        // options synthesis ignores.
+        for allocation in [Allocation::Lifo, Allocation::MinWrite] {
+            for peephole in [false, true] {
+                let options = CompileOptions {
+                    allocation,
+                    ..preset.with_peephole(peephole)
+                };
+                for options in [options, options.with_max_writes(3).with_copy_reuse(true)] {
+                    specs.push(
+                        source
+                            .clone()
+                            .with_options(options)
+                            .with_backend(BackendKind::Imp),
+                    );
+                }
             }
         }
     }
@@ -140,6 +163,7 @@ fn evicting_memos_recompute_the_same_bytes() {
     // Room for about one scheduled front end: spec by spec through one
     // memo, entries come and go as the sweep moves between rewritings.
     let mig = Arc::new(Benchmark::Ctrl.build());
+    let fingerprint = mig.fingerprint();
     let options = CompileOptions::endurance_aware();
     let front = FrontEnd::new(&mig, FrontKey::of(&options));
     front.schedule(options.selection);
@@ -147,7 +171,7 @@ fn evicting_memos_recompute_the_same_bytes() {
     let one_at_a_time: Vec<String> = specs
         .iter()
         .map(|spec| {
-            let report = service.run_with(spec, &tight).unwrap();
+            let report = service.run_with(spec, &tight, fingerprint).unwrap();
             report.to_json().render_compact()
         })
         .collect();
