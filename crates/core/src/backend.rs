@@ -28,7 +28,6 @@ use rlim_rram::WriteFault;
 
 use crate::frontend::{FrontEnd, FrontKey};
 use crate::options::{Allocation, CompileOptions};
-use crate::peephole::elide_dead_writes;
 
 /// A complete compile-and-execute backend for one instruction set.
 ///
@@ -190,12 +189,15 @@ impl Backend for WideRm3Backend {
 /// Of the [`CompileOptions`], IMPLY synthesis honours:
 ///
 /// * `rewriting` and `effort`: the graph is rewritten first, as for RM3;
-/// * `allocation`: LIFO or minimum-write cell reuse;
-/// * `peephole`: the ISA-generic dead-write elision.
+/// * `allocation`: LIFO or minimum-write cell reuse.
 ///
 /// It ignores `selection` (gates are synthesised in index order),
 /// `max_writes` (no cell is retired, so the report's `max` can exceed
-/// the cap), `copy_reuse` and `esat` with its budgets. A report still
+/// the cap), `copy_reuse`, `esat` with its budgets, and `peephole`.
+/// Synthesis skips every gate no output reaches, and a later operation
+/// reads every write it makes, so it emits no dead write for
+/// [`elide_dead_writes`](crate::elide_dead_writes) to remove (a test
+/// checks this on every benchmark). A report still
 /// echoes every option it was given: `rlim report div --backend imp
 /// --max-writes 20 --json` shows `"max_writes": 20` beside `"max": 1609`.
 /// Such specs are accepted, not rejected, because a client may send one
@@ -216,13 +218,7 @@ impl Backend for ImpBackend {
             Allocation::Lifo => ImpAllocation::Lifo,
             Allocation::MinWrite => ImpAllocation::MinWrite,
         };
-        let mut program = synthesize(front.graph(), &ImpSynthOptions { allocation });
-        if options.peephole {
-            // IMPLY has no redundant-set recipes to fold, but the generic
-            // dead-write elision applies to any ISA.
-            elide_dead_writes(&mut program);
-        }
-        program
+        synthesize(front.graph(), &ImpSynthOptions { allocation })
     }
 
     fn execute(&self, program: &Program<ImpOp>, inputs: &[bool]) -> Result<Vec<bool>, WriteFault> {
@@ -311,6 +307,38 @@ mod tests {
         let via_backend = ImpBackend.compile(&mig, &min_write_options);
         let direct = synthesize(&mig, &ImpSynthOptions::min_write());
         assert_eq!(via_backend, direct);
+    }
+
+    /// IMPLY synthesis emits no dead write, which is why [`ImpBackend`]
+    /// ignores `peephole`: dead-write elision leaves every program it
+    /// synthesizes unchanged, on the 18 benchmarks under each of the
+    /// presets' three rewritings and both allocation policies. (A
+    /// property test over random graphs lives in the facade's
+    /// `tests/property_based.rs`.)
+    #[test]
+    fn imp_synthesis_emits_no_dead_write() {
+        let mut keys: Vec<FrontKey> = CompileOptions::preset_names()
+            .iter()
+            .map(|name| FrontKey::of(&CompileOptions::preset(name).expect("a listed preset")))
+            .collect();
+        keys.dedup();
+        assert_eq!(keys.len(), 3);
+        for b in rlim_benchmarks::Benchmark::all() {
+            let mig = b.build();
+            for &key in &keys {
+                let front = FrontEnd::build(&mig, key);
+                for allocation in [ImpAllocation::Lifo, ImpAllocation::MinWrite] {
+                    let program = synthesize(front.graph(), &ImpSynthOptions { allocation });
+                    let mut elided = program.clone();
+                    assert_eq!(
+                        crate::elide_dead_writes(&mut elided),
+                        0,
+                        "{b} {key:?} {allocation:?}"
+                    );
+                    assert_eq!(elided, program);
+                }
+            }
+        }
     }
 
     /// Rewriting flows into IMP synthesis through the shared options.

@@ -13,7 +13,7 @@ use rlim_mig::Mig;
 use rlim_plim::Program;
 use rlim_rram::WriteStats;
 
-use crate::frontend::{FrontEnd, FrontKey};
+use crate::frontend::{FrontEnd, FrontKey, WearSummary};
 use crate::options::CompileOptions;
 use crate::peephole::{elide_dead_writes, elide_redundant_writes};
 use crate::pipeline::{esat_search, translate_arms};
@@ -59,37 +59,6 @@ impl CompileResult {
     /// program (see `rlim_rram::lifetime`).
     pub fn peak_writes(&self) -> u64 {
         self.write_stats().max
-    }
-}
-
-/// The paper's wear metrics of one compiled program: the score every
-/// best-of guard compares.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct WearScore {
-    instrs: usize,
-    max: u64,
-    stdev: f64,
-}
-
-impl WearScore {
-    pub(crate) fn of(program: &Program) -> Self {
-        let stats = program.write_stats();
-        WearScore {
-            instrs: program.num_instructions(),
-            max: stats.max,
-            stdev: stats.stdev,
-        }
-    }
-
-    /// Pointwise no worse on `#I`, peak per-cell writes and write STDEV.
-    pub(crate) fn no_worse_than(&self, other: &Self) -> bool {
-        self.instrs <= other.instrs && self.max <= other.max && self.stdev <= other.stdev
-    }
-
-    /// No worse, and strictly better on at least one metric.
-    pub(crate) fn dominates(&self, other: &Self) -> bool {
-        self.no_worse_than(other)
-            && (self.instrs < other.instrs || self.max < other.max || self.stdev < other.stdev)
     }
 }
 
@@ -170,7 +139,7 @@ pub fn compile_front(front: &FrontEnd, options: &CompileOptions) -> CompileResul
     // are taken only where two arms compete.
     type Arm = (Option<Arc<Mig>>, Program);
     let prefer = |preferred: Arm, other: Arm| {
-        if WearScore::of(&preferred.1).no_worse_than(&WearScore::of(&other.1)) {
+        if WearSummary::of(&preferred.1).no_worse_than(&WearSummary::of(&other.1)) {
             preferred
         } else {
             other

@@ -6,11 +6,10 @@
 //! algorithm and its effort; scheduling (Algorithm 3) reads only that
 //! graph and the selection policy. Neither reads allocation, the write
 //! cap, peephole, copy-reuse, esat or the backend. IMPLY synthesis
-//! (paper §II) reads only the graph, the allocation policy and
-//! `peephole`. A [`FrontEnd`] holds the result of all three so a sweep
-//! over back-end options rewrites its circuit once, schedules it once
-//! per selection policy and synthesizes its IMPLY baseline once per
-//! `(allocation, peephole)` pair.
+//! (paper §II) reads only the graph and the allocation policy. A
+//! [`FrontEnd`] holds the result of all three so a sweep over back-end
+//! options rewrites its circuit once, schedules it once per selection
+//! policy and synthesizes its IMPLY baseline once per allocation policy.
 
 use std::sync::{Arc, OnceLock};
 
@@ -24,7 +23,8 @@ use crate::options::{CompileOptions, Selection};
 use crate::pipeline::Schedule;
 
 /// What a report reads of a compiled program: `#I`, `#R`, the total
-/// writes and the per-cell write statistics.
+/// writes and the per-cell write statistics. It is also the score every
+/// best-of guard compares ([`WearSummary::no_worse_than`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WearSummary {
     /// Instructions — the paper's `#I`.
@@ -47,11 +47,27 @@ impl WearSummary {
             writes: program.write_stats(),
         }
     }
+
+    /// Pointwise no worse on the paper's endurance metrics: `#I`, peak
+    /// per-cell writes and write STDEV.
+    pub fn no_worse_than(&self, other: &Self) -> bool {
+        self.instructions <= other.instructions
+            && self.writes.max <= other.writes.max
+            && self.writes.stdev <= other.writes.stdev
+    }
+
+    /// No worse, and strictly better on at least one of the three.
+    pub fn dominates(&self, other: &Self) -> bool {
+        self.no_worse_than(other)
+            && (self.instructions < other.instructions
+                || self.writes.max < other.writes.max
+                || self.writes.stdev < other.writes.stdev)
+    }
 }
 
 /// The rewritten graph of one `(source, rewriting, effort)` triple, with
 /// a lazily filled [`Schedule`] slot per [`Selection`] and a lazily
-/// filled IMPLY [`WearSummary`] slot per `(allocation, peephole)` pair.
+/// filled IMPLY [`WearSummary`] slot per [`Allocation`](crate::Allocation).
 ///
 /// A front end is immutable apart from its slots, which fill at most
 /// once each (a concurrent reader waits for the one filling the slot),
@@ -97,15 +113,10 @@ pub struct FrontEnd {
     key: FrontKey,
     /// One slot per [`Selection`], indexed by its discriminant.
     schedules: [OnceLock<Schedule>; 3],
-    /// One IMPLY slot per `(allocation, peephole)` pair, indexed by
-    /// [`imp_slot`].
-    imp: [OnceLock<WearSummary>; 4],
-}
-
-/// The IMPLY slot `options` compile into: the only two options IMPLY
-/// synthesis reads besides the front end's own.
-fn imp_slot(options: &CompileOptions) -> usize {
-    2 * options.allocation as usize + usize::from(options.peephole)
+    /// One IMPLY slot per allocation policy (the one option IMPLY
+    /// synthesis reads besides the front end's own), indexed by its
+    /// discriminant.
+    imp: [OnceLock<WearSummary>; 2],
 }
 
 /// What a front end depends on besides its source graph: the rewriting
@@ -192,7 +203,7 @@ impl FrontEnd {
 
     /// The wear summary of the IMPLY program `options` compile from this
     /// front end, synthesized ([`ImpBackend`]) on the first call for
-    /// `options`' allocation and peephole; every later call for the pair
+    /// `options`' allocation policy; every later call for that policy
     /// answers from the slot, whatever the other options.
     ///
     /// # Panics
@@ -203,7 +214,7 @@ impl FrontEnd {
             self.serves(options),
             "a front end compiles only the rewriting it was built with"
         );
-        self.imp[imp_slot(options)]
+        self.imp[options.allocation as usize]
             .get_or_init(|| WearSummary::of(&ImpBackend.compile_front(self, options)))
     }
 
@@ -242,8 +253,8 @@ mod tests {
     }
 
     /// Options that differ only in what IMPLY synthesis ignores (the
-    /// write cap, selection, copy-reuse, esat and its budgets) read one
-    /// slot, filled once; allocation and peephole each pick their own.
+    /// write cap, selection, copy-reuse, esat and its budgets, peephole)
+    /// read one slot, filled once; each allocation policy picks its own.
     #[test]
     fn imp_slots_are_shared_across_ignored_options() {
         let mig = generate(&RandomMigConfig::default(), 5);
@@ -263,6 +274,7 @@ mod tests {
                 },
                 preset.with_copy_reuse(true),
                 preset.with_esat(true).with_esat_nodes(7).with_esat_iters(1),
+                preset.with_peephole(!preset.peephole),
             ];
             for options in variants {
                 assert!(
@@ -273,30 +285,22 @@ mod tests {
             assert_eq!(filled(&front), 1, "{preset:?}");
             let bytes = front.heap_bytes();
             for allocation in [Allocation::Lifo, Allocation::MinWrite] {
-                for peephole in [false, true] {
-                    let options = CompileOptions {
-                        allocation,
-                        ..preset.with_peephole(peephole)
-                    };
-                    let slot = front.imp_summary(&options);
-                    assert!(std::ptr::eq(slot, front.imp_summary(&options)));
-                }
+                let options = CompileOptions {
+                    allocation,
+                    ..preset
+                };
+                let slot = front.imp_summary(&options);
+                assert!(std::ptr::eq(slot, front.imp_summary(&options)));
             }
-            assert_eq!(filled(&front), 4, "{preset:?}");
+            assert_eq!(filled(&front), 2, "{preset:?}");
             assert_eq!(front.heap_bytes(), bytes, "the slots are inline");
         }
     }
 
     /// Every slot, filled in an order that would expose a shared or
     /// misplaced index, equals the summary of a freshly synthesized
-    /// program: every preset's rewriting × allocation × peephole, on
-    /// random graphs and on the 18 benchmarks.
-    ///
-    /// A debug build checks every min-write pick of IMPLY synthesis
-    /// against a scan of the whole free list, which makes synthesis
-    /// quadratic (hundreds of times slower than a release build on
-    /// `mem_ctrl`), so there the benchmarks stop at 5 000 gates: 11 of
-    /// the 18. A release run takes all 18.
+    /// program: every preset's rewriting × allocation, on random graphs
+    /// and on the 18 benchmarks.
     #[test]
     fn imp_slots_equal_fresh_synthesis() {
         let mut migs: Vec<(String, Mig)> = (0..4)
@@ -313,8 +317,7 @@ mod tests {
         migs.extend(
             Benchmark::all()
                 .iter()
-                .map(|b| (b.name().to_string(), b.build()))
-                .filter(|(_, mig)| !cfg!(debug_assertions) || mig.num_gates() <= 5_000),
+                .map(|b| (b.name().to_string(), b.build())),
         );
         // The presets name three rewritings; effort 1, since the slots
         // are under test, not the rewrite.
@@ -323,18 +326,13 @@ mod tests {
         for (name, mig) in &migs {
             for &key in &keys {
                 let front = FrontEnd::build(mig, key);
-                let mut all = Vec::new();
-                for allocation in [Allocation::MinWrite, Allocation::Lifo] {
-                    for peephole in [true, false] {
-                        all.push(CompileOptions {
-                            rewriting: key.rewriting,
-                            effort: 1,
-                            allocation,
-                            peephole,
-                            ..CompileOptions::naive()
-                        });
-                    }
-                }
+                let all =
+                    [Allocation::MinWrite, Allocation::Lifo].map(|allocation| CompileOptions {
+                        rewriting: key.rewriting,
+                        effort: 1,
+                        allocation,
+                        ..CompileOptions::naive()
+                    });
                 for options in &all {
                     front.imp_summary(options);
                 }

@@ -33,7 +33,8 @@ use rlim_mig::rewrite::rewrite;
 use rlim_mig::{Mig, NodeId, StructuralView};
 use rlim_plim::Program;
 
-use crate::compiler::{CompileResult, WearScore};
+use crate::compiler::CompileResult;
+use crate::frontend::WearSummary;
 use crate::options::{CompileOptions, Selection};
 use crate::select::schedule;
 
@@ -339,7 +340,7 @@ pub(crate) struct ArmBest {
     pub(crate) graph: Option<Arc<Mig>>,
     /// The baseline pipeline's program for the graph under the arm.
     pub(crate) program: Program,
-    score: WearScore,
+    score: WearSummary,
 }
 
 /// The [`EsatPass`] rounds from `start`, with every candidate scored
@@ -377,7 +378,7 @@ pub(crate) fn esat_search(
         .into_iter()
         .map(|program| ArmBest {
             graph: None,
-            score: WearScore::of(&program),
+            score: WearSummary::of(&program),
             program,
         })
         .collect();
@@ -404,7 +405,7 @@ pub(crate) fn esat_search(
             scored.push(Arc::clone(cand));
             let schedule = Schedule::of(cand, arms[0].selection);
             for (arm, program) in best.iter_mut().zip(translate_arms(cand, &schedule, arms)) {
-                let score = WearScore::of(&program);
+                let score = WearSummary::of(&program);
                 if score.dominates(&arm.score) {
                     *arm = ArmBest {
                         graph: Some(Arc::clone(cand)),

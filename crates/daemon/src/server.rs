@@ -143,9 +143,10 @@ struct Shared {
     cache: Mutex<ReportCache>,
     /// Rewritten graphs and their schedules, shared by all workers.
     frontends: FrontEnds,
-    /// Benchmark graphs built once per daemon lifetime, with their
-    /// fingerprints (keyed by benchmark name).
-    sources: Mutex<HashMap<String, (Arc<Mig>, u128)>>,
+    /// Benchmark graphs built once per daemon lifetime, keyed by
+    /// benchmark name; each is hashed before it is stored and keeps its
+    /// fingerprint.
+    sources: Mutex<HashMap<String, Arc<Mig>>>,
     started: Instant,
     local_addr: SocketAddr,
     accepting: AtomicBool,
@@ -449,7 +450,9 @@ impl Shared {
     }
 
     /// The spec's source fingerprint when no build is needed to know it:
-    /// a benchmark that an earlier job already built.
+    /// a benchmark that an earlier job already built. The graph keeps
+    /// the fingerprint [`Shared::load_source`] computed, so this hashes
+    /// nothing.
     fn known_fingerprint(&self, spec: &JobSpec) -> Option<u128> {
         let Source::Benchmark(b) = spec.source() else {
             return None;
@@ -458,16 +461,14 @@ impl Shared {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(b.name())
-            .map(|&(_, fingerprint)| fingerprint)
+            .map(|mig| mig.fingerprint())
     }
 
-    /// Loads the spec's source graph with its fingerprint, building a
-    /// benchmark only on its first use in the daemon's lifetime.
-    fn load_source(&self, spec: &JobSpec) -> Result<(Arc<Mig>, u128), Error> {
+    /// Loads the spec's source graph, building a benchmark only on its
+    /// first use in the daemon's lifetime.
+    fn load_source(&self, spec: &JobSpec) -> Result<Arc<Mig>, Error> {
         let Source::Benchmark(b) = spec.source() else {
-            let mig = spec.source().load()?;
-            let fingerprint = mig.fingerprint();
-            return Ok((mig, fingerprint));
+            return spec.source().load();
         };
         let sources = &self.sources;
         if let Some(entry) = sources
@@ -479,22 +480,24 @@ impl Shared {
         }
         // Build outside the lock so a large benchmark's first touch
         // doesn't serialize the other workers; a racing builder's entry
-        // wins and becomes the canonical Arc.
+        // wins and becomes the canonical Arc. Hashed before it is
+        // published, so a connection thread only reads the kept value.
         let mig = spec.source().load()?;
-        let fingerprint = mig.fingerprint();
-        Ok(sources
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(b.name().to_string())
-            .or_insert((mig, fingerprint))
-            .clone())
+        mig.fingerprint();
+        Ok(Arc::clone(
+            sources
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .entry(b.name().to_string())
+                .or_insert(mig),
+        ))
     }
 
     fn run_job(&self, spec: &JobSpec, key: Option<String>) -> Result<Line, Error> {
-        let (mig, fingerprint) = self.load_source(spec)?;
+        let mig = self.load_source(spec)?;
         let key = match key {
             Some(key) => key,
-            None => cache_key(fingerprint, spec)?,
+            None => cache_key(mig.fingerprint(), spec)?,
         };
         let hit = self
             .cache
@@ -507,7 +510,9 @@ impl Shared {
         let run_spec = spec.clone().with_source(Source::Mig(mig));
         let mut report = self
             .service
-            .run_with(&run_spec, &self.frontends, fingerprint)?;
+            .run_batch_with(std::slice::from_ref(&run_spec), &self.frontends)?
+            .pop()
+            .expect("one report per spec");
         // The daemon compiles through an in-memory graph whose label
         // would read `<mig>`; the reply names the request's own source.
         report.label = spec.label();

@@ -114,10 +114,19 @@ struct FreeCells {
     /// two children.
     tree: Vec<u64>,
     leaves: usize,
+    /// Min-write picks so far, which choose the ones a debug build
+    /// checks against a scan ([`CHECK_EVERY`]).
+    picks: u64,
 }
 
 /// The key of a leaf with no free cell; above every real key.
 const VACANT: u64 = u64::MAX;
+
+/// A debug build checks every min-write pick from a free list of at
+/// most this many cells against a scan, and every this-many-th pick from
+/// a longer one: on a long list the checks cost one scan per this many
+/// picks, not one per pick.
+const CHECK_EVERY: u64 = 64;
 
 impl FreeCells {
     /// Position `i`'s key: its cell's write count, then `i`, so the
@@ -166,6 +175,7 @@ impl Pool for FreeCells {
             free: Vec::new(),
             tree: Vec::new(),
             leaves: 0,
+            picks: 0,
         }
     }
 
@@ -174,9 +184,11 @@ impl Pool for FreeCells {
             return self.free.pop();
         }
         let position = (self.tree[1] & u64::from(u32::MAX)) as usize;
-        debug_assert_eq!(
-            Some(position),
-            first_least_written(&self.free, writes),
+        self.picks += 1;
+        let sampled =
+            self.free.len() as u64 <= CHECK_EVERY || self.picks.is_multiple_of(CHECK_EVERY);
+        debug_assert!(
+            !sampled || Some(position) == first_least_written(&self.free, writes),
             "the index picks what a scan of the free list picks"
         );
         let cell = self.free.swap_remove(position);

@@ -1,6 +1,7 @@
 //! The Majority-Inverter Graph container.
 
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::signal::{NodeId, Signal};
 use crate::strash::Strash;
@@ -37,13 +38,16 @@ pub enum NodeKind {
 /// assert_eq!(mig.num_gates(), 1);
 /// assert_eq!(mig.num_outputs(), 1);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Mig {
     /// Children of each node; unused (all-FALSE) for constant and inputs.
     nodes: Vec<[Signal; 3]>,
     num_inputs: u32,
     outputs: Vec<Signal>,
     strash: Strash,
+    /// [`Mig::fingerprint`], kept on first call and cleared by every
+    /// mutator that changes what it hashes.
+    fingerprint: Kept,
 }
 
 impl Mig {
@@ -56,6 +60,7 @@ impl Mig {
             num_inputs,
             outputs: Vec::new(),
             strash: Strash::new(),
+            fingerprint: Kept::default(),
         }
     }
 
@@ -72,6 +77,7 @@ impl Mig {
         self.num_inputs = num_inputs;
         self.outputs.clear();
         self.strash.clear();
+        self.fingerprint.clear();
     }
 
     /// Makes room for `additional` more gates: neither the node array nor
@@ -142,6 +148,7 @@ impl Mig {
             self.nodes.len()
         );
         self.outputs.push(s);
+        self.fingerprint.clear();
     }
 
     /// Classifies a node.
@@ -238,6 +245,7 @@ impl Mig {
                     Some(existing) => Signal::new(existing, false),
                     None => {
                         self.nodes.push(key);
+                        self.fingerprint.clear();
                         Signal::new(id, false)
                     }
                 }
@@ -423,7 +431,23 @@ impl Mig {
     /// same value. This is the source half of the daemon's compile-cache
     /// key; 128 bits keep accidental collisions negligible for any
     /// realistic cache population.
+    ///
+    /// The value is computed on the first call and kept until the graph
+    /// next gains a gate or an output (or is [`Mig::reset`]), so a graph
+    /// shared by many lookups is hashed once. A debug build checks every
+    /// kept value against a fresh hash.
     pub fn fingerprint(&self) -> u128 {
+        if let Some(kept) = self.fingerprint.get() {
+            debug_assert_eq!(kept, self.structural_hash(), "a stale fingerprint");
+            return kept;
+        }
+        let fresh = self.structural_hash();
+        self.fingerprint.set(fresh);
+        fresh
+    }
+
+    /// The hash behind [`Mig::fingerprint`].
+    fn structural_hash(&self) -> u128 {
         // Same multiplier as the strash (FxHash's 64-bit constant); the
         // two lanes differ by seed and rotation so they never collapse
         // into one 64-bit stream.
@@ -453,13 +477,61 @@ impl Mig {
 
 /// Structural equality: the same inputs, the same gate triples at the
 /// same node indices and the same outputs. The strash is derived from
-/// the nodes (its slot layout depends on capacity history), so it is
-/// left out.
+/// the nodes (its slot layout depends on capacity history) and the kept
+/// fingerprint from all three, so both are left out.
 impl PartialEq for Mig {
     fn eq(&self, other: &Self) -> bool {
         self.num_inputs == other.num_inputs
             && self.nodes == other.nodes
             && self.outputs == other.outputs
+    }
+}
+
+/// A [`Mig::fingerprint`] once computed: its high and low 64-bit lanes.
+/// A high lane of 0 means none is kept, so a graph whose high lane really
+/// is 0 is hashed on every call. Sixteen bytes: a `OnceLock<u128>` would
+/// add 32 to every graph and align it to 16.
+#[derive(Default)]
+struct Kept([AtomicU64; 2]);
+
+impl Kept {
+    fn get(&self) -> Option<u128> {
+        let high = self.0[0].load(Ordering::Acquire);
+        (high != 0).then(|| u128::from(high) << 64 | u128::from(self.0[1].load(Ordering::Relaxed)))
+    }
+
+    /// Keeps `value`. The low lane is stored first and the high lane
+    /// releases it, so a reader that sees the high lane sees the low one.
+    /// Racing callers store the same value: a shared graph cannot change.
+    fn set(&self, value: u128) {
+        self.0[1].store(value as u64, Ordering::Relaxed);
+        self.0[0].store((value >> 64) as u64, Ordering::Release);
+    }
+
+    fn clear(&mut self) {
+        *self.0[0].get_mut() = 0;
+    }
+}
+
+/// A copy of what is kept: the low lane is read after the high lane
+/// that releases it, so a kept high lane comes with its low lane.
+impl Clone for Kept {
+    fn clone(&self) -> Self {
+        let high = self.0[0].load(Ordering::Acquire);
+        Kept([high, self.0[1].load(Ordering::Relaxed)].map(AtomicU64::new))
+    }
+}
+
+/// Every field but the kept fingerprint, which a fresh graph and a
+/// hashed copy of it would otherwise print differently.
+impl fmt::Debug for Mig {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Mig")
+            .field("nodes", &self.nodes)
+            .field("num_inputs", &self.num_inputs)
+            .field("outputs", &self.outputs)
+            .field("strash", &self.strash)
+            .finish()
     }
 }
 
@@ -511,6 +583,60 @@ mod tests {
         flipped.add_output(!out);
         assert_ne!(build(false).fingerprint(), flipped.fingerprint());
         assert_ne!(Mig::new(2).fingerprint(), Mig::new(3).fingerprint());
+    }
+
+    /// The kept fingerprint equals a fresh hash after every mutator: a
+    /// strash hit (no new node), a new node, an output, a reset of a
+    /// recycled buffer, and a clone mutated apart from its original,
+    /// which keeps its own value.
+    #[test]
+    fn kept_fingerprint_follows_every_mutator() {
+        fn check(mig: &Mig) -> u128 {
+            let kept = mig.fingerprint();
+            assert_eq!(mig.fingerprint.get(), Some(kept), "the value is kept");
+            assert_eq!(kept, mig.structural_hash());
+            kept
+        }
+        let mut mig = Mig::new(3);
+        let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
+        let empty = check(&mig);
+        let g = mig.add_maj(a, b, c);
+        let one_gate = check(&mig);
+        assert_ne!(one_gate, empty);
+
+        // A strash hit and an Ω.M collapse add no node: the kept value
+        // stands.
+        assert_eq!(mig.add_maj(c, a, b), g);
+        assert_eq!(mig.add_maj(a, a, b), a);
+        assert_eq!(mig.fingerprint.get(), Some(one_gate));
+        assert_eq!(check(&mig), one_gate);
+
+        mig.add_output(g);
+        let with_output = check(&mig);
+        assert_ne!(with_output, one_gate);
+
+        // A clone starts with the original's value; mutated, it moves
+        // and the original keeps its own.
+        let mut copy = mig.clone();
+        assert_eq!(copy.fingerprint.get(), Some(with_output));
+        let h = copy.add_maj(!a, b, c);
+        assert_ne!(check(&copy), with_output);
+        copy.add_output(h);
+        let copy_value = check(&copy);
+        assert_eq!(check(&mig), with_output);
+        assert_eq!(mig.num_gates(), 1);
+
+        // A reset buffer hashes as the fresh graph it now equals, and
+        // rebuilt, as the graph it was rebuilt to.
+        copy.reset(3);
+        assert_eq!(check(&copy), empty);
+        let g = copy.add_maj(a, b, c);
+        copy.add_output(g);
+        assert_eq!(copy, mig);
+        assert_eq!(check(&copy), with_output);
+        assert_ne!(copy_value, with_output);
+        copy.reset(2);
+        assert_eq!(check(&copy), Mig::new(2).fingerprint());
     }
 
     #[test]

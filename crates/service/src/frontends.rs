@@ -2,10 +2,13 @@
 //! wear summaries, keyed by `(source fingerprint, rewriting, effort)`
 //! and shared by every compile that differs only in back-end options.
 //!
-//! [`Service::run_batch`](crate::Service::run_batch) shares front ends
-//! within one call; a caller that keeps them across calls (the daemon)
-//! passes a memo to
-//! [`Service::run_batch_with`](crate::Service::run_batch_with). The memo
+//! Every [`Service`](crate::Service) run compiles through one:
+//! [`Service::run_batch`](crate::Service::run_batch) through a memo of
+//! its own that lives as long as the call, and a caller that keeps front
+//! ends across calls (the daemon) through its own memo, passed to
+//! [`Service::run_batch_with`](crate::Service::run_batch_with). The key
+//! reads the source's [`Mig::fingerprint`], which the graph keeps once
+//! computed, so a source shared by many lookups is hashed once. The memo
 //! is least-recently-used under a byte bound: an entry is charged its
 //! [`FrontEnd::heap_bytes`], which grows as schedule slots fill (the
 //! IMPLY slots are inline, counted from the start).
@@ -46,11 +49,14 @@ pub struct FrontEndStats {
 /// let mig = Arc::new(Benchmark::Ctrl.build());
 /// let options = CompileOptions::endurance_aware();
 /// let key = |options: &CompileOptions| FrontKey::of(options);
-/// let first = memo.get(mig.fingerprint(), &mig, key(&options));
+/// let first = memo.get(&mig, key(&options));
 /// // A write cap is a back-end option: the same front end answers.
-/// let capped = memo.get(mig.fingerprint(), &mig, key(&options.with_max_writes(20)));
+/// let capped = memo.get(&mig, key(&options.with_max_writes(20)));
 /// assert!(Arc::ptr_eq(&first, &capped));
-/// assert_eq!((memo.stats().hits, memo.stats().misses), (1, 1));
+/// // So does a second build of the same graph: the key is its structure.
+/// let rebuilt = Arc::new(Benchmark::Ctrl.build());
+/// assert!(Arc::ptr_eq(&first, &memo.get(&rebuilt, key(&options))));
+/// assert_eq!((memo.stats().hits, memo.stats().misses), (2, 1));
 /// ```
 #[derive(Debug)]
 pub struct FrontEnds {
@@ -76,12 +82,11 @@ impl FrontEnds {
         }
     }
 
-    /// The front end of `source`, whose fingerprint is `fingerprint`,
-    /// under `rewriting`. A miss rewrites outside the lock; when two
-    /// callers race on one key, the first entry inserted is kept and
-    /// returned to both.
-    pub fn get(&self, fingerprint: u128, source: &Arc<Mig>, rewriting: FrontKey) -> Arc<FrontEnd> {
-        let key = (fingerprint, rewriting);
+    /// The front end of `source` under `rewriting`. A miss rewrites
+    /// outside the lock; when two callers race on one key, the first
+    /// entry inserted is kept and returned to both.
+    pub fn get(&self, source: &Arc<Mig>, rewriting: FrontKey) -> Arc<FrontEnd> {
+        let key = (source.fingerprint(), rewriting);
         {
             let mut memo = self.lock();
             if let Some(front) = memo.lru.get(&key).map(Arc::clone) {
@@ -100,12 +105,12 @@ impl FrontEnds {
         built
     }
 
-    /// Fills `front`'s schedule slot for `selection` (if empty) and
-    /// recharges its entry, which may evict older entries, or this one
-    /// when it alone outgrows the bound.
-    pub fn schedule(&self, fingerprint: u128, front: &Arc<FrontEnd>, selection: Selection) {
+    /// Fills the schedule slot for `selection` (if empty) of `front`,
+    /// the front end of `source`, and recharges its entry, which may
+    /// evict older entries, or this one when it alone outgrows the bound.
+    pub fn schedule(&self, source: &Mig, front: &Arc<FrontEnd>, selection: Selection) {
         front.schedule(selection);
-        let key = (fingerprint, front.key());
+        let key = (source.fingerprint(), front.key());
         let mut memo = self.lock();
         // Only the entry this front end is: a racing loser or an evicted
         // one is not in the memo to charge.
@@ -132,5 +137,30 @@ impl FrontEnds {
 
     fn lock(&self) -> MutexGuard<'_, Memo> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rlim_benchmarks::Benchmark;
+    use rlim_compiler::CompileOptions;
+
+    /// Scheduling charges the entry of the front end's source, found by
+    /// the source's fingerprint: any graph of that structure will do.
+    #[test]
+    fn schedules_recharge_their_source_entry() {
+        let memo = FrontEnds::new(usize::MAX);
+        let mig = Arc::new(Benchmark::Ctrl.build());
+        let options = CompileOptions::endurance_aware();
+        let front = memo.get(&mig, FrontKey::of(&options));
+        let unscheduled = memo.stats().bytes;
+        assert_eq!(unscheduled, front.heap_bytes());
+        memo.schedule(&Benchmark::Ctrl.build(), &front, options.selection);
+        assert!(front.heap_bytes() > unscheduled);
+        assert_eq!(memo.stats().bytes, front.heap_bytes());
+        // Another source's schedule call leaves this entry as it is.
+        memo.schedule(&Benchmark::Dec.build(), &front, Selection::Topological);
+        assert!(front.heap_bytes() > memo.stats().bytes);
     }
 }

@@ -168,27 +168,6 @@ impl Compiled {
     }
 }
 
-/// A caller's front-end memo, with the fingerprint of the one source of
-/// a single-spec run when the caller knows it.
-#[derive(Clone, Copy)]
-struct Memo<'a> {
-    frontends: &'a FrontEnds,
-    fingerprint: Option<u128>,
-}
-
-impl Memo<'_> {
-    /// The fingerprint `source` is memoized under.
-    fn fingerprint_of(&self, source: &Mig) -> u128 {
-        match self.fingerprint {
-            Some(known) => {
-                debug_assert_eq!(known, source.fingerprint(), "a wrong known fingerprint");
-                known
-            }
-            None => source.fingerprint(),
-        }
-    }
-}
-
 /// The index of `item` in `items`, appending it first when absent: the
 /// dedup behind every stage of a batch.
 fn index_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
@@ -240,29 +219,6 @@ impl Service {
         Ok(reports.pop().expect("one report per spec"))
     }
 
-    /// Runs one job, taking its front end from (and leaving it in) the
-    /// caller's memo; see [`Service::run_batch_with`]. `fingerprint` is
-    /// the [`Mig::fingerprint`] of the spec's source graph, which the
-    /// caller already knows, so the source is not hashed again (a debug
-    /// build checks it).
-    ///
-    /// # Errors
-    ///
-    /// As [`Service::run`].
-    pub fn run_with(
-        &self,
-        spec: &JobSpec,
-        frontends: &FrontEnds,
-        fingerprint: u128,
-    ) -> Result<Report, Error> {
-        let memo = Memo {
-            frontends,
-            fingerprint: Some(fingerprint),
-        };
-        let mut reports = self.run_stages(std::slice::from_ref(spec), Some(memo))?;
-        Ok(reports.pop().expect("one report per spec"))
-    }
-
     /// Runs a batch of jobs, returning one report per spec **in spec
     /// order**, independent of scheduling.
     ///
@@ -277,7 +233,7 @@ impl Service {
     /// 3. distinct (source, backend class, options) combinations are
     ///    compiled once from their front end (RM3, hosted-RM3 and wide-RM3
     ///    share entries); an IMPLY compile reads its wear from the front
-    ///    end's slot for its allocation and peephole
+    ///    end's slot for its allocation policy
     ///    ([`FrontEnd::imp_summary`]), synthesized once per front end, and
     ///    synthesizes a program only when one of its specs asks for the
     ///    listing;
@@ -286,12 +242,15 @@ impl Service {
     /// So a table matrix rewrites each circuit once per rewriting however
     /// many back-end configurations it sweeps, and a forced-serial run
     /// (`with_threads(1)`) yields byte-identical serialized reports to a
-    /// parallel one. The front ends live only as long as the call, which
-    /// keeps the service stateless; [`Service::run_batch_with`] keeps
-    /// them in the caller's memo instead. A report's `seconds` is the
-    /// time its compile took in this call, the front-end stages it needed
-    /// included (shared ones are charged to each compile that reads them;
-    /// a front end found in a memo costs nothing).
+    /// parallel one. Stage 2 finds front ends in a [`FrontEnds`] memo by
+    /// their source's [`Mig::fingerprint`], so distinct sources that load
+    /// to one structure (a benchmark and a copy of its graph) share them
+    /// too. Here the memo is the call's own and lives only as long as the
+    /// call, which keeps the service stateless; [`Service::run_batch_with`]
+    /// takes the caller's instead. A report's `seconds` is the time its
+    /// compile took in this call, the front-end stages it needed included
+    /// (shared ones are charged to each compile that reads them; a front
+    /// end found in a memo costs nothing).
     ///
     /// # Errors
     ///
@@ -299,12 +258,12 @@ impl Service {
     /// [`JobSpec::validate`], before any work is done; otherwise the first
     /// failing spec's [`Error`] (in spec order).
     pub fn run_batch(&self, specs: &[JobSpec]) -> Result<Vec<Report>, Error> {
-        self.run_stages(specs, None)
+        self.run_batch_with(specs, &FrontEnds::new(usize::MAX))
     }
 
     /// [`Service::run_batch`] with stage 2 reading and filling the
     /// caller's `frontends` memo, so front ends carry over between calls.
-    /// The reports are byte-identical to a memo-free run's.
+    /// The reports are byte-identical to a [`Service::run_batch`]'s.
     ///
     /// # Errors
     ///
@@ -314,14 +273,6 @@ impl Service {
         specs: &[JobSpec],
         frontends: &FrontEnds,
     ) -> Result<Vec<Report>, Error> {
-        let memo = Memo {
-            frontends,
-            fingerprint: None,
-        };
-        self.run_stages(specs, Some(memo))
-    }
-
-    fn run_stages(&self, specs: &[JobSpec], memo: Option<Memo<'_>>) -> Result<Vec<Report>, Error> {
         for spec in specs {
             spec.validate()?;
         }
@@ -368,35 +319,17 @@ impl Service {
                 .then(|| index_of(&mut schedule_keys, (front, options.selection)));
             front_of.push((front, schedule));
         }
-        // A memo finds a front end by its source's fingerprint, hashing
-        // the source unless the caller knows it; without a memo, the
-        // dedup above is all the sharing there is, and no source is
-        // hashed.
-        let fronts: Vec<(Arc<FrontEnd>, Option<u128>, f64)> =
-            parallel_map(front_keys, self.threads, |(src, key)| {
+        let fronts: Vec<(Arc<FrontEnd>, f64)> =
+            parallel_map(front_keys.clone(), self.threads, |(src, key)| {
                 let start = Instant::now();
-                let (front, fingerprint) = match memo {
-                    Some(memo) => {
-                        let fingerprint = memo.fingerprint_of(&migs[src]);
-                        let front = memo.frontends.get(fingerprint, &migs[src], key);
-                        (front, Some(fingerprint))
-                    }
-                    None => (Arc::new(FrontEnd::new(&migs[src], key)), None),
-                };
-                (front, fingerprint, start.elapsed().as_secs_f64())
+                let front = frontends.get(&migs[src], key);
+                (front, start.elapsed().as_secs_f64())
             });
         let scheduled: Vec<f64> =
             parallel_map(schedule_keys, self.threads, |(front, selection)| {
                 let start = Instant::now();
-                let (front, fingerprint, _) = &fronts[front];
-                match memo.zip(*fingerprint) {
-                    Some((memo, fingerprint)) => {
-                        memo.frontends.schedule(fingerprint, front, selection)
-                    }
-                    None => {
-                        front.schedule(selection);
-                    }
-                }
+                let source = &migs[front_keys[front].0];
+                frontends.schedule(source, &fronts[front].0, selection);
                 start.elapsed().as_secs_f64()
             });
 
@@ -405,7 +338,7 @@ impl Service {
         let compiled: Vec<(Compiled, f64)> = parallel_map(jobs, self.threads, |i| {
             let (_, class, options) = &compile_keys[i];
             let (front, schedule) = front_of[i];
-            let (front, _, front_seconds) = &fronts[front];
+            let (front, front_seconds) = &fronts[front];
             let start = Instant::now();
             let program = match class {
                 CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile_front(front, options)),

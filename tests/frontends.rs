@@ -6,8 +6,8 @@
 //! its effort and the selection policy, so a batch (or a daemon) shares
 //! them across every spec that differs only in back-end options: write
 //! cap, allocation, peephole, copy-reuse, esat and the backend. IMPLY
-//! synthesis reads only the graph, the allocation and peephole, so an
-//! unlisted IMPLY compile shares its front end's summary for that pair. These
+//! synthesis reads only the graph and the allocation, so an unlisted
+//! IMPLY compile shares its front end's summary for that policy. These
 //! tests sweep those options over benchmarks and random graphs and
 //! compare rendered reports byte for byte, with the memo roomy, tiny
 //! (every entry evicted at once) and tight (one entry at a time).
@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{Allocation, CompileOptions, FrontEnd, FrontKey};
+use rlim::mig::blif::{parse_blif, write_blif};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::service::FrontEnds;
 use rlim::{BackendKind, JobSpec, Service};
@@ -49,8 +50,8 @@ fn sources() -> Vec<JobSpec> {
 /// with copy-reuse, with peephole and with (small-budget) esat on both
 /// compile classes, each report with its listing so programs are
 /// compared whole; then each preset's rewriting under every IMPLY
-/// allocation × peephole pair without a listing, so the summaries the
-/// front end keeps per pair are compared too.
+/// allocation, with and without peephole and without a listing, so the
+/// summaries the front end keeps per allocation are compared too.
 fn sweep(source: &JobSpec) -> Vec<JobSpec> {
     let mut specs = Vec::new();
     for name in CompileOptions::preset_names() {
@@ -85,8 +86,8 @@ fn sweep(source: &JobSpec) -> Vec<JobSpec> {
             }
         }
         // Unlisted IMPLY compiles read the front end's summary for their
-        // (allocation, peephole) pair: every pair, each with and without
-        // options synthesis ignores.
+        // allocation: each allocation with and without peephole, each of
+        // those with and without further options synthesis ignores.
         for allocation in [Allocation::Lifo, Allocation::MinWrite] {
             for peephole in [false, true] {
                 let options = CompileOptions {
@@ -163,7 +164,6 @@ fn evicting_memos_recompute_the_same_bytes() {
     // Room for about one scheduled front end: spec by spec through one
     // memo, entries come and go as the sweep moves between rewritings.
     let mig = Arc::new(Benchmark::Ctrl.build());
-    let fingerprint = mig.fingerprint();
     let options = CompileOptions::endurance_aware();
     let front = FrontEnd::new(&mig, FrontKey::of(&options));
     front.schedule(options.selection);
@@ -171,8 +171,8 @@ fn evicting_memos_recompute_the_same_bytes() {
     let one_at_a_time: Vec<String> = specs
         .iter()
         .map(|spec| {
-            let report = service.run_with(spec, &tight, fingerprint).unwrap();
-            report.to_json().render_compact()
+            let reports = service.run_batch_with(std::slice::from_ref(spec), &tight);
+            reports.unwrap()[0].to_json().render_compact()
         })
         .collect();
     assert_eq!(one_at_a_time, expected);
@@ -180,4 +180,38 @@ fn evicting_memos_recompute_the_same_bytes() {
     assert!(stats.evictions > 0, "{stats:?}");
     assert!(stats.hits > 0, "{stats:?}");
     assert!(stats.bytes <= front.heap_bytes() * 3 / 2, "{stats:?}");
+}
+
+/// A benchmark, the same graph in memory and a BLIF of it are three
+/// sources of one structure: through one memo they share one front end
+/// per rewriting, and each report is the one its spec gets alone.
+///
+/// The benchmark is `dec`. BLIF writes each gate as the four-cube cover
+/// of a majority, which parses back as a tree of AND and OR gates. The
+/// constant child of an AND or OR gate folds that tree back into the one
+/// gate, so `dec`, built of such gates only, round-trips to its own
+/// structure; `ctrl`'s 190 gates come back as 1 387.
+#[test]
+fn sources_of_one_structure_share_their_front_ends() {
+    let mig = Benchmark::Dec.build();
+    let text = write_blif(&mig, "dec");
+    assert_eq!(parse_blif(&text).unwrap(), mig, "dec round-trips exactly");
+    let path = std::env::temp_dir().join(format!("rlim-frontends-{}.blif", std::process::id()));
+    std::fs::write(&path, text).unwrap();
+    let sources = [
+        JobSpec::benchmark(Benchmark::Dec),
+        JobSpec::mig(mig),
+        JobSpec::blif_path(&path),
+    ];
+    let specs: Vec<JobSpec> = sources.iter().flat_map(sweep).collect();
+    let memo = FrontEnds::new(usize::MAX);
+    let service = Service::new().with_threads(1);
+    let shared = rendered(service.run_batch_with(&specs, &memo).unwrap());
+    let expected = one_by_one(&specs);
+    std::fs::remove_file(&path).unwrap();
+    assert_eq!(shared, expected);
+    // The presets' three rewritings, each rewritten once: the first
+    // source misses, the other two hit.
+    let stats = memo.stats();
+    assert_eq!((stats.entries, stats.misses, stats.hits), (3, 3, 6));
 }

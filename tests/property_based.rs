@@ -5,7 +5,8 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rlim::compiler::{compile, CompileOptions};
+use rlim::compiler::{compile, elide_dead_writes, CompileOptions};
+use rlim::imp::{synthesize, ImpSynthOptions};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::rewrite::{rewrite, Algorithm};
 use rlim::mig::{equiv_random, Mig};
@@ -129,6 +130,22 @@ proptest! {
         let result = compile(&mig, &options);
         let counts = result.program.write_counts();
         prop_assert_eq!(counts.iter().sum::<u64>() as usize, result.num_instructions());
+    }
+
+    /// (g2) IMPLY synthesis emits no dead write under either allocation
+    /// policy, so dead-write elision leaves its programs unchanged: the
+    /// reason the IMPLY backend ignores `peephole`.
+    #[test]
+    fn imp_synthesis_emits_no_dead_write(mig in mig_strategy(), min_write in any::<bool>()) {
+        let options = if min_write {
+            ImpSynthOptions::min_write()
+        } else {
+            ImpSynthOptions::lifo()
+        };
+        let program = synthesize(&mig, &options);
+        let mut elided = program.clone();
+        prop_assert_eq!(elide_dead_writes(&mut elided), 0);
+        prop_assert_eq!(elided, program);
     }
 
     /// (h) Fleet dispatch invariants on arbitrary graphs and workloads:
