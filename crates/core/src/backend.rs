@@ -20,14 +20,14 @@
 //! RM3-vs-IMPLY comparison is a like-for-like run through shared
 //! infrastructure.
 
-use rlim_imp::{synthesize, ImpAllocation, ImpMachine, ImpOp, ImpSynthOptions};
+use rlim_imp::{synthesize, ImpMachine, ImpOp, ImpSynthOptions};
 use rlim_isa::{Isa, Program};
 use rlim_mig::Mig;
 use rlim_plim::{Controller, Instruction, Machine, WideMachine};
 use rlim_rram::WriteFault;
 
 use crate::frontend::{FrontEnd, FrontKey};
-use crate::options::{Allocation, CompileOptions};
+use crate::options::CompileOptions;
 
 /// A complete compile-and-execute backend for one instruction set.
 ///
@@ -214,11 +214,12 @@ impl Backend for ImpBackend {
             front.serves(options),
             "a front end compiles only the rewriting it was built with"
         );
-        let allocation = match options.allocation {
-            Allocation::Lifo => ImpAllocation::Lifo,
-            Allocation::MinWrite => ImpAllocation::MinWrite,
-        };
-        synthesize(front.graph(), &ImpSynthOptions { allocation })
+        synthesize(
+            front.graph(),
+            &ImpSynthOptions {
+                allocation: options.allocation,
+            },
+        )
     }
 
     fn execute(&self, program: &Program<ImpOp>, inputs: &[bool]) -> Result<Vec<bool>, WriteFault> {
@@ -229,6 +230,7 @@ impl Backend for ImpBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::Allocation;
     use rlim_mig::random::{generate, RandomMigConfig};
 
     fn sample_mig(seed: u64) -> Mig {
@@ -291,7 +293,7 @@ mod tests {
         }
     }
 
-    /// The IMP backend maps the shared options onto its allocation policy
+    /// The IMP backend passes the shared options' allocation policy through
     /// and matches the direct synthesis entry point.
     #[test]
     fn imp_backend_matches_direct_synthesis() {
@@ -327,7 +329,7 @@ mod tests {
             let mig = b.build();
             for &key in &keys {
                 let front = FrontEnd::build(&mig, key);
-                for allocation in [ImpAllocation::Lifo, ImpAllocation::MinWrite] {
+                for allocation in [Allocation::Lifo, Allocation::MinWrite] {
                     let program = synthesize(front.graph(), &ImpSynthOptions { allocation });
                     let mut elided = program.clone();
                     assert_eq!(

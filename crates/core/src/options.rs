@@ -1,18 +1,7 @@
 //! Compilation configuration: the paper's technique matrix.
 
 use rlim_mig::rewrite::Algorithm;
-
-/// How freed RRAM cells are handed back out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Allocation {
-    /// Most-recently-freed first — the behaviour of the baseline compiler,
-    /// which concentrates writes on a few hot cells.
-    #[default]
-    Lifo,
-    /// The paper's *minimum write count strategy*: return the freed cell
-    /// with the smallest write count.
-    MinWrite,
-}
+pub use rlim_rram::Allocation;
 
 /// Which computable MIG node is translated next.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -27,30 +16,6 @@ pub enum Selection {
     /// The paper's Algorithm 3: minimise the fanout level index (shortest
     /// storage duration first), tie-break on more releasing RRAMs.
     EnduranceAware,
-}
-
-impl Allocation {
-    /// The stable name used in reports and on the daemon's wire.
-    pub fn name(self) -> &'static str {
-        match self {
-            Allocation::Lifo => "lifo",
-            Allocation::MinWrite => "min-write",
-        }
-    }
-}
-
-impl std::str::FromStr for Allocation {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "lifo" => Ok(Allocation::Lifo),
-            "min-write" => Ok(Allocation::MinWrite),
-            other => Err(format!(
-                "unknown allocation policy `{other}` (lifo | min-write)"
-            )),
-        }
-    }
 }
 
 impl Selection {

@@ -66,7 +66,7 @@ impl Schedule {
         } else {
             view.compute(graph);
         }
-        let fanout = initial_fanout(graph, &view);
+        let fanout = view.pending_uses(graph);
         Schedule {
             order: schedule(graph, selection, &view, &fanout),
             fanout,
@@ -240,29 +240,6 @@ impl Default for PassManager {
     fn default() -> Self {
         PassManager::standard(&CompileOptions::default())
     }
-}
-
-/// Initial pending-use counts per node: one per live gate-children edge
-/// plus one per PO reference (PO references are never consumed, pinning PO
-/// cells forever).
-pub(crate) fn initial_fanout(mig: &Mig, view: &StructuralView) -> Vec<u32> {
-    let mut fanout = vec![0u32; mig.num_nodes()];
-    for g in mig.gates() {
-        if !view.is_live(g) {
-            continue;
-        }
-        for s in mig.children(g) {
-            if !s.is_constant() {
-                fanout[s.node().index()] += 1;
-            }
-        }
-    }
-    for s in mig.outputs() {
-        if !s.is_constant() {
-            fanout[s.node().index()] += 1;
-        }
-    }
-    fanout
 }
 
 /// Applies the configured MIG rewriting algorithm (paper Algorithm 1/2).

@@ -261,7 +261,7 @@ mod tests {
 
     fn drain(mig: &Mig, selection: Selection) -> Vec<NodeId> {
         let view = StructuralView::of(mig);
-        let pending = crate::pipeline::initial_fanout(mig, &view);
+        let pending = view.pending_uses(mig);
         schedule(mig, selection, &view, &pending)
     }
 

@@ -50,7 +50,6 @@
 
 use rlim_mig::{Mig, NodeId, Signal};
 
-use crate::analysis::{local_comp_edges, local_write_cost};
 use crate::graph::EGraph;
 
 /// Ceiling for finite extraction costs. Low enough that three capped
@@ -698,6 +697,26 @@ fn rebuild(eg: &EGraph, outputs: &[Signal], choice: &[Option<NodeId>]) -> (Mig, 
     (mig, used)
 }
 
+/// Number of complemented non-constant children of a stored triple. Thanks
+/// to the Ω.I polarity canonicalization every stored e-node has 0 or 1.
+fn local_comp_edges(triple: &[Signal; 3]) -> u64 {
+    triple
+        .iter()
+        .filter(|s| !s.is_constant() && s.is_complement())
+        .count() as u64
+}
+
+/// RM3 instruction estimate for one gate: 1 when exactly one non-constant
+/// child is complemented (it becomes the inverted operand), 3 otherwise
+/// (preset + load + main).
+fn local_write_cost(triple: &[Signal; 3]) -> u64 {
+    if local_comp_edges(triple) == 1 {
+        1
+    } else {
+        3
+    }
+}
+
 /// The realization's true weighted DAG cost: every gate charged once.
 fn dag_cost(mig: &Mig, weights: &CostWeights) -> u64 {
     let gate_w = weights.gate.max(1);
@@ -723,6 +742,23 @@ mod tests {
         let (mut eg, outs) = EGraph::from_mig(mig);
         eg.rebuild();
         extract(&eg, &outs, weights)
+    }
+
+    #[test]
+    fn local_terms_charge_one_write_only_for_one_complemented_child() {
+        let mig = Mig::new(3);
+        let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
+        let cases = [
+            ([a, !b, c], 1, 1),
+            ([a, b, c], 0, 3),
+            ([!a, !b, c], 2, 3),
+            ([Signal::TRUE, !b, c], 1, 1),
+            ([Signal::TRUE, b, c], 0, 3),
+        ];
+        for (tri, comp, write) in cases {
+            assert_eq!(local_comp_edges(&tri), comp, "{tri:?}");
+            assert_eq!(local_write_cost(&tri), write, "{tri:?}");
+        }
     }
 
     #[test]

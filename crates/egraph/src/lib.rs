@@ -13,14 +13,14 @@
 //!   the Ω.I minimum-complement polarity canonicalization applied
 //!   natively at interning, plus congruence closure via
 //!   [`EGraph::rebuild`].
-//! * [`analyze`]/[`ClassAnalysis`] — per-class minima of (depth,
-//!   complemented edges, estimated RM3 write cost).
 //! * [`saturate`]/[`Budget`] — deterministic rule saturation driven by
 //!   the shared Ω rule descriptions in `rlim_mig::rewrite::rules`,
 //!   bounded by node and iteration budgets.
 //! * [`extract()`]/[`CostWeights`] — a weighted-cost extractor that
 //!   rebuilds a plain [`Mig`](rlim_mig::Mig) from the cheapest
-//!   representative of each class.
+//!   representative of each class. Its cost model (per-gate base,
+//!   estimated RM3 write cost, complemented edges) and its class levels
+//!   are the only per-class analysis the engine keeps.
 //!
 //! Everything is deterministic: insertion-ordered iteration, fixed
 //! permutation tables, smaller-root-wins unions. Two runs over the same
@@ -30,14 +30,12 @@
 //! [`NodeId`]: rlim_mig::NodeId
 //! [`Strash`]: rlim_mig::Strash
 
-mod analysis;
 mod graph;
 mod saturate;
 mod unionfind;
 
 pub mod extract;
 
-pub use analysis::{analyze, ClassAnalysis};
 pub use extract::{extract, extract_around, CostWeights};
 pub use graph::EGraph;
 pub use saturate::{saturate, Budget, SaturationReport};

@@ -14,6 +14,7 @@
 
 use rlim_compiler::{compile, CompileOptions};
 use rlim_mig::{Mig, Signal};
+use rlim_plim::analysis::longest_same_cell_run;
 
 /// Builds the paper's Fig. 1 example: node B's best destination is the cell
 /// of its single-fanout child A (its other children are shared), and node C
@@ -60,13 +61,6 @@ fn show(label: &str, mig: &Mig, options: &CompileOptions) {
     let r = compile(mig, options);
     let stats = r.write_stats();
     let counts = r.program.write_counts();
-    // Trace one execution to measure the Fig. 1 pathology directly: the
-    // longest run of consecutive instructions hammering one cell.
-    let inputs = vec![false; mig.num_inputs()];
-    let mut machine = rlim_plim::Machine::for_program(&r.program);
-    let (_, trace) = machine
-        .run_traced(&r.program, &inputs)
-        .expect("no endurance limit");
     println!(
         "  {label:<28} #I={:<3} #R={:<3} writes/cell={counts:?}",
         r.num_instructions(),
@@ -78,7 +72,7 @@ fn show(label: &str, mig: &Mig, options: &CompileOptions) {
         stats.min,
         stats.max,
         stats.stdev,
-        trace.longest_same_cell_run()
+        longest_same_cell_run(&r.program)
     );
 }
 

@@ -11,8 +11,9 @@
 //! cargo run --release -p rlim-eval --bin imp_vs_rm3
 //! ```
 
-use rlim_compiler::{Allocation, CompileOptions, ImpBackend, Rm3Backend};
-use rlim_eval::{fmt_stdev, Column, Measurement, RunPlan, TextTable};
+use rlim_compiler::{Allocation, CompileOptions};
+use rlim_eval::{fmt_stdev, measure_batch, Column, RunPlan, TextTable};
+use rlim_service::{BackendKind, JobSpec};
 
 fn main() {
     let plan = RunPlan::from_env();
@@ -37,11 +38,23 @@ fn main() {
         ..CompileOptions::naive()
     };
 
+    let specs: Vec<JobSpec> = plan
+        .benchmarks
+        .iter()
+        .flat_map(|&b| {
+            [
+                JobSpec::benchmark(b)
+                    .with_backend(BackendKind::Imp)
+                    .with_options(imp_options),
+                JobSpec::benchmark(b).with_options(Column::MinWrite.options(0)),
+            ]
+        })
+        .collect();
+    let measurements = measure_batch(&plan, &specs);
+
     let mut sums = [0.0f64; 5];
-    for &b in &plan.benchmarks {
-        let mig = b.build();
-        let imp = Measurement::of_backend(&ImpBackend, &mig, &imp_options);
-        let rm3 = Measurement::of_backend(&Rm3Backend, &mig, &Column::MinWrite.options(0));
+    for (&b, pair) in plan.benchmarks.iter().zip(measurements.chunks_exact(2)) {
+        let (imp, rm3) = (&pair[0], &pair[1]);
 
         let ratio = imp.instructions as f64 / rm3.instructions as f64;
         table.row([

@@ -3,7 +3,8 @@
 //! for calibrating the synthetic profiles (see `rlim_benchmarks::synthetic`).
 
 use rlim_benchmarks::Benchmark;
-use rlim_eval::{Column, Measurement, RunPlan, TextTable};
+use rlim_eval::{Column, RunPlan, TextTable};
+use rlim_service::{JobSpec, Service};
 
 /// Paper Table II "naive" reference values (#I, #R).
 fn paper_naive(b: Benchmark) -> (usize, usize) {
@@ -42,23 +43,29 @@ fn main() {
         "#R paper",
         "secs",
     ]);
-    for &b in &plan.benchmarks {
-        let mig = b.build();
-        let m = Measurement::of(&mig, &Column::Naive.options(0));
+    let specs: Vec<JobSpec> = plan
+        .benchmarks
+        .iter()
+        .map(|&b| JobSpec::benchmark(b).with_options(Column::Naive.options(0)))
+        .collect();
+    let reports = Service::new()
+        .with_threads(plan.threads)
+        .run_batch(&specs)
+        .expect("benchmark compilations cannot fail");
+    for (&b, report) in plan.benchmarks.iter().zip(&reports) {
         let (pi, po) = b.interface();
         let (paper_i, paper_r) = paper_naive(b);
         table.row([
             b.name().to_string(),
             format!("{pi}/{po}"),
-            mig.num_gates().to_string(),
-            m.instructions.to_string(),
+            report.circuit.gates.to_string(),
+            report.instructions.to_string(),
             paper_i.to_string(),
-            format!("{:.2}", m.instructions as f64 / paper_i as f64),
-            m.rrams.to_string(),
+            format!("{:.2}", report.instructions as f64 / paper_i as f64),
+            report.rrams.to_string(),
             paper_r.to_string(),
-            format!("{:.2}", m.seconds),
+            format!("{:.2}", report.seconds),
         ]);
-        eprintln!("[{b}] done");
     }
     println!("{}", table.render());
 }

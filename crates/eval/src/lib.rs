@@ -2,14 +2,15 @@
 //! paper's tables and figures.
 //!
 //! `table1`, `table2`, `table3`, `copy_table` and `esat_table` (through
-//! [`run_suite`]), `sweep` and `fleet` (through the [`sweep`] and
-//! [`fleet`] modules) describe benchmark × configuration matrices as
+//! [`run_suite`]), `imp_vs_rm3` and `sizes` (through [`measure_batch`]),
+//! and `sweep` and `fleet` (through the [`sweep`] and [`fleet`] modules)
+//! describe benchmark × configuration matrices as
 //! [`rlim_service::JobSpec`] batches and submit them to the
-//! [`rlim_service::Service`]. The other binaries (`figures`, `lifetime`,
-//! `sizes`, `ablation`, `level_aware`, `switching`, `imp_vs_rm3`,
-//! `chaos`) call the compiler or the fleet directly. All of them print
-//! fixed-width text tables ([`TextTable`]) that mirror the paper's
-//! layout.
+//! [`rlim_service::Service`], so every [`Measurement`] comes from a
+//! service [`rlim_service::Report`]. The other binaries (`figures`,
+//! `lifetime`, `ablation`, `level_aware`, `switching`, `chaos`) call the
+//! compiler or the fleet directly. All of them print fixed-width text
+//! tables ([`TextTable`]) that mirror the paper's layout.
 //!
 //! Binaries accept a common command line:
 //!
@@ -19,11 +20,8 @@
 
 #![warn(missing_docs)]
 
-use std::time::Instant;
-
 use rlim_benchmarks::Benchmark;
-use rlim_compiler::{Backend, CompileOptions, Rm3Backend};
-use rlim_mig::Mig;
+use rlim_compiler::CompileOptions;
 use rlim_rram::WriteStats;
 use rlim_service::{JobSpec, Service};
 
@@ -115,25 +113,6 @@ pub struct Measurement {
 }
 
 impl Measurement {
-    /// Measures an RM3 compilation under `options`.
-    pub fn of(mig: &Mig, options: &CompileOptions) -> Self {
-        Measurement::of_backend(&Rm3Backend, mig, options)
-    }
-
-    /// Measures a compilation through any [`Backend`] — the per-cell
-    /// metrics (`#I`, `#R`, write distribution) come from the shared
-    /// program container, so RM3 and IMP rows are directly comparable.
-    pub fn of_backend<B: Backend>(backend: &B, mig: &Mig, options: &CompileOptions) -> Self {
-        let start = Instant::now();
-        let program = backend.compile(mig, options);
-        Measurement {
-            instructions: program.num_instructions(),
-            rrams: program.num_rrams(),
-            stats: program.write_stats(),
-            seconds: start.elapsed().as_secs_f64(),
-        }
-    }
-
     /// The same metrics lifted out of a service [`rlim_service::Report`].
     pub fn from_report(report: &rlim_service::Report) -> Self {
         Measurement {
@@ -241,6 +220,18 @@ impl BenchmarkReport {
     }
 }
 
+/// Runs `specs` as one [`Service::run_batch`] call on the plan's worker
+/// threads and measures each report, in spec order.
+pub fn measure_batch(plan: &RunPlan, specs: &[JobSpec]) -> Vec<Measurement> {
+    Service::new()
+        .with_threads(plan.threads)
+        .run_batch(specs)
+        .expect("benchmark compilations cannot fail")
+        .iter()
+        .map(Measurement::from_report)
+        .collect()
+}
+
 /// Runs `columns` over every benchmark in the plan as one
 /// [`Service::run_batch`] call: the full **benchmark × column matrix**
 /// becomes a [`JobSpec`] batch distributed across the service's scoped
@@ -258,24 +249,21 @@ pub fn run_suite(plan: &RunPlan, columns: &[Column]) -> Vec<BenchmarkReport> {
         .iter()
         .map(|&(b, c)| JobSpec::benchmark(b).with_options(c.options(plan.effort)))
         .collect();
-    let reports = Service::new()
-        .with_threads(plan.threads)
-        .run_batch(&specs)
-        .expect("benchmark compilations cannot fail");
-
-    let mut measurements = cells.iter().zip(&reports).map(|(&(b, col), report)| {
-        let m = Measurement::from_report(report);
-        eprintln!(
-            "[{}] {}: #I={} #R={} stdev={:.2} ({:.2}s)",
-            b.name(),
-            col.label(),
-            m.instructions,
-            m.rrams,
-            m.stats.stdev,
-            m.seconds
-        );
-        m
-    });
+    let mut measurements = cells
+        .iter()
+        .zip(measure_batch(plan, &specs))
+        .map(|(&(b, col), m)| {
+            eprintln!(
+                "[{}] {}: #I={} #R={} stdev={:.2} ({:.2}s)",
+                b.name(),
+                col.label(),
+                m.instructions,
+                m.rrams,
+                m.stats.stdev,
+                m.seconds
+            );
+            m
+        });
     plan.benchmarks
         .iter()
         .map(|&benchmark| BenchmarkReport {
@@ -540,8 +528,9 @@ mod tests {
 
     #[test]
     fn measurement_on_tiny_benchmark() {
-        let mig = Benchmark::Int2float.build();
-        let m = Measurement::of(&mig, &Column::Naive.options(0));
+        let spec = JobSpec::benchmark(Benchmark::Int2float).with_options(Column::Naive.options(0));
+        let report = Service::new().run(&spec).expect("a benchmark compiles");
+        let m = Measurement::from_report(&report);
         assert!(m.instructions > 0);
         assert!(m.rrams >= 11);
         assert_eq!(m.stats.cells, m.rrams);

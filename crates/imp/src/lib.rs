@@ -40,4 +40,4 @@ mod synth;
 
 pub use isa::{ImpOp, ImpProgram, ImpProgramError};
 pub use machine::ImpMachine;
-pub use synth::{synthesize, ImpAllocation, ImpSynthOptions};
+pub use synth::{synthesize, ImpSynthOptions};

@@ -33,41 +33,30 @@
 //! Each costs O(log n) against O(n) for the scan, and the tree holds no
 //! stale entry that could outlive its cell's move.
 
-use rlim_mig::{Mig, NodeId, Signal};
-use rlim_rram::CellId;
+use rlim_mig::{BitSet, Mig, NodeId, Signal, StructuralView};
+use rlim_rram::{Allocation, CellId};
 
 use crate::isa::{ImpOp, ImpProgram};
-
-/// How freed cells are handed back out during IMP synthesis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ImpAllocation {
-    /// Most-recently-freed first (the unbalanced baseline).
-    #[default]
-    Lifo,
-    /// Freed cell with the smallest write count first (the paper's
-    /// minimum write count strategy, applied to IMP).
-    MinWrite,
-}
 
 /// Configuration for [`synthesize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ImpSynthOptions {
-    /// Cell allocation policy.
-    pub allocation: ImpAllocation,
+    /// Cell allocation policy, the one the RM3 compiler uses too.
+    pub allocation: Allocation,
 }
 
 impl ImpSynthOptions {
     /// LIFO baseline.
     pub fn lifo() -> Self {
         ImpSynthOptions {
-            allocation: ImpAllocation::Lifo,
+            allocation: Allocation::Lifo,
         }
     }
 
     /// Minimum-write allocation.
     pub fn min_write() -> Self {
         ImpSynthOptions {
-            allocation: ImpAllocation::MinWrite,
+            allocation: Allocation::MinWrite,
         }
     }
 }
@@ -96,7 +85,7 @@ pub fn synthesize(mig: &Mig, options: &ImpSynthOptions) -> ImpProgram {
 /// The cells available for reuse, handed out under one allocation
 /// policy. `writes` is the synthesiser's per-cell write count.
 trait Pool {
-    fn new(allocation: ImpAllocation) -> Self;
+    fn new(allocation: Allocation) -> Self;
     /// The next free cell to reuse, if any.
     fn take(&mut self, writes: &[u64]) -> Option<CellId>;
     /// Returns `cell` to the pool.
@@ -106,7 +95,7 @@ trait Pool {
 /// The free list in release order, with an exact min-write index (see
 /// the module docs).
 struct FreeCells {
-    allocation: ImpAllocation,
+    allocation: Allocation,
     free: Vec<CellId>,
     /// Min-write only: a tournament tree over free-list positions, root
     /// at 1. Leaf `leaves + i` holds position `i`'s key, or `VACANT`
@@ -169,7 +158,7 @@ impl FreeCells {
 }
 
 impl Pool for FreeCells {
-    fn new(allocation: ImpAllocation) -> Self {
+    fn new(allocation: Allocation) -> Self {
         FreeCells {
             allocation,
             free: Vec::new(),
@@ -180,7 +169,7 @@ impl Pool for FreeCells {
     }
 
     fn take(&mut self, writes: &[u64]) -> Option<CellId> {
-        if self.allocation == ImpAllocation::Lifo || self.free.is_empty() {
+        if self.allocation == Allocation::Lifo || self.free.is_empty() {
             return self.free.pop();
         }
         let position = (self.tree[1] & u64::from(u32::MAX)) as usize;
@@ -204,7 +193,7 @@ impl Pool for FreeCells {
 
     fn put(&mut self, cell: CellId, writes: &[u64]) {
         self.free.push(cell);
-        if self.allocation == ImpAllocation::MinWrite {
+        if self.allocation == Allocation::MinWrite {
             let i = self.free.len() - 1;
             if i == self.leaves {
                 self.grow(writes);
@@ -233,30 +222,17 @@ struct Synthesiser<'a, P> {
     node_cell: Vec<Option<CellId>>,
     inv_cell: Vec<Option<CellId>>,
     fanout_remaining: Vec<u32>,
-    live: Vec<bool>,
+    live: BitSet,
     const_cell: [Option<CellId>; 2],
     input_cells: Vec<CellId>,
 }
 
 impl<'a, P: Pool> Synthesiser<'a, P> {
     fn new(mig: &'a Mig, options: ImpSynthOptions) -> Self {
-        let live = mig.live_mask();
-        let mut fanout_remaining = vec![0u32; mig.num_nodes()];
-        for g in mig.gates() {
-            if !live[g.index()] {
-                continue;
-            }
-            for s in mig.children(g) {
-                if !s.is_constant() {
-                    fanout_remaining[s.node().index()] += 1;
-                }
-            }
-        }
-        for s in mig.outputs() {
-            if !s.is_constant() {
-                fanout_remaining[s.node().index()] += 1;
-            }
-        }
+        // Only liveness is read, so the view skips levels and parents, and
+        // only its live set is kept past set-up.
+        let mut view = StructuralView::new();
+        view.compute_structure(mig);
         Synthesiser {
             mig,
             ops: Vec::new(),
@@ -264,8 +240,8 @@ impl<'a, P: Pool> Synthesiser<'a, P> {
             pool: P::new(options.allocation),
             node_cell: vec![None; mig.num_nodes()],
             inv_cell: vec![None; mig.num_nodes()],
-            fanout_remaining,
-            live,
+            fanout_remaining: view.pending_uses(mig),
+            live: view.live_set().clone(),
             const_cell: [None, None],
             input_cells: Vec::new(),
         }
@@ -288,7 +264,7 @@ impl<'a, P: Pool> Synthesiser<'a, P> {
         // valid topological schedule.
         let mig = self.mig;
         for n in mig.gates() {
-            if self.live[n.index()] {
+            if self.live.get(n.index()) {
                 self.translate(n);
             }
         }
@@ -451,12 +427,12 @@ mod tests {
     /// The reference pool: the free list picked by a linear scan, the
     /// allocator as it was before the index.
     struct ScanCells {
-        allocation: ImpAllocation,
+        allocation: Allocation,
         free: Vec<CellId>,
     }
 
     impl Pool for ScanCells {
-        fn new(allocation: ImpAllocation) -> Self {
+        fn new(allocation: Allocation) -> Self {
             ScanCells {
                 allocation,
                 free: Vec::new(),
@@ -465,8 +441,8 @@ mod tests {
 
         fn take(&mut self, writes: &[u64]) -> Option<CellId> {
             match self.allocation {
-                ImpAllocation::Lifo => self.free.pop(),
-                ImpAllocation::MinWrite => {
+                Allocation::Lifo => self.free.pop(),
+                Allocation::MinWrite => {
                     first_least_written(&self.free, writes).map(|i| self.free.swap_remove(i))
                 }
             }
@@ -494,7 +470,7 @@ mod tests {
         let cell = CellId::new;
         // Write counts: a = 2, b = 0, x = 1, d = 9.
         let mut writes = vec![2, 0, 1, 9];
-        let mut pool = FreeCells::new(ImpAllocation::MinWrite);
+        let mut pool = FreeCells::new(Allocation::MinWrite);
         for c in 0..3 {
             pool.put(cell(c), &writes);
         }
@@ -520,8 +496,8 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let mut writes: Vec<u64> = Vec::new();
             let mut busy: Vec<CellId> = Vec::new();
-            let mut pool = FreeCells::new(ImpAllocation::MinWrite);
-            let mut scan = ScanCells::new(ImpAllocation::MinWrite);
+            let mut pool = FreeCells::new(Allocation::MinWrite);
+            let mut scan = ScanCells::new(Allocation::MinWrite);
             for step in 0..300 {
                 match rng.gen_range(0..3) {
                     // A new cell, freed with a few writes (inputs free

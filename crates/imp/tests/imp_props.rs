@@ -4,9 +4,10 @@
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rlim_imp::{synthesize, ImpAllocation, ImpMachine, ImpSynthOptions};
+use rlim_imp::{synthesize, ImpMachine, ImpSynthOptions};
 use rlim_mig::random::{generate, RandomMigConfig};
 use rlim_mig::Mig;
+use rlim_rram::Allocation;
 
 fn mig_strategy() -> impl Strategy<Value = Mig> {
     (2usize..8, 1usize..6, 0usize..120, 0.0f64..0.6, any::<u64>()).prop_map(
@@ -61,8 +62,8 @@ proptest! {
     /// cost-neutrality).
     #[test]
     fn allocation_is_cost_neutral(mig in mig_strategy()) {
-        let lifo = synthesize(&mig, &ImpSynthOptions { allocation: ImpAllocation::Lifo });
-        let minw = synthesize(&mig, &ImpSynthOptions { allocation: ImpAllocation::MinWrite });
+        let lifo = synthesize(&mig, &ImpSynthOptions { allocation: Allocation::Lifo });
+        let minw = synthesize(&mig, &ImpSynthOptions { allocation: Allocation::MinWrite });
         prop_assert_eq!(lifo.num_instructions(), minw.num_instructions());
         prop_assert_eq!(lifo.num_rrams(), minw.num_rrams());
     }

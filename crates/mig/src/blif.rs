@@ -16,10 +16,13 @@
 //! Sequential directives (`.latch`, `.subckt`, …) are rejected with a
 //! descriptive error.
 //!
-//! On import, every `.names` cover is synthesised as a sum-of-products
-//! over balanced AND/OR trees of majority gates; structural hashing and
-//! Ω.M simplification apply as always, and the paper's rewriting passes
-//! can then optimise the result.
+//! On import, a 3-input `.names` whose truth table is a majority under
+//! some per-column polarity becomes one majority gate over those literals;
+//! that is how [`write_blif`] writes every gate, so a round trip gives back
+//! the graph with its dead gates dropped, node for node. Every other cover
+//! is synthesised as a sum-of-products over balanced AND/OR trees of
+//! majority gates. Structural hashing and Ω.M simplification apply as
+//! always, and the paper's rewriting passes can then optimise the result.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -334,7 +337,8 @@ pub fn parse_blif(text: &str) -> Result<Mig, ParseBlifError> {
     Ok(mig)
 }
 
-/// Synthesises one single-output cover as AND/OR trees of majority gates.
+/// Synthesises one single-output cover: a majority of three literals as
+/// one gate, anything else as AND/OR trees of majority gates.
 fn build_cover(mig: &mut Mig, ins: &[Signal], cubes: &[(String, char)]) -> Result<Signal, String> {
     if cubes.is_empty() {
         return Ok(Signal::FALSE); // empty cover = constant 0
@@ -342,6 +346,9 @@ fn build_cover(mig: &mut Mig, ins: &[Signal], cubes: &[(String, char)]) -> Resul
     let polarity = cubes[0].1;
     if cubes.iter().any(|&(_, v)| v != polarity) {
         return Err("mixed on-set/off-set rows in one cover".into());
+    }
+    if let Some([a, b, c]) = majority_literals(ins, cubes, polarity) {
+        return Ok(mig.add_maj(a, b, c));
     }
     let mut terms: Vec<Signal> = Vec::with_capacity(cubes.len());
     for (literals, _) in cubes {
@@ -371,6 +378,41 @@ fn build_cover(mig: &mut Mig, ins: &[Signal], cubes: &[(String, char)]) -> Resul
     }
     let sum = terms[0];
     Ok(if polarity == '1' { sum } else { !sum })
+}
+
+/// The literals `l` with `cover = ⟨l₀ l₁ l₂⟩`, when `cubes` (all of output
+/// value `polarity`) cover a majority of the three inputs under some
+/// per-column polarity. Reads the truth table, not the cube text, so any
+/// cube order and the three-cube form are recognised too.
+fn majority_literals(
+    ins: &[Signal],
+    cubes: &[(String, char)],
+    polarity: char,
+) -> Option<[Signal; 3]> {
+    let &[x, y, z] = ins else {
+        return None;
+    };
+    // Bit m of `table` is the cover's value where column i reads bit i of m.
+    let mut table = 0u8;
+    for (literals, _) in cubes {
+        for m in 0..8 {
+            let hit = literals
+                .bytes()
+                .enumerate()
+                .all(|(i, ch)| ch == b'-' || (ch == b'1') == (m >> i & 1 == 1));
+            table |= u8::from(hit) << m;
+        }
+    }
+    if polarity == '0' {
+        table = !table;
+    }
+    // ⟨x⊕p₀, y⊕p₁, z⊕p₂⟩ is 1 exactly where at least two columns differ
+    // from p.
+    let majority =
+        |p: u32| (0..8u32).fold(0u8, |t, m| t | u8::from((m ^ p).count_ones() >= 2) << m);
+    let p = (0..8).find(|&p| table == majority(p))?;
+    let literal = |s: Signal, i: u32| s.complement_if(p >> i & 1 == 1);
+    Some([literal(x, 0), literal(y, 1), literal(z, 2)])
 }
 
 #[cfg(test)]
@@ -438,6 +480,35 @@ mod tests {
         let mig = parse_blif(text).expect("parses");
         assert_eq!(mig.evaluate(&[true, true]), vec![true]);
         assert_eq!(mig.evaluate(&[true, false]), vec![false]);
+    }
+
+    #[test]
+    fn majority_covers_become_one_gate() {
+        // ⟨a b̄ c⟩ as the written four-cube cover in another cube order,
+        // as the three-cube form, and as its off-set.
+        let covers = [
+            "111 1\n101 1\n001 1\n100 1\n",
+            "10- 1\n-01 1\n1-1 1\n",
+            "01- 0\n-10 0\n0-0 0\n",
+        ];
+        for cover in covers {
+            let text = format!(".inputs a b c\n.outputs f\n.names a b c f\n{cover}");
+            let mig = parse_blif(&text).expect("parses");
+            assert_eq!(mig.num_gates(), 1, "{cover:?}");
+            let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
+            let mut expected = Mig::new(3);
+            let g = expected.add_maj(a, !b, c);
+            expected.add_output(g);
+            assert_eq!(mig, expected, "{cover:?}");
+        }
+        // Parity of three is no majority: it becomes a sum of products.
+        let text = ".inputs a b c\n.outputs f\n.names a b c f\n100 1\n010 1\n001 1\n111 1\n";
+        let mig = parse_blif(text).expect("parses");
+        assert!(mig.num_gates() > 1);
+        for m in 0..8u32 {
+            let bits: Vec<bool> = (0..3).map(|i| m >> i & 1 == 1).collect();
+            assert_eq!(mig.evaluate(&bits), vec![m.count_ones() % 2 == 1]);
+        }
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //!   mask and a CSR parent index, derived together in two linear sweeps.
 //! * [`strash`] — the open-addressing structural-hashing table behind
 //!   [`Mig::add_maj`] deduplication, reusable across graph rebuilds.
-//! * [`stats`] — structural statistics (complemented-edge histogram, level
-//!   spread) used by the evaluation harness.
 //! * [`random`] — seeded random-MIG generation for tests and synthetic
 //!   workloads.
 //! * [`dot`] — Graphviz export.
@@ -51,7 +49,6 @@ pub mod dot;
 pub mod random;
 pub mod rewrite;
 pub mod simulate;
-pub mod stats;
 pub mod view;
 
 pub use crate::mig::{Mig, NodeKind};

@@ -307,12 +307,40 @@ impl StructuralView {
             .max()
             .unwrap_or(0)
     }
+
+    /// Initial pending-use counts per node, the uses a compiler waits for
+    /// before it frees a node's cell: one per non-constant child edge of a
+    /// live gate plus one per primary-output reference (never consumed, so
+    /// an output's cell stays pinned). Both the RM3 and the IMPLY
+    /// compilers start from these counts. Needs only liveness, so a view
+    /// from either [`StructuralView::compute`] or
+    /// [`StructuralView::compute_structure`] serves.
+    pub fn pending_uses(&self, mig: &Mig) -> Vec<u32> {
+        let mut pending = vec![0u32; mig.num_nodes()];
+        for g in mig.gates() {
+            if !self.is_live(g) {
+                continue;
+            }
+            for s in mig.children(g) {
+                if !s.is_constant() {
+                    pending[s.node().index()] += 1;
+                }
+            }
+        }
+        for s in mig.outputs() {
+            if !s.is_constant() {
+                pending[s.node().index()] += 1;
+            }
+        }
+        pending
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::rewrite::tests::random_mig;
+    use crate::Signal;
 
     /// The view must agree exactly with the original per-call accessors on
     /// random graphs — they are the reference implementation.
@@ -357,6 +385,43 @@ mod tests {
             assert_eq!(view.parents_of(n), &parents[n.index()][..]);
         }
         assert_eq!(view.live_set().len(), small.num_nodes());
+    }
+
+    #[test]
+    fn pending_uses_count_live_edges_and_outputs() {
+        let mut mig = Mig::new(3);
+        let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
+        let g = mig.add_maj(a, !b, Signal::TRUE);
+        let dead = mig.add_maj(g, b, c);
+        let top = mig.add_maj(g, a, c);
+        mig.add_output(top);
+        mig.add_output(!g);
+        mig.add_output(Signal::FALSE);
+        let view = StructuralView::of(&mig);
+        assert!(!view.is_live(dead.node()));
+        let pending = view.pending_uses(&mig);
+        // The constant child and the constant output count nothing; the
+        // dead gate's edges into g, b and c count nothing either.
+        assert_eq!(pending[0], 0);
+        assert_eq!(pending[a.node().index()], 2);
+        assert_eq!(pending[b.node().index()], 1);
+        assert_eq!(pending[c.node().index()], 1);
+        assert_eq!(pending[g.node().index()], 2);
+        assert_eq!(pending[dead.node().index()], 0);
+        assert_eq!(pending[top.node().index()], 1);
+    }
+
+    #[test]
+    fn pending_uses_agree_between_full_and_structure_views() {
+        for seed in 0..6 {
+            let mig = random_mig(seed, 8, 200, 6);
+            let mut structure = StructuralView::new();
+            structure.compute_structure(&mig);
+            assert_eq!(
+                structure.pending_uses(&mig),
+                StructuralView::of(&mig).pending_uses(&mig)
+            );
+        }
     }
 
     #[test]

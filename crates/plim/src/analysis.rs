@@ -1,11 +1,13 @@
-//! Static program analysis: per-cell liveness spans and blocked-cell
-//! metrics.
+//! Static program analysis: per-cell liveness spans, blocked-cell metrics
+//! and same-cell write runs.
 //!
 //! The paper's §III-B4 problem — *blocked RRAMs* — is about cells that
 //! hold a value for a long stretch of the program while other cells churn.
 //! These functions measure that directly from the instruction stream: a
 //! cell's **span** runs from the first instruction that touches it to the
-//! last, and a long span with few writes is exactly a blocked cell.
+//! last, and a long span with few writes is exactly a blocked cell. Every
+//! RM3 instruction writes its destination once, so the Fig. 1 pathology (one
+//! cell rewritten back to back) is a property of the stream too.
 
 use rlim_rram::CellId;
 
@@ -132,6 +134,18 @@ pub fn blockage_stats(program: &Program) -> BlockageStats {
     }
 }
 
+/// The longest run of consecutive instructions writing one cell — the
+/// paper's Fig. 1 pathology (the same destination rewritten back to back)
+/// made measurable. 0 for an empty program.
+pub fn longest_same_cell_run(program: &Program) -> usize {
+    program
+        .instructions
+        .chunk_by(|a, b| a.z == b.z)
+        .map(<[_]>::len)
+        .max()
+        .unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -204,5 +218,16 @@ mod tests {
         let stats = blockage_stats(&program);
         assert_eq!(stats.cells, 0);
         assert_eq!(stats.max_span, 0);
+        assert_eq!(longest_same_cell_run(&program), 0);
+    }
+
+    #[test]
+    fn same_cell_run_detected() {
+        // r1 is written at pcs 0..=2, then r2 once.
+        assert_eq!(longest_same_cell_run(&sample()), 3);
+        // r1, r2, r1, r1: the write to r2 ends the first run.
+        let mut program = sample();
+        program.instructions.swap(1, 3);
+        assert_eq!(longest_same_cell_run(&program), 2);
     }
 }

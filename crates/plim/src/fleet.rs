@@ -76,7 +76,7 @@ use crate::machine::Machine;
 use crate::parallel::parallel_map;
 use crate::recovery::{
     patch_program, remap_target, FaultEvent, FaultKind, FaultRecorder, RecoveryAction,
-    RecoveryConfig,
+    RecoveryConfig, FAULT_LOG_CAPACITY,
 };
 use crate::wide::WideMachine;
 
@@ -424,7 +424,7 @@ impl Fleet {
             write_budget: config.write_budget,
             faults: config.faults,
             recovery: config.recovery,
-            recorder: FaultRecorder::new(config.recovery.map_or(256, |r| r.log_capacity)),
+            recorder: FaultRecorder::new(FAULT_LOG_CAPACITY),
             cursor: 0,
             jobs_run: 0,
         }

@@ -28,7 +28,9 @@
 //! online fault recovery ([`RecoveryConfig`], [`FaultRecorder`],
 //! [`patch_program`]) over injected device faults
 //! ([`rlim_rram::FaultModel`]). The workspace's one worker pool lives in
-//! [`parallel`].
+//! [`parallel`]. What a program does to its cells is read off the
+//! instruction stream in [`analysis`]: liveness spans, blocked cells and
+//! the longest run of writes to one cell, with no execution needed.
 //!
 //! ## Example
 //!
@@ -71,7 +73,6 @@ mod isa;
 mod machine;
 pub mod parallel;
 mod recovery;
-mod trace;
 mod wide;
 
 pub use controller::{Controller, State};
@@ -81,5 +82,4 @@ pub use machine::{run_once, Machine};
 pub use recovery::{
     patch_program, FaultEvent, FaultKind, FaultRecorder, RecoveryAction, RecoveryConfig,
 };
-pub use trace::{Trace, TraceRecord};
 pub use wide::{run_once_wide, WideMachine};

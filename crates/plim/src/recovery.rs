@@ -46,19 +46,18 @@ pub struct RecoveryConfig {
     /// watchdog retires it, regardless of spare capacity — an array that
     /// faults this often is not worth trusting with more work.
     pub max_faults: u64,
-    /// Ring-buffer capacity of the fleet's [`FaultRecorder`]. Counters
-    /// keep counting after the buffer wraps; only event detail is lost.
-    pub log_capacity: usize,
 }
 
+/// Ring-buffer capacity of a fleet's [`FaultRecorder`]. Counters keep
+/// counting after the buffer wraps; only event detail is lost.
+pub(crate) const FAULT_LOG_CAPACITY: usize = 256;
+
 impl RecoveryConfig {
-    /// The default policy: 8 spares and 16 faults per array, 256 logged
-    /// events fleet-wide.
+    /// The default policy: 8 spares and 16 faults per array.
     pub fn new() -> Self {
         RecoveryConfig {
             spares: 8,
             max_faults: 16,
-            log_capacity: 256,
         }
     }
 
@@ -71,12 +70,6 @@ impl RecoveryConfig {
     /// Sets the per-array fault budget.
     pub fn with_max_faults(mut self, max_faults: u64) -> Self {
         self.max_faults = max_faults;
-        self
-    }
-
-    /// Sets the event-log capacity.
-    pub fn with_log_capacity(mut self, capacity: usize) -> Self {
-        self.log_capacity = capacity;
         self
     }
 }

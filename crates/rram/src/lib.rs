@@ -19,6 +19,8 @@
 //! * [`Geometry`] / [`WearMap`] — the physical rows × columns view and an
 //!   ASCII wear heat map.
 //! * [`lifetime`] — how many program executions an array survives.
+//! * [`Allocation`] — the freed-cell reuse policy (LIFO or the paper's
+//!   minimum write count strategy) shared by the RM3 and IMPLY compilers.
 //! * [`FaultModel`] / [`WriteFault`] — deterministic per-cell fault
 //!   injection (sampled endurance limits, mid-life stuck-at faults) with
 //!   write-verify readback as the detection primitive.
@@ -42,6 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod allocation;
 mod crossbar;
 mod fault;
 mod geometry;
@@ -51,6 +54,7 @@ mod wide;
 pub mod lifetime;
 pub mod variability;
 
+pub use allocation::Allocation;
 pub use crossbar::{CellId, Crossbar, EnduranceError};
 pub use fault::{CellProfile, FaultModel, StuckAtError, StuckFault, WriteFault};
 pub use geometry::{Geometry, WearMap};

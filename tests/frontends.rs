@@ -20,6 +20,7 @@ use rlim::mig::blif::{parse_blif, write_blif};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::service::FrontEnds;
 use rlim::{BackendKind, JobSpec, Service};
+use rlim_testkit::without_dead_gates;
 
 const BACKENDS: [BackendKind; 4] = [
     BackendKind::Rm3,
@@ -182,36 +183,53 @@ fn evicting_memos_recompute_the_same_bytes() {
     assert!(stats.bytes <= front.heap_bytes() * 3 / 2, "{stats:?}");
 }
 
-/// A benchmark, the same graph in memory and a BLIF of it are three
-/// sources of one structure: through one memo they share one front end
-/// per rewriting, and each report is the one its spec gets alone.
+/// A graph in memory and a BLIF of it are sources of one structure:
+/// through one memo they share one front end per rewriting, and each
+/// report is the one its spec gets alone.
 ///
-/// The benchmark is `dec`. BLIF writes each gate as the four-cube cover
-/// of a majority, which parses back as a tree of AND and OR gates. The
-/// constant child of an AND or OR gate folds that tree back into the one
-/// gate, so `dec`, built of such gates only, round-trips to its own
-/// structure; `ctrl`'s 190 gates come back as 1 387.
+/// BLIF writes each live gate as a majority cover, and the parser reads
+/// such a cover back as that one gate, so the round trip returns the graph
+/// node for node, less its dead gates. `dec` has none, so its benchmark
+/// source shares the BLIF's front ends too; `ctrl` keeps 23 dead gates of
+/// 190, so its benchmark is a second structure that misses once per
+/// rewriting.
 #[test]
 fn sources_of_one_structure_share_their_front_ends() {
-    let mig = Benchmark::Dec.build();
-    let text = write_blif(&mig, "dec");
-    assert_eq!(parse_blif(&text).unwrap(), mig, "dec round-trips exactly");
-    let path = std::env::temp_dir().join(format!("rlim-frontends-{}.blif", std::process::id()));
-    std::fs::write(&path, text).unwrap();
-    let sources = [
-        JobSpec::benchmark(Benchmark::Dec),
-        JobSpec::mig(mig),
-        JobSpec::blif_path(&path),
-    ];
-    let specs: Vec<JobSpec> = sources.iter().flat_map(sweep).collect();
-    let memo = FrontEnds::new(usize::MAX);
-    let service = Service::new().with_threads(1);
-    let shared = rendered(service.run_batch_with(&specs, &memo).unwrap());
-    let expected = one_by_one(&specs);
-    std::fs::remove_file(&path).unwrap();
-    assert_eq!(shared, expected);
-    // The presets' three rewritings, each rewritten once: the first
-    // source misses, the other two hit.
-    let stats = memo.stats();
-    assert_eq!((stats.entries, stats.misses, stats.hits), (3, 3, 6));
+    for (benchmark, structures) in [(Benchmark::Dec, 1), (Benchmark::Ctrl, 2)] {
+        let mig = benchmark.build();
+        let live = without_dead_gates(&mig);
+        assert_eq!(live == mig, structures == 1, "{benchmark}");
+        let text = write_blif(&mig, benchmark.name());
+        assert_eq!(
+            parse_blif(&text).unwrap(),
+            live,
+            "{benchmark} round-trips exactly"
+        );
+        let path = std::env::temp_dir().join(format!(
+            "rlim-frontends-{}-{benchmark}.blif",
+            std::process::id()
+        ));
+        std::fs::write(&path, text).unwrap();
+        let sources = [
+            JobSpec::benchmark(benchmark),
+            JobSpec::mig(live),
+            JobSpec::blif_path(&path),
+        ];
+        let specs: Vec<JobSpec> = sources.iter().flat_map(sweep).collect();
+        let memo = FrontEnds::new(usize::MAX);
+        let service = Service::new().with_threads(1);
+        let shared = rendered(service.run_batch_with(&specs, &memo).unwrap());
+        let expected = one_by_one(&specs);
+        std::fs::remove_file(&path).unwrap();
+        assert_eq!(shared, expected, "{benchmark}");
+        // The presets' three rewritings, each rewritten once per
+        // structure; every other source hits.
+        let stats = memo.stats();
+        let misses: u64 = 3 * structures;
+        assert_eq!(
+            (stats.entries as u64, stats.misses, stats.hits),
+            (misses, misses, 9 - misses),
+            "{benchmark}"
+        );
+    }
 }
