@@ -32,12 +32,18 @@ enum Slot {
 
 /// Compile-time model of the crossbar's allocation state.
 ///
-/// Free cells wait in a binary heap of packed `u64` entries, one per
+/// Free cells wait in binary heaps of packed `u64` entries, one per
 /// release: the pool key in the high 32 bits (the write count under
 /// [`Allocation::MinWrite`], the inverted release number under
 /// [`Allocation::Lifo`]) and the cell index in the low 32, so the
 /// smallest entry is the policy's pick, ties going to the lower cell.
 /// Both halves are checked to fit in 32 bits when an entry is made.
+///
+/// Under LIFO with a write cap, a cell joins the heap of its remaining
+/// budget's class (3 or more, 2, 1) and a request takes the latest
+/// release among the classes that fit it, so no allocation steps over
+/// worn cells that cannot take it. Under minimum-write one heap does:
+/// if its least-worn cell does not fit, none does.
 ///
 /// # Examples
 ///
@@ -66,11 +72,11 @@ pub struct CellManager {
     /// under `MinWrite`, the inverted release sequence number under `Lifo`
     /// (so the latest-released cell has the smallest key).
     key: Vec<u32>,
-    /// The free pool, smallest `(key, cell)` first, each entry packed
-    /// into one `u64` as `key << 32 | cell` (see [`pack`]). Entries whose
-    /// cell is no longer `Free` under that key are stale and skipped
-    /// lazily.
-    pool: BinaryHeap<Reverse<u64>>,
+    /// The free pool by budget class ([`CellManager::class`]), smallest
+    /// `(key, cell)` first, each entry packed into one `u64` as
+    /// `key << 32 | cell` (see [`pack`]). Entries whose cell is no longer
+    /// `Free` under that key are stale and skipped lazily.
+    pool: [BinaryHeap<Reverse<u64>>; CLASSES],
     /// Cells parked since the last [`CellManager::alloc`]; entries for
     /// cells taken or unparked since are stale.
     parked: Vec<CellId>,
@@ -86,7 +92,7 @@ impl CellManager {
             writes: Vec::new(),
             slot: Vec::new(),
             key: Vec::new(),
-            pool: BinaryHeap::new(),
+            pool: Default::default(),
             parked: Vec::new(),
             releases: 0,
             allocation,
@@ -207,34 +213,68 @@ impl CellManager {
         budget: u64,
         mut avoid: impl FnMut(CellId) -> bool,
     ) -> Option<CellId> {
+        // Class `c > 0` holds cells with exactly `CLASSES - c` writes
+        // left, so it can only serve budgets up to that.
+        let classes = (CLASSES as u64 + 1)
+            .saturating_sub(budget)
+            .clamp(1, CLASSES as u64) as usize;
         let mut unfit = Vec::new();
         let mut found = None;
-        while let Some(Reverse(entry)) = self.pool.pop() {
-            let (key, cell) = unpack(entry);
-            let i = cell.index();
-            if self.slot[i] != Slot::Free || self.key[i] != key {
-                continue; // stale
-            }
+        while let Some((class, entry)) = self.head(classes) {
+            self.pool[class].pop();
+            let cell = unpack(entry).1;
             if !self.fits_budget(cell, budget) {
+                // Only the main class holds cells that may not fit: under
+                // minimum-write, whose keys are write counts, so if the
+                // least-worn cell does not fit, nothing does; under LIFO,
+                // for a budget above `CLASSES`.
                 unfit.push(Reverse(entry));
-                // Min-write keys are write counts: if the least-worn cell
-                // does not fit, nothing does.
                 if self.allocation == Allocation::MinWrite {
                     break;
                 }
                 continue;
             }
             if avoid(cell) {
-                self.slot[i] = Slot::Parked;
+                self.slot[cell.index()] = Slot::Parked;
                 self.parked.push(cell);
                 continue;
             }
-            self.slot[i] = Slot::Busy;
+            self.slot[cell.index()] = Slot::Busy;
             found = Some(cell);
             break;
         }
-        self.pool.extend(unfit);
+        self.pool[0].extend(unfit);
         found
+    }
+
+    /// The smallest live entry among the first `classes` heaps, with its
+    /// heap; stale heads are dropped on the way.
+    fn head(&mut self, classes: usize) -> Option<(usize, u64)> {
+        let mut best: Option<(usize, u64)> = None;
+        for class in 0..classes {
+            while let Some(&Reverse(entry)) = self.pool[class].peek() {
+                let (key, cell) = unpack(entry);
+                let i = cell.index();
+                if self.slot[i] == Slot::Free && self.key[i] == key {
+                    if best.is_none_or(|(_, b)| entry < b) {
+                        best = Some((class, entry));
+                    }
+                    break;
+                }
+                self.pool[class].pop(); // stale
+            }
+        }
+        best
+    }
+
+    /// The heap a free cell waits in: under LIFO with a write cap, `0`
+    /// for a cell with `CLASSES` or more writes left and `CLASSES - r`
+    /// for one with `r < CLASSES` left; `0` otherwise.
+    fn class(&self, cell: CellId) -> usize {
+        match (self.allocation, self.remaining_budget(cell)) {
+            (Allocation::Lifo, Some(left)) => CLASSES.saturating_sub(left as usize),
+            _ => 0,
+        }
     }
 
     /// Returns a parked cell to the pool under the key it was released
@@ -244,7 +284,7 @@ impl CellManager {
         let i = cell.index();
         if self.slot[i] == Slot::Parked {
             self.slot[i] = Slot::Free;
-            self.pool.push(Reverse(pack(self.key[i], cell)));
+            self.pool[self.class(cell)].push(Reverse(pack(self.key[i], cell)));
         }
     }
 
@@ -266,7 +306,7 @@ impl CellManager {
             }
         };
         self.slot[i] = Slot::Free;
-        self.pool.push(Reverse(pack(self.key[i], cell)));
+        self.pool[self.class(cell)].push(Reverse(pack(self.key[i], cell)));
     }
 
     /// Number of cells currently free (pooled or parked).
@@ -274,6 +314,11 @@ impl CellManager {
         self.slot.iter().filter(|&&s| s != Slot::Busy).count()
     }
 }
+
+/// Budget classes of the free pool: cells with 3 or more writes left,
+/// with 2, with 1 (see [`CellManager::class`]). The translator asks for
+/// budgets of 1 to 3.
+const CLASSES: usize = 3;
 
 /// A pool entry: `key` in the high 32 bits, `cell` in the low 32, so
 /// the packed values order exactly as the `(key, cell)` pairs do.
@@ -525,88 +570,117 @@ mod tests {
                 Allocation::Lifo
             };
             let max_writes = (seed % 3 != 0).then(|| rng.gen_range(3..9));
-            let mut m = CellManager::new(allocation, max_writes);
-            let mut r = Reference {
-                writes: Vec::new(),
-                free: Vec::new(),
-                retired: Vec::new(),
-                released_at: Vec::new(),
-                releases: 0,
-            };
-            let mut avoid: Vec<bool> = Vec::new();
-            let choose = |ids: Vec<usize>, rng: &mut rand_chacha::ChaCha8Rng| {
-                (!ids.is_empty()).then(|| ids[rng.gen_range(0..ids.len())])
-            };
-            for step in 0..400 {
-                let n = r.writes.len();
-                let ctx = format!("seed {seed} step {step} {allocation:?} {max_writes:?}");
-                match rng.gen_range(0..8) {
-                    0 | 1 => {
-                        let budget = rng.gen_range(1..4);
-                        let want = r.pick(&m, budget, &vec![false; n]);
-                        let got = m.alloc(budget);
-                        assert_eq!(Some(got.index()), want.or(Some(n)), "alloc {ctx}");
-                        if got.index() == n {
-                            r.grow();
-                            avoid.push(false);
-                        }
-                        r.free[got.index()] = false;
-                    }
-                    2 | 3 => {
-                        let budget = rng.gen_range(1..4);
-                        let want = r.pick(&m, budget, &avoid);
-                        let got = m.try_alloc_avoiding(budget, |c| avoid[c.index()]);
-                        assert_eq!(got.map(CellId::index), want, "try_alloc_avoiding {ctx}");
-                        if let Some(c) = want {
-                            r.free[c] = false;
-                        }
-                    }
-                    4 => {
-                        let busy = (0..n).filter(|&c| !r.free[c] && !r.retired[c]).collect();
-                        if let Some(c) = choose(busy, &mut rng) {
-                            m.release(CellId::new(c as u32));
-                            if r.fits(c, 1, max_writes) {
-                                r.free[c] = true;
-                                r.releases += 1;
-                                r.released_at[c] = r.releases;
-                            } else {
-                                r.retired[c] = true;
-                            }
-                        }
-                    }
-                    5 => {
-                        let writable = (0..n)
-                            .filter(|&c| !r.free[c] && !r.retired[c] && r.fits(c, 1, max_writes))
-                            .collect();
-                        if let Some(c) = choose(writable, &mut rng) {
-                            m.record_write(CellId::new(c as u32));
-                            r.writes[c] += 1;
-                        }
-                    }
-                    6 => {
-                        let free = (0..n).filter(|&c| r.free[c]).collect();
-                        if let Some(c) = choose(free, &mut rng) {
-                            m.take(CellId::new(c as u32));
-                            r.free[c] = false;
-                        }
-                    }
-                    _ => {
-                        // Change the avoid set; a cell leaving it is
-                        // unparked, as the protocol requires.
-                        if let Some(c) = choose((0..n).collect(), &mut rng) {
-                            avoid[c] = !avoid[c];
-                            if !avoid[c] {
-                                m.unpark(CellId::new(c as u32));
-                            }
-                        }
-                    }
+            check_against_reference(&mut rng, allocation, max_writes, 3);
+        }
+    }
+
+    /// Under a cap, the budget classes pick what a scan of the free cells
+    /// picks: both policies, caps 3–6, the translator's budgets 1–3 and
+    /// a budget of 4, which only the main class can serve.
+    #[test]
+    fn budget_classes_pick_what_a_scan_picks() {
+        use rand::SeedableRng;
+        for allocation in [Allocation::Lifo, Allocation::MinWrite] {
+            for cap in 3..=6 {
+                for seed in 0..20 {
+                    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                    check_against_reference(&mut rng, allocation, Some(cap), 4);
                 }
-                for c in 0..r.writes.len() {
-                    assert_eq!(m.is_free(CellId::new(c as u32)), r.free[c], "is_free {ctx}");
-                }
-                assert_eq!(m.free_len(), r.free.iter().filter(|&&f| f).count(), "{ctx}");
-                assert_eq!(m.write_counts(), &r.writes[..], "{ctx}");
             }
+        }
+    }
+
+    /// 400 random steps of allocation, release, writes, takes and avoid
+    /// changes, with budgets from 1 to `max_budget`, each pick checked
+    /// against [`Reference::pick`].
+    fn check_against_reference(
+        rng: &mut rand_chacha::ChaCha8Rng,
+        allocation: Allocation,
+        max_writes: Option<u64>,
+        max_budget: u64,
+    ) {
+        use rand::Rng;
+        let mut m = CellManager::new(allocation, max_writes);
+        let mut r = Reference {
+            writes: Vec::new(),
+            free: Vec::new(),
+            retired: Vec::new(),
+            released_at: Vec::new(),
+            releases: 0,
+        };
+        let mut avoid: Vec<bool> = Vec::new();
+        let choose = |ids: Vec<usize>, rng: &mut rand_chacha::ChaCha8Rng| {
+            (!ids.is_empty()).then(|| ids[rng.gen_range(0..ids.len())])
+        };
+        for step in 0..400 {
+            let n = r.writes.len();
+            let ctx = format!("step {step} {allocation:?} {max_writes:?}");
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    let budget = rng.gen_range(1..=max_budget);
+                    let want = r.pick(&m, budget, &vec![false; n]);
+                    let got = m.alloc(budget);
+                    assert_eq!(Some(got.index()), want.or(Some(n)), "alloc {ctx}");
+                    if got.index() == n {
+                        r.grow();
+                        avoid.push(false);
+                    }
+                    r.free[got.index()] = false;
+                }
+                2 | 3 => {
+                    let budget = rng.gen_range(1..=max_budget);
+                    let want = r.pick(&m, budget, &avoid);
+                    let got = m.try_alloc_avoiding(budget, |c| avoid[c.index()]);
+                    assert_eq!(got.map(CellId::index), want, "try_alloc_avoiding {ctx}");
+                    if let Some(c) = want {
+                        r.free[c] = false;
+                    }
+                }
+                4 => {
+                    let busy = (0..n).filter(|&c| !r.free[c] && !r.retired[c]).collect();
+                    if let Some(c) = choose(busy, rng) {
+                        m.release(CellId::new(c as u32));
+                        if r.fits(c, 1, max_writes) {
+                            r.free[c] = true;
+                            r.releases += 1;
+                            r.released_at[c] = r.releases;
+                        } else {
+                            r.retired[c] = true;
+                        }
+                    }
+                }
+                5 => {
+                    let writable = (0..n)
+                        .filter(|&c| !r.free[c] && !r.retired[c] && r.fits(c, 1, max_writes))
+                        .collect();
+                    if let Some(c) = choose(writable, rng) {
+                        m.record_write(CellId::new(c as u32));
+                        r.writes[c] += 1;
+                    }
+                }
+                6 => {
+                    let free = (0..n).filter(|&c| r.free[c]).collect();
+                    if let Some(c) = choose(free, rng) {
+                        m.take(CellId::new(c as u32));
+                        r.free[c] = false;
+                    }
+                }
+                _ => {
+                    // Change the avoid set; a cell leaving it is
+                    // unparked, as the protocol requires.
+                    if let Some(c) = choose((0..n).collect(), rng) {
+                        avoid[c] = !avoid[c];
+                        if !avoid[c] {
+                            m.unpark(CellId::new(c as u32));
+                        }
+                    }
+                }
+            }
+            for c in 0..r.writes.len() {
+                assert_eq!(m.is_free(CellId::new(c as u32)), r.free[c], "is_free {ctx}");
+            }
+            assert_eq!(m.free_len(), r.free.iter().filter(|&&f| f).count(), "{ctx}");
+            assert_eq!(m.write_counts(), &r.writes[..], "{ctx}");
         }
     }
 }

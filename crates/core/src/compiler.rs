@@ -107,7 +107,10 @@ pub fn compile(mig: &Mig, options: &CompileOptions) -> CompileResult {
 
 /// [`compile`] from an already built front end: everything after
 /// rewrite and schedule, reading the front end's graph and its schedule
-/// under `options.selection` (filled on first use).
+/// under `options.selection` (filled on first use). An uncapped compile
+/// also fills the front end's RM3 slot for `options` (see
+/// [`FrontEnd::rm3_summary`]) with its program's wear summary and its
+/// translated peak.
 ///
 /// # Panics
 ///
@@ -127,13 +130,17 @@ pub fn compile_front(front: &FrontEnd, options: &CompileOptions) -> CompileResul
     if options.copy_reuse {
         arms.push(options.with_copy_reuse(false));
     }
-    let greedy_programs = translate_arms(greedy, front.schedule(options.selection), &arms);
+    // The largest write count one cell took in any translation below,
+    // before peephole: the translated peak of an uncapped compile.
+    let mut peak = 0;
+    let greedy_programs =
+        translate_arms(greedy, front.schedule(options.selection), &arms, &mut peak);
     // The extraction cost is a tree estimate, so on reconvergent graphs
     // the saturated pick can lose to the greedy fixed point once real
     // scheduling and allocation run: the greedy arms compete.
     let saturated = options
         .esat
-        .then(|| esat_search(greedy, options, &arms, greedy_programs.clone()));
+        .then(|| esat_search(greedy, options, &arms, greedy_programs.clone(), &mut peak));
 
     // The guard: the preferred arm unless it is worse somewhere. Scores
     // are taken only where two arms compete.
@@ -165,6 +172,9 @@ pub fn compile_front(front: &FrontEnd, options: &CompileOptions) -> CompileResul
         best = prefer(guarded(esat.collect()), best);
     }
     let (graph, program) = best;
+    if options.max_writes.is_none() {
+        front.fill_rm3(options, WearSummary::of(&program), peak);
+    }
     CompileResult {
         program,
         mig: graph.unwrap_or_else(|| Arc::clone(greedy)),

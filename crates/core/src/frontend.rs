@@ -10,8 +10,30 @@
 //! [`FrontEnd`] holds the result of all three so a sweep over back-end
 //! options rewrites its circuit once, schedules it once per selection
 //! policy and synthesizes its IMPLY baseline once per allocation policy.
+//!
+//! It also keeps what an uncapped RM3 compile found: per cap-free option
+//! set, the program's [`WearSummary`] and its *translated peak*, the
+//! largest write count one cell took in any program the compile
+//! translated (every translate arm, every esat candidate), taken before
+//! peephole. The maximum write count strategy (the paper's technique 2,
+//! Table III) changes a program only where a cell would pass the cap,
+//! so a compile whose cap is at or above that peak compiles to the
+//! uncapped program, and [`FrontEnd::rm3_summary`] answers it without
+//! translating. The rule is exact: the cap is read only by `fits_budget` (at allocation,
+//! at in-place consumption and in copy discovery) and by retirement at
+//! release. A cell the uncapped run chose for `b` more writes ends with
+//! at least `b` more, so it fits any cap at or above the peak, and each
+//! policy's first choice is still chosen. A choice that fails the check
+//! under the cap is one the uncapped run did not make: only its cost
+//! rises, so the cheapest plan stays cheapest. A cell retired under the
+//! cap sits at the peak, so the uncapped run never wrote it again. Each
+//! translation is then the uncapped one, esat scores and keeps the same
+//! candidates, and peephole, which runs after, elides the same writes.
+//! The peak must be taken before peephole, since the checks read the
+//! translator's counts, and over every translation, since esat's
+//! candidates are translated under the cap too.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 use rlim_isa::{Isa, Program};
 use rlim_mig::rewrite::{rewrite, Algorithm};
@@ -66,15 +88,17 @@ impl WearSummary {
 }
 
 /// The rewritten graph of one `(source, rewriting, effort)` triple, with
-/// a lazily filled [`Schedule`] slot per [`Selection`] and a lazily
-/// filled IMPLY [`WearSummary`] slot per [`Allocation`](crate::Allocation).
+/// a lazily filled [`Schedule`] slot per [`Selection`], a lazily
+/// filled IMPLY [`WearSummary`] slot per [`Allocation`](crate::Allocation)
+/// and an RM3 slot per cap-free option set, filled by its uncapped
+/// [`compile_front`](crate::compile_front).
 ///
 /// A front end is immutable apart from its slots, which fill at most
-/// once each (a concurrent reader waits for the one filling the slot),
-/// so it can be shared across threads behind an `Arc`. An IMPLY slot
-/// keeps the summary, not the program: a front end kept for many
-/// compiles holds a few numbers per pair, and a caller that needs the
-/// listing synthesizes it with [`ImpBackend`].
+/// once each (a concurrent reader of a schedule or IMPLY slot waits for
+/// the one filling it), so it can be shared across threads behind an
+/// `Arc`. The IMPLY and RM3 slots keep the summary, not the program: a
+/// front end kept for many compiles holds a few numbers per option set,
+/// and a caller that needs the listing compiles it.
 ///
 /// # Examples
 ///
@@ -101,6 +125,13 @@ impl WearSummary {
 ///     assert_eq!(shared.program, compile(&mig, &options).program);
 /// }
 ///
+/// // The uncapped compile filled its RM3 slot, which answers any cap
+/// // at or above its translated peak without translating.
+/// let peak = front.rm3_peak(&options).expect("filled by the uncapped compile");
+/// let at_peak = options.with_max_writes(peak.max(3));
+/// let program = compile(&mig, &at_peak).program;
+/// assert_eq!(front.rm3_summary(&at_peak), Some(WearSummary::of(&program)));
+///
 /// // They share the summary of their IMPLY program too: one synthesis.
 /// let capped = CompileOptions { max_writes: Some(3), ..options };
 /// assert!(std::ptr::eq(front.imp_summary(&options), front.imp_summary(&capped)));
@@ -117,6 +148,18 @@ pub struct FrontEnd {
     /// synthesis reads besides the front end's own), indexed by its
     /// discriminant.
     imp: [OnceLock<WearSummary>; 2],
+    /// The RM3 slots filled so far, one per cap-free option set.
+    rm3: Mutex<Vec<Rm3Slot>>,
+}
+
+/// What an uncapped RM3 compile left on its front end.
+#[derive(Debug, Clone, Copy)]
+struct Rm3Slot {
+    /// The compile's options; `max_writes` is `None`.
+    options: CompileOptions,
+    summary: WearSummary,
+    /// The translated peak (see the [module docs](self)).
+    peak: u64,
 }
 
 /// What a front end depends on besides its source graph: the rewriting
@@ -171,6 +214,7 @@ impl FrontEnd {
             key,
             schedules: Default::default(),
             imp: Default::default(),
+            rm3: Mutex::default(),
         }
     }
 
@@ -218,11 +262,79 @@ impl FrontEnd {
             .get_or_init(|| WearSummary::of(&ImpBackend.compile_front(self, options)))
     }
 
-    /// Bytes this front end holds: the graph and every schedule filled
-    /// so far, allocated capacity included; the IMPLY slots are inline,
-    /// so they count from the start and a filling one adds nothing. The
-    /// graph counts in full even when it is the shared source, so a
-    /// cache charging this never undercounts what it keeps alive.
+    /// The wear summary of the RM3 program `options` compile from this
+    /// front end, when the slot of their cap-free option set answers it:
+    /// the slot is filled, and `options` set no cap or one at or above
+    /// its translated peak (the rule is in the [module docs](self)).
+    /// `None` otherwise; the caller translates.
+    ///
+    /// Debug builds check every capped answer against a fresh capped
+    /// compile.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options` name another rewriting than this front end's.
+    pub fn rm3_summary(&self, options: &CompileOptions) -> Option<WearSummary> {
+        let slot = self.rm3_slot(options)?;
+        if options.max_writes.is_some_and(|cap| cap < slot.peak) {
+            return None;
+        }
+        debug_assert!(
+            options.max_writes.is_none()
+                || WearSummary::of(&crate::compile_front(self, options).program) == slot.summary,
+            "a slot answer differs from its capped translation: {options:?}"
+        );
+        Some(slot.summary)
+    }
+
+    /// The translated peak of the uncapped compile of `options`' cap-free
+    /// option set, once that compile has run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options` name another rewriting than this front end's.
+    pub fn rm3_peak(&self, options: &CompileOptions) -> Option<u64> {
+        self.rm3_slot(options).map(|slot| slot.peak)
+    }
+
+    fn rm3_slot(&self, options: &CompileOptions) -> Option<Rm3Slot> {
+        assert!(
+            self.serves(options),
+            "a front end compiles only the rewriting it was built with"
+        );
+        let uncapped = CompileOptions {
+            max_writes: None,
+            ..*options
+        };
+        self.rm3_slots()
+            .iter()
+            .find(|slot| slot.options == uncapped)
+            .copied()
+    }
+
+    /// Fills the RM3 slot of the uncapped `options`, unless it is filled.
+    pub(crate) fn fill_rm3(&self, options: &CompileOptions, summary: WearSummary, peak: u64) {
+        debug_assert_eq!(options.max_writes, None, "only an uncapped compile fills");
+        let mut slots = self.rm3_slots();
+        if !slots.iter().any(|slot| slot.options == *options) {
+            slots.push(Rm3Slot {
+                options: *options,
+                summary,
+                peak,
+            });
+        }
+    }
+
+    fn rm3_slots(&self) -> std::sync::MutexGuard<'_, Vec<Rm3Slot>> {
+        self.rm3.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Bytes this front end holds: the graph, every schedule and the RM3
+    /// slots filled so far, allocated capacity included; the IMPLY slots
+    /// are inline, so they count from the start and a filling one adds
+    /// nothing. The graph counts in full even when it is the shared
+    /// source, so a cache charging this never undercounts what it keeps
+    /// alive.
     pub fn heap_bytes(&self) -> usize {
         std::mem::size_of::<FrontEnd>()
             + self.graph.heap_bytes()
@@ -232,6 +344,7 @@ impl FrontEnd {
                 .filter_map(OnceLock::get)
                 .map(Schedule::heap_bytes)
                 .sum::<usize>()
+            + self.rm3_slots().capacity() * std::mem::size_of::<Rm3Slot>()
     }
 }
 
@@ -294,6 +407,36 @@ mod tests {
             }
             assert_eq!(filled(&front), 2, "{preset:?}");
             assert_eq!(front.heap_bytes(), bytes, "the slots are inline");
+        }
+    }
+
+    /// An uncapped compile fills the RM3 slot of its options, which then
+    /// answers exactly the caps at or above its translated peak, with the
+    /// summary of the capped compile; a capped compile fills nothing.
+    #[test]
+    fn rm3_slots_answer_caps_that_cannot_bind() {
+        let mig = generate(&RandomMigConfig::default(), 5);
+        for preset in presets() {
+            let front = FrontEnd::build(&mig, FrontKey::of(&preset));
+            let bytes = front.heap_bytes();
+            crate::compile_front(&front, &preset.with_max_writes(3));
+            assert_eq!(front.rm3_peak(&preset), None, "{preset:?}");
+            crate::compile_front(&front, &preset);
+            let peak = front.rm3_peak(&preset).expect("filled");
+            assert!(front.heap_bytes() > bytes, "the slots count");
+            assert_eq!(front.rm3_peak(&preset.with_max_writes(3)), Some(peak));
+            assert_eq!(front.rm3_peak(&preset.with_peephole(true)), None);
+            for cap in 3..peak + 3 {
+                let capped = preset.with_max_writes(cap);
+                let program = crate::compile_front(&front, &capped).program;
+                match front.rm3_summary(&capped) {
+                    Some(summary) => {
+                        assert!(cap >= peak, "{capped:?}");
+                        assert_eq!(summary, WearSummary::of(&program), "{capped:?}");
+                    }
+                    None => assert!(cap < peak, "{capped:?}"),
+                }
+            }
         }
     }
 

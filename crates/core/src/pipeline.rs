@@ -299,8 +299,10 @@ impl Pass for EsatPass {
     fn run(&self, state: &mut PipelineState<'_>) {
         let arms = [*state.options];
         let graph = state.graph();
-        let start = translate_arms(graph, &Schedule::of(graph, arms[0].selection), &arms);
-        let best = esat_search(graph, state.options, &arms, start)
+        let mut peak = 0;
+        let schedule = Schedule::of(graph, arms[0].selection);
+        let start = translate_arms(graph, &schedule, &arms, &mut peak);
+        let best = esat_search(graph, state.options, &arms, start, &mut peak)
             .pop()
             .expect("one best per arm");
         let graph = match best.graph {
@@ -323,7 +325,8 @@ pub(crate) struct ArmBest {
 /// The [`EsatPass`] rounds from `start`, with every candidate scored
 /// under each of the translate `arms` (options that differ only in what
 /// translation reads). Returns the best graph per arm; `start_programs`
-/// are `start`'s programs under the arms, in order.
+/// are `start`'s programs under the arms, in order. `peak` is raised to
+/// every candidate translation's peak, as [`translate_arms`] does.
 ///
 /// The sequence of candidates does not depend on the scores, so each
 /// arm ends with exactly the graph a search scored under that arm alone
@@ -339,6 +342,7 @@ pub(crate) fn esat_search(
     options: &CompileOptions,
     arms: &[CompileOptions],
     start_programs: Vec<Program>,
+    peak: &mut u64,
 ) -> Vec<ArmBest> {
     use rlim_egraph::{extract_around, saturate as egraph_saturate, Budget, CostWeights, EGraph};
 
@@ -381,7 +385,10 @@ pub(crate) fn esat_search(
             }
             scored.push(Arc::clone(cand));
             let schedule = Schedule::of(cand, arms[0].selection);
-            for (arm, program) in best.iter_mut().zip(translate_arms(cand, &schedule, arms)) {
+            for (arm, program) in best
+                .iter_mut()
+                .zip(translate_arms(cand, &schedule, arms, peak))
+            {
                 let score = WearSummary::of(&program);
                 if score.dominates(&arm.score) {
                     *arm = ArmBest {
@@ -404,19 +411,21 @@ pub(crate) fn esat_search(
 
 /// The baseline pipeline (translate → finalize) of `graph` under each
 /// translate arm, in order, all from one borrowed `schedule`: the arms
-/// share `selection`, the only option scheduling reads.
+/// share `selection`, the only option scheduling reads. `peak` is raised
+/// to the largest write count any cell took in these translations, before
+/// any peephole.
 pub(crate) fn translate_arms(
     graph: &Mig,
     schedule: &Schedule,
     arms: &[CompileOptions],
+    peak: &mut u64,
 ) -> Vec<Program> {
     arms.iter()
         .map(|options| {
-            let mut state = PipelineState::new(graph, options);
-            state.schedule = Some(Cow::Borrowed(schedule));
-            crate::translate::TranslatePass.run(&mut state);
-            FinalizePass.run(&mut state);
-            state.program.expect("translate emits a program")
+            let (program, translated) = crate::translate::translate(graph, options, schedule);
+            debug_assert_eq!(program.validate(), Ok(()));
+            *peak = (*peak).max(translated);
+            program
         })
         .collect()
 }

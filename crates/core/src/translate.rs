@@ -64,7 +64,7 @@ use rlim_rram::CellId;
 
 use crate::cells::CellManager;
 use crate::options::CompileOptions;
-use crate::pipeline::{Pass, PipelineState};
+use crate::pipeline::{Pass, PipelineState, Schedule};
 use crate::values::{value_index, Holders, ValueId, Values, FALSE, TRUE};
 
 /// Translates the scheduled nodes into an RM3 [`Program`], allocating
@@ -82,13 +82,21 @@ impl Pass for TranslatePass {
             .schedule
             .as_deref()
             .expect("translate pass needs a schedule");
-        // The schedule carries the initial pending-use counts, so the
-        // structural view is computed once per schedule; translation
-        // consumes its own copy of the counts.
-        let program = Translator::new(state.graph(), state.options, schedule.fanout.clone())
-            .run(&schedule.order);
-        state.program = Some(program);
+        state.program = Some(translate(state.graph(), state.options, schedule).0);
     }
+}
+
+/// The [`TranslatePass`] body: `graph` translated in `schedule`'s order
+/// under `options`, with the largest write count any one cell took.
+pub(crate) fn translate(
+    graph: &Mig,
+    options: &CompileOptions,
+    schedule: &Schedule,
+) -> (Program, u64) {
+    // The schedule carries the initial pending-use counts, so the
+    // structural view is computed once per schedule; translation
+    // consumes its own copy of the counts.
+    Translator::new(graph, options, schedule.fanout.clone()).run(&schedule.order)
 }
 
 /// Role-assignment cost: `(extra instructions, extra cells)`; the main RM3
@@ -267,7 +275,7 @@ impl<'a> Translator<'a> {
         }
     }
 
-    fn run(mut self, schedule: &[NodeId]) -> Program {
+    fn run(mut self, schedule: &[NodeId]) -> (Program, u64) {
         // Primary inputs are preloaded into the first cells (wear-free).
         for i in 0..self.mig.num_inputs() {
             let cell = self.cells.alloc_fresh();
@@ -333,12 +341,13 @@ impl<'a> Translator<'a> {
             output_cells.push(cell);
         }
 
-        Program {
+        let program = Program {
             instructions: self.instructions,
             num_cells: self.cells.num_cells(),
             input_cells: self.input_cells,
             output_cells,
-        }
+        };
+        (program, self.cells.peak_writes())
     }
 
     // ---- Emission primitives ------------------------------------------

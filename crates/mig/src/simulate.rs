@@ -155,12 +155,6 @@ pub fn equiv_random(a: &Mig, b: &Mig, rounds: usize, seed: u64) -> Equivalence {
     Equivalence::ProbablyEqual
 }
 
-/// Generates `num_inputs` random 64-pattern input words from a seed.
-pub fn random_input_words(num_inputs: usize, seed: u64) -> Vec<u64> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..num_inputs).map(|_| rng.gen()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -430,11 +430,6 @@ impl Fleet {
         }
     }
 
-    /// Number of arrays (live and retired).
-    pub fn num_arrays(&self) -> usize {
-        self.slots.len()
-    }
-
     /// The dispatch policy.
     pub fn policy(&self) -> DispatchPolicy {
         self.policy

@@ -1,5 +1,5 @@
 //! The front-end memo: rewritten graphs with their schedules and IMPLY
-//! wear summaries, keyed by `(source fingerprint, rewriting, effort)`
+//! and RM3 wear summaries, keyed by `(source fingerprint, rewriting, effort)`
 //! and shared by every compile that differs only in back-end options.
 //!
 //! Every [`Service`](crate::Service) run compiles through one:
@@ -10,8 +10,8 @@
 //! reads the source's [`Mig::fingerprint`], which the graph keeps once
 //! computed, so a source shared by many lookups is hashed once. The memo
 //! is least-recently-used under a byte bound: an entry is charged its
-//! [`FrontEnd::heap_bytes`], which grows as schedule slots fill (the
-//! IMPLY slots are inline, counted from the start).
+//! [`FrontEnd::heap_bytes`], which grows as schedule and RM3 slots fill
+//! (the IMPLY slots are inline, counted from the start).
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -106,10 +106,17 @@ impl FrontEnds {
     }
 
     /// Fills the schedule slot for `selection` (if empty) of `front`,
-    /// the front end of `source`, and recharges its entry, which may
-    /// evict older entries, or this one when it alone outgrows the bound.
+    /// the front end of `source`, and recharges its entry
+    /// ([`FrontEnds::recharge`]).
     pub fn schedule(&self, source: &Mig, front: &Arc<FrontEnd>, selection: Selection) {
         front.schedule(selection);
+        self.recharge(source, front);
+    }
+
+    /// Charges the entry of `front`, the front end of `source`, what it
+    /// holds now (its slots fill as it is used), which may evict older
+    /// entries, or this one when it alone outgrows the bound.
+    pub fn recharge(&self, source: &Mig, front: &Arc<FrontEnd>) {
         let key = (source.fingerprint(), front.key());
         let mut memo = self.lock();
         // Only the entry this front end is: a racing loser or an evicted

@@ -130,12 +130,13 @@ impl BackendKind {
     }
 }
 
-/// One compile, type-erased over the two instruction sets.
+/// One compile, type-erased over the two instruction sets: its wear,
+/// with the program only when it was compiled (a compile a front-end
+/// slot answers has none).
 enum Compiled {
-    /// An RM3 program, which fleets run and listings print.
-    Rm3(Program<Instruction>),
-    /// An IMPLY compile: its wear, with the program only when a spec
-    /// sharing the compile lists it.
+    /// An RM3 compile, whose program fleets run and listings print.
+    Rm3(WearSummary, Option<Program<Instruction>>),
+    /// An IMPLY compile, whose program only listings read.
     Imp(WearSummary, Option<Program<ImpOp>>),
 }
 
@@ -143,26 +144,23 @@ impl Compiled {
     /// What the report reads of the program.
     fn wear(&self) -> WearSummary {
         match self {
-            Compiled::Rm3(p) => WearSummary::of(p),
-            Compiled::Imp(wear, _) => *wear,
+            Compiled::Rm3(wear, _) | Compiled::Imp(wear, _) => *wear,
         }
     }
 
     /// The program listing: parseable `.plim` assembly for RM3 (the
     /// format `rlim run` accepts back), a disassembly for IMPLY.
     fn listing(&self) -> String {
+        const KEPT: &str = "a listed compile keeps its program";
         match self {
-            Compiled::Rm3(p) => asm::to_text(p),
-            Compiled::Imp(_, p) => p
-                .as_ref()
-                .expect("a listed IMPLY compile keeps its program")
-                .disassemble(),
+            Compiled::Rm3(_, p) => asm::to_text(p.as_ref().expect(KEPT)),
+            Compiled::Imp(_, p) => p.as_ref().expect(KEPT).disassemble(),
         }
     }
 
     fn as_rm3(&self) -> &Program<Instruction> {
         match self {
-            Compiled::Rm3(p) => p,
+            Compiled::Rm3(_, p) => p.as_ref().expect("a fleet's compiles keep their programs"),
             Compiled::Imp(..) => unreachable!("fleet jobs are validated to be RM3"),
         }
     }
@@ -236,7 +234,14 @@ impl Service {
     ///    end's slot for its allocation policy
     ///    ([`FrontEnd::imp_summary`]), synthesized once per front end, and
     ///    synthesizes a program only when one of its specs asks for the
-    ///    listing;
+    ///    listing. An RM3 compile no spec lists and no fleet rider runs
+    ///    is answered from the front end's RM3 slot for its cap-free
+    ///    options when that slot is filled and its cap, if any, is at or
+    ///    above the slot's translated peak: the largest per-cell write
+    ///    count over every program the uncapped compile translated, taken
+    ///    before peephole ([`FrontEnd::rm3_summary`]). Such a cap cannot
+    ///    bind, so the answer is the capped compile's. Every other RM3
+    ///    compile translates, and an uncapped one fills its slot;
     /// 4. per-spec reports are assembled.
     ///
     /// So a table matrix rewrites each circuit once per rewriting however
@@ -301,10 +306,14 @@ impl Service {
                 dedup((src, CompileClass::Rm3, CompileOptions::naive()))
             }));
         }
-        // The compiles some spec lists: only these keep an IMPLY program.
-        let mut listed = vec![false; compile_keys.len()];
-        for (spec, &main) in specs.iter().zip(&main_of) {
-            listed[main] |= spec.includes_program();
+        // The compiles whose program some spec reads, for its listing or
+        // its fleet: only these are never answered from a front-end slot.
+        let mut keeps = vec![false; compile_keys.len()];
+        for ((spec, &main), &heavy) in specs.iter().zip(&main_of).zip(&heavy_of) {
+            keeps[main] |= spec.includes_program() || heavy.is_some();
+            if let Some(heavy) = heavy {
+                keeps[heavy] = true;
+            }
         }
 
         // ---- Stage 2: rewrite and schedule every distinct front end once
@@ -336,13 +345,30 @@ impl Service {
         // ---- Stage 3: compile every distinct job once from its front end
         let jobs: Vec<usize> = (0..compile_keys.len()).collect();
         let compiled: Vec<(Compiled, f64)> = parallel_map(jobs, self.threads, |i| {
-            let (_, class, options) = &compile_keys[i];
+            let (src, class, options) = &compile_keys[i];
             let (front, schedule) = front_of[i];
             let (front, front_seconds) = &fronts[front];
             let start = Instant::now();
             let program = match class {
-                CompileClass::Rm3 => Compiled::Rm3(Rm3Backend.compile_front(front, options)),
-                CompileClass::Imp if listed[i] => {
+                CompileClass::Rm3 => {
+                    match (!keeps[i]).then(|| front.rm3_summary(options)).flatten() {
+                        Some(wear) => Compiled::Rm3(wear, None),
+                        None => {
+                            let program = Rm3Backend.compile_front(front, options);
+                            // An uncapped compile has just filled its slot with
+                            // this program's summary, and grown its front end.
+                            let wear = match options.max_writes {
+                                None => {
+                                    frontends.recharge(&migs[*src], front);
+                                    front.rm3_summary(options).expect("filled by the compile")
+                                }
+                                Some(_) => WearSummary::of(&program),
+                            };
+                            Compiled::Rm3(wear, Some(program))
+                        }
+                    }
+                }
+                CompileClass::Imp if keeps[i] => {
                     let program = ImpBackend.compile_front(front, options);
                     Compiled::Imp(WearSummary::of(&program), Some(program))
                 }

@@ -11,6 +11,11 @@
 //! tests sweep those options over benchmarks and random graphs and
 //! compare rendered reports byte for byte, with the memo roomy, tiny
 //! (every entry evicted at once) and tight (one entry at a time).
+//!
+//! An uncapped RM3 compile leaves its wear summary and translated peak
+//! on the front end, and an unlisted compile of the same options under
+//! a cap at or above that peak is answered from it. The last tests
+//! check those answers against runs that translate every cap.
 
 use std::sync::Arc;
 
@@ -232,4 +237,115 @@ fn sources_of_one_structure_share_their_front_ends() {
             "{benchmark}"
         );
     }
+}
+
+const RM3_CLASS: [BackendKind; 3] = [
+    BackendKind::Rm3,
+    BackendKind::HostedRm3,
+    BackendKind::WideRm3,
+];
+
+/// Warms a memo with the uncapped compile of each option set in `sets`
+/// on `source`, then sends unlisted RM3-class specs capped from 3 to the
+/// translated peak + 2 (3, half the peak, peak − 1, peak, peak + 2)
+/// through it. Every report must equal a fresh batch's, in which nothing
+/// is uncapped, so every cap is translated. A cap at or above the peak
+/// must be answered from the slot, and one below it translated. Returns
+/// how many specs the slots answered.
+fn capped_misses_equal_translations(source: &JobSpec, sets: &[CompileOptions]) -> usize {
+    let memo = FrontEnds::new(usize::MAX);
+    let service = Service::new().with_threads(2);
+    let mig = source.source().load().unwrap();
+    let mut specs = Vec::new();
+    let mut answered = 0;
+    for &options in sets {
+        let uncapped = source.clone().with_options(options);
+        service.run_batch_with(&[uncapped], &memo).unwrap();
+        let front = memo.get(&mig, FrontKey::of(&options));
+        let peak = front
+            .rm3_peak(&options)
+            .expect("the uncapped compile fills its slot");
+        // The lowest cap, one halfway, and the caps around the peak.
+        let mut caps: Vec<u64> = [3, peak / 2, peak.saturating_sub(1), peak, peak + 2]
+            .into_iter()
+            .filter(|&cap| cap >= 3)
+            .collect();
+        caps.dedup();
+        for cap in caps {
+            let capped = options.with_max_writes(cap);
+            let from_slot = front.rm3_summary(&capped).is_some();
+            assert_eq!(from_slot, cap >= peak, "{} {capped:?}", source.label());
+            answered += usize::from(from_slot);
+            let backend = RM3_CLASS[specs.len() % RM3_CLASS.len()];
+            specs.push(source.clone().with_options(capped).with_backend(backend));
+        }
+    }
+    let warm = rendered(service.run_batch_with(&specs, &memo).unwrap());
+    let fresh = rendered(Service::new().with_threads(2).run_batch(&specs).unwrap());
+    for ((spec, warm), fresh) in specs.iter().zip(&warm).zip(&fresh) {
+        assert_eq!(warm, fresh, "{} {:?}", spec.label(), spec.options());
+    }
+    answered
+}
+
+/// Every benchmark under every preset, with and without peephole.
+#[test]
+fn slot_answers_equal_capped_translations_on_every_benchmark() {
+    let mut sets = Vec::new();
+    for name in CompileOptions::preset_names() {
+        let preset = CompileOptions::preset(name).expect("a listed preset");
+        sets.extend([preset, preset.with_peephole(true)]);
+    }
+    for &benchmark in Benchmark::all() {
+        let answered = capped_misses_equal_translations(&JobSpec::benchmark(benchmark), &sets);
+        assert!(answered >= 2 * sets.len(), "{benchmark}: {answered}");
+    }
+}
+
+/// Copy-reuse and small-budget esat, whose peaks are taken over both
+/// translate arms and every esat candidate, on the small circuits and
+/// random graphs.
+#[test]
+fn slot_answers_equal_capped_translations_with_reuse_and_esat() {
+    for source in sources() {
+        let mut sets = Vec::new();
+        for name in CompileOptions::preset_names() {
+            let preset = CompileOptions::preset(name).expect("a listed preset");
+            let esat = preset
+                .with_esat(true)
+                .with_esat_nodes(2_000)
+                .with_esat_iters(2);
+            sets.extend([
+                preset.with_copy_reuse(true),
+                esat,
+                esat.with_copy_reuse(true).with_peephole(true),
+            ]);
+        }
+        capped_misses_equal_translations(&source, &sets);
+    }
+}
+
+/// A listed or fleet spec reads its program, so no slot answers it: a
+/// batch mixing them with the uncapped compile equals per-spec runs.
+#[test]
+fn listed_and_fleet_specs_are_translated() {
+    let options = CompileOptions::endurance_aware();
+    let source = JobSpec::benchmark(Benchmark::Ctrl);
+    let memo = FrontEnds::new(usize::MAX);
+    let service = Service::new().with_threads(1);
+    service
+        .run_batch_with(&[source.clone().with_options(options)], &memo)
+        .unwrap();
+    let capped = options.with_max_writes(400);
+    let specs = [
+        source.clone().with_options(capped).with_program_text(true),
+        source
+            .clone()
+            .with_options(capped)
+            .with_fleet(rlim::service::FleetSpec::new(2).with_jobs(4)),
+        source.clone().with_options(capped),
+    ];
+    let shared = rendered(service.run_batch_with(&specs, &memo).unwrap());
+    assert_eq!(shared, one_by_one(&specs));
+    assert!(shared[0].contains("\"program\""), "{}", shared[0]);
 }
