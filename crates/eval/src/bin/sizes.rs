@@ -1,6 +1,8 @@
 //! Prints the size profile of every benchmark — gates, naive-compiled
 //! instruction/cell counts — next to the paper's Table II reference values,
 //! for calibrating the synthetic profiles (see `rlim_benchmarks::synthetic`).
+//! The table carries no timings, so it is pinned; each compile's wall-clock
+//! time goes to stderr.
 
 use rlim_benchmarks::Benchmark;
 use rlim_eval::{Column, RunPlan, TextTable};
@@ -41,7 +43,6 @@ fn main() {
         "ratio",
         "#R naive",
         "#R paper",
-        "secs",
     ]);
     let specs: Vec<JobSpec> = plan
         .benchmarks
@@ -64,8 +65,8 @@ fn main() {
             format!("{:.2}", report.instructions as f64 / paper_i as f64),
             report.rrams.to_string(),
             paper_r.to_string(),
-            format!("{:.2}", report.seconds),
         ]);
+        eprintln!("[{}] {:.2} s", b.name(), report.seconds);
     }
     println!("{}", table.render());
 }
