@@ -1103,6 +1103,17 @@ mod tests {
     }
 
     #[test]
+    fn report_headline_counts_live_gates() {
+        // ctrl is built with 190 gates, 23 of them dead; the source loads
+        // without them.
+        let text = run_str(&["report", "ctrl"]).unwrap();
+        assert!(
+            text.starts_with("ctrl: 7 PI / 26 PO / 167 gates\n"),
+            "{text}"
+        );
+    }
+
+    #[test]
     fn report_esat_flag_reaches_the_policy_line() {
         let text = run_str(&["report", "int2float", "--esat", "--esat-iters", "2"]).unwrap();
         assert!(text.contains(", esat, esat-iters 2\n"), "{text}");

@@ -188,18 +188,6 @@ impl PassManager {
         manager
     }
 
-    /// The baseline pipeline regardless of `options.rewriting` /
-    /// `options.peephole`: schedule → translate → finalize on the graph
-    /// as given. This is what the naive column and the self-hosted
-    /// controller's reference translator use.
-    pub fn baseline() -> Self {
-        let mut manager = PassManager::new();
-        manager.push(Box::new(SchedulePass));
-        manager.push(Box::new(crate::translate::TranslatePass));
-        manager.push(Box::new(FinalizePass));
-        manager
-    }
-
     /// Appends a pass.
     pub fn push(&mut self, pass: Box<dyn Pass>) {
         self.passes.push(pass);
@@ -495,10 +483,6 @@ mod tests {
             PassManager::standard(&CompileOptions::endurance_aware().with_esat(true)).pass_names(),
             ["rewrite", "esat", "schedule", "translate", "finalize"]
         );
-        assert_eq!(
-            PassManager::baseline().pass_names(),
-            ["schedule", "translate", "finalize"]
-        );
     }
 
     #[test]
@@ -513,15 +497,6 @@ mod tests {
             let piped = PassManager::standard(&options).run(&mig, &options);
             assert_eq!(direct.program, piped.program, "{options:?}");
         }
-    }
-
-    #[test]
-    fn baseline_pipeline_ignores_rewriting_config() {
-        let mig = adder();
-        let options = CompileOptions::endurance_aware();
-        let baseline = PassManager::baseline().run(&mig, &options);
-        // The baseline compiled the source graph, not a rewritten one.
-        assert_eq!(baseline.mig.num_gates(), mig.num_gates());
     }
 
     #[test]

@@ -20,7 +20,9 @@ pub struct CircuitSummary {
     pub inputs: usize,
     /// Primary outputs.
     pub outputs: usize,
-    /// Majority gates.
+    /// Majority gates of the loaded source: a benchmark or BLIF source
+    /// counts only live gates (see [`crate::Source::load`]), an
+    /// in-memory graph every gate it holds.
     pub gates: usize,
 }
 

@@ -14,6 +14,7 @@ use std::sync::Arc;
 
 use rlim_benchmarks::Benchmark;
 use rlim_compiler::CompileOptions;
+use rlim_mig::rewrite::Pass;
 use rlim_mig::{blif, Mig};
 use rlim_plim::DispatchPolicy;
 
@@ -58,23 +59,35 @@ impl Source {
     /// The source's graph: a benchmark is built, a BLIF file read and
     /// parsed, an in-memory graph shared.
     ///
+    /// A built or parsed graph comes back live-only: when some gate
+    /// reaches no output, the graph is replaced by the rewrite's cleanup
+    /// rebuild ([`Pass::Majority`]), which keeps the live gates node for
+    /// node. So a benchmark and its BLIF export are one structure to the
+    /// fingerprint, and a report counts only the gates its program
+    /// computes. An in-memory graph is the caller's and is shared as
+    /// given.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::Io`] when a BLIF file cannot be read and
     /// [`Error::Blif`] when it does not parse.
     pub fn load(&self) -> Result<Arc<Mig>, Error> {
-        match self {
-            Source::Benchmark(b) => Ok(Arc::new(b.build())),
+        let mig = match self {
+            Source::Benchmark(b) => b.build(),
             Source::BlifPath(path) => {
                 let label = path.display().to_string();
                 let text =
                     std::fs::read_to_string(path).map_err(|e| Error::io(label.clone(), &e))?;
-                let mig =
-                    blif::parse_blif(&text).map_err(|error| Error::Blif { path: label, error })?;
-                Ok(Arc::new(mig))
+                blif::parse_blif(&text).map_err(|error| Error::Blif { path: label, error })?
             }
-            Source::Mig(mig) => Ok(Arc::clone(mig)),
-        }
+            Source::Mig(mig) => return Ok(Arc::clone(mig)),
+        };
+        let live = if Pass::Majority.proves_idle(&mig) {
+            mig
+        } else {
+            Pass::Majority.run(&mig)
+        };
+        Ok(Arc::new(live))
     }
 }
 
@@ -706,8 +719,11 @@ pub(crate) mod tests {
 
     #[test]
     fn sources_load_their_graphs() {
+        // ctrl carries dead gates: it loads as the cleanup rebuild.
         let built = Source::Benchmark(Benchmark::Ctrl).load().unwrap();
-        assert_eq!(built.fingerprint(), Benchmark::Ctrl.build().fingerprint());
+        let live = Pass::Majority.run(&Benchmark::Ctrl.build());
+        assert_eq!(built.fingerprint(), live.fingerprint());
+        assert!(live.num_gates() < Benchmark::Ctrl.build().num_gates());
         let shared = Arc::new(Mig::new(3));
         assert!(Arc::ptr_eq(
             &Source::Mig(Arc::clone(&shared)).load().unwrap(),

@@ -52,7 +52,7 @@ use rlim_compiler::{
     compile, Backend, CompileOptions, CompileResult, HostedRm3Backend, ImpBackend, Rm3Backend,
 };
 use rlim_isa::Program as IsaProgram;
-use rlim_mig::{equiv_random, Mig, NodeId, Signal};
+use rlim_mig::{equiv_random, Mig};
 use rlim_plim::parallel::parallel_map;
 use rlim_plim::{run_once, run_once_wide, Program};
 use rlim_rram::WideCrossbar;
@@ -523,28 +523,6 @@ pub fn sampled_inputs(num_inputs: usize, rounds: usize, seed: u64) -> Vec<Vec<bo
         out.push((0..num_inputs).map(|_| rng.gen()).collect());
     }
     out
-}
-
-/// `mig` with its dead gates dropped: each live gate rebuilt in index
-/// order over its children's new signals, the graph a BLIF round trip
-/// returns.
-pub fn without_dead_gates(mig: &Mig) -> Mig {
-    let live = mig.live_mask();
-    let mut copy = Mig::new(mig.num_inputs());
-    // Constant and inputs keep their ids; gates are filled in below.
-    let mut map: Vec<Signal> = (0..=mig.num_inputs() as u32)
-        .map(|i| Signal::new(NodeId::new(i), false))
-        .collect();
-    map.resize(mig.num_nodes(), Signal::FALSE);
-    let lift = |map: &[Signal], s: Signal| map[s.node().index()].complement_if(s.is_complement());
-    for g in mig.gates().filter(|g| live[g.index()]) {
-        let [a, b, c] = mig.children(g).map(|s| lift(&map, s));
-        map[g.index()] = copy.add_maj(a, b, c);
-    }
-    for &s in mig.outputs() {
-        copy.add_output(lift(&map, s));
-    }
-    copy
 }
 
 /// FNV-1a, for decorrelating per-label seeds.

@@ -5,9 +5,10 @@
 
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{compile, CompileOptions};
+use rlim::mig::rewrite::Pass;
 use rlim::mig::{blif, equiv_random};
 use rlim::plim::{asm, Machine};
-use rlim_testkit::{equiv_exhaustive, without_dead_gates, Oracle, DEFAULT_EXHAUSTIVE_LIMIT};
+use rlim_testkit::{equiv_exhaustive, Oracle, DEFAULT_EXHAUSTIVE_LIMIT};
 
 #[test]
 fn blif_round_trip_preserves_benchmarks() {
@@ -34,14 +35,15 @@ fn blif_round_trip_preserves_benchmarks() {
 
 /// `write_blif` writes each gate as a majority cover, and `parse_blif`
 /// reads such a cover back as that one gate: on every benchmark the round
-/// trip returns the graph node for node, less its dead gates.
+/// trip returns the graph node for node, less its dead gates, which is
+/// the graph the rewrite's cleanup rebuild returns.
 #[test]
 fn blif_round_trip_is_exact_on_every_benchmark() {
     for &b in Benchmark::all() {
         let mig = b.build();
         let back = blif::parse_blif(&blif::write_blif(&mig, b.name()))
             .unwrap_or_else(|e| panic!("{b}: {e}"));
-        let expected = without_dead_gates(&mig);
+        let expected = Pass::Majority.run(&mig);
         assert_eq!(back.num_gates(), expected.num_gates(), "{b}");
         assert!(back == expected, "{b}: round trip changed the graph");
     }

@@ -16,16 +16,23 @@
 //! on the front end, and an unlisted compile of the same options under
 //! a cap at or above that peak is answered from it. The last tests
 //! check those answers against runs that translate every cap.
+//!
+//! A built or parsed source loads live-only, so a benchmark, its BLIF
+//! and its live gates in memory share front ends. Every compile stage
+//! skips dead gates, so the loaded graph compiles to the programs the
+//! built one does, which is what keeps the tables unchanged.
 
 use std::sync::Arc;
 
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::{Allocation, CompileOptions, FrontEnd, FrontKey};
+use rlim::compiler::{
+    compile_front, Allocation, Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend,
+};
 use rlim::mig::blif::{parse_blif, write_blif};
 use rlim::mig::random::{generate, RandomMigConfig};
-use rlim::service::FrontEnds;
+use rlim::mig::rewrite::Pass;
+use rlim::service::{FrontEnds, Source};
 use rlim::{BackendKind, JobSpec, Service};
-use rlim_testkit::without_dead_gates;
 
 const BACKENDS: [BackendKind; 4] = [
     BackendKind::Rm3,
@@ -169,7 +176,7 @@ fn evicting_memos_recompute_the_same_bytes() {
 
     // Room for about one scheduled front end: spec by spec through one
     // memo, entries come and go as the sweep moves between rewritings.
-    let mig = Arc::new(Benchmark::Ctrl.build());
+    let mig = source.source().load().unwrap();
     let options = CompileOptions::endurance_aware();
     let front = FrontEnd::new(&mig, FrontKey::of(&options));
     front.schedule(options.selection);
@@ -188,22 +195,21 @@ fn evicting_memos_recompute_the_same_bytes() {
     assert!(stats.bytes <= front.heap_bytes() * 3 / 2, "{stats:?}");
 }
 
-/// A graph in memory and a BLIF of it are sources of one structure:
-/// through one memo they share one front end per rewriting, and each
-/// report is the one its spec gets alone.
+/// A benchmark, its live gates in memory and a BLIF of it are sources
+/// of one structure: through one memo they share one front end per
+/// rewriting, and each report is the one its spec gets alone.
 ///
 /// BLIF writes each live gate as a majority cover, and the parser reads
 /// such a cover back as that one gate, so the round trip returns the graph
-/// node for node, less its dead gates. `dec` has none, so its benchmark
-/// source shares the BLIF's front ends too; `ctrl` keeps 23 dead gates of
-/// 190, so its benchmark is a second structure that misses once per
-/// rewriting.
+/// node for node, less its dead gates. A benchmark source loads without
+/// its dead gates too: `dec` has none, and `ctrl`'s 23 of 190 are dropped
+/// on load, so both are one structure.
 #[test]
 fn sources_of_one_structure_share_their_front_ends() {
-    for (benchmark, structures) in [(Benchmark::Dec, 1), (Benchmark::Ctrl, 2)] {
+    for (benchmark, dead) in [(Benchmark::Dec, false), (Benchmark::Ctrl, true)] {
         let mig = benchmark.build();
-        let live = without_dead_gates(&mig);
-        assert_eq!(live == mig, structures == 1, "{benchmark}");
+        let live = Pass::Majority.run(&mig);
+        assert_eq!(live != mig, dead, "{benchmark}");
         let text = write_blif(&mig, benchmark.name());
         assert_eq!(
             parse_blif(&text).unwrap(),
@@ -227,16 +233,105 @@ fn sources_of_one_structure_share_their_front_ends() {
         let expected = one_by_one(&specs);
         std::fs::remove_file(&path).unwrap();
         assert_eq!(shared, expected, "{benchmark}");
-        // The presets' three rewritings, each rewritten once per
-        // structure; every other source hits.
+        // The presets' three rewritings, each rewritten once; the other
+        // two sources hit.
         let stats = memo.stats();
-        let misses: u64 = 3 * structures;
         assert_eq!(
-            (stats.entries as u64, stats.misses, stats.hits),
-            (misses, misses, 9 - misses),
+            (stats.entries, stats.misses, stats.hits),
+            (3, 3, 6),
             "{benchmark}"
         );
     }
+}
+
+/// Every benchmark loads live-only and compiles to the programs its
+/// built graph does: under the RM3 presets the tables use (a write cap
+/// and copy-reuse with peephole among them), under both IMPLY
+/// allocations and, below 10 000 gates, under esat (on the small budget
+/// the sweep above uses, which keeps the debug run cheap). Each rewriting
+/// is run once per graph and shared by the option sets that read it.
+#[test]
+fn benchmarks_load_live_only_and_compile_as_built() {
+    let ea = CompileOptions::endurance_aware();
+    let rm3 = [
+        CompileOptions::naive(),
+        CompileOptions::plim_compiler(),
+        CompileOptions::min_write(),
+        CompileOptions::endurance_rewriting(),
+        ea,
+        ea.with_max_writes(20),
+        ea.with_copy_reuse(true).with_peephole(true),
+    ];
+    for &benchmark in Benchmark::all() {
+        let built = Arc::new(benchmark.build());
+        let loaded = Source::Benchmark(benchmark).load().unwrap();
+        assert_eq!(loaded.num_live_gates(), loaded.num_gates(), "{benchmark}");
+        let mut sets = rm3.to_vec();
+        if loaded.num_gates() < 10_000 {
+            sets.push(ea.with_esat(true).with_esat_nodes(2_000).with_esat_iters(2));
+        }
+        // One front end pair, built and loaded, per rewriting.
+        let mut fronts: Vec<[FrontEnd; 2]> = Vec::new();
+        for options in &sets {
+            let key = FrontKey::of(options);
+            let [built, loaded] = match fronts.iter().position(|[f, _]| f.key() == key) {
+                Some(i) => &fronts[i],
+                None => {
+                    fronts.push([&built, &loaded].map(|g| FrontEnd::new(g, key)));
+                    &fronts[fronts.len() - 1]
+                }
+            };
+            assert_eq!(
+                compile_front(built, options).program,
+                compile_front(loaded, options).program,
+                "{benchmark} {options:?}"
+            );
+        }
+        // The naive preset comes first: its front ends are the graphs as
+        // given, the ones IMPLY synthesis reads.
+        let [built, loaded] = &fronts[0];
+        for allocation in [Allocation::Lifo, Allocation::MinWrite] {
+            let options = CompileOptions {
+                allocation,
+                ..CompileOptions::naive()
+            };
+            assert_eq!(
+                ImpBackend.compile_front(built, &options),
+                ImpBackend.compile_front(loaded, &options),
+                "{benchmark} {allocation:?}"
+            );
+        }
+    }
+}
+
+/// A `.names` cover that reaches no output parses to a dead gate; the
+/// source loads without it, and the report counts the live gate alone.
+#[test]
+fn blif_sources_load_live_only() {
+    let text = "\
+.model dangling
+.inputs a b c
+.outputs y
+.names a b c y
+11- 1
+1-1 1
+-11 1
+.names a b unused
+11 1
+.end
+";
+    assert_eq!(parse_blif(text).unwrap().num_gates(), 2);
+    let path = std::env::temp_dir().join(format!(
+        "rlim-frontends-dangling-{}.blif",
+        std::process::id()
+    ));
+    std::fs::write(&path, text).unwrap();
+    let loaded = Source::BlifPath(path.clone()).load();
+    let report = Service::new().run(&JobSpec::blif_path(&path));
+    std::fs::remove_file(&path).unwrap();
+    let loaded = loaded.unwrap();
+    assert_eq!((loaded.num_gates(), loaded.num_live_gates()), (1, 1));
+    assert_eq!(report.unwrap().circuit.gates, 1);
 }
 
 const RM3_CLASS: [BackendKind; 3] = [

@@ -86,11 +86,8 @@ fn data_region_wear_identical_to_external_machine() {
 
 #[test]
 fn hosted_runs_baseline_pipeline_output() {
-    // A 2-bit adder built by the pipeline with baseline passes (no
-    // rewriting, topological selection, LIFO allocation) — the modern
-    // replacement for the hand-rolled naive translator the controller
-    // tests used to carry — hosted and checked exhaustively.
-    use rlim::compiler::PassManager;
+    // A 2-bit adder compiled naive (no rewriting, topological selection,
+    // LIFO allocation), hosted and checked exhaustively.
     use rlim::mig::Mig;
 
     let mut mig = Mig::new(4);
@@ -102,13 +99,7 @@ fn hosted_runs_baseline_pipeline_output() {
     mig.add_output(s1);
     mig.add_output(c1);
 
-    let options = CompileOptions::naive();
-    let result = PassManager::baseline().run(&mig, &options);
-    assert_eq!(
-        result.program,
-        compile(&mig, &options).program,
-        "baseline pipeline and the naive preset agree"
-    );
+    let result = compile(&mig, &CompileOptions::naive());
     for bits in 0..16u32 {
         let inputs: Vec<bool> = (0..4).map(|i| (bits >> i) & 1 == 1).collect();
         let mut controller = Controller::host(&result.program).expect("hosts");
