@@ -98,7 +98,7 @@ usage:
   rlim bench   <benchmark> [--policy P] [--max-writes W] [--effort N] [--peephole]
                [--copy-reuse] [--esat] [--esat-nodes N] [--esat-iters N] [-o out.plim]
   rlim fleet   <benchmark> [--arrays N] [--jobs J] [--dispatch D] [--write-budget W]
-               [--effort N] [--threads N] [--simd]
+               [--effort N] [--threads N]
                [--chaos] [--fault-seed N] [--no-recovery]
   rlim serve   [--addr A] [--workers N] [--queue-depth D] [--cache-capacity C]
                [--watch-stdin]
@@ -116,7 +116,6 @@ dispatch: round-robin | least-worn (default)
         rules saturate an e-graph and the cheapest realization is extracted;
         the result is kept only when it is no worse on #I, max writes and
         stdev (--esat-nodes / --esat-iters bound the saturation)
---simd packs same-program fleet jobs into 64-lane word-level passes
 --chaos injects seeded device faults (endurance variability + stuck-at cells);
         the fleet remaps broken cells to spares and retires faulty arrays,
         unless --no-recovery turns the healing off (first fault then aborts)
@@ -588,7 +587,6 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
                 fleet.dispatch = value_of(arg, rest)?.parse().map_err(CliError::usage)?
             }
             "--write-budget" => fleet.write_budget = Some(number(arg, rest)?),
-            "--simd" => fleet.simd = true,
             "--chaos" => chaos = true,
             "--fault-seed" => fault_seed = Some(number(arg, rest)?),
             "--no-recovery" => no_recovery = true,
@@ -631,11 +629,8 @@ fn cmd_fleet(args: &[String]) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "{name}: fleet of {} arrays, {} dispatch{}, {} jobs (alternating naive / endurance-aware)",
-        fleet.arrays,
-        fleet.dispatch,
-        if fleet.simd { " (simd)" } else { "" },
-        fleet.jobs
+        "{name}: fleet of {} arrays, {} dispatch, {} jobs (alternating naive / endurance-aware)",
+        fleet.arrays, fleet.dispatch, fleet.jobs
     );
     let _ = writeln!(
         out,
@@ -903,13 +898,6 @@ mod tests {
                 .code,
             2
         );
-        // Chaos needs per-write readback, which SIMD batches lack.
-        assert_eq!(
-            run_str(&["fleet", "ctrl", "--chaos", "--simd"])
-                .unwrap_err()
-                .code,
-            2
-        );
     }
 
     #[test]
@@ -934,6 +922,8 @@ mod tests {
                 .code,
             2
         );
+        // The fleet picks word-level lanes itself; there is no flag.
+        assert_eq!(run_str(&["fleet", "ctrl", "--simd"]).unwrap_err().code, 2);
     }
 
     #[test]
@@ -952,22 +942,6 @@ mod tests {
         assert!(out.contains("round-robin dispatch"), "{out}");
         // Round-robin over 3 arrays and 6 jobs: 2 jobs each.
         assert!(out.contains("array 2: 2 jobs"), "{out}");
-    }
-
-    #[test]
-    fn fleet_simd_flag_is_wear_neutral() {
-        let base = &["fleet", "int2float", "--arrays", "3", "--jobs", "9"];
-        let scalar = run_str(base).unwrap();
-        let mut with_simd: Vec<&str> = base.to_vec();
-        with_simd.push("--simd");
-        let simd = run_str(&with_simd).unwrap();
-        assert!(simd.contains("least-worn dispatch (simd)"), "{simd}");
-        assert!(!scalar.contains("(simd)"), "{scalar}");
-        // Identical dispatch and wear, line for line, below the header.
-        assert_eq!(
-            scalar.lines().skip(1).collect::<Vec<_>>(),
-            simd.lines().skip(1).collect::<Vec<_>>()
-        );
     }
 
     #[test]
@@ -1095,7 +1069,7 @@ mod tests {
         assert!(text.contains("lifetime:"), "{text}");
 
         let json = run_str(&["report", "int2float", "--policy", "naive", "--json"]).unwrap();
-        assert!(json.starts_with("{\n  \"schema\": 6,"), "{json}");
+        assert!(json.starts_with("{\n  \"schema\": 7,"), "{json}");
         assert!(json.contains("\"label\": \"int2float\""), "{json}");
         assert!(json.contains("\"preset\": \"naive\""), "{json}");
         assert!(json.contains("\"cached\": false"), "{json}");

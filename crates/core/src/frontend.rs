@@ -265,7 +265,7 @@ impl FrontEnd {
     /// The wear summary of the RM3 program `options` compile from this
     /// front end, when the slot of their cap-free option set answers it:
     /// the slot is filled, and `options` set no cap or one at or above
-    /// its translated peak (the rule is in the [module docs](self)).
+    /// its translated peak (the rule is in the module docs).
     /// `None` otherwise; the caller translates.
     ///
     /// Debug builds check every capped answer against a fresh capped

@@ -263,9 +263,10 @@ impl Pass for RewritePass {
 /// e-graph's exact-accounting moves and the greedy depth-aware ones.
 ///
 /// The extraction cost model is an RM3 estimate; the real objective is
-/// what the back end produces. So every round's candidates (raw and
-/// polished) are judged by the actual baseline pipeline (schedule →
-/// translate → finalize under the same options) and the pass keeps the
+/// what the back end produces. So every round's extracted graph (the
+/// round's one candidate: the polished graph only seeds the next round)
+/// is judged by the actual baseline pipeline (schedule → translate →
+/// finalize under the same options) and the pass keeps the
 /// pointwise-best graph on the paper's metrics — `#I`, max per-cell
 /// writes, write-count standard deviation — with ties keeping the
 /// earlier graph. [`crate::compile`] additionally guards the final
@@ -361,33 +362,30 @@ pub(crate) fn esat_search(
         let before = graph.fingerprint();
         let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(graph);
         egraph_saturate(&mut eg, &rules, &budget);
-        let raw = Arc::new(extract_around(&eg, &outputs, &weights, graph, &classes));
-        // Without a rewriting algorithm the polished graph is the raw one,
-        // whose equal score could not win a second time.
-        let polished = options
-            .rewriting
-            .map(|algorithm| Arc::new(rewrite(&raw, algorithm, options.effort)));
-        for cand in std::iter::once(&raw).chain(polished.as_ref()) {
-            if **cand == *start || scored.contains(cand) {
-                continue;
-            }
-            scored.push(Arc::clone(cand));
-            let schedule = Schedule::of(cand, arms[0].selection);
+        let cand = Arc::new(extract_around(&eg, &outputs, &weights, graph, &classes));
+        if *cand != *start && !scored.contains(&cand) {
+            scored.push(Arc::clone(&cand));
+            let schedule = Schedule::of(&cand, arms[0].selection);
             for (arm, program) in best
                 .iter_mut()
-                .zip(translate_arms(cand, &schedule, arms, peak))
+                .zip(translate_arms(&cand, &schedule, arms, peak))
             {
                 let score = WearSummary::of(&program);
                 if score.dominates(&arm.score) {
                     *arm = ArmBest {
-                        graph: Some(Arc::clone(cand)),
+                        graph: Some(Arc::clone(&cand)),
                         program,
                         score,
                     };
                 }
             }
         }
-        let next = polished.unwrap_or(raw);
+        // Only the extraction is scored; its greedy polish seeds the next
+        // round.
+        let next = match options.rewriting {
+            Some(algorithm) => Arc::new(rewrite(&cand, algorithm, options.effort)),
+            None => cand,
+        };
         let fixed_point = next.fingerprint() == before;
         cur = Some(next);
         if fixed_point {

@@ -150,7 +150,6 @@ fn fleet_json(f: &FleetSpec) -> Result<Json, String> {
         ("dispatch", Json::from(f.dispatch.label())),
         ("write_budget", Json::from(f.write_budget)),
         ("input_seed", Json::from(f.input_seed)),
-        ("simd", Json::from(f.simd)),
         (
             "chaos",
             Json::from(f.chaos.as_ref().map(chaos_json).transpose()?),
@@ -257,7 +256,6 @@ fn decode_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
         "dispatch",
         "write_budget",
         "input_seed",
-        "simd",
         "chaos",
     ])?;
     Ok(FleetSpec {
@@ -266,7 +264,6 @@ fn decode_fleet(f: &Fields<'_>) -> Result<FleetSpec, String> {
         dispatch: f.str("dispatch")?.parse()?,
         write_budget: f.opt("write_budget", |j, path| json::as_u64(j, path))?,
         input_seed: f.opt("input_seed", |j, path| json::as_u64(j, path))?,
-        simd: f.bool("simd")?,
         chaos: f.opt("chaos", |j, path| decode_chaos(&Fields::of(j, path)?))?,
     })
 }

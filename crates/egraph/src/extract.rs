@@ -33,20 +33,20 @@
 //!
 //! Tree cost also ignores sharing: a class used by many parents is
 //! charged once per use, so the DP is biased against shared
-//! subgraphs. [`extract`] corrects for that with a bounded **discount
-//! loop**: after each realization, the classes it actually materialized
-//! become free (cost 0) as child contributions — they are already built
-//! — and the sweep reruns. [`extract_around`] additionally anchors the
-//! loop at the realization the e-graph was loaded from and runs an
-//! incremental **refinement** over it first: per-class spelling
-//! switches with exact DAG accounting (marginal-cost trees for new
-//! children, maximum fanout-free cone release for old ones), accepted
-//! only when strictly profitable — so the refined realization is never
-//! worse than the reference. Each candidate realization is scored by
-//! its *true* DAG cost on the rebuilt graph, and the best wins; ties
-//! keep the earliest. Discounting never touches the level restriction,
-//! so the choices stay acyclic no matter how the discounts warp the
-//! costs.
+//! subgraphs. [`extract_around`] corrects for that by anchoring at the
+//! realization the e-graph was loaded from. It first runs an
+//! incremental **refinement** over it: per-class spelling switches with
+//! exact DAG accounting (marginal-cost trees for new children, maximum
+//! fanout-free cone release for old ones), accepted only when strictly
+//! profitable — so the refined realization is never worse than the
+//! reference. Then a bounded **discount loop** starts with the
+//! reference's classes free (cost 0) as child contributions — they are
+//! already built — and after each realization frees exactly the classes
+//! it materialized and reruns the sweep. Each candidate realization is
+//! scored by its *true* DAG cost on the rebuilt graph, and the best
+//! wins; ties keep the earliest. Discounting never touches the level
+//! restriction, so the choices stay acyclic no matter how the discounts
+//! warp the costs.
 
 use rlim_mig::{Mig, NodeId, Signal};
 
@@ -98,31 +98,19 @@ impl Default for CostWeights {
 }
 
 /// Extracts the cheapest realization of `outputs` from `eg` as a fresh
-/// [`Mig`]. The e-graph must be congruence-closed
-/// ([`EGraph::rebuild`]); `outputs` are class signals as returned by
-/// [`EGraph::from_mig`] (stale signals are canonicalized here).
+/// [`Mig`], anchored at the realization the e-graph was loaded from:
+/// `reference` is the loaded graph and `classes` its per-node class
+/// signals (see [`EGraph::from_mig_with_classes`]). The e-graph must be
+/// congruence-closed ([`EGraph::rebuild`]); `outputs` are class signals
+/// as returned by [`EGraph::from_mig_with_classes`] (stale signals are
+/// canonicalized here).
 ///
-/// # Panics
-///
-/// Panics if an output's class has no realization over the leaves —
-/// impossible for classes loaded from a `Mig`, whose original gates
-/// always provide one.
-pub fn extract(eg: &EGraph, outputs: &[Signal], weights: &CostWeights) -> Mig {
-    let search = Search::new(eg, outputs, weights);
-    let mut best = None;
-    search.chain(vec![false; eg.num_classes()], &mut best);
-    best.expect("the discount loop runs at least one round").1
-}
-
-/// Like [`extract`], but anchored at the realization the e-graph was
-/// loaded from: `reference` is the loaded graph and `classes` its
-/// per-node class signals (see [`EGraph::from_mig_with_classes`]). The
-/// reference itself is the first candidate and its classes seed the
-/// discount loop, so the search is DAG-aware local improvement around
-/// the input — alternative spellings whose children the reference
-/// already materializes cost only their local terms. The plain
-/// tree-cost chain still runs for global restructuring; true DAG cost
-/// judges every candidate and ties keep the reference.
+/// The reference itself is the first candidate, its refinement the
+/// second, and its classes seed the discount loop, so the search is
+/// DAG-aware local improvement around the input — alternative spellings
+/// whose children the reference already materializes cost only their
+/// local terms. True DAG cost judges every candidate and ties keep the
+/// reference.
 pub fn extract_around(
     eg: &EGraph,
     outputs: &[Signal],
@@ -143,7 +131,6 @@ pub fn extract_around(
         }
     }
     search.chain(free, &mut best);
-    search.chain(vec![false; eg.num_classes()], &mut best);
     best.expect("the reference is always a candidate").1
 }
 
@@ -737,6 +724,14 @@ mod tests {
     use crate::saturate::{saturate, Budget};
     use rlim_mig::rewrite::rules::omega_rules;
     use rlim_mig::simulate::equiv_random;
+
+    /// The discount chain from an empty free set: plain tree-cost
+    /// extraction, which exercises the level-ordered sweep on its own.
+    fn extract(eg: &EGraph, outputs: &[Signal], weights: &CostWeights) -> Mig {
+        let mut best = None;
+        Search::new(eg, outputs, weights).chain(vec![false; eg.num_classes()], &mut best);
+        best.expect("the chain runs at least one round").1
+    }
 
     fn identical(mig: &Mig, weights: &CostWeights) -> Mig {
         let (mut eg, outs) = EGraph::from_mig(mig);

@@ -16,7 +16,7 @@
 //! * [`saturate`]/[`Budget`] — deterministic rule saturation driven by
 //!   the shared Ω rule descriptions in `rlim_mig::rewrite::rules`,
 //!   bounded by node and iteration budgets.
-//! * [`extract()`]/[`CostWeights`] — a weighted-cost extractor that
+//! * [`extract_around`]/[`CostWeights`] — a weighted-cost extractor that
 //!   rebuilds a plain [`Mig`](rlim_mig::Mig) from the cheapest
 //!   representative of each class. Its cost model (per-gate base,
 //!   estimated RM3 write cost, complemented edges) and its class levels
@@ -36,7 +36,7 @@ mod unionfind;
 
 pub mod extract;
 
-pub use extract::{extract, extract_around, CostWeights};
+pub use extract::{extract_around, CostWeights};
 pub use graph::EGraph;
 pub use saturate::{saturate, Budget, SaturationReport};
 pub use unionfind::UnionFind;

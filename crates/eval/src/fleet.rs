@@ -212,31 +212,6 @@ mod tests {
         }
     }
 
-    /// SIMD-batched dispatch is a pure execution optimisation: the whole
-    /// serialized report — dispatch, outputs-derived wear, retirement —
-    /// matches the scalar run except for the `simd` flag itself.
-    #[test]
-    fn simd_batched_workload_is_wear_identical() {
-        let run = |simd: bool| {
-            let spec = JobSpec::benchmark(Benchmark::Ctrl)
-                .with_options(Column::EnduranceAware.options(2))
-                .with_fleet(
-                    FleetSpec::new(4)
-                        .with_jobs(24)
-                        .with_input_seed(DEFAULT_SEED)
-                        .with_simd(simd),
-                );
-            Service::new().run(&spec).unwrap().to_json_string()
-        };
-        let scalar = run(false);
-        let simd = run(true);
-        assert_eq!(
-            scalar.replace("\"simd\": false", "\"simd\": true"),
-            simd,
-            "simd dispatch changed something besides the flag"
-        );
-    }
-
     #[test]
     fn workload_is_seeded_and_alternating() {
         let spec = balance_spec(Benchmark::Ctrl, 1, 2, 16, DispatchPolicy::LeastWorn, 7);

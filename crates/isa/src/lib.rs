@@ -183,9 +183,11 @@ pub enum ProgramError {
     DuplicateInputCell(CellId),
     /// An instruction reads a cell that is neither a primary input nor
     /// the destination of any earlier instruction (only checked for ISAs
-    /// with [`Isa::REQUIRES_DEFINED_READS`]).
+    /// with [`Isa::REQUIRES_DEFINED_READS`]; see
+    /// [`Program::first_undefined_read`]).
     UndefinedRead {
-        /// Index of the reading instruction.
+        /// Index of the reading instruction; the instruction count for a
+        /// primary output.
         op: usize,
         /// The undefined cell.
         cell: CellId,
@@ -371,23 +373,44 @@ impl<I: Isa> Program<I> {
             check(format!("output {i}"), c)?;
         }
         if I::REQUIRES_DEFINED_READS {
-            // Primary inputs are preloaded; everything else must have been
-            // a destination first. (Dead input cells *may* be recycled as
-            // work cells — writing them is legal; reading garbage is not.)
-            let mut defined = vec![false; self.num_cells];
-            for &c in &self.input_cells {
-                defined[c.index()] = true;
-            }
-            for (i, inst) in self.instructions.iter().enumerate() {
-                for cell in &inst.reads() {
-                    if !defined[cell.index()] {
-                        return Err(ProgramError::UndefinedRead { op: i, cell });
-                    }
-                }
-                defined[inst.destination().index()] = true;
+            if let Some((op, cell)) = self.first_undefined_read() {
+                return Err(ProgramError::UndefinedRead { op, cell });
             }
         }
         Ok(())
+    }
+
+    /// The first read of a cell this program has not defined, as `(op,
+    /// cell)`: instruction `op` reads `cell`, which is neither a primary
+    /// input nor the destination of an earlier instruction. The primary
+    /// outputs are read after the last instruction, as `op ==
+    /// num_instructions()`. `None` means the program's outputs and
+    /// writes do not depend on what the array held before it ran.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell is out of range (see [`Program::validate`]).
+    pub fn first_undefined_read(&self) -> Option<(usize, CellId)> {
+        // Primary inputs are preloaded; everything else must have been a
+        // destination first. (Dead input cells *may* be recycled as work
+        // cells — writing them is legal; reading garbage is not.)
+        let mut defined = vec![false; self.num_cells];
+        for &c in &self.input_cells {
+            defined[c.index()] = true;
+        }
+        for (i, inst) in self.instructions.iter().enumerate() {
+            for cell in &inst.reads() {
+                if !defined[cell.index()] {
+                    return Some((i, cell));
+                }
+            }
+            defined[inst.destination().index()] = true;
+        }
+        let end = self.instructions.len();
+        self.output_cells
+            .iter()
+            .find(|c| !defined[c.index()])
+            .map(|&c| (end, c))
     }
 
     /// Human-readable disassembly, one instruction per line, with an
@@ -534,6 +557,17 @@ mod tests {
             p.validate(),
             Err(ProgramError::UndefinedRead { op: 0, cell }) if cell == c(1)
         ));
+    }
+
+    #[test]
+    fn outputs_are_reads_after_the_last_instruction() {
+        let mut p = sample();
+        assert_eq!(p.first_undefined_read(), None);
+        p.output_cells.push(c(1));
+        assert_eq!(p.first_undefined_read(), None, "an input is defined");
+        p.num_cells = 4;
+        p.output_cells.push(c(3));
+        assert_eq!(p.first_undefined_read(), Some((3, c(3))));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use rlim_benchmarks::Benchmark;
-use rlim_egraph::{extract, extract_around, saturate, Budget, CostWeights, EGraph};
+use rlim_egraph::{extract_around, saturate, Budget, CostWeights, EGraph};
 use rlim_mig::blif::{parse_blif, write_blif};
 use rlim_mig::random::{generate, RandomMigConfig};
 use rlim_mig::rewrite::{rewrite, rules::omega_rules, Algorithm, Pass};
@@ -144,8 +144,6 @@ fn esat_extractions_are_canonical() {
         let (mut eg, outputs, classes) = EGraph::from_mig_with_classes(&start);
         saturate(&mut eg, &omega_rules(), &budget);
         for weights in [CostWeights::endurance(), CostWeights::area()] {
-            let plain = extract(&eg, &outputs, &weights);
-            assert_canonical_with_passes(&format!("{name} extracted"), &plain);
             let around = extract_around(&eg, &outputs, &weights, &start, &classes);
             assert_canonical_with_passes(&format!("{name} extracted around"), &around);
         }

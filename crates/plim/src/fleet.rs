@@ -32,11 +32,35 @@
 //! is static (every execution writes the same cells the same number of
 //! times), so the plan depends only on the job sequence and the fleet's
 //! accumulated wear — never on thread scheduling. Each array's job list
-//! then runs in plan order through one executor (scalar, SIMD lanes, or
-//! scalar with remap-and-retry), arrays in parallel on the workspace pool
-//! [`crate::parallel`] (`threads == 0` means one worker per core, `1`
-//! forces serial). Arrays are disjoint and their results merge in job
-//! order, so serial and parallel runs are byte-identical.
+//! then runs in plan order through one executor, arrays in parallel on
+//! the workspace pool [`crate::parallel`] (`threads == 0` means one
+//! worker per core, `1` forces serial). Arrays are disjoint and their
+//! results merge in job order, so serial and parallel runs are
+//! byte-identical.
+//!
+//! ## Executors
+//!
+//! The fleet picks the executor itself, from its configuration and the
+//! programs it runs:
+//!
+//! * with [`FleetConfig::with_recovery`], scalar runs with
+//!   remap-and-retry;
+//! * with [`FleetConfig::with_faults`] or [`FleetConfig::with_endurance`],
+//!   one scalar [`Machine`] run per job: a word write has no per-lane
+//!   readback, and a failing word write would fail its whole lane group
+//!   at once;
+//! * otherwise, jobs sharing a program run as one word-level
+//!   [`WideMachine`] pass of up to 64 lanes, charging one logical write
+//!   per lane — unless some program on the array reads a cell it has not
+//!   written ([`Program::first_undefined_read`]), since its lanes would
+//!   see the group's snapshot instead of the previous job's leftover
+//!   values; that array's list then runs scalar, as does a list in which
+//!   no two jobs share a program.
+//!
+//! Lanes give the outputs, per-cell write counts and final cell values of
+//! one scalar run per job in dispatch order. Only the arrays' per-cell
+//! *switch* counters ([`Crossbar::switches`]) differ: a word store cannot
+//! observe per-lane flips, so they do not advance for jobs run in lanes.
 //!
 //! ## Example
 //!
@@ -393,8 +417,7 @@ pub struct Fleet {
     slots: Vec<Slot>,
     policy: DispatchPolicy,
     write_budget: Option<u64>,
-    faults: Option<FaultModel>,
-    recovery: Option<RecoveryConfig>,
+    executor: Executor,
     recorder: FaultRecorder,
     /// Round-robin scan position.
     cursor: usize,
@@ -418,12 +441,16 @@ impl Fleet {
                 faults: 0,
             })
             .collect();
+        let executor = match (config.recovery, config.faults, config.endurance) {
+            (Some(recovery), ..) => Executor::Recovering(recovery),
+            (None, None, None) => Executor::Wide,
+            (None, ..) => Executor::Scalar,
+        };
         Fleet {
             slots,
             policy: config.policy,
             write_budget: config.write_budget,
-            faults: config.faults,
-            recovery: config.recovery,
+            executor,
             recorder: FaultRecorder::new(FAULT_LOG_CAPACITY),
             cursor: 0,
             jobs_run: 0,
@@ -438,16 +465,6 @@ impl Fleet {
     /// The per-array write budget, if any.
     pub fn write_budget(&self) -> Option<u64> {
         self.write_budget
-    }
-
-    /// The injected fault model, if the fleet runs under chaos.
-    pub fn fault_model(&self) -> Option<&FaultModel> {
-        self.faults.as_ref()
-    }
-
-    /// The recovery policy, if online recovery is enabled.
-    pub fn recovery(&self) -> Option<&RecoveryConfig> {
-        self.recovery.as_ref()
     }
 
     /// The fleet-wide fault log: every detected fault and what recovery
@@ -561,10 +578,11 @@ impl Fleet {
     /// primary outputs in batch order.
     ///
     /// Dispatch is planned serially first (see the module docs), then each
-    /// array executes its assigned jobs in plan order, arrays in parallel
-    /// over `threads` workers of [`crate::parallel`] (`0` = one per
-    /// available core, `1` = forced serial). Serial and parallel runs
-    /// produce identical outputs and identical wear.
+    /// array executes its assigned jobs in plan order on the executor the
+    /// fleet picks (see the module docs), arrays in parallel over
+    /// `threads` workers of [`crate::parallel`] (`0` = one per available
+    /// core, `1` = forced serial). Serial and parallel runs produce
+    /// identical outputs and identical wear.
     ///
     /// # Errors
     ///
@@ -592,6 +610,15 @@ impl Fleet {
     /// value by definition, and remapping never changes the instruction
     /// sequence. Patched programs are cached for one batch only.
     ///
+    /// Each round plans the pending jobs, runs each array's list on the
+    /// worker pool, and merges the per-array results in job order —
+    /// outputs, fault events, the earliest run-time fault and the wear
+    /// reconciliation. Only a recovering round can end with jobs
+    /// unfinished and no error (the watchdog retired their array); they
+    /// re-plan onto the survivors in the next round. Each such round
+    /// retires at least one array, so a batch runs at most `arrays + 1`
+    /// rounds.
+    ///
     /// # Panics
     ///
     /// Panics if a job's input vector does not match its program's
@@ -601,78 +628,7 @@ impl Fleet {
         jobs: &[Job<'_>],
         threads: usize,
     ) -> Result<Vec<Vec<bool>>, FleetError> {
-        self.run_rounds(jobs, threads, self.executor(false))
-    }
-
-    /// [`Fleet::run_batch`] with the batch packed into SIMD lanes: jobs
-    /// dispatched to the same array that share a program are executed as
-    /// one word-level [`WideMachine`] pass of up to 64 lanes per
-    /// instruction, instead of one scalar run per job.
-    ///
-    /// Dispatch, job outputs and wear are unchanged: the plan is the one
-    /// [`Fleet::run_batch`] would produce, word writes charge one logical
-    /// write per lane so every array's per-cell write counts (and thus all
-    /// [`FleetStats`]) equal the unbatched run's, and serial and parallel
-    /// invocations stay byte-identical. Lane groups commit in order of
-    /// their last dispatched job, so each cell's final stored value is the
-    /// serial last writer's. Two observable deviations, both outside the
-    /// endurance evaluation: per-cell *switch* counts may differ (a word
-    /// store cannot observe per-lane flips), and an endurance failure is
-    /// reported for the first job of the failing lane group — word writes
-    /// fail atomically, never exceeding the serial run's wear.
-    ///
-    /// Programs are assumed state-insensitive — every work cell is
-    /// established (`set0`/`set1`) before it is read, which `rlim-compiler`
-    /// output guarantees and the differential suite asserts. A hand-written
-    /// program that reads a cell it never established may observe different
-    /// garbage lane values than a scalar run.
-    ///
-    /// Fault injection is a scalar-path feature: a word-level write has
-    /// no per-lane readback to verify against, so a fleet configured with
-    /// [`FleetConfig::with_faults`] or [`FleetConfig::with_recovery`]
-    /// runs the batch exactly as [`Fleet::run_batch`] does.
-    ///
-    /// # Errors
-    ///
-    /// As [`Fleet::run_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a job's input vector does not match its program's
-    /// interface.
-    pub fn run_batch_simd(
-        &mut self,
-        jobs: &[Job<'_>],
-        threads: usize,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
-        self.run_rounds(jobs, threads, self.executor(true))
-    }
-
-    /// The executor a batch runs on: remap-and-retry under recovery,
-    /// word-level lanes when `simd` is asked for and no injected fault
-    /// needs a per-write readback, one scalar run per job otherwise.
-    fn executor(&self, simd: bool) -> Executor {
-        match self.recovery {
-            Some(recovery) => Executor::Recovering(recovery),
-            None if simd && self.faults.is_none() => Executor::Wide,
-            None => Executor::Scalar,
-        }
-    }
-
-    /// The one batch loop: plan the pending jobs, run each array's list
-    /// through `executor` on the worker pool, and merge the per-array
-    /// results in job order — outputs, fault events, the earliest run-time
-    /// fault and the wear reconciliation. Only a recovering round can end
-    /// with jobs unfinished and no error (the watchdog retired their
-    /// array); they re-plan onto the survivors in the next round. Each
-    /// such round retires at least one array, so the loop runs at most
-    /// `arrays + 1` rounds.
-    fn run_rounds(
-        &mut self,
-        jobs: &[Job<'_>],
-        threads: usize,
-        executor: Executor,
-    ) -> Result<Vec<Vec<bool>>, FleetError> {
+        let executor = self.executor;
         let mut outputs: Vec<Option<Vec<bool>>> = vec![None; jobs.len()];
         let mut pending: Vec<usize> = (0..jobs.len()).collect();
         while !pending.is_empty() {
@@ -728,6 +684,20 @@ impl Fleet {
             .collect())
     }
 
+    /// An alias of [`Fleet::run_batch`], which picks word-level lanes
+    /// itself.
+    ///
+    /// # Errors
+    ///
+    /// As [`Fleet::run_batch`].
+    pub fn run_batch_simd(
+        &mut self,
+        jobs: &[Job<'_>],
+        threads: usize,
+    ) -> Result<Vec<Vec<bool>>, FleetError> {
+        self.run_batch(jobs, threads)
+    }
+
     /// Plans the `pending` jobs of a batch and commits the plan: wear
     /// totals, job counts, retirement and the round-robin cursor. Returns
     /// each array's list of batch indices (in dispatch order), with every
@@ -781,14 +751,17 @@ impl Fleet {
 }
 
 /// How one array runs its planned job list — the only part of a batch
-/// that differs between the scalar, SIMD and recovering paths.
+/// that differs between the scalar, lane and recovering paths. The fleet
+/// picks one in [`Fleet::new`] (see the module docs).
 #[derive(Debug, Clone, Copy)]
 enum Executor {
     /// One scalar [`Machine`] run per job; the first fault stops the array.
     Scalar,
     /// Jobs sharing a program run as one [`WideMachine`] pass per lane
-    /// group ([`lane_groups`]); a failing word write fails its whole group,
-    /// reported for the group's first job, and stops the array.
+    /// group ([`lane_groups`]), on arrays without an endurance limit or
+    /// fault model, so no word write can fail. An array whose list holds
+    /// a program with an undefined read, or no group of two jobs, runs
+    /// [`Executor::Scalar`].
     Wide,
     /// Scalar runs with remap-and-retry ([`run_with_recovery`]); the
     /// watchdog stops the array by retiring it, and its unfinished jobs
@@ -831,25 +804,29 @@ impl Executor {
                 }
             }
             Executor::Wide => {
-                for group in lane_groups(jobs, list) {
+                let groups = lane_groups(jobs, list);
+                let program = |group: &[usize]| jobs[group[0]].program;
+                // One-job groups gain nothing from lanes, and each program
+                // is checked once, not once per group of its jobs.
+                let mut programs: Vec<&Program> = groups.iter().map(|g| program(g)).collect();
+                programs.sort_by_key(|p| std::ptr::from_ref(*p));
+                programs.dedup_by_key(|p| std::ptr::from_ref(*p));
+                if groups.len() == list.len()
+                    || programs.iter().any(|p| p.first_undefined_read().is_some())
+                {
+                    return Executor::Scalar.run(array, slot, jobs, list);
+                }
+                for group in groups {
                     let lanes = group.len();
                     let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
                     let overlay = WideCrossbar::from_scalar(slot.machine.array());
                     let mut wide = WideMachine::with_array(overlay, lanes);
-                    let outcome = wide.run(jobs[group[0]].program, &lane_inputs);
-                    // Commit even on failure: wear performed before the
-                    // failing word write persists, as in the scalar path.
+                    let lane_outputs = wide
+                        .run(program(&group), &lane_inputs)
+                        .expect("lane arrays have no endurance limit");
                     wide.array()
                         .commit_into(slot.machine.array_mut(), lanes - 1);
-                    match outcome {
-                        Ok(lane_outputs) => {
-                            run.outputs.extend(group.iter().copied().zip(lane_outputs))
-                        }
-                        Err(error) => {
-                            run.fault = Some((group[0], error.into()));
-                            break;
-                        }
-                    }
+                    run.outputs.extend(group.iter().copied().zip(lane_outputs));
                 }
             }
             Executor::Recovering(recovery) => {
@@ -923,15 +900,15 @@ fn run_with_recovery(
     }
 }
 
-/// Packs one array's planned job list into SIMD lane groups: jobs sharing
-/// a program (by reference identity), up to [`WideCrossbar::LANES`] per
+/// Packs one array's planned job list into lane groups: jobs sharing a
+/// program (by reference identity), up to [`WideCrossbar::LANES`] per
 /// group, in dispatch order within each group.
 ///
 /// Groups are returned ordered by their *last* member's batch index, so
 /// that the group committing last on any cell contains the serial last
-/// writer of that cell: a program always writes the same cell set, and a
-/// cell a group's program never writes commits as a no-op (it still holds
-/// the snapshot of the previous commit).
+/// writer of that cell: a program always writes (or preloads) the same
+/// cell set, and a cell a group's program never touches commits as a
+/// no-op (it still holds the snapshot of the previous commit).
 fn lane_groups(jobs: &[Job<'_>], list: &[usize]) -> Vec<Vec<usize>> {
     let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
     for &j in list {
@@ -1362,55 +1339,63 @@ mod tests {
         }
     }
 
+    /// Replays `jobs` on bare scalar machines the way a fresh round-robin
+    /// fleet of `arrays` arrays dispatches them (job `i` on array `i %
+    /// arrays`), and checks the fleet's outputs, per-cell write counts and
+    /// final cell values against the replay.
+    fn assert_matches_replay(fleet: &Fleet, outputs: &[Vec<bool>], jobs: &[Job<'_>]) {
+        let arrays = fleet.slots.len();
+        let mut machines = vec![Machine::with_array(Crossbar::new()); arrays];
+        for (i, job) in jobs.iter().enumerate() {
+            let machine = &mut machines[i % arrays];
+            machine.ensure_cells(job.program.num_cells);
+            let out = machine.run(job.program, job.inputs).unwrap();
+            assert_eq!(outputs[i], out, "job {i} outputs");
+        }
+        for (i, machine) in machines.iter().enumerate() {
+            let array = fleet.array(i);
+            assert_eq!(
+                array.write_counts(),
+                machine.array().write_counts(),
+                "array {i} wear"
+            );
+            assert_eq!(array.values(), machine.array().values(), "array {i} values");
+        }
+    }
+
     #[test]
-    fn simd_batch_matches_scalar_batch() {
+    fn lane_batches_match_a_bare_machine_replay() {
         let a = burn(2);
         let b = burn(5);
         let jobs: Vec<Job<'_>> = (0..70)
             .map(|i| Job::new(if i % 3 == 0 { &b } else { &a }, &[]))
             .collect();
-        let mut scalar = Fleet::new(FleetConfig::new(3));
-        let out_scalar = scalar.run_batch(&jobs, 1).unwrap();
-        let mut simd = Fleet::new(FleetConfig::new(3));
-        let out_simd = simd.run_batch_simd(&jobs, 1).unwrap();
-        let mut simd_par = Fleet::new(FleetConfig::new(3));
-        let out_par = simd_par.run_batch_simd(&jobs, 0).unwrap();
-        assert_eq!(out_scalar, out_simd);
-        assert_eq!(out_simd, out_par);
-        for i in 0..3 {
-            assert_eq!(
-                scalar.array(i).write_counts(),
-                simd.array(i).write_counts(),
-                "array {i} wear must not depend on batching"
-            );
-            assert_eq!(
-                simd.array(i).write_counts(),
-                simd_par.array(i).write_counts(),
-                "array {i} serial vs parallel"
-            );
-            assert_eq!(scalar.jobs_on(i), simd.jobs_on(i), "array {i} dispatch");
+        for threads in [1, 0] {
+            let mut fleet = Fleet::new(FleetConfig::new(3).with_policy(DispatchPolicy::RoundRobin));
+            let outputs = fleet.run_batch(&jobs, threads).unwrap();
+            assert_matches_replay(&fleet, &outputs, &jobs);
         }
     }
 
     #[test]
-    fn simd_groups_cap_at_64_lanes() {
+    fn lane_groups_cap_at_64_lanes() {
         let job = burn(1);
-        let mut fleet = Fleet::new(FleetConfig::new(1));
         let jobs = vec![Job::new(&job, &[]); 130];
-        let out = fleet.run_batch_simd(&jobs, 1).unwrap();
+        // 130 jobs = 64 + 64 + 2 lanes, all wear on cell r0.
+        assert_eq!(lane_groups(&jobs, &(0..130).collect::<Vec<_>>()).len(), 3);
+        let mut fleet = Fleet::new(FleetConfig::new(1));
+        let out = fleet.run_batch(&jobs, 1).unwrap();
         assert_eq!(out.len(), 130);
-        // 130 jobs = 64 + 64 + 2 lane groups, all wear on cell r0.
         assert_eq!(fleet.total_writes(0), 130);
         assert_eq!(fleet.array(0).write_counts()[0], 130);
     }
 
     #[test]
-    fn simd_commit_preserves_serial_last_writer() {
+    fn lane_commits_preserve_the_serial_last_writer() {
         let ones = set_prog(true);
         let zeros = set_prog(false);
         // Jobs [1, 0, 1] group as ones{0, 2} and zeros{1}; ordering groups
-        // by last member commits ones last, matching the serial final
-        // value. A scalar fleet run agrees.
+        // by last member commits ones last, as the serial run ends.
         for jobs in [
             vec![Job::new(&ones, &[]), Job::new(&zeros, &[])],
             vec![
@@ -1419,43 +1404,41 @@ mod tests {
                 Job::new(&ones, &[]),
             ],
         ] {
-            let mut simd = Fleet::new(FleetConfig::new(1));
-            simd.run_batch_simd(&jobs, 1).unwrap();
-            let mut scalar = Fleet::new(FleetConfig::new(1));
-            scalar.run_batch(&jobs, 1).unwrap();
-            assert_eq!(
-                simd.array(0).values(),
-                scalar.array(0).values(),
-                "{} jobs",
-                jobs.len()
-            );
+            let mut fleet = Fleet::new(FleetConfig::new(1));
+            let outputs = fleet.run_batch(&jobs, 1).unwrap();
+            assert_matches_replay(&fleet, &outputs, &jobs);
         }
     }
 
     #[test]
-    fn simd_endurance_failure_is_atomic_per_group() {
-        let job = burn(1);
-        let mut fleet = Fleet::new(FleetConfig::new(1).with_endurance(2));
-        // A 3-lane group needs 3 writes on r0; 3 > 2 fails the whole word
-        // write before any lane executes (conservative: never more wear
-        // than the serial run), reported for the group's first job.
-        let err = fleet
-            .run_batch_simd(&[Job::new(&job, &[]); 3], 1)
-            .unwrap_err();
-        match err {
-            FleetError::Fault {
-                job,
-                array,
-                fault: WriteFault::Worn(error),
-            } => {
-                assert_eq!(job, 0);
-                assert_eq!(array, 0);
-                assert_eq!(error.limit, 2);
-            }
-            other => panic!("expected endurance failure, got {other:?}"),
-        }
-        assert!(fleet.is_retired(0));
-        assert_eq!(fleet.total_writes(0), 0, "no lane executed");
+    fn undefined_reads_run_the_whole_list_scalar() {
+        // `peek` reads r0 without writing it, in its one instruction and
+        // as its output: each run sees what the previous job left there.
+        let peek = Program {
+            instructions: vec![Instruction {
+                p: Operand::Cell(CellId::new(0)),
+                q: Operand::Const(false),
+                z: CellId::new(1),
+            }],
+            num_cells: 2,
+            input_cells: vec![],
+            output_cells: vec![CellId::new(0), CellId::new(1)],
+        };
+        assert_eq!(peek.first_undefined_read(), Some((0, CellId::new(0))));
+        let ones = set_prog(true);
+        let zeros = set_prog(false);
+        // In lanes, both peeks would group together and see one snapshot.
+        let jobs = [
+            Job::new(&ones, &[]),
+            Job::new(&peek, &[]),
+            Job::new(&zeros, &[]),
+            Job::new(&peek, &[]),
+        ];
+        let mut fleet = Fleet::new(FleetConfig::new(1));
+        let outputs = fleet.run_batch(&jobs, 1).unwrap();
+        assert_eq!(outputs[1], vec![true, true]);
+        assert_eq!(outputs[3], vec![false, true]);
+        assert_matches_replay(&fleet, &outputs, &jobs);
     }
 
     #[test]
@@ -1679,26 +1662,6 @@ mod tests {
             serial.fault_log().total_faults() > 0,
             "the scenario must actually exercise recovery"
         );
-    }
-
-    #[test]
-    fn chaos_simd_batches_fall_back_to_the_scalar_path() {
-        let job = burn(1);
-        let jobs = vec![Job::new(&job, &[]); 10];
-        let model = wear_only(4.0);
-        let config = || {
-            FleetConfig::new(1)
-                .with_faults(model)
-                .with_recovery(RecoveryConfig::new().with_spares(4))
-        };
-        for threads in [1, 0] {
-            let mut simd = Fleet::new(config());
-            let out_simd = simd.run_batch_simd(&jobs, threads).unwrap();
-            let mut scalar = Fleet::new(config());
-            assert_eq!(out_simd, scalar.run_batch(&jobs, 1).unwrap());
-            assert_eq!(simd.fault_log(), scalar.fault_log());
-            assert_eq!(simd.array(0).write_counts(), scalar.array(0).write_counts());
-        }
     }
 
     #[test]

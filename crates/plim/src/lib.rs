@@ -24,10 +24,14 @@
 //! the self-hosted [`Controller`] FSM, and the multi-crossbar [`Fleet`]
 //! runtime with endurance-aware dispatch ([`DispatchPolicy`]). Every
 //! fleet batch runs through one plan → execute → collect loop with a
-//! per-array executor: scalar, SIMD lanes ([`Fleet::run_batch_simd`]) or
-//! online fault recovery ([`RecoveryConfig`], [`FaultRecorder`],
-//! [`patch_program`]) over injected device faults
-//! ([`rlim_rram::FaultModel`]). The workspace's one worker pool lives in
+//! per-array executor the fleet picks itself: word-level lanes on ideal
+//! arrays, the scalar [`Machine`] wherever a write can fail or a program
+//! reads a cell it has not written, or online fault recovery
+//! ([`RecoveryConfig`], [`FaultRecorder`], [`patch_program`]) over
+//! injected device faults ([`rlim_rram::FaultModel`]). Every executor
+//! leaves the scalar crossbars with the outputs, write counts and cell
+//! values a one-job-at-a-time [`Machine`] run gives. The workspace's one
+//! worker pool lives in
 //! [`parallel`]. What a program does to its cells is read off the
 //! instruction stream in [`analysis`]: liveness spans, blocked cells and
 //! the longest run of writes to one cell, with no execution needed.

@@ -96,9 +96,9 @@ impl Machine {
         &self.array
     }
 
-    /// Mutable access for the fleet's SIMD path, which commits word-level
-    /// overlays back into the machine's array. Not public: all other wear
-    /// mutation flows through [`Machine::step`].
+    /// Mutable access for the fleet's lane executor, which commits
+    /// word-level overlays back into the machine's array. Not public: all
+    /// other wear mutation flows through [`Machine::step`].
     pub(crate) fn array_mut(&mut self) -> &mut Crossbar {
         &mut self.array
     }

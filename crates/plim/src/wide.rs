@@ -29,9 +29,10 @@
 //! cannot observe), for cycle-accurate endurance failure points (a word
 //! write fails atomically before any lane executes, where the lane-serial
 //! run would perform the below-limit lanes first), and for the hosted
-//! [`Controller`](crate::Controller) FSM. Everything measured by the
-//! paper's tables — values, per-cell write counts, lifetime projections —
-//! is lane-exact here.
+//! [`Controller`](crate::Controller) FSM. So the [`Fleet`](crate::Fleet)
+//! runs the scalar machine wherever a write can fail. Everything measured
+//! by the paper's tables — values, per-cell write counts, lifetime
+//! projections — is lane-exact here.
 
 use rlim_rram::{EnduranceError, WideCrossbar};
 

@@ -110,6 +110,13 @@ mod tests {
     }
 
     #[test]
+    fn endurance_below_the_peak_survives_no_run() {
+        assert_eq!(executions_until_failure([1, 5], 2), 0);
+        assert_eq!(fleet_executions_until_exhaustion([5; 4], 2), 0);
+        assert_eq!(fleet_executions_until_first_failure([5, 1], 2), 0);
+    }
+
+    #[test]
     fn extension_factor() {
         assert_eq!(lifetime_extension_factor(100, 10), 10.0);
         assert_eq!(lifetime_extension_factor(10, 10), 1.0);

@@ -80,13 +80,13 @@ use rlim_rram::FaultModel;
 /// The service front end: compiles [`JobSpec`]s into [`Report`]s.
 ///
 /// A `Service` is cheap to construct and stateless between calls; it
-/// carries only run-wide configuration (worker threads, the endurance
-/// constant used for lifetime projections). State that outlives a call,
-/// such as a [`FrontEnds`] memo, belongs to the caller.
+/// carries only run-wide configuration (worker threads). Lifetime
+/// projections assume HfOx endurance ([`ENDURANCE_HFOX`], 10¹⁰
+/// writes/cell). State that outlives a call, such as a [`FrontEnds`]
+/// memo, belongs to the caller.
 #[derive(Debug, Clone, Copy)]
 pub struct Service {
     threads: usize,
-    endurance: u64,
 }
 
 impl Default for Service {
@@ -177,13 +177,9 @@ fn index_of<T: PartialEq>(items: &mut Vec<T>, item: T) -> usize {
 
 impl Service {
     /// A service with default configuration: one worker per available
-    /// core and HfOx endurance (10¹⁰ writes/cell) for lifetime
-    /// projections.
+    /// core.
     pub fn new() -> Self {
-        Service {
-            threads: 0,
-            endurance: ENDURANCE_HFOX,
-        }
+        Service { threads: 0 }
     }
 
     /// Sets the worker-thread count for batch runs (and for the fleet
@@ -192,12 +188,6 @@ impl Service {
     /// reports.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Overrides the per-cell endurance assumed by lifetime projections.
-    pub fn with_endurance(mut self, endurance: u64) -> Self {
-        self.endurance = endurance;
         self
     }
 
@@ -410,9 +400,9 @@ impl Service {
         let fleet_arrays = spec.projection_arrays();
         // Every array runs the same program, so the fleet's capacity
         // Σᵢ ⌊E / peakᵢ⌋ is `fleet_arrays` equal terms.
-        let single_array_runs = executions_until_failure([wear.writes.max], self.endurance);
+        let single_array_runs = executions_until_failure([wear.writes.max], ENDURANCE_HFOX);
         let lifetime = LifetimeProjection {
-            endurance: self.endurance,
+            endurance: ENDURANCE_HFOX,
             single_array_runs,
             fleet_arrays,
             fleet_runs: single_array_runs
@@ -505,11 +495,7 @@ impl Service {
         }
         let mut fleet = Fleet::new(config);
         let start = Instant::now();
-        if fs.simd {
-            fleet.run_batch_simd(&jobs, threads)?;
-        } else {
-            fleet.run_batch(&jobs, threads)?;
-        }
+        fleet.run_batch(&jobs, threads)?;
         let seconds = start.elapsed().as_secs_f64();
 
         let stats = fleet.stats();
@@ -536,7 +522,6 @@ impl Service {
         Ok(FleetReport {
             arrays: fs.arrays,
             dispatch: fs.dispatch.label(),
-            simd: fs.simd,
             jobs: fs.jobs,
             heavy_instructions: heavy.num_instructions(),
             light_instructions: light.num_instructions(),
@@ -738,18 +723,15 @@ mod tests {
     fn lifetime_projection_is_one_saturating_product() {
         use rlim_rram::lifetime::fleet_executions_until_exhaustion;
         let spec = JobSpec::benchmark(Benchmark::Ctrl);
-        // HfOx endurance, and one below ctrl's peak (no run survives).
-        for service in [Service::new(), Service::new().with_endurance(2)] {
-            for arrays in [1, 2, 7, 4096] {
-                let report = service
-                    .run(&spec.clone().with_projection_arrays(arrays))
-                    .unwrap();
-                let summed = fleet_executions_until_exhaustion(
-                    std::iter::repeat_n(report.writes.max, arrays),
-                    service.endurance,
-                );
-                assert_eq!(report.lifetime.fleet_runs, summed, "{arrays} arrays");
-            }
+        for arrays in [1, 2, 7, 4096] {
+            let report = Service::new()
+                .run(&spec.clone().with_projection_arrays(arrays))
+                .unwrap();
+            let summed = fleet_executions_until_exhaustion(
+                std::iter::repeat_n(report.writes.max, arrays),
+                ENDURANCE_HFOX,
+            );
+            assert_eq!(report.lifetime.fleet_runs, summed, "{arrays} arrays");
         }
         let huge = Service::new()
             .run(&spec.with_projection_arrays(usize::MAX))

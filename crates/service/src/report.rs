@@ -11,7 +11,7 @@ use crate::json::Json;
 /// JSON schema version stamped into every serialized report. Bump when a
 /// key is added, removed or re-typed; the golden schema test pins the
 /// current shape.
-pub const REPORT_SCHEMA_VERSION: u64 = 6;
+pub const REPORT_SCHEMA_VERSION: u64 = 7;
 
 /// The circuit interface behind a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,8 +79,6 @@ pub struct FleetReport {
     pub arrays: usize,
     /// Dispatch policy label (`"round-robin"` / `"least-worn"`).
     pub dispatch: &'static str,
-    /// Whether dispatch was SIMD-batched into word-level lane groups.
-    pub simd: bool,
     /// Jobs dispatched.
     pub jobs: usize,
     /// `#I` of the heavy (naive) program in the alternating stream.
@@ -216,7 +214,6 @@ impl Report {
             Some(f) => Json::object([
                 ("arrays", Json::from(f.arrays)),
                 ("dispatch", Json::from(f.dispatch)),
-                ("simd", Json::Bool(f.simd)),
                 ("jobs", Json::from(f.jobs)),
                 ("heavy_instructions", Json::from(f.heavy_instructions)),
                 ("light_instructions", Json::from(f.light_instructions)),

@@ -259,11 +259,6 @@ pub struct FleetSpec {
     /// Seed for per-job random primary inputs; `None` drives all-false
     /// inputs on every job.
     pub input_seed: Option<u64>,
-    /// Whether dispatch is SIMD-batched: same-program jobs on an array
-    /// execute as one word-level pass of up to 64 lanes
-    /// (`Fleet::run_batch_simd`), with identical dispatch, outputs and
-    /// per-cell write counts.
-    pub simd: bool,
     /// Chaos mode: inject device faults (and, unless disabled, recover
     /// from them online); `None` runs on ideal devices.
     pub chaos: Option<ChaosSpec>,
@@ -279,7 +274,6 @@ impl FleetSpec {
             dispatch: DispatchPolicy::LeastWorn,
             write_budget: None,
             input_seed: None,
-            simd: false,
             chaos: None,
         }
     }
@@ -305,12 +299,6 @@ impl FleetSpec {
     /// Seeds per-job random primary inputs.
     pub fn with_input_seed(mut self, seed: u64) -> Self {
         self.input_seed = Some(seed);
-        self
-    }
-
-    /// Enables (or disables) SIMD-batched dispatch.
-    pub fn with_simd(mut self, simd: bool) -> Self {
-        self.simd = simd;
         self
     }
 
@@ -493,12 +481,6 @@ impl JobSpec {
                 "fleet workloads require an RM3 backend (the fleet executes RM3 programs)",
             );
         }
-        if fleet.chaos.is_some() && fleet.simd {
-            return invalid(
-                "chaos mode requires scalar dispatch (word-level writes have no per-lane \
-                 readback, so SIMD batches cannot write-verify)",
-            );
-        }
         Ok(())
     }
 
@@ -656,10 +638,6 @@ pub(crate) mod tests {
                 fleet(FleetSpec::new(2)).with_backend(BackendKind::Imp),
                 "require an RM3 backend",
             ),
-            (
-                fleet(chaos(ChaosSpec::new(1)).with_simd(true)),
-                "requires scalar dispatch",
-            ),
         ]
     }
 
@@ -711,7 +689,6 @@ pub(crate) mod tests {
             JobSpec::benchmark(Benchmark::Ctrl)
                 .with_backend(BackendKind::WideRm3)
                 .with_fleet(FleetSpec::new(1).with_chaos(chaos.with_stuck_probability(1.0))),
-            JobSpec::benchmark(Benchmark::Ctrl).with_fleet(FleetSpec::new(1).with_simd(true)),
         ] {
             assert_eq!(spec.validate(), Ok(()), "{spec:?}");
         }

@@ -54,8 +54,8 @@ use rlim_compiler::{
 use rlim_isa::Program as IsaProgram;
 use rlim_mig::{equiv_random, Mig};
 use rlim_plim::parallel::parallel_map;
-use rlim_plim::{run_once, run_once_wide, Program};
-use rlim_rram::WideCrossbar;
+use rlim_plim::{run_once, run_once_wide, DispatchPolicy, Job, Machine, Program};
+use rlim_rram::{Crossbar, WideCrossbar};
 
 /// Largest input count that is verified exhaustively by default.
 ///
@@ -523,6 +523,45 @@ pub fn sampled_inputs(num_inputs: usize, rounds: usize, seed: u64) -> Vec<Vec<bo
         out.push((0..num_inputs).map(|_| rng.gen()).collect());
     }
     out
+}
+
+/// Replays a fleet batch on bare scalar [`Machine`]s, one per array, in
+/// the order a fresh, unbudgeted fleet of `arrays` arrays dispatches it
+/// under `policy`: round-robin runs job `i` on array `i % arrays`,
+/// least-worn on the array with the fewest writes so far (lowest index
+/// on ties). Returns the outputs in job order and the machines in array
+/// order — what every fleet executor must reproduce, output for output
+/// and cell for cell.
+///
+/// # Panics
+///
+/// Panics if `arrays` is zero or a job's inputs do not fit its program.
+pub fn replay_fleet(
+    arrays: usize,
+    policy: DispatchPolicy,
+    jobs: &[Job<'_>],
+) -> (Vec<Vec<bool>>, Vec<Machine>) {
+    let mut machines = vec![Machine::with_array(Crossbar::new()); arrays];
+    let mut totals = vec![0u64; arrays];
+    let outputs = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, job)| {
+            let array = match policy {
+                DispatchPolicy::RoundRobin => i % arrays,
+                DispatchPolicy::LeastWorn => (0..arrays)
+                    .min_by_key(|&a| (totals[a], a))
+                    .expect("a fleet has arrays"),
+            };
+            totals[array] += job.cost();
+            let machine = &mut machines[array];
+            machine.ensure_cells(job.program.num_cells);
+            machine
+                .run(job.program, job.inputs)
+                .expect("bare arrays have no endurance limit")
+        })
+        .collect();
+    (outputs, machines)
 }
 
 /// FNV-1a, for decorrelating per-label seeds.

@@ -15,6 +15,7 @@ use rlim::plim::{
     run_once, run_once_wide, DispatchPolicy, Fleet, FleetConfig, Job, Machine, WideMachine,
 };
 use rlim::rram::WideCrossbar;
+use rlim_testkit::replay_fleet;
 
 /// Strategy: a seeded random MIG configuration small enough for
 /// debug-mode compile+execute rounds (same shape as property_based.rs).
@@ -211,9 +212,10 @@ proptest! {
         }
     }
 
-    /// (c) SIMD fleet dispatch on random graphs and workloads: outputs
-    /// and per-array per-cell wear match the unbatched dispatcher for
-    /// every policy, serial and parallel.
+    /// (c) Fleet lanes on random graphs and workloads: outputs, per-cell
+    /// wear and final cell values match a one-job-at-a-time replay on
+    /// bare machines in dispatch order, for every policy, serial and
+    /// parallel.
     #[test]
     fn simd_fleet_matches_unbatched_on_random_workloads(
         mig in mig_strategy(),
@@ -237,29 +239,26 @@ proptest! {
             .map(|(&h, inputs)| Job::new(if h { &heavy.program } else { &light.program }, inputs))
             .collect();
 
-        let mut scalar = Fleet::new(FleetConfig::new(arrays).with_policy(policy));
-        let out_scalar = scalar.run_batch(&job_list, 1).expect("no limits configured");
-        let mut serial = Fleet::new(FleetConfig::new(arrays).with_policy(policy));
-        let out_serial = serial.run_batch_simd(&job_list, 1).expect("no limits configured");
-        let mut parallel = Fleet::new(FleetConfig::new(arrays).with_policy(policy));
-        let out_parallel = parallel.run_batch_simd(&job_list, 0).expect("no limits configured");
-
-        prop_assert_eq!(&out_serial, &out_scalar);
-        prop_assert_eq!(&out_serial, &out_parallel);
-        for (out, inputs) in out_serial.iter().zip(&input_sets) {
+        let (out_replay, machines) = replay_fleet(arrays, policy, &job_list);
+        for (out, inputs) in out_replay.iter().zip(&input_sets) {
             prop_assert_eq!(out, &mig.evaluate(inputs));
         }
-        for i in 0..arrays {
-            prop_assert_eq!(
-                serial.array(i).write_counts(),
-                scalar.array(i).write_counts(),
-                "array {} serial wear", i
-            );
-            prop_assert_eq!(
-                parallel.array(i).write_counts(),
-                scalar.array(i).write_counts(),
-                "array {} parallel wear", i
-            );
+        for threads in [1, 0] {
+            let mut fleet = Fleet::new(FleetConfig::new(arrays).with_policy(policy));
+            let out = fleet.run_batch(&job_list, threads).expect("no limits configured");
+            prop_assert_eq!(&out, &out_replay, "threads={}", threads);
+            for (i, machine) in machines.iter().enumerate() {
+                prop_assert_eq!(
+                    fleet.array(i).write_counts(),
+                    machine.array().write_counts(),
+                    "array {} wear, threads={}", i, threads
+                );
+                prop_assert_eq!(
+                    fleet.array(i).values(),
+                    machine.array().values(),
+                    "array {} values, threads={}", i, threads
+                );
+            }
         }
     }
 }

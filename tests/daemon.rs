@@ -521,12 +521,11 @@ fn fleet_strategy() -> impl Strategy<Value = FleetSpec> {
         any::<bool>(),
         (any::<bool>(), 1u64..100_000),
         (any::<bool>(), any::<u64>()),
-        any::<bool>(),
         (any::<bool>(), chaos_strategy()).prop_map(|(some, c)| some.then_some(c)),
     )
         .prop_map(
-            |(arrays, jobs, round_robin, (some_b, budget), (some_s, seed), simd, chaos)| {
-                let mut fleet = FleetSpec::new(arrays).with_jobs(jobs).with_simd(simd);
+            |(arrays, jobs, round_robin, (some_b, budget), (some_s, seed), chaos)| {
+                let mut fleet = FleetSpec::new(arrays).with_jobs(jobs);
                 if round_robin {
                     fleet = fleet.with_dispatch(rlim::plim::DispatchPolicy::RoundRobin);
                 }
@@ -634,7 +633,7 @@ impl Parts {
 }
 
 /// Number of distinct single-field edits [`edit_one`] knows.
-const EDITS: usize = 28;
+const EDITS: usize = 27;
 
 /// `parts` with exactly one key-relevant field changed. An edit inside
 /// an absent fleet or chaos rider adds the rider instead.
@@ -695,8 +694,7 @@ fn edit_one(mut p: Parts, which: usize) -> Parts {
                 }
                 17 => f.write_budget = Some(f.write_budget.map_or(1, |b| b + 1)),
                 18 => f.input_seed = Some(f.input_seed.map_or(0, |s| s.wrapping_add(1))),
-                19 => f.simd ^= true,
-                20 => f.chaos = f.chaos.xor(Some(ChaosSpec::new(0))),
+                19 => f.chaos = f.chaos.xor(Some(ChaosSpec::new(0))),
                 _ => {
                     let Some(c) = f.chaos.as_mut() else {
                         f.chaos = Some(ChaosSpec::new(0));
@@ -704,18 +702,18 @@ fn edit_one(mut p: Parts, which: usize) -> Parts {
                     };
                     // Float edits stay on values exact at wire precision.
                     match which {
-                        21 => c.fault_seed = c.fault_seed.wrapping_add(1),
-                        22 => c.endurance_median += 1.0,
-                        23 => c.endurance_sigma = if c.endurance_sigma == 0.5 { 0.25 } else { 0.5 },
-                        24 => {
+                        20 => c.fault_seed = c.fault_seed.wrapping_add(1),
+                        21 => c.endurance_median += 1.0,
+                        22 => c.endurance_sigma = if c.endurance_sigma == 0.5 { 0.25 } else { 0.5 },
+                        23 => {
                             c.stuck_probability = if c.stuck_probability == 0.375 {
                                 0.01
                             } else {
                                 0.375
                             }
                         }
-                        25 => c.recovery ^= true,
-                        26 => c.spares += 1,
+                        24 => c.recovery ^= true,
+                        25 => c.spares += 1,
                         _ => c.max_faults += 1,
                     }
                 }
@@ -1123,7 +1121,6 @@ fn invalid_specs_are_refused_before_the_queue() {
         fleet(FleetSpec::new(0)),
         ctrl().with_projection_arrays(0),
         fleet(FleetSpec::new(2)).with_backend(BackendKind::Imp),
-        fleet(chaos(ChaosSpec::new(1)).with_simd(true)),
     ];
     for spec in &invalid {
         match client.submit(spec).unwrap() {

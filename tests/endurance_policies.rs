@@ -5,8 +5,11 @@
 
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::{compile, CompileOptions};
+use rlim::plim::parallel::parallel_map;
 use rlim::plim::{DispatchPolicy, Fleet, FleetConfig, Job, Machine};
 use rlim::rram::lifetime::executions_until_failure;
+use rlim::service::Source;
+use rlim_testkit::replay_fleet;
 
 #[test]
 fn max_write_budget_is_hard_bound_on_every_benchmark() {
@@ -189,13 +192,44 @@ fn fleet_serial_and_parallel_runs_are_identical() {
     }
 }
 
+/// The fleet runs word-level lanes only on arrays whose programs all
+/// write each cell before reading it. Every program a service fleet runs
+/// — the naive heavy twin and the light program under each preset, a
+/// write cap, and copy-reuse with peephole — passes that check on every
+/// benchmark, so service fleets always get lanes.
+#[test]
+fn fleet_programs_never_read_an_undefined_cell() {
+    let ea = CompileOptions::endurance_aware();
+    let sets = [
+        CompileOptions::naive(),
+        CompileOptions::plim_compiler(),
+        CompileOptions::min_write(),
+        CompileOptions::endurance_rewriting(),
+        ea,
+        ea.with_max_writes(20),
+        ea.with_copy_reuse(true).with_peephole(true),
+    ];
+    let failures = parallel_map(Benchmark::all().to_vec(), 2, |benchmark| {
+        let mig = Source::Benchmark(benchmark)
+            .load()
+            .expect("benchmarks load");
+        sets.iter()
+            .filter_map(|options| {
+                let read = compile(&mig, options).program.first_undefined_read()?;
+                Some(format!("{benchmark} {options:?}: {read:?}"))
+            })
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(failures.concat(), Vec::<String>::new());
+}
+
 #[test]
 fn simd_batched_fleet_matches_unbatched_dispatch() {
-    // SIMD lane-batching is a pure execution optimisation: on the same
-    // alternating heavy/light workload it must produce byte-identical
-    // outputs serial vs parallel, and the fleet's wear bookkeeping —
-    // per-cell counts, per-array stats, FleetStats totals — must match
-    // the unbatched dispatcher exactly (wear is counted per *logical*
+    // The fleet runs same-program jobs as word-level lanes on ideal
+    // arrays. That is a pure execution choice: on the alternating
+    // heavy/light workload the outputs, per-cell write counts and final
+    // cell values equal a one-job-at-a-time replay on bare machines in
+    // dispatch order, serial and parallel (wear is counted per *logical*
     // write, so packing 64 jobs into one word pass changes nothing).
     let mig = Benchmark::Ctrl.build();
     let heavy = compile(&mig, &CompileOptions::naive());
@@ -204,35 +238,25 @@ fn simd_batched_fleet_matches_unbatched_dispatch() {
     let jobs = Job::alternating(&heavy.program, &light.program, &inputs, 20);
 
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::LeastWorn] {
-        let mut scalar = Fleet::new(FleetConfig::new(4).with_policy(policy));
-        let out_scalar = scalar.run_batch(&jobs, 1).expect("unbatched run");
-        let mut serial = Fleet::new(FleetConfig::new(4).with_policy(policy));
-        let out_serial = serial.run_batch_simd(&jobs, 1).expect("simd serial run");
-        let mut parallel = Fleet::new(FleetConfig::new(4).with_policy(policy));
-        let out_parallel = parallel
-            .run_batch_simd(&jobs, 0)
-            .expect("simd parallel run");
-
-        assert_eq!(out_serial, out_parallel, "{policy:?}");
-        assert_eq!(out_serial, out_scalar, "{policy:?}");
+        let (out_replay, machines) = replay_fleet(4, policy, &jobs);
         let expect = mig.evaluate(&inputs);
-        for out in &out_serial {
-            assert_eq!(out, &expect, "{policy:?}");
-        }
-        // Wear totals and distributions match the unbatched dispatcher.
-        assert_eq!(serial.stats().wear, scalar.stats().wear, "{policy:?}");
-        assert_eq!(parallel.stats().wear, scalar.stats().wear, "{policy:?}");
-        for i in 0..4 {
-            assert_eq!(
-                serial.array(i).write_counts(),
-                scalar.array(i).write_counts(),
-                "{policy:?} array {i} serial"
-            );
-            assert_eq!(
-                parallel.array(i).write_counts(),
-                scalar.array(i).write_counts(),
-                "{policy:?} array {i} parallel"
-            );
+        assert!(out_replay.iter().all(|out| out == &expect), "{policy:?}");
+        for threads in [1, 0] {
+            let mut fleet = Fleet::new(FleetConfig::new(4).with_policy(policy));
+            let out = fleet
+                .run_batch(&jobs, threads)
+                .expect("no limits configured");
+            assert_eq!(out, out_replay, "{policy:?} threads={threads}");
+            for (i, machine) in machines.iter().enumerate() {
+                let what = format!("{policy:?} threads={threads} array {i}");
+                assert_eq!(
+                    fleet.array(i).write_counts(),
+                    machine.array().write_counts(),
+                    "{what}"
+                );
+                assert_eq!(fleet.array(i).values(), machine.array().values(), "{what}");
+                assert_eq!(fleet.total_writes(i), machine.cycles(), "{what}");
+            }
         }
     }
 }

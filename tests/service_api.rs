@@ -83,7 +83,6 @@ const FLEET_SCHEMA_SUFFIX: &str = "\
 $.program: string
 $.fleet.arrays: int
 $.fleet.dispatch: string
-$.fleet.simd: bool
 $.fleet.jobs: int
 $.fleet.heavy_instructions: int
 $.fleet.light_instructions: int
@@ -223,7 +222,7 @@ fn report_json_golden_document() {
     let report = Service::new().run(&spec).unwrap();
     let json = report.to_json_string();
     for needle in [
-        "\"schema\": 6,\n",
+        "\"schema\": 7,\n",
         "\"label\": \"int2float\",\n",
         "\"backend\": \"rm3\",\n",
         "\"preset\": \"naive\",\n",
@@ -443,7 +442,7 @@ const CHAOS_REQUEST_GOLDEN: &str = "{\"verb\":\"job\",\"spec\":{\
 \"allocation\":\"lifo\",\"max_writes\":null,\"peephole\":false,\
 \"copy_reuse\":false,\"esat\":false,\"esat_nodes\":50000,\"esat_iters\":4},\
 \"fleet\":{\"arrays\":2,\"jobs\":6,\"dispatch\":\"least-worn\",\
-\"write_budget\":null,\"input_seed\":7,\"simd\":false,\
+\"write_budget\":null,\"input_seed\":7,\
 \"chaos\":{\"fault_seed\":3,\"endurance_median\":4096.0,\
 \"endurance_sigma\":0.2500,\"stuck_probability\":0.0100,\
 \"recovery\":true,\"spares\":8,\"max_faults\":64}},\
