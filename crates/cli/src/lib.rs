@@ -19,8 +19,8 @@ use std::fs;
 use std::path::Path;
 
 use rlim_benchmarks::Benchmark;
-use rlim_compiler::{Backend, CompileOptions, Rm3Backend};
-use rlim_plim::{asm, Program};
+use rlim_compiler::CompileOptions;
+use rlim_plim::{asm, Machine, Program};
 use rlim_rram::{WearMap, WriteStats};
 use rlim_service::json::Json;
 use rlim_service::options::{self, Flag, OptionRow};
@@ -713,8 +713,8 @@ fn cmd_run(args: &[String]) -> Result<String, CliError> {
             inputs.len()
         )));
     }
-    let outputs = Rm3Backend
-        .execute(&program, &inputs)
+    let outputs = Machine::for_program(&program)
+        .run(&program, &inputs)
         .map_err(|e| CliError::run(e.to_string()))?;
     let rendered: String = outputs.iter().map(|&b| if b { '1' } else { '0' }).collect();
     Ok(format!("outputs: {rendered}\n"))

@@ -35,12 +35,12 @@
 
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
+use rlim_imp::{synthesize, ImpOp, ImpSynthOptions};
 use rlim_isa::{Isa, Program};
 use rlim_mig::rewrite::{rewrite, Algorithm};
 use rlim_mig::Mig;
 use rlim_rram::WriteStats;
 
-use crate::backend::{Backend, ImpBackend};
 use crate::options::{CompileOptions, Selection};
 use crate::pipeline::Schedule;
 
@@ -104,7 +104,7 @@ impl WearSummary {
 ///
 /// ```
 /// use rlim_compiler::{
-///     compile, compile_front, Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, WearSummary,
+///     compile, compile_front, CompileOptions, FrontEnd, FrontKey, WearSummary,
 /// };
 /// use rlim_mig::Mig;
 ///
@@ -135,7 +135,7 @@ impl WearSummary {
 /// // They share the summary of their IMPLY program too: one synthesis.
 /// let capped = CompileOptions { max_writes: Some(3), ..options };
 /// assert!(std::ptr::eq(front.imp_summary(&options), front.imp_summary(&capped)));
-/// let program = ImpBackend.compile(&mig, &capped);
+/// let program = front.imp_program(&capped);
 /// assert_eq!(*front.imp_summary(&capped), WearSummary::of(&program));
 /// ```
 #[derive(Debug)]
@@ -245,10 +245,46 @@ impl FrontEnd {
         })
     }
 
-    /// The wear summary of the IMPLY program `options` compile from this
-    /// front end, synthesized ([`ImpBackend`]) on the first call for
-    /// `options`' allocation policy; every later call for that policy
-    /// answers from the slot, whatever the other options.
+    /// The IMPLY program `options` compile from this front end: NAND
+    /// synthesis (paper §II) of its graph.
+    ///
+    /// Of the [`CompileOptions`], IMPLY synthesis honours:
+    ///
+    /// * `rewriting` and `effort`: the graph is rewritten first, as for
+    ///   RM3 (they pick the front end);
+    /// * `allocation`: LIFO or minimum-write cell reuse.
+    ///
+    /// It ignores `selection` (gates are synthesised in index order),
+    /// `max_writes` (no cell is retired, so the report's `max` can exceed
+    /// the cap), `copy_reuse`, `esat` with its budgets, and `peephole`.
+    /// Synthesis skips every gate no output reaches, and a later operation
+    /// reads every write it makes, so it emits no dead write for
+    /// [`elide_dead_writes`](crate::elide_dead_writes) to remove (a test
+    /// checks this on every benchmark). A report still echoes every
+    /// option it was given: `rlim report div --backend imp --max-writes
+    /// 20 --json` shows `"max_writes": 20` beside `"max": 1609`. Such
+    /// specs are accepted, not rejected, because a client may send one
+    /// option set to every backend.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `options` name another rewriting than this front end's.
+    pub fn imp_program(&self, options: &CompileOptions) -> Program<ImpOp> {
+        assert!(
+            self.serves(options),
+            "a front end compiles only the rewriting it was built with"
+        );
+        synthesize(
+            &self.graph,
+            &ImpSynthOptions {
+                allocation: options.allocation,
+            },
+        )
+    }
+
+    /// The wear summary of [`FrontEnd::imp_program`], synthesized on the
+    /// first call for `options`' allocation policy; every later call for
+    /// that policy answers from the slot, whatever the other options.
     ///
     /// # Panics
     ///
@@ -259,7 +295,7 @@ impl FrontEnd {
             "a front end compiles only the rewriting it was built with"
         );
         self.imp[options.allocation as usize]
-            .get_or_init(|| WearSummary::of(&ImpBackend.compile_front(self, options)))
+            .get_or_init(|| WearSummary::of(&self.imp_program(options)))
     }
 
     /// The wear summary of the RM3 program `options` compile from this
@@ -353,6 +389,7 @@ mod tests {
     use super::*;
     use crate::options::Allocation;
     use rlim_benchmarks::Benchmark;
+    use rlim_imp::ImpMachine;
     use rlim_mig::random::{generate, RandomMigConfig};
 
     fn presets() -> impl Iterator<Item = CompileOptions> {
@@ -407,6 +444,108 @@ mod tests {
             }
             assert_eq!(filled(&front), 2, "{preset:?}");
             assert_eq!(front.heap_bytes(), bytes, "the slots are inline");
+        }
+    }
+
+    /// The IMPLY program passes the allocation policy through and matches
+    /// the direct synthesis entry point.
+    #[test]
+    fn imp_program_matches_direct_synthesis() {
+        let mig = generate(&RandomMigConfig::default(), 7);
+        let naive = CompileOptions::naive();
+        let front = FrontEnd::build(&mig, FrontKey::of(&naive));
+        assert_eq!(
+            front.imp_program(&naive),
+            synthesize(&mig, &ImpSynthOptions::lifo())
+        );
+        let min_write = CompileOptions {
+            allocation: Allocation::MinWrite,
+            ..naive
+        };
+        assert_eq!(
+            front.imp_program(&min_write),
+            synthesize(&mig, &ImpSynthOptions::min_write())
+        );
+    }
+
+    /// Rewriting flows into IMPLY synthesis through the front end: the
+    /// rewritten and the raw graph give programs of the same function.
+    #[test]
+    fn imp_program_applies_rewriting() {
+        let mig = generate(&RandomMigConfig::default(), 9);
+        let [rewritten, raw] = [CompileOptions::endurance_aware(), CompileOptions::naive()]
+            .map(|options| FrontEnd::build(&mig, FrontKey::of(&options)).imp_program(&options));
+        let inputs = vec![true; mig.num_inputs()];
+        let run = |program: &Program<ImpOp>| {
+            ImpMachine::for_program(program)
+                .run(program, &inputs)
+                .expect("no endurance limit")
+        };
+        assert_eq!(run(&rewritten), mig.evaluate(&inputs));
+        assert_eq!(run(&raw), mig.evaluate(&inputs));
+    }
+
+    /// The documented contract of [`FrontEnd::imp_program`]: options that
+    /// differ only in `selection`, `max_writes`, `copy_reuse`, `esat` and
+    /// its budgets, or `peephole` give equal programs.
+    #[test]
+    fn imp_program_ignores_every_option_but_allocation() {
+        let mig = generate(&RandomMigConfig::default(), 5);
+        for preset in presets() {
+            let front = FrontEnd::build(&mig, FrontKey::of(&preset));
+            let program = front.imp_program(&preset);
+            let variants = [
+                preset.with_max_writes(3),
+                CompileOptions {
+                    selection: Selection::Topological,
+                    ..preset
+                },
+                CompileOptions {
+                    selection: Selection::EnduranceAware,
+                    ..preset
+                },
+                preset.with_copy_reuse(!preset.copy_reuse),
+                preset.with_esat(true).with_esat_nodes(7).with_esat_iters(1),
+                preset.with_peephole(!preset.peephole),
+            ];
+            for options in variants {
+                assert_eq!(front.imp_program(&options), program, "{options:?}");
+            }
+        }
+    }
+
+    /// IMPLY synthesis emits no dead write, which is why
+    /// [`FrontEnd::imp_program`] ignores `peephole`: dead-write elision
+    /// leaves every program it synthesizes unchanged, on the 18
+    /// benchmarks under each of the presets' three rewritings and both
+    /// allocation policies. (A property test over random graphs lives in
+    /// the facade's `tests/property_based.rs`.)
+    #[test]
+    fn imp_synthesis_emits_no_dead_write() {
+        let mut keys: Vec<FrontKey> = presets().map(|p| FrontKey::of(&p)).collect();
+        keys.dedup();
+        assert_eq!(keys.len(), 3);
+        for b in Benchmark::all() {
+            let mig = b.build();
+            for &key in &keys {
+                let front = FrontEnd::build(&mig, key);
+                for allocation in [Allocation::Lifo, Allocation::MinWrite] {
+                    let options = CompileOptions {
+                        rewriting: key.rewriting,
+                        effort: key.effort,
+                        allocation,
+                        ..CompileOptions::naive()
+                    };
+                    let program = front.imp_program(&options);
+                    let mut elided = program.clone();
+                    assert_eq!(
+                        crate::elide_dead_writes(&mut elided),
+                        0,
+                        "{b} {key:?} {allocation:?}"
+                    );
+                    assert_eq!(elided, program);
+                }
+            }
         }
     }
 
@@ -480,7 +619,7 @@ mod tests {
                     front.imp_summary(options);
                 }
                 for options in &all {
-                    let program = ImpBackend.compile_front(&front, options);
+                    let program = front.imp_program(options);
                     assert_eq!(
                         *front.imp_summary(options),
                         WearSummary::of(&program),

@@ -51,7 +51,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod backend;
 pub mod cells;
 mod compiler;
 mod frontend;
@@ -62,7 +61,6 @@ mod select;
 mod translate;
 pub mod values;
 
-pub use backend::{Backend, HostedRm3Backend, ImpBackend, Rm3Backend, WideRm3Backend};
 pub use cells::CellManager;
 pub use compiler::{compile, compile_front, CompileResult};
 pub use frontend::{FrontEnd, FrontKey, WearSummary};

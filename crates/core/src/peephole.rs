@@ -140,7 +140,7 @@ pub fn elide_dead_writes<I: Isa>(program: &mut IsaProgram<I>) -> usize {
             continue; // dead: value overwritten (or discarded) unread
         }
         live[dest.index()] = false;
-        for c in &inst.reads() {
+        for c in inst.reads() {
             live[c.index()] = true;
         }
         kept_rev.push(*inst);

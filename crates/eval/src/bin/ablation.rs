@@ -8,9 +8,10 @@
 //! ```
 
 use rlim_benchmarks::Benchmark;
-use rlim_compiler::{compile, Allocation, CompileOptions, Selection};
-use rlim_eval::{fmt_stdev, RunPlan, TextTable};
+use rlim_compiler::{Allocation, CompileOptions, Selection};
+use rlim_eval::{fmt_stdev, measure_batch, RunPlan, TextTable};
 use rlim_mig::rewrite::Algorithm;
+use rlim_service::JobSpec;
 
 fn label(rw: Option<Algorithm>, sel: Selection, alloc: Allocation) -> String {
     let rw = match rw {
@@ -56,37 +57,48 @@ fn main() {
         Selection::EnduranceAware,
     ];
     let allocations = [Allocation::Lifo, Allocation::MinWrite];
+    let grid: Vec<(Option<Algorithm>, Selection, Allocation)> = rewritings
+        .iter()
+        .flat_map(|&rw| selections.iter().map(move |&sel| (rw, sel)))
+        .flat_map(|(rw, sel)| allocations.iter().map(move |&alloc| (rw, sel, alloc)))
+        .collect();
 
-    for &b in &plan.benchmarks {
-        let mig = b.build();
+    // The whole benchmark × grid matrix as one service batch: each
+    // benchmark is built once and rewritten once per algorithm.
+    let specs: Vec<JobSpec> = plan
+        .benchmarks
+        .iter()
+        .flat_map(|&b| {
+            grid.iter().map(move |&(rw, sel, alloc)| {
+                JobSpec::benchmark(b).with_options(CompileOptions {
+                    rewriting: rw,
+                    effort: plan.effort,
+                    selection: sel,
+                    allocation: alloc,
+                    ..CompileOptions::naive()
+                })
+            })
+        })
+        .collect();
+    let measurements = measure_batch(&plan, &specs);
+
+    for (&b, rows) in plan
+        .benchmarks
+        .iter()
+        .zip(measurements.chunks_exact(grid.len()))
+    {
         let mut table = TextTable::new(["config", "#I", "#R", "min", "max", "STDEV"]);
-        for rw in rewritings {
-            for sel in selections {
-                for alloc in allocations {
-                    let options = CompileOptions {
-                        rewriting: rw,
-                        effort: plan.effort,
-                        selection: sel,
-                        allocation: alloc,
-                        max_writes: None,
-                        peephole: false,
-                        copy_reuse: false,
-                        ..CompileOptions::naive()
-                    };
-                    let r = compile(&mig, &options);
-                    let s = r.write_stats();
-                    table.row([
-                        label(rw, sel, alloc),
-                        r.num_instructions().to_string(),
-                        r.num_rrams().to_string(),
-                        s.min.to_string(),
-                        s.max.to_string(),
-                        fmt_stdev(s.stdev),
-                    ]);
-                }
-            }
-            eprintln!("[{b}] rewriting {rw:?} done");
+        for (&(rw, sel, alloc), m) in grid.iter().zip(rows) {
+            table.row([
+                label(rw, sel, alloc),
+                m.instructions.to_string(),
+                m.rrams.to_string(),
+                m.stats.min.to_string(),
+                m.stats.max.to_string(),
+                fmt_stdev(m.stats.stdev),
+            ]);
         }
+        eprintln!("[{b}] grid done");
         println!("== {b} — full design-space grid ==\n{}", table.render());
     }
     println!("Read vertically: the allocation column (lifo→minw) is the");

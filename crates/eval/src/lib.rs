@@ -2,15 +2,16 @@
 //! paper's tables and figures.
 //!
 //! `table1`, `table2`, `table3`, `copy_table` and `esat_table` (through
-//! [`run_suite`]), `imp_vs_rm3` and `sizes` (through [`measure_batch`]),
-//! and `sweep` and `fleet` (through the [`sweep`] and [`fleet`] modules)
-//! describe benchmark × configuration matrices as
+//! [`run_suite`]), `ablation` and `imp_vs_rm3` (through
+//! [`measure_batch`]), `sizes` (through `Service::run_batch`, for the
+//! report's gate count), and `sweep` and `fleet` (through the [`sweep`]
+//! and [`fleet`] modules) describe benchmark × configuration matrices as
 //! [`rlim_service::JobSpec`] batches and submit them to the
 //! [`rlim_service::Service`], so every [`Measurement`] comes from a
 //! service [`rlim_service::Report`]. The other binaries (`figures`,
-//! `lifetime`, `ablation`, `level_aware`, `switching`, `chaos`) call the
-//! compiler or the fleet directly. All of them print fixed-width text
-//! tables ([`TextTable`]) that mirror the paper's layout.
+//! `lifetime`, `level_aware`, `switching`, `chaos`) call the compiler or
+//! the fleet directly. All of them print fixed-width text tables
+//! ([`TextTable`]) that mirror the paper's layout.
 //!
 //! Binaries accept a common command line:
 //!

@@ -15,7 +15,7 @@
 
 use std::fmt;
 
-use rlim_isa::{Isa, Reads};
+use rlim_isa::Isa;
 use rlim_rram::CellId;
 
 /// One IMPLY-logic instruction.
@@ -53,13 +53,15 @@ impl Isa for ImpOp {
         }
     }
 
-    fn reads(&self) -> Reads {
+    fn reads(&self) -> impl Iterator<Item = CellId> {
         match *self {
             // FALSE is unconditional: no data dependency.
-            ImpOp::False(_) => Reads::new(),
+            ImpOp::False(_) => None,
             // IMP reads the condition and the work cell's previous value.
-            ImpOp::Imply { p, q } => [p, q].into_iter().collect(),
+            ImpOp::Imply { p, q } => Some([p, q]),
         }
+        .into_iter()
+        .flatten()
     }
 }
 
@@ -99,11 +101,8 @@ mod tests {
 
     #[test]
     fn reads_model_imp_data_dependencies() {
-        assert!(ImpOp::False(c(3)).reads().is_empty());
-        assert_eq!(
-            ImpOp::Imply { p: c(1), q: c(2) }.reads().as_slice(),
-            &[c(1), c(2)]
-        );
+        assert_eq!(ImpOp::False(c(3)).reads().count(), 0);
+        assert!(ImpOp::Imply { p: c(1), q: c(2) }.reads().eq([c(1), c(2)]));
     }
 
     #[test]

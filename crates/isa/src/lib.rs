@@ -16,9 +16,10 @@
 //!   type, providing the paper's `#I` / `#R` metrics, per-cell write
 //!   counts, [`WriteStats`] and structural validation for every backend.
 //!
-//! Backends implement [`Isa`] for their instruction type and get the
-//! whole accounting surface for free; the compiler side (`rlim-compiler`)
-//! builds its `Backend` trait and pass pipeline on top of this crate.
+//! Instruction sets implement [`Isa`] and get the whole accounting
+//! surface for free: `rlim-plim`'s RM3 `Instruction` and `rlim-imp`'s
+//! IMPLY `ImpOp`. The compiler (`rlim-compiler`) returns programs of
+//! both, and its dead-write elision runs on any [`Isa`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,81 +27,6 @@
 use std::fmt;
 
 use rlim_rram::{CellId, WriteStats};
-
-/// The cells one instruction reads, as a small inline list.
-///
-/// Capacity is fixed at three — enough for any ISA in this workspace
-/// (RM3 reads at most P, Q and the destination's previous value; IMPLY
-/// reads at most its condition and work cells).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Reads {
-    cells: [CellId; 3],
-    len: u8,
-}
-
-impl Default for Reads {
-    fn default() -> Self {
-        Reads::new()
-    }
-}
-
-impl Reads {
-    /// The empty read set.
-    pub fn new() -> Self {
-        Reads {
-            cells: [CellId::new(0); 3],
-            len: 0,
-        }
-    }
-
-    /// Appends a cell.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the list already holds three cells.
-    pub fn push(&mut self, cell: CellId) {
-        assert!(
-            (self.len as usize) < 3,
-            "an instruction reads at most 3 cells"
-        );
-        self.cells[self.len as usize] = cell;
-        self.len += 1;
-    }
-
-    /// The cells as a slice.
-    pub fn as_slice(&self) -> &[CellId] {
-        &self.cells[..self.len as usize]
-    }
-
-    /// Number of cells read.
-    pub fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// Whether no cell is read.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-impl<'a> IntoIterator for &'a Reads {
-    type Item = CellId;
-    type IntoIter = std::iter::Copied<std::slice::Iter<'a, CellId>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().copied()
-    }
-}
-
-impl FromIterator<CellId> for Reads {
-    fn from_iter<T: IntoIterator<Item = CellId>>(iter: T) -> Self {
-        let mut reads = Reads::new();
-        for cell in iter {
-            reads.push(cell);
-        }
-        reads
-    }
-}
 
 /// One instruction of a logic-in-memory ISA.
 ///
@@ -114,7 +40,7 @@ impl FromIterator<CellId> for Reads {
 /// A toy one-operation ISA (`INC c`: rewrite `c` from its own value):
 ///
 /// ```
-/// use rlim_isa::{Isa, Reads};
+/// use rlim_isa::Isa;
 /// use rlim_rram::CellId;
 ///
 /// #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,12 +56,12 @@ impl FromIterator<CellId> for Reads {
 ///     const NAME: &'static str = "toy";
 ///     const REQUIRES_DEFINED_READS: bool = false;
 ///     fn destination(&self) -> CellId { self.0 }
-///     fn reads(&self) -> Reads { [self.0].into_iter().collect() }
+///     fn reads(&self) -> impl Iterator<Item = CellId> { std::iter::once(self.0) }
 /// }
 ///
 /// let op = Inc(CellId::new(3));
 /// assert_eq!(op.destination(), CellId::new(3));
-/// assert_eq!(op.reads().as_slice(), &[CellId::new(3)]);
+/// assert!(op.reads().eq([CellId::new(3)]));
 /// assert_eq!(op.writes_per_op(), 1, "one destination write by default");
 /// ```
 pub trait Isa: Copy + Eq + std::hash::Hash + fmt::Debug + fmt::Display {
@@ -158,8 +84,10 @@ pub trait Isa: Copy + Eq + std::hash::Hash + fmt::Debug + fmt::Display {
     /// The cells whose current value this instruction reads. Includes the
     /// destination when the new value depends on the old one (general RM3,
     /// IMPLY's conditional set) and excludes it for unconditional recipes
-    /// (RM3 `set0`/`set1`, IMPLY `FALSE`).
-    fn reads(&self) -> Reads;
+    /// (RM3 `set0`/`set1`, IMPLY `FALSE`). The iterator is built on the
+    /// stack, so the read walks ([`Program::first_undefined_read`],
+    /// dead-write elision) cost a few compares per instruction.
+    fn reads(&self) -> impl Iterator<Item = CellId>;
 
     /// RRAM writes the destination absorbs when this instruction executes.
     /// One for every ISA in the workspace; override for ISAs with
@@ -228,7 +156,7 @@ impl std::error::Error for ProgramError {}
 /// # Examples
 ///
 /// ```
-/// use rlim_isa::{Isa, Program, Reads};
+/// use rlim_isa::{Isa, Program};
 /// use rlim_rram::CellId;
 ///
 /// # #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,7 +170,7 @@ impl std::error::Error for ProgramError {}
 /// #     const NAME: &'static str = "toy";
 /// #     const REQUIRES_DEFINED_READS: bool = false;
 /// #     fn destination(&self) -> CellId { self.0 }
-/// #     fn reads(&self) -> Reads { Reads::new() }
+/// #     fn reads(&self) -> impl Iterator<Item = CellId> { std::iter::empty() }
 /// # }
 /// let program: Program<Nop> = Program {
 ///     instructions: vec![Nop(CellId::new(1)), Nop(CellId::new(1))],
@@ -323,7 +251,7 @@ impl<I: Isa> Program<I> {
     pub fn read_counts(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.num_cells];
         for inst in &self.instructions {
-            for cell in &inst.reads() {
+            for cell in inst.reads() {
                 counts[cell.index()] += 1;
             }
         }
@@ -356,7 +284,7 @@ impl<I: Isa> Program<I> {
             }
         };
         for (i, inst) in self.instructions.iter().enumerate() {
-            for cell in &inst.reads() {
+            for cell in inst.reads() {
                 check(format!("instruction {i} read"), cell)?;
             }
             check(format!("instruction {i} destination"), inst.destination())?;
@@ -399,7 +327,7 @@ impl<I: Isa> Program<I> {
             defined[c.index()] = true;
         }
         for (i, inst) in self.instructions.iter().enumerate() {
-            for cell in &inst.reads() {
+            for cell in inst.reads() {
                 if !defined[cell.index()] {
                     return Some((i, cell));
                 }
@@ -463,11 +391,13 @@ mod tests {
             }
         }
 
-        fn reads(&self) -> Reads {
+        fn reads(&self) -> impl Iterator<Item = CellId> {
             match *self {
-                TestOp::Def(_) => Reads::new(),
-                TestOp::Use { from, to } => [from, to].into_iter().collect(),
+                TestOp::Def(_) => None,
+                TestOp::Use { from, to } => Some([from, to]),
             }
+            .into_iter()
+            .flatten()
         }
     }
 
@@ -592,29 +522,6 @@ mod tests {
         let text = sample().disassemble();
         assert!(text.starts_with("; test program: 3 instructions, 3 cells"));
         assert!(text.contains("USE r0 -> r2"));
-    }
-
-    #[test]
-    fn reads_list_limits() {
-        let mut reads = Reads::new();
-        assert!(reads.is_empty());
-        reads.push(c(1));
-        reads.push(c(2));
-        reads.push(c(3));
-        assert_eq!(reads.len(), 3);
-        assert_eq!(
-            (&reads).into_iter().collect::<Vec<_>>(),
-            vec![c(1), c(2), c(3)]
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 3")]
-    fn reads_overflow_panics() {
-        let mut reads = Reads::new();
-        for i in 0..4 {
-            reads.push(c(i));
-        }
     }
 
     #[test]

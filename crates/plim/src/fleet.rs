@@ -93,7 +93,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use rlim_rram::{CellId, Crossbar, FaultModel, FleetWriteStats, WideCrossbar, WriteFault};
+use rlim_rram::{CellId, Crossbar, FaultModel, FleetWriteStats, WriteFault};
 
 use crate::isa::Program;
 use crate::machine::Machine;
@@ -102,7 +102,7 @@ use crate::recovery::{
     patch_program, remap_target, FaultEvent, FaultKind, FaultRecorder, RecoveryAction,
     RecoveryConfig, FAULT_LOG_CAPACITY,
 };
-use crate::wide::WideMachine;
+use crate::wide::{WideMachine, LANES};
 
 /// How the dispatcher chooses an array for the next job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -819,13 +819,9 @@ impl Executor {
                 for group in groups {
                     let lanes = group.len();
                     let lane_inputs: Vec<&[bool]> = group.iter().map(|&j| jobs[j].inputs).collect();
-                    let overlay = WideCrossbar::from_scalar(slot.machine.array());
-                    let mut wide = WideMachine::with_array(overlay, lanes);
-                    let lane_outputs = wide
-                        .run(program(&group), &lane_inputs)
-                        .expect("lane arrays have no endurance limit");
-                    wide.array()
-                        .commit_into(slot.machine.array_mut(), lanes - 1);
+                    let mut wide = WideMachine::snapshot(slot.machine.array(), lanes);
+                    let Ok(lane_outputs) = wide.run(program(&group), &lane_inputs);
+                    wide.commit(slot.machine.array_mut(), lanes - 1);
                     run.outputs.extend(group.iter().copied().zip(lane_outputs));
                 }
             }
@@ -901,7 +897,7 @@ fn run_with_recovery(
 }
 
 /// Packs one array's planned job list into lane groups: jobs sharing a
-/// program (by reference identity), up to [`WideCrossbar::LANES`] per
+/// program (by reference identity), up to [`LANES`] per
 /// group, in dispatch order within each group.
 ///
 /// Groups are returned ordered by their *last* member's batch index, so
@@ -918,7 +914,7 @@ fn lane_groups(jobs: &[Job<'_>], list: &[usize]) -> Vec<Vec<usize>> {
         match groups
             .iter_mut()
             .rev()
-            .find(|(k, g)| *k == key && g.len() < WideCrossbar::LANES)
+            .find(|(k, g)| *k == key && g.len() < LANES)
         {
             Some((_, group)) => group.push(j),
             None => groups.push((key, vec![j])),

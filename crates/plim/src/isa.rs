@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use rlim_isa::{Isa, Reads};
+use rlim_isa::Isa;
 use rlim_rram::CellId;
 
 /// A read operand of an RM3 instruction. The PLiM controller can feed each
@@ -104,18 +104,13 @@ impl Isa for Instruction {
         self.z
     }
 
-    fn reads(&self) -> Reads {
-        let mut reads = Reads::new();
-        if let Operand::Cell(c) = self.p {
-            reads.push(c);
-        }
-        if let Operand::Cell(c) = self.q {
-            reads.push(c);
-        }
-        if !self.ignores_old_destination() {
-            reads.push(self.z);
-        }
-        reads
+    fn reads(&self) -> impl Iterator<Item = CellId> {
+        let cell = |op| match op {
+            Operand::Cell(c) => Some(c),
+            Operand::Const(_) => None,
+        };
+        let z = (!self.ignores_old_destination()).then_some(self.z);
+        cell(self.p).into_iter().chain(cell(self.q)).chain(z)
     }
 }
 
@@ -221,7 +216,7 @@ mod tests {
             z: CellId::new(4),
         };
         assert!(set0.ignores_old_destination());
-        assert!(set0.reads().is_empty(), "set0 is value-independent");
+        assert_eq!(set0.reads().count(), 0, "set0 is value-independent");
 
         let general = Instruction {
             p: Operand::Cell(CellId::new(0)),
@@ -229,9 +224,10 @@ mod tests {
             z: CellId::new(2),
         };
         assert!(!general.ignores_old_destination());
-        assert_eq!(
-            general.reads().as_slice(),
-            &[CellId::new(0), CellId::new(1), CellId::new(2)],
+        assert!(
+            general
+                .reads()
+                .eq([CellId::new(0), CellId::new(1), CellId::new(2)]),
             "general RM3 reads P, Q and the old destination"
         );
         assert_eq!(general.destination(), CellId::new(2));

@@ -86,4 +86,4 @@ pub use machine::{run_once, Machine};
 pub use recovery::{
     patch_program, FaultEvent, FaultKind, FaultRecorder, RecoveryAction, RecoveryConfig,
 };
-pub use wide::{run_once_wide, WideMachine};
+pub use wide::{run_once_wide, WideMachine, LANES};

@@ -284,12 +284,17 @@ impl Crossbar {
         Ok(())
     }
 
-    /// Overwrites a cell's stored value and write counter in one step —
-    /// the commit path of [`crate::WideCrossbar`], whose lane-accurate
-    /// wear accounting is the only caller allowed to set counters
-    /// directly. Switch counters are untouched (per-lane switching is not
-    /// observable at word level).
-    pub(crate) fn commit(&mut self, cell: CellId, value: bool, writes: u64) {
+    /// Overwrites a cell's stored value and write counter in one step,
+    /// with no endurance check. This is how a word-level run hands one
+    /// lane back to the array it was snapshotted from: that run counts
+    /// one logical write per lane, so the counter it commits is what the
+    /// same jobs run one by one would have left. Switch counters are
+    /// untouched, since a word store cannot observe per-lane flips.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is out of range.
+    pub fn commit(&mut self, cell: CellId, value: bool, writes: u64) {
         let c = &mut self.cells[cell.index()];
         c.value = value;
         c.writes = writes;

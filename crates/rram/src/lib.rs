@@ -9,9 +9,6 @@
 //!
 //! * [`Crossbar`] — a growable array of bipolar resistive switches with
 //!   per-cell write counters and an optional endurance limit.
-//! * [`WideCrossbar`] — the 64-lane word-level overlay of a [`Crossbar`]
-//!   with per-cell *logical* write accounting, behind the bit-parallel
-//!   execution path.
 //! * [`WriteStats`] — min / max / standard deviation of write counts, the
 //!   paper's evaluation metrics.
 //! * [`FleetWriteStats`] — the same metrics aggregated over a fleet of
@@ -49,7 +46,6 @@ mod crossbar;
 mod fault;
 mod geometry;
 mod stats;
-mod wide;
 
 pub mod lifetime;
 pub mod variability;
@@ -59,4 +55,3 @@ pub use crossbar::{CellId, Crossbar, EnduranceError};
 pub use fault::{CellProfile, FaultModel, StuckAtError, StuckFault, WriteFault};
 pub use geometry::{Geometry, WearMap};
 pub use stats::{FleetWriteStats, WriteStats};
-pub use wide::WideCrossbar;

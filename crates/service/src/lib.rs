@@ -65,9 +65,7 @@ use std::time::Instant;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use rlim_compiler::{
-    Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend, Rm3Backend, Selection, WearSummary,
-};
+use rlim_compiler::{compile_front, CompileOptions, FrontEnd, FrontKey, Selection, WearSummary};
 use rlim_imp::ImpOp;
 use rlim_isa::Program;
 use rlim_mig::Mig;
@@ -344,7 +342,7 @@ impl Service {
                     match (!keeps[i]).then(|| front.rm3_summary(options)).flatten() {
                         Some(wear) => Compiled::Rm3(wear, None),
                         None => {
-                            let program = Rm3Backend.compile_front(front, options);
+                            let program = compile_front(front, options).program;
                             // An uncapped compile has just filled its slot with
                             // this program's summary, and grown its front end.
                             let wear = match options.max_writes {
@@ -359,7 +357,7 @@ impl Service {
                     }
                 }
                 CompileClass::Imp if keeps[i] => {
-                    let program = ImpBackend.compile_front(front, options);
+                    let program = front.imp_program(options);
                     Compiled::Imp(WearSummary::of(&program), Some(program))
                 }
                 CompileClass::Imp => Compiled::Imp(*front.imp_summary(options), None),
@@ -769,7 +767,8 @@ mod tests {
             assert_eq!(report.to_json_string(), alone.to_json_string(), "{spec:?}");
             assert_eq!(report.program.is_some(), spec.includes_program());
         }
-        let program = ImpBackend.compile(&Benchmark::Int2float.build(), &preset);
+        let program = FrontEnd::build(&Benchmark::Int2float.build(), FrontKey::of(&preset))
+            .imp_program(&preset);
         assert_eq!(reports[1].writes, program.write_stats());
         assert_eq!(reports[1].instructions, program.num_instructions());
     }

@@ -91,11 +91,9 @@ impl Source {
     }
 }
 
-/// Which compile-and-execute flow serves the job.
-///
-/// This is the runtime-selectable face of the compiler's static
-/// `Backend` trait: a `JobSpec` travels through channels (argv, batch
-/// files) where a generic parameter cannot.
+/// Which compile-and-execute flow serves the job: the RM3 compiler
+/// (`compile_front`) for the three RM3 kinds, which share one program,
+/// or IMPLY synthesis (`FrontEnd::imp_program`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The PLiM/RM3 flow through the standard pass pipeline (default).

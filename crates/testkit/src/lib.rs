@@ -5,16 +5,15 @@
 //! Majority-Inverter Graph:
 //!
 //! * direct MIG evaluation (the golden model),
-//! * the compiled RM3 program executed on the external machine
-//!   ([`Rm3Backend`]),
+//! * the compiled RM3 program executed on the external [`Machine`],
 //! * optionally the same program self-hosted in the crossbar and driven by
-//!   the controller FSM ([`HostedRm3Backend`]),
+//!   the controller FSM ([`Controller`]),
 //! * the same program executed bit-parallel on the word-level machine,
 //!   64 input patterns per pass, including the wear-equivalence
 //!   invariant: per-cell logical write counts must equal `lanes ×` the
 //!   scalar machine's per-run counts,
-//! * the IMPLY baseline synthesised through
-//!   [`ImpBackend`].
+//! * the IMPLY baseline synthesised by [`FrontEnd::imp_program`] and run
+//!   on the [`ImpMachine`].
 //!
 //! This crate machine-checks that invariant with two oracles:
 //!
@@ -48,14 +47,15 @@
 
 use std::fmt;
 
-use rlim_compiler::{
-    compile, Backend, CompileOptions, CompileResult, HostedRm3Backend, ImpBackend, Rm3Backend,
-};
-use rlim_isa::Program as IsaProgram;
+use rlim_compiler::{compile, CompileOptions, CompileResult, FrontEnd, FrontKey};
+use rlim_imp::ImpMachine;
+use rlim_isa::{Isa, Program as IsaProgram};
 use rlim_mig::{equiv_random, Mig};
 use rlim_plim::parallel::parallel_map;
-use rlim_plim::{run_once, run_once_wide, DispatchPolicy, Job, Machine, Program};
-use rlim_rram::{Crossbar, WideCrossbar};
+use rlim_plim::{
+    run_once, run_once_wide, Controller, DispatchPolicy, Job, Machine, Program, LANES,
+};
+use rlim_rram::Crossbar;
 
 /// Largest input count that is verified exhaustively by default.
 ///
@@ -271,8 +271,7 @@ impl Oracle {
     }
 
     /// Differentially verifies `mig` against every backend under every
-    /// compiler preset — all through the shared [`Backend`] API —
-    /// distributing the preset ×
+    /// compiler preset, distributing the preset ×
     /// backend matrix across scoped worker threads ([`Oracle::threads`]; a
     /// divergence found on any worker propagates when the scope joins).
     /// The report is independent of the thread count: every job runs
@@ -305,23 +304,11 @@ impl Oracle {
                 // backend (which compile identically by construction).
                 let result = compile(mig, options);
                 self.check_rewrite(mig, name, label, &result);
-                let mut n = self.check_backend(
-                    &Rm3Backend,
-                    name,
-                    label,
-                    &result.program,
-                    &inputs,
-                    &reference,
-                );
+                let site = format!("{name}/{label}");
+                let program = &result.program;
+                let mut n = check_backend(&site, "rm3", rm3, program, &inputs, &reference);
                 if self.hosted {
-                    n += self.check_backend(
-                        &HostedRm3Backend,
-                        name,
-                        label,
-                        &result.program,
-                        &inputs,
-                        &reference,
-                    );
+                    n += check_backend(&site, "hosted-rm3", hosted, program, &inputs, &reference);
                 }
                 if self.wide {
                     n += self.check_wide(name, label, &result.program, &inputs, &reference);
@@ -329,8 +316,9 @@ impl Oracle {
                 n
             } else {
                 let (label, options) = &imp_configs[job - preset_list.len()];
-                let program = ImpBackend.compile(mig, options);
-                self.check_backend(&ImpBackend, name, label, &program, &inputs, &reference)
+                let program = FrontEnd::build(mig, FrontKey::of(options)).imp_program(options);
+                let site = format!("{name}/{label}");
+                check_backend(&site, "imp", imp, &program, &inputs, &reference)
             }
         });
 
@@ -349,7 +337,8 @@ impl Oracle {
     pub fn verify_program(&self, mig: &Mig, name: &str, label: &str, program: &Program) -> usize {
         let inputs = self.inputs(mig.num_inputs());
         let reference: Vec<Vec<bool>> = inputs.iter().map(|v| mig.evaluate(v)).collect();
-        self.check_backend(&Rm3Backend, name, label, program, &inputs, &reference)
+        let site = format!("{name}/{label}");
+        check_backend(&site, "rm3", rm3, program, &inputs, &reference)
     }
 
     /// Checks that the rewritten MIG inside a [`CompileResult`] is
@@ -390,10 +379,10 @@ impl Oracle {
     ) -> usize {
         let (_, scalar_counts) = run_once(program, &inputs[0]);
         let mut comparisons = 0;
-        for (chunk_index, chunk) in inputs.chunks(WideCrossbar::LANES).enumerate() {
+        for (chunk_index, chunk) in inputs.chunks(LANES).enumerate() {
             let lane_inputs: Vec<&[bool]> = chunk.iter().map(Vec::as_slice).collect();
             let (outputs, wide_counts) = run_once_wide(program, &lane_inputs);
-            let base = chunk_index * WideCrossbar::LANES;
+            let base = chunk_index * LANES;
             for (k, got) in outputs.iter().enumerate() {
                 assert_eq!(
                     got,
@@ -420,37 +409,50 @@ impl Oracle {
         }
         comparisons
     }
+}
 
-    /// Validates `program` and runs it through `backend` for every
-    /// pattern, comparing against `reference` — the single per-backend
-    /// check behind the whole matrix.
-    fn check_backend<B: Backend>(
-        &self,
-        backend: &B,
-        name: &str,
-        label: &str,
-        program: &IsaProgram<B::Instr>,
-        inputs: &[Vec<bool>],
-        reference: &[Vec<bool>],
-    ) -> usize {
-        program
-            .validate()
-            .unwrap_or_else(|e| panic!("{name}/{label}: invalid {} program: {e}", B::NAME));
-        let mut comparisons = 0;
-        for (pattern, (input, expect)) in inputs.iter().zip(reference).enumerate() {
-            let got = backend
-                .execute(program, input)
-                .unwrap_or_else(|e| panic!("{name}/{label}: {} endurance error: {e}", B::NAME));
-            assert_eq!(
-                &got,
-                expect,
-                "{name}/{label}: {} backend diverges from MIG at pattern {pattern}",
-                B::NAME
-            );
-            comparisons += 1;
-        }
-        comparisons
+/// Validates `program` and runs it through `execute`, the `backend`'s
+/// machine, for every pattern, comparing against `reference` — the
+/// single per-backend check behind the whole matrix. `site` names the
+/// circuit and preset in failure messages.
+fn check_backend<I: Isa, E: fmt::Display>(
+    site: &str,
+    backend: &str,
+    execute: impl Fn(&IsaProgram<I>, &[bool]) -> Result<Vec<bool>, E>,
+    program: &IsaProgram<I>,
+    inputs: &[Vec<bool>],
+    reference: &[Vec<bool>],
+) -> usize {
+    program
+        .validate()
+        .unwrap_or_else(|e| panic!("{site}: invalid {backend} program: {e}"));
+    for (pattern, (input, expect)) in inputs.iter().zip(reference).enumerate() {
+        let got = execute(program, input)
+            .unwrap_or_else(|e| panic!("{site}: {backend} endurance error: {e}"));
+        assert_eq!(
+            &got, expect,
+            "{site}: {backend} backend diverges from MIG at pattern {pattern}"
+        );
     }
+    inputs.len()
+}
+
+/// Runs `program` once on the external machine.
+fn rm3(program: &Program, inputs: &[bool]) -> Result<Vec<bool>, rlim_rram::WriteFault> {
+    Machine::for_program(program).run(program, inputs)
+}
+
+/// Runs `program` once self-hosted in the crossbar, under the controller.
+fn hosted(program: &Program, inputs: &[bool]) -> Result<Vec<bool>, rlim_rram::EnduranceError> {
+    Controller::host(program)?.run(inputs)
+}
+
+/// Runs an IMPLY `program` once on its machine.
+fn imp(
+    program: &IsaProgram<rlim_imp::ImpOp>,
+    inputs: &[bool],
+) -> Result<Vec<bool>, rlim_rram::EnduranceError> {
+    ImpMachine::for_program(program).run(program, inputs)
 }
 
 /// Runs `f(0..jobs)` across the shared worker pool and sums the results

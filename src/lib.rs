@@ -18,10 +18,11 @@
 //!   set and executor.
 //! * [`compiler`] — the paper's contribution as a pass-pipeline compiler
 //!   (rewrite → schedule → translate → peephole → finalize) with its
-//!   allocation policies (LIFO / minimum-write / maximum-write),
+//!   allocation policies (LIFO / minimum-write / maximum-write) and
 //!   node-selection policies (topological / area-aware /
-//!   endurance-aware), and the generic `Backend` trait unifying the RM3,
-//!   hosted-RM3 and IMPLY flows.
+//!   endurance-aware). It compiles RM3 programs, which run on the
+//!   external, self-hosted or word-level PLiM machine, and, through
+//!   `FrontEnd::imp_program`, the IMPLY baseline's programs.
 //! * [`imp`] — material-implication (IMPLY) logic-in-memory baseline: the
 //!   §II comparison point whose writes concentrate on work devices.
 //! * [`benchmarks`] — generators for the 18-benchmark evaluation suite.

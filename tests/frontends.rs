@@ -25,9 +25,7 @@
 use std::sync::Arc;
 
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::{
-    compile_front, Allocation, Backend, CompileOptions, FrontEnd, FrontKey, ImpBackend,
-};
+use rlim::compiler::{compile_front, Allocation, CompileOptions, FrontEnd, FrontKey};
 use rlim::mig::blif::{parse_blif, write_blif};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::rewrite::Pass;
@@ -296,8 +294,8 @@ fn benchmarks_load_live_only_and_compile_as_built() {
                 ..CompileOptions::naive()
             };
             assert_eq!(
-                ImpBackend.compile_front(built, &options),
-                ImpBackend.compile_front(loaded, &options),
+                built.imp_program(&options),
+                loaded.imp_program(&options),
                 "{benchmark} {allocation:?}"
             );
         }

@@ -5,7 +5,7 @@
 use std::fmt::Write as _;
 
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::{Backend, CompileOptions, Rm3Backend};
+use rlim::compiler::{compile, CompileOptions};
 use rlim::plim::parallel::parallel_map;
 use rlim::plim::{asm, Operand, Program};
 
@@ -52,7 +52,7 @@ fn listing_equals_the_writeln_formatter_and_round_trips() {
         .collect();
     parallel_map(jobs, 0, |(b, preset)| {
         let options = CompileOptions::preset(preset).expect("canonical preset");
-        let program = Rm3Backend.compile(&b.build(), &options);
+        let program = compile(&b.build(), &options).program;
         let text = asm::to_text(&program);
         assert_eq!(text, to_text_by_writeln(&program), "{} {preset}", b.name());
         assert_eq!(

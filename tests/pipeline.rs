@@ -4,13 +4,12 @@
 
 use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
-use rlim::compiler::{
-    compile, Backend, CompileOptions, CompileResult, HostedRm3Backend, ImpBackend, PassManager,
-    Rm3Backend,
-};
+use rlim::compiler::{compile, CompileOptions, CompileResult, FrontEnd, FrontKey, PassManager};
+use rlim::imp::ImpMachine;
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::Mig;
 use rlim::plim::parallel::parallel_map;
+use rlim::plim::{Controller, Machine};
 use rlim_testkit::Oracle;
 
 fn mig_strategy() -> impl Strategy<Value = Mig> {
@@ -240,7 +239,6 @@ proptest! {
         input_seed: u64,
     ) {
         use rand::{Rng, SeedableRng};
-        use rlim::plim::Machine;
         use rlim::rram::{CellId, Crossbar};
 
         let options = CompileOptions::endurance_aware().with_copy_reuse(true);
@@ -264,21 +262,21 @@ proptest! {
         }
     }
 
-    /// All three backends compute the MIG's function through the shared
-    /// `Backend` API (MIG = RM3 = hosted-RM3 = IMPLY).
+    /// Every backend computes the MIG's function on every input pattern
+    /// (MIG = RM3 = hosted-RM3 = IMPLY): the RM3 program on the external
+    /// machine and self-hosted under the controller, and the IMPLY
+    /// program on its machine.
     #[test]
-    fn backends_agree_through_the_api(mig in mig_strategy(), pattern_seed: u64) {
-        use rand::{Rng, SeedableRng};
+    fn backends_agree_through_the_api(mig in mig_strategy()) {
         let options = CompileOptions::naive();
-        let rm3 = Rm3Backend.compile(&mig, &options);
-        let imp = ImpBackend.compile(&mig, &options);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(pattern_seed);
-        for _ in 0..3 {
-            let inputs: Vec<bool> = (0..mig.num_inputs()).map(|_| rng.gen()).collect();
+        let rm3 = compile(&mig, &options).program;
+        let imp = FrontEnd::build(&mig, FrontKey::of(&options)).imp_program(&options);
+        for pattern in 0..1usize << mig.num_inputs() {
+            let inputs: Vec<bool> = (0..mig.num_inputs()).map(|i| (pattern >> i) & 1 == 1).collect();
             let expect = mig.evaluate(&inputs);
-            prop_assert_eq!(&Rm3Backend.execute(&rm3, &inputs).unwrap(), &expect);
-            prop_assert_eq!(&HostedRm3Backend.execute(&rm3, &inputs).unwrap(), &expect);
-            prop_assert_eq!(&ImpBackend.execute(&imp, &inputs).unwrap(), &expect);
+            prop_assert_eq!(&Machine::for_program(&rm3).run(&rm3, &inputs).unwrap(), &expect);
+            prop_assert_eq!(&Controller::host(&rm3).unwrap().run(&inputs).unwrap(), &expect);
+            prop_assert_eq!(&ImpMachine::for_program(&imp).run(&imp, &inputs).unwrap(), &expect);
         }
     }
 }
@@ -315,8 +313,8 @@ fn peephole_golden_on_benchmark_suite() {
     let jobs = naive.chain(endurance_aware).collect();
     let rows = parallel_map(jobs, 0, |(b, base, expect)| {
         let mig = b.build();
-        let off = Rm3Backend.compile(&mig, &base);
-        let on = Rm3Backend.compile(&mig, &base.with_peephole(true));
+        let off = compile(&mig, &base).program;
+        let on = compile(&mig, &base.with_peephole(true)).program;
         (b, off, on, expect)
     });
     let mut strictly_smaller = 0;
