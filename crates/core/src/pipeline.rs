@@ -30,7 +30,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use rlim_mig::rewrite::rewrite;
-use rlim_mig::{Mig, NodeId, StructuralView};
+use rlim_mig::{Mig, NodeId};
 use rlim_plim::Program;
 
 use crate::compiler::CompileResult;
@@ -57,20 +57,8 @@ impl Schedule {
     /// pending use (refreshing the releasing counts of candidates) before
     /// the node's parents are unlocked.
     pub fn of(graph: &Mig, selection: Selection) -> Self {
-        // One structural view serves both the pending-use counts and the
-        // scheduler's liveness/levels/parent queries. The topological
-        // order reads liveness only, so it skips levels and parents.
-        let mut view = StructuralView::new();
-        if selection == Selection::Topological {
-            view.compute_structure(graph);
-        } else {
-            view.compute(graph);
-        }
-        let fanout = view.pending_uses(graph);
-        Schedule {
-            order: schedule(graph, selection, &view, &fanout),
-            fanout,
-        }
+        let (order, fanout) = schedule(graph, selection);
+        Schedule { order, fanout }
     }
 
     /// Bytes the schedule holds on the heap, allocated capacity included.

@@ -15,20 +15,39 @@
 //! Each policy is a key function, [`Selection::key`], that packs a
 //! [`Candidate`] into one integer; every policy breaks its last tie on the
 //! smaller node index, so the largest key among the computable nodes is
-//! the next node. The queue is a max-heap of bare keys (the node index is
-//! recovered from the key's low bits). A candidate's key only ever rises:
-//! its fanout level is fixed, and its releasing count grows as children
-//! reach their last pending use. (A child's count drops from 1 to 0 only
-//! when its one remaining user is computed; `Mig::add_maj` never stores a
-//! gate with a repeated child.) So the queue re-inserts a node whenever
-//! its key rises and skips the outdated entries, which pop after the
-//! current one, once the node is computed. Under `Topological` the key is
-//! the index alone, so the order is the live gates in index order and no
-//! queue is built.
+//! the next node. Under `Topological` the key is the index alone, so the
+//! order is the live gates in index order and no queue is built.
+//!
+//! [`schedule`] derives everything it reads in its own sweeps: a reverse
+//! sweep for liveness and pending-use counts, and a forward sweep over the
+//! live gates for levels, fanout levels, dependency counts and the initial
+//! releasing counts, which also scatters a CSR index of the *live* parents
+//! (so the selection loop never tests liveness).
+//!
+//! A candidate's key only ever rises: its fanout level is fixed, and its
+//! releasing count grows as children reach their last pending use. (A
+//! child's count drops from 1 to 0 only when its one remaining user is
+//! computed; `Mig::add_maj` never stores a gate with a repeated child.) So
+//! releasing counts are kept incrementally: when a child drops to one
+//! pending use, its one uncomputed parent gains one. Each keyed policy
+//! buckets the computable nodes on its key's leading field and orders a
+//! bucket by the key's low 64 bits in a max-heap of bare keys (the node
+//! index is recovered from the low lane). A node is pushed again when its
+//! key rises, and its outdated entries, which pop after the new one, are
+//! skipped once it is computed.
+//!
+//! * Endurance-aware, a monotone bucket queue over fanout levels: a parent
+//!   unlocked by a node of fanout level L has a fanout level above L (its
+//!   own level is at least L, and its parents' levels exceed its own), so
+//!   the smallest fanout level among computable nodes never falls.
+//!   Computable nodes wait in intrusive per-level lists and enter the
+//!   `(releasing, index)` heap only when the cursor reaches their level.
+//! * Area-aware: four releasing classes (a gate has three children), each
+//!   a heap of `(fanout level, index)` keys.
 
 use std::collections::BinaryHeap;
 
-use rlim_mig::{Mig, NodeId, StructuralView};
+use rlim_mig::{Mig, NodeId};
 
 use crate::options::Selection;
 
@@ -78,163 +97,312 @@ impl Selection {
     }
 }
 
-/// The translation order of the live gates of `mig` under `selection`.
+/// The translation order of the live gates of `mig` under `selection`,
+/// with the initial pending-use counts per node: one per non-constant
+/// child edge of a live gate plus one per primary-output reference.
 ///
-/// `view` must be a full view of `mig` (levels and parent index) unless
-/// `selection` is `Topological`, which reads only liveness; `pending` must
-/// hold the initial pending-use counts. After a node is picked, each
-/// non-constant child loses one pending use (refreshing the releasing
-/// counts of candidates) before the node's parents are unlocked, the same
-/// interleaving the translator performs.
-pub(crate) fn schedule(
-    mig: &Mig,
-    selection: Selection,
-    view: &StructuralView,
-    pending: &[u32],
-) -> Vec<NodeId> {
-    if selection == Selection::Topological {
-        return mig.gates().filter(|&g| view.is_live(g)).collect();
+/// After a node is picked, each non-constant child loses one pending use
+/// (refreshing the releasing counts of candidates) before the node's
+/// parents are unlocked, the same interleaving the translator performs.
+pub(crate) fn schedule(mig: &Mig, selection: Selection) -> (Vec<NodeId>, Vec<u32>) {
+    let n = mig.num_nodes();
+    let gates = mig.num_inputs() + 1..n;
+    // Reverse sweep: liveness, and per node its non-constant edges from
+    // live gates (its live parents). Index order is topological, so a
+    // gate's liveness is settled when the sweep reaches it.
+    let mut live = vec![false; n];
+    let mut pending = vec![0u32; n];
+    let mut live_gates = 0;
+    for s in mig.outputs() {
+        live[s.node().index()] = true;
     }
-    let mut scheduler = Scheduler::new(mig, selection, view, pending.to_vec());
-    let mut order = Vec::with_capacity(view.live_set().count_ones());
-    while let Some(n) = scheduler.pop() {
-        order.push(n);
-        scheduler.after_compute(n);
-    }
-    order
-}
-
-/// The priority queue behind [`schedule`] for the keyed policies.
-struct Scheduler<'a> {
-    mig: &'a Mig,
-    selection: Selection,
-    /// Levels, liveness and CSR parent index of `mig`; dead parents stay
-    /// in the index and are skipped on walk.
-    view: &'a StructuralView,
-    /// Pending uses per node, consumed as nodes are computed.
-    pending: Vec<u32>,
-    /// [`Candidate::fanout_level`] per live gate.
-    fanout_level: Vec<u32>,
-    /// Uncomputed gate-children per live gate.
-    deps: Vec<u32>,
-    computed: Vec<bool>,
-    /// Keys of the computable nodes, outdated ones included.
-    ready: BinaryHeap<u128>,
-}
-
-impl<'a> Scheduler<'a> {
-    fn new(
-        mig: &'a Mig,
-        selection: Selection,
-        view: &'a StructuralView,
-        pending: Vec<u32>,
-    ) -> Self {
-        let n = mig.num_nodes();
-        let mut fanout_level = vec![u32::MAX; n];
-        let mut deps = vec![0u32; n];
-        // One sweep over the live gates' child edges. Dead gates are never
-        // computed, so they don't constrain the fanout level.
-        for g in mig.gates().filter(|&g| view.is_live(g)) {
-            let level = view.level(g);
-            for s in mig.children(g) {
-                let child = s.node();
-                if mig.is_gate(child) {
-                    fanout_level[child.index()] = fanout_level[child.index()].min(level);
-                    deps[g.index()] += 1;
+    for g in gates.clone().rev() {
+        if live[g] {
+            live_gates += 1;
+            for s in mig.children(NodeId::new(g as u32)) {
+                live[s.node().index()] = true;
+                if !s.is_constant() {
+                    pending[s.node().index()] += 1;
                 }
             }
         }
-        let mut scheduler = Scheduler {
-            mig,
-            selection,
-            view,
-            pending,
-            fanout_level,
-            deps,
-            computed: vec![false; n],
-            ready: BinaryHeap::new(),
-        };
-        for g in mig.gates() {
-            if view.is_live(g) && scheduler.deps[g.index()] == 0 {
-                scheduler.push(g);
+    }
+    let add_output_uses = |pending: &mut [u32]| {
+        for s in mig.outputs().iter().filter(|s| !s.is_constant()) {
+            pending[s.node().index()] += 1;
+        }
+    };
+    if selection == Selection::Topological {
+        add_output_uses(&mut pending);
+        let mut order = Vec::with_capacity(live_gates);
+        order.extend(gates.filter(|&g| live[g]).map(|g| NodeId::new(g as u32)));
+        return (order, pending);
+    }
+    // Inclusive prefix sums of the live-parent counts: the scatter counts
+    // each node's entry down to its first slot.
+    let mut offsets = Vec::with_capacity(n + 1);
+    let mut total = 0;
+    for &count in &pending {
+        total += count;
+        offsets.push(total);
+    }
+    offsets.push(total);
+    add_output_uses(&mut pending);
+    let mut scheduler = Scheduler {
+        mig,
+        selection,
+        pending: pending.clone(),
+        offsets,
+        parents: vec![0; total as usize],
+        fanout_level: vec![u32::MAX; n],
+        deps: vec![0; n],
+        releasing: vec![0; n],
+        computed: vec![false; n],
+    };
+    let (ready, max_level) = scheduler.sweep(&live);
+    let order = if selection == Selection::EnduranceAware {
+        scheduler.run(LevelBuckets::new(n, max_level), ready, live_gates)
+    } else {
+        scheduler.run(ReleasingClasses::default(), ready, live_gates)
+    };
+    (order, pending)
+}
+
+/// The state behind [`schedule`] for the keyed policies, indexed by node.
+struct Scheduler<'a> {
+    mig: &'a Mig,
+    selection: Selection,
+    /// Pending uses, consumed as nodes are computed.
+    pending: Vec<u32>,
+    /// CSR offsets: node `c`'s live parents are
+    /// `parents[offsets[c]..offsets[c + 1]]`.
+    offsets: Vec<u32>,
+    parents: Vec<u32>,
+    /// [`Candidate::fanout_level`].
+    fanout_level: Vec<u32>,
+    /// Uncomputed gate children.
+    deps: Vec<u8>,
+    /// [`Candidate::releasing`], kept for every uncomputed live gate.
+    releasing: Vec<u8>,
+    computed: Vec<bool>,
+}
+
+/// A priority queue of computable nodes under one keyed policy.
+trait Queue {
+    /// `n` just became computable.
+    fn ready(&mut self, s: &Scheduler, n: usize);
+    /// The releasing count of the computable `n` rose.
+    fn raised(&mut self, s: &Scheduler, n: usize);
+    /// The computable node with the largest key, `None` once none is left.
+    fn pop(&mut self, s: &Scheduler) -> Option<usize>;
+}
+
+impl Scheduler<'_> {
+    /// Forward sweep over the live gates: levels, fanout levels,
+    /// dependency counts, initial releasing counts and the live-parent
+    /// scatter. Returns the gates computable from the start and the
+    /// deepest level.
+    fn sweep(&mut self, live: &[bool]) -> (Vec<usize>, u32) {
+        let first_gate = self.mig.num_inputs() + 1;
+        let mut level = vec![0u32; live.len()];
+        let mut ready = Vec::new();
+        let mut max_level = 0;
+        for g in (first_gate..live.len()).filter(|&g| live[g]) {
+            let children = self.mig.children(NodeId::new(g as u32));
+            let l = 1 + children
+                .iter()
+                .fold(0, |l, s| l.max(level[s.node().index()]));
+            level[g] = l;
+            max_level = max_level.max(l);
+            for s in children.iter().filter(|s| !s.is_constant()) {
+                let c = s.node().index();
+                self.offsets[c] -= 1;
+                self.parents[self.offsets[c] as usize] = g as u32;
+                self.releasing[g] += u8::from(self.pending[c] == 1);
+                if c >= first_gate {
+                    self.deps[g] += 1;
+                    self.fanout_level[c] = self.fanout_level[c].min(l);
+                }
+            }
+            if self.deps[g] == 0 {
+                ready.push(g);
             }
         }
-        scheduler
+        (ready, max_level)
     }
 
-    fn key(&self, n: NodeId) -> u128 {
-        let releasing = self
-            .mig
-            .children(n)
-            .iter()
-            .filter(|s| !s.is_constant() && self.pending[s.node().index()] == 1)
-            .count() as u32;
+    fn key(&self, n: usize) -> u128 {
         self.selection.key(Candidate {
-            releasing,
-            fanout_level: self.fanout_level[n.index()],
-            index: n.raw(),
+            releasing: u32::from(self.releasing[n]),
+            fanout_level: self.fanout_level[n],
+            index: n as u32,
         })
     }
 
-    fn push(&mut self, n: NodeId) {
-        let key = self.key(n);
-        self.ready.push(key);
+    /// The node behind a heap entry, `None` for an outdated entry of a
+    /// computed node.
+    fn fresh(&self, key: u64) -> Option<usize> {
+        let n = !(key as u32) as usize;
+        if self.computed[n] {
+            return None;
+        }
+        debug_assert_eq!(
+            key,
+            self.key(n) as u64,
+            "keys only rise, so the newest entry pops first"
+        );
+        Some(n)
     }
 
-    /// Pops the next node to compute and marks it computed.
-    fn pop(&mut self) -> Option<NodeId> {
-        while let Some(key) = self.ready.pop() {
-            // The low lane of every key is the inverted index.
-            let n = NodeId::new(!(key as u32));
-            if self.computed[n.index()] {
-                continue;
+    fn live_parents(&self, n: usize) -> std::ops::Range<usize> {
+        self.offsets[n] as usize..self.offsets[n + 1] as usize
+    }
+
+    /// Computes the `live_gates` nodes in the order `queue` picks them,
+    /// starting from `ready`: consumes each picked node's pending child
+    /// uses, raising the releasing count of a child's last user, then
+    /// unlocks its parents.
+    fn run(mut self, mut queue: impl Queue, ready: Vec<usize>, live_gates: usize) -> Vec<NodeId> {
+        for n in ready {
+            queue.ready(&self, n);
+        }
+        let mut order = Vec::with_capacity(live_gates);
+        while let Some(n) = queue.pop(&self) {
+            self.computed[n] = true;
+            order.push(NodeId::new(n as u32));
+            for s in self.mig.children(NodeId::new(n as u32)) {
+                if s.is_constant() {
+                    continue;
+                }
+                let c = s.node().index();
+                self.pending[c] -= 1;
+                if self.pending[c] != 1 {
+                    continue;
+                }
+                // One use is left, so at most one parent is uncomputed.
+                let last = self
+                    .live_parents(c)
+                    .map(|i| self.parents[i] as usize)
+                    .find(|&p| !self.computed[p]);
+                if let Some(p) = last {
+                    self.releasing[p] += 1;
+                    if self.deps[p] == 0 {
+                        queue.raised(&self, p);
+                    }
+                }
             }
-            debug_assert_eq!(
-                key,
-                self.key(n),
-                "keys only rise, so the newest entry pops first"
-            );
-            self.computed[n.index()] = true;
-            return Some(n);
+            for i in self.live_parents(n) {
+                let p = self.parents[i] as usize;
+                self.deps[p] -= 1;
+                if self.deps[p] == 0 {
+                    queue.ready(&self, p);
+                }
+            }
+        }
+        debug_assert_eq!(order.len(), live_gates, "every live gate is scheduled");
+        order
+    }
+}
+
+const NONE: u32 = u32::MAX;
+
+/// The endurance-aware queue: computable nodes wait in one intrusive list
+/// per fanout level (nodes feeding only primary outputs in the last) until
+/// the cursor reaches their level, then compete in a heap on the key's low
+/// 64 bits, `(releasing, index)`.
+struct LevelBuckets {
+    /// First waiting node per level, [`NONE`] for an empty list.
+    head: Vec<u32>,
+    /// The next waiting node in the same list, per node.
+    next: Vec<u32>,
+    /// The level whose nodes are in `heap`; it only moves forward.
+    cursor: usize,
+    heap: BinaryHeap<u64>,
+}
+
+impl LevelBuckets {
+    fn new(nodes: usize, max_level: u32) -> Self {
+        LevelBuckets {
+            head: vec![NONE; max_level as usize + 2],
+            next: vec![NONE; nodes],
+            cursor: 0,
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn bucket(&self, s: &Scheduler, n: usize) -> usize {
+        (s.fanout_level[n] as usize).min(self.head.len() - 1)
+    }
+}
+
+impl Queue for LevelBuckets {
+    fn ready(&mut self, s: &Scheduler, n: usize) {
+        let level = self.bucket(s, n);
+        debug_assert!(
+            level > self.cursor,
+            "an unlocked node lands in a later level"
+        );
+        self.next[n] = self.head[level];
+        self.head[level] = n as u32;
+    }
+
+    fn raised(&mut self, s: &Scheduler, n: usize) {
+        // Nodes at later levels read their count when their list drains.
+        if self.bucket(s, n) == self.cursor {
+            self.heap.push(s.key(n) as u64);
+        }
+    }
+
+    fn pop(&mut self, s: &Scheduler) -> Option<usize> {
+        loop {
+            while let Some(key) = self.heap.pop() {
+                if let Some(n) = s.fresh(key) {
+                    debug_assert_eq!(self.bucket(s, n), self.cursor);
+                    return Some(n);
+                }
+            }
+            // The cursor's own list drained when it arrived, and no node
+            // joins it since.
+            let level = (self.cursor..self.head.len()).find(|&l| self.head[l] != NONE)?;
+            debug_assert!(level > self.cursor, "the cursor never moves back");
+            self.cursor = level;
+            let mut n = std::mem::replace(&mut self.head[level], NONE);
+            while n != NONE {
+                self.heap.push(s.key(n as usize) as u64);
+                n = self.next[n as usize];
+            }
+        }
+    }
+}
+
+/// The area-aware queue: one heap per releasing count, each on the key's
+/// low 64 bits, `(fanout level, index)`.
+#[derive(Default)]
+struct ReleasingClasses {
+    classes: [BinaryHeap<u64>; 4],
+}
+
+impl Queue for ReleasingClasses {
+    fn ready(&mut self, s: &Scheduler, n: usize) {
+        self.classes[usize::from(s.releasing[n])].push(s.key(n) as u64);
+    }
+
+    fn raised(&mut self, s: &Scheduler, n: usize) {
+        self.ready(s, n);
+    }
+
+    fn pop(&mut self, s: &Scheduler) -> Option<usize> {
+        // A node's newest entry sits in a higher class than its outdated
+        // ones, so it pops first.
+        for (releasing, class) in self.classes.iter_mut().enumerate().rev() {
+            while let Some(key) = class.pop() {
+                if let Some(n) = s.fresh(key) {
+                    debug_assert_eq!(usize::from(s.releasing[n]), releasing);
+                    return Some(n);
+                }
+            }
         }
         None
-    }
-
-    /// Consumes `n`'s pending child uses, re-inserting the computable
-    /// parents of children that reach their last use, then unlocks `n`'s
-    /// parents one dependency at a time.
-    fn after_compute(&mut self, n: NodeId) {
-        for s in self.mig.children(n) {
-            if s.is_constant() {
-                continue;
-            }
-            let child = s.node();
-            self.pending[child.index()] -= 1;
-            if self.pending[child.index()] == 1 {
-                self.for_live_parents(child, |sched, p| {
-                    if !sched.computed[p.index()] && sched.deps[p.index()] == 0 {
-                        sched.push(p);
-                    }
-                });
-            }
-        }
-        self.for_live_parents(n, |sched, p| {
-            sched.deps[p.index()] -= 1;
-            if sched.deps[p.index()] == 0 {
-                sched.push(p);
-            }
-        });
-    }
-
-    fn for_live_parents(&mut self, n: NodeId, mut f: impl FnMut(&mut Self, NodeId)) {
-        let view = self.view;
-        let (lo, hi) = view.parent_bounds(n);
-        for i in lo..hi {
-            let p = view.parent_at(i);
-            if view.is_live(p) {
-                f(self, p);
-            }
-        }
     }
 }
 
@@ -260,9 +428,7 @@ mod tests {
     }
 
     fn drain(mig: &Mig, selection: Selection) -> Vec<NodeId> {
-        let view = StructuralView::of(mig);
-        let pending = view.pending_uses(mig);
-        schedule(mig, selection, &view, &pending)
+        schedule(mig, selection).0
     }
 
     #[test]

@@ -229,10 +229,8 @@ struct Synthesiser<'a, P> {
 
 impl<'a, P: Pool> Synthesiser<'a, P> {
     fn new(mig: &'a Mig, options: ImpSynthOptions) -> Self {
-        // Only liveness is read, so the view skips levels and parents, and
-        // only its live set is kept past set-up.
-        let mut view = StructuralView::new();
-        view.compute_structure(mig);
+        // Only the view's live set is kept past set-up.
+        let view = StructuralView::of(mig);
         Synthesiser {
             mig,
             ops: Vec::new(),

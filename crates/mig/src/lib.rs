@@ -13,8 +13,8 @@
 //!   (endurance-aware rewriting).
 //! * [`simulate`] — 64-way bit-parallel simulation and
 //!   random equivalence checking (available as inherent methods on [`Mig`]).
-//! * [`view`] — reusable structural views: levels, fanout, bitset live
-//!   mask and a CSR parent index, derived together in two linear sweeps.
+//! * [`view`] — reusable structural views: fanout counts and a bitset
+//!   live mask, derived together in two linear sweeps.
 //! * [`strash`] — the open-addressing structural-hashing table behind
 //!   [`Mig::add_maj`] deduplication, reusable across graph rebuilds.
 //! * [`random`] — seeded random-MIG generation for tests and synthetic

@@ -81,7 +81,8 @@ impl Pass {
     /// Runs this pass, producing a rewritten graph in fresh buffers.
     pub fn run(self, mig: &Mig) -> Mig {
         let mut new = Mig::new(mig.num_inputs());
-        self.rebuild(mig, &structure_of(mig), &mut new, &mut Workspace::default());
+        let view = StructuralView::of(mig);
+        self.rebuild(mig, &view, &mut new, &mut Workspace::default());
         new
     }
 
@@ -90,7 +91,7 @@ impl Pass {
     /// scan is sound but not complete, since a match can rebuild the very
     /// node it replaces (Ω.A's `⟨x u ⟨y u x⟩⟩` does).
     pub fn proves_idle(self, mig: &Mig) -> bool {
-        self.scan(mig, &structure_of(mig), &mut Workspace::default())
+        self.scan(mig, &StructuralView::of(mig), &mut Workspace::default())
     }
 
     /// Rebuilds `old` into the recycled `new` buffer. `view` is the
@@ -256,7 +257,7 @@ pub fn rewrite_with_stats(mig: &Mig, algorithm: Algorithm, effort: usize) -> (Mi
     let mut ws = Workspace::default();
     // The structure of `current`, recomputed only when `current` changes:
     // every scan of a graph version and the rebuild from it share it.
-    let mut view = structure_of(mig);
+    let mut view = StructuralView::of(mig);
     let mut spare = Mig::new(mig.num_inputs());
     stats.scans += 1;
     let mut current = if Pass::Majority.scan(mig, &view, &mut ws) {
@@ -269,7 +270,7 @@ pub fn rewrite_with_stats(mig: &Mig, algorithm: Algorithm, effort: usize) -> (Mi
         stats.rebuilds += 1;
         let mut current = Mig::new(mig.num_inputs());
         Pass::Majority.rebuild(mig, &view, &mut current, &mut ws);
-        view.compute_structure(&current);
+        view.compute(&current);
         current
     };
     // Passes known to rebuild `current` exactly as it is. A pass is a pure
@@ -301,7 +302,7 @@ pub fn rewrite_with_stats(mig: &Mig, algorithm: Algorithm, effort: usize) -> (Mi
                 idle.push(pass);
             } else {
                 std::mem::swap(&mut current, &mut spare);
-                view.compute_structure(&current);
+                view.compute(&current);
                 idle.clear();
             }
         }
@@ -312,14 +313,6 @@ pub fn rewrite_with_stats(mig: &Mig, algorithm: Algorithm, effort: usize) -> (Mi
         before = after;
     }
     (current, stats)
-}
-
-/// The fanout and liveness half of a [`StructuralView`]: all a pass reads
-/// of its source graph.
-fn structure_of(mig: &Mig) -> StructuralView {
-    let mut view = StructuralView::new();
-    view.compute_structure(mig);
-    view
 }
 
 /// Reusable scratch shared by every pass of a [`rewrite`] call: the
@@ -698,9 +691,9 @@ pub(crate) mod tests {
             for pass in PASSES {
                 let mut ws = Workspace::default();
                 let mut recycled = Mig::new(other.num_inputs());
-                pass.rebuild(&other, &structure_of(&other), &mut recycled, &mut ws);
+                pass.rebuild(&other, &StructuralView::of(&other), &mut recycled, &mut ws);
                 let mut first = Mig::new(0);
-                let view = structure_of(&input);
+                let view = StructuralView::of(&input);
                 pass.rebuild(&input, &view, &mut first, &mut ws);
                 pass.rebuild(&input, &view, &mut recycled, &mut ws);
                 assert!(first == recycled, "{pass:?} is not pure on seed {seed}");

@@ -1,15 +1,13 @@
-//! Structural views: levels, fanout, liveness and a CSR parent index,
-//! computed together and reusable across graph rebuilds.
+//! Structural views: fanout counts and liveness of one graph, computed
+//! together and reusable across graph rebuilds.
 //!
-//! The rewrite engine and the compiler's scheduler both need the same
-//! derived structure — per-node levels, fanout counts, output-reachability
-//! and a parent index. The original accessors on [`Mig`]
-//! ([`Mig::levels`], [`Mig::fanout_counts`], [`Mig::live_mask`],
-//! [`Mig::parents`]) each allocate fresh vectors per call, and
-//! `parents()`'s `Vec<Vec<NodeId>>` costs one heap allocation per node.
-//! [`StructuralView`] derives all four in two linear sweeps into flat,
-//! reusable buffers; the parent index is CSR (offsets + one flat array)
-//! and the live mask is a [`BitSet`].
+//! The rewrite passes and IMPLY synthesis read the same derived
+//! structure: per-node fanout counts and output-reachability. The
+//! accessors on [`Mig`] ([`Mig::fanout_counts`], [`Mig::live_mask`])
+//! allocate fresh vectors per call. [`StructuralView`] derives both in
+//! two linear sweeps into flat, reusable buffers; the live mask is a
+//! [`BitSet`]. (The RM3 scheduler derives levels and its parent index in
+//! its own sweeps.)
 //!
 //! [`StructuralView::compute`] clears and refills an existing view, so
 //! the allocator is touched only while the buffers grow toward the
@@ -73,8 +71,8 @@ impl BitSet {
     }
 }
 
-/// Levels, fanout counts, live mask and CSR parent index of one graph,
-/// derived together in two linear sweeps.
+/// Fanout counts and live mask of one graph, derived together in two
+/// linear sweeps.
 ///
 /// # Examples
 ///
@@ -84,27 +82,20 @@ impl BitSet {
 /// let mut mig = Mig::new(3);
 /// let [a, b, c] = [mig.input(0), mig.input(1), mig.input(2)];
 /// let m = mig.add_maj(a, b, c);
+/// let dead = mig.add_maj(!a, b, c);
 /// mig.add_output(m);
 ///
 /// let view = StructuralView::of(&mig);
-/// assert_eq!(view.level(m.node()), 1);
-/// assert_eq!(view.fanout(a.node()), 1);
+/// assert_eq!(view.fanout(a.node()), 2);
 /// assert!(view.is_live(m.node()));
-/// assert_eq!(view.parents_of(a.node()), [m.node()]);
+/// assert!(!view.is_live(dead.node()));
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct StructuralView {
-    /// Per-node logic level (constants and inputs are 0).
-    levels: Vec<u32>,
     /// Per-node fanout count, including primary-output references.
     fanout: Vec<u32>,
     /// Output-reachable nodes.
     live: BitSet,
-    /// CSR offsets into `parents`: node `n`'s gate parents are
-    /// `parents[offsets[n] .. offsets[n + 1]]`.
-    offsets: Vec<u32>,
-    /// Flat parent array, grouped by child node index.
-    parents: Vec<NodeId>,
 }
 
 impl StructuralView {
@@ -122,51 +113,15 @@ impl StructuralView {
 
     /// Clears and refills this view from `mig`, reusing every buffer.
     pub fn compute(&mut self, mig: &Mig) {
-        self.compute_impl(mig, true);
-    }
-
-    /// Like [`StructuralView::compute`] but derives only what the rewrite
-    /// passes consume — fanout counts and liveness. Levels (three random
-    /// reads per gate) and the CSR parent index (three random writes per
-    /// gate) are skipped; [`StructuralView::level`] and
-    /// [`StructuralView::parents_of`] must not be called on a view
-    /// computed this way.
-    pub fn compute_structure(&mut self, mig: &Mig) {
-        self.compute_impl(mig, false);
-    }
-
-    fn compute_impl(&mut self, mig: &Mig, full: bool) {
         let n = mig.num_nodes();
-        self.levels.clear();
         self.fanout.clear();
         self.fanout.resize(n, 0);
         self.live.reset(n);
-        // offsets is used as a counting buffer first, then prefix-summed.
-        self.offsets.clear();
-        if full {
-            self.levels.resize(n, 0);
-            self.offsets.resize(n + 1, 0);
-        }
-        self.parents.clear();
 
-        // Sweep 1 (forward): fanout counts (+ levels + parent counts).
-        if full {
-            for g in mig.gates() {
-                let ch = mig.children(g);
-                let mut level = 0;
-                for s in ch {
-                    let idx = s.node().index();
-                    level = level.max(self.levels[idx]);
-                    self.fanout[idx] += 1;
-                    self.offsets[idx + 1] += 1;
-                }
-                self.levels[g.index()] = level + 1;
-            }
-        } else {
-            for g in mig.gates() {
-                for s in mig.children(g) {
-                    self.fanout[s.node().index()] += 1;
-                }
+        // Sweep 1 (forward): fanout counts.
+        for g in mig.gates() {
+            for s in mig.children(g) {
+                self.fanout[s.node().index()] += 1;
             }
         }
         for s in mig.outputs() {
@@ -185,45 +140,6 @@ impl StructuralView {
                 }
             }
         }
-
-        if !full {
-            return;
-        }
-
-        // Prefix-sum the parent counts into CSR offsets.
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        let total = self.offsets[n] as usize;
-        self.parents.resize(total, NodeId::CONST);
-
-        // Sweep 2 (forward): scatter parents. `cursor` borrows the counting
-        // trick: offsets[i] is bumped while filling, then shifted back.
-        let mut cursor = std::mem::take(&mut self.offsets);
-        for g in mig.gates() {
-            for s in mig.children(g) {
-                let idx = s.node().index();
-                self.parents[cursor[idx] as usize] = g;
-                cursor[idx] += 1;
-            }
-        }
-        // cursor[i] now equals offsets[i + 1]; shift right to restore.
-        for i in (1..=n).rev() {
-            cursor[i] = cursor[i - 1];
-        }
-        cursor[0] = 0;
-        self.offsets = cursor;
-    }
-
-    /// Logic level of node `n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view was built with
-    /// [`StructuralView::compute_structure`], which omits levels.
-    #[inline]
-    pub fn level(&self, n: NodeId) -> u32 {
-        self.levels[n.index()]
     }
 
     /// Fanout count of node `n` (including primary-output references).
@@ -243,78 +159,11 @@ impl StructuralView {
         &self.live
     }
 
-    /// The gate parents of node `n` (excludes primary-output references,
-    /// includes dead parents), in gate index order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view was built with
-    /// [`StructuralView::compute_structure`], which omits the parent index.
-    #[inline]
-    pub fn parents_of(&self, n: NodeId) -> &[NodeId] {
-        assert!(
-            !self.offsets.is_empty(),
-            "view was computed without the parent index"
-        );
-        let lo = self.offsets[n.index()] as usize;
-        let hi = self.offsets[n.index() + 1] as usize;
-        &self.parents[lo..hi]
-    }
-
-    /// `(start, end)` bounds of node `n`'s parent slice — for callers that
-    /// need to walk parents while mutating other state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view was built with
-    /// [`StructuralView::compute_structure`], which omits the parent index.
-    #[inline]
-    pub fn parent_bounds(&self, n: NodeId) -> (usize, usize) {
-        assert!(
-            !self.offsets.is_empty(),
-            "view was computed without the parent index"
-        );
-        (
-            self.offsets[n.index()] as usize,
-            self.offsets[n.index() + 1] as usize,
-        )
-    }
-
-    /// Parent at flat index `i` (see [`StructuralView::parent_bounds`]).
-    #[inline]
-    pub fn parent_at(&self, i: usize) -> NodeId {
-        debug_assert!(
-            !self.offsets.is_empty(),
-            "view was computed without the parent index"
-        );
-        self.parents[i]
-    }
-
-    /// Maximum level over the primary outputs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view was built with
-    /// [`StructuralView::compute_structure`], which omits levels.
-    pub fn depth(&self, mig: &Mig) -> u32 {
-        assert!(
-            self.levels.len() == mig.num_nodes(),
-            "view was computed without levels (or for a different graph)"
-        );
-        mig.outputs()
-            .iter()
-            .map(|s| self.levels[s.node().index()])
-            .max()
-            .unwrap_or(0)
-    }
-
     /// Initial pending-use counts per node, the uses a compiler waits for
     /// before it frees a node's cell: one per non-constant child edge of a
     /// live gate plus one per primary-output reference (never consumed, so
-    /// an output's cell stays pinned). Both the RM3 and the IMPLY
-    /// compilers start from these counts. Needs only liveness, so a view
-    /// from either [`StructuralView::compute`] or
-    /// [`StructuralView::compute_structure`] serves.
+    /// an output's cell stays pinned). IMPLY synthesis starts from these
+    /// counts; the RM3 scheduler derives the same counts in its own sweeps.
     pub fn pending_uses(&self, mig: &Mig) -> Vec<u32> {
         let mut pending = vec![0u32; mig.num_nodes()];
         for g in mig.gates() {
@@ -342,6 +191,22 @@ mod tests {
     use crate::rewrite::tests::random_mig;
     use crate::Signal;
 
+    /// The reference pending-use counts, from the per-call accessors.
+    fn reference_pending(mig: &Mig) -> Vec<u32> {
+        let live = mig.live_mask();
+        let mut pending = vec![0u32; mig.num_nodes()];
+        let live_edges = mig
+            .gates()
+            .filter(|g| live[g.index()])
+            .flat_map(|g| mig.children(g));
+        for s in live_edges.chain(mig.outputs().iter().copied()) {
+            if !s.is_constant() {
+                pending[s.node().index()] += 1;
+            }
+        }
+        pending
+    }
+
     /// The view must agree exactly with the original per-call accessors on
     /// random graphs — they are the reference implementation.
     #[test]
@@ -350,25 +215,17 @@ mod tests {
             let mig = random_mig(seed, 9, 250, 7);
             let view = StructuralView::of(&mig);
 
-            let levels = mig.levels();
             let fanout = mig.fanout_counts();
             let live = mig.live_mask();
-            let parents = mig.parents();
             for n in mig.node_ids() {
-                assert_eq!(view.level(n), levels[n.index()], "level of {n}");
                 assert_eq!(view.fanout(n), fanout[n.index()], "fanout of {n}");
                 assert_eq!(view.is_live(n), live[n.index()], "liveness of {n}");
-                assert_eq!(
-                    view.parents_of(n),
-                    &parents[n.index()][..],
-                    "parents of {n}"
-                );
             }
-            assert_eq!(view.depth(&mig), mig.depth(), "depth");
             assert_eq!(
                 view.live_set().count_ones(),
                 live.iter().filter(|&&l| l).count()
             );
+            assert_eq!(view.pending_uses(&mig), reference_pending(&mig));
         }
     }
 
@@ -378,11 +235,11 @@ mod tests {
         let small = random_mig(2, 4, 30, 3);
         let mut view = StructuralView::of(&big);
         view.compute(&small);
+        let fanout = small.fanout_counts();
         let live = small.live_mask();
-        let parents = small.parents();
         for n in small.node_ids() {
+            assert_eq!(view.fanout(n), fanout[n.index()]);
             assert_eq!(view.is_live(n), live[n.index()]);
-            assert_eq!(view.parents_of(n), &parents[n.index()][..]);
         }
         assert_eq!(view.live_set().len(), small.num_nodes());
     }
@@ -409,19 +266,6 @@ mod tests {
         assert_eq!(pending[g.node().index()], 2);
         assert_eq!(pending[dead.node().index()], 0);
         assert_eq!(pending[top.node().index()], 1);
-    }
-
-    #[test]
-    fn pending_uses_agree_between_full_and_structure_views() {
-        for seed in 0..6 {
-            let mig = random_mig(seed, 8, 200, 6);
-            let mut structure = StructuralView::new();
-            structure.compute_structure(&mig);
-            assert_eq!(
-                structure.pending_uses(&mig),
-                StructuralView::of(&mig).pending_uses(&mig)
-            );
-        }
     }
 
     #[test]

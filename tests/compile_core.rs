@@ -1,17 +1,25 @@
 //! The compile core's dense structures against brute-force references:
-//! the schedule pass's packed-key queue against a scan of every ready
-//! node, and the copy-reuse holder index against the retain-and-push
-//! candidate lists it replaced.
+//! the schedule pass's bucket queues (fanout-level buckets under
+//! Algorithm 3, releasing classes under the area-aware policy) against a
+//! scan of every ready node that reads levels and parents from the
+//! `Mig` accessors, and the copy-reuse holder index against the
+//! retain-and-push candidate lists it replaced. A counting allocator
+//! checks that scheduling a deep chain allocates a fixed number of
+//! buffers, none per level.
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 use rlim::benchmarks::Benchmark;
 use rlim::compiler::values::{Holders, ValueId, Values, FALSE, TRUE};
-use rlim::compiler::{Candidate, CompileOptions, Pass, PipelineState, SchedulePass, Selection};
+use rlim::compiler::{
+    Candidate, CompileOptions, Pass, PipelineState, Schedule, SchedulePass, Selection,
+};
 use rlim::mig::random::{generate, RandomMigConfig};
 use rlim::mig::rewrite::{rewrite, Algorithm};
-use rlim::mig::{Mig, NodeId, StructuralView};
+use rlim::mig::{Mig, NodeId};
 use rlim::plim::parallel::parallel_map;
 use rlim::rram::CellId;
 
@@ -45,7 +53,32 @@ fn mig_strategy() -> impl Strategy<Value = Mig> {
         )
 }
 
-fn schedule_pass(mig: &Mig, selection: Selection) -> Vec<NodeId> {
+/// Wide, shallow graphs: children drawn from the whole history and many
+/// outputs drawn from anywhere, so many ready nodes tie on one fanout
+/// level, one child's last use raises several waiting parents, and many
+/// nodes feed only primary outputs (`fanout_level = u32::MAX`).
+fn wide_mig_strategy() -> impl Strategy<Value = Mig> {
+    (
+        4usize..24,   // inputs
+        1usize..40,   // outputs
+        0usize..240,  // gates
+        0.0f64..0.6,  // constant probability
+        any::<u64>(), // seed
+    )
+        .prop_map(|(inputs, outputs, gates, constant_prob, seed)| {
+            let cfg = RandomMigConfig {
+                inputs,
+                outputs,
+                gates,
+                constant_prob,
+                window: 400,
+                ..Default::default()
+            };
+            generate(&cfg, seed)
+        })
+}
+
+fn schedule_pass(mig: &Mig, selection: Selection) -> Schedule {
     let options = CompileOptions {
         selection,
         ..CompileOptions::naive()
@@ -53,16 +86,21 @@ fn schedule_pass(mig: &Mig, selection: Selection) -> Vec<NodeId> {
     let mut state = PipelineState::new(mig, &options);
     SchedulePass.run(&mut state);
     let schedule = state.schedule.expect("the schedule pass emits a schedule");
-    schedule.into_owned().order
+    schedule.into_owned()
 }
 
 /// The schedule by definition: until every live gate is computed, score
 /// every ready, uncomputed live gate afresh and compute the one with the
-/// best `(key, index)`, then consume one pending use per child.
-fn reference_schedule(mig: &Mig, selection: Selection) -> Vec<NodeId> {
+/// largest key (keys are distinct: their last lane is the index), then
+/// consume one pending use per child. Levels, parents and liveness come
+/// from the `Mig` accessors, so the scan shares no code with the queue it
+/// checks.
+fn reference_schedule(mig: &Mig, selection: Selection) -> Schedule {
     const CONSTANT: usize = usize::MAX;
-    let view = StructuralView::of(mig);
-    let live: Vec<NodeId> = mig.gates().filter(|&g| view.is_live(g)).collect();
+    let is_live = mig.live_mask();
+    let levels = mig.levels();
+    let parents = mig.parents();
+    let live: Vec<NodeId> = mig.gates().filter(|g| is_live[g.index()]).collect();
     // Per gate: the non-constant children, and the gate children still
     // uncomputed. Plain loops over flat tables keep the scan affordable
     // in unoptimised test builds.
@@ -81,13 +119,25 @@ fn reference_schedule(mig: &Mig, selection: Selection) -> Vec<NodeId> {
     for s in mig.outputs().iter().filter(|s| !s.is_constant()) {
         pending[s.node().index()] += 1;
     }
-    let fanout_level: Vec<u32> = mig
-        .node_ids()
-        .map(|n| {
-            view.parents_of(n)
-                .iter()
-                .filter(|&&p| view.is_live(p))
-                .map(|&p| view.level(p))
+    let fanout = pending.clone();
+    if selection == Selection::Topological {
+        // The key is the index alone, and the smallest uncomputed live
+        // gate is always ready (its children have smaller indices), so
+        // the scan would pick the live gates in index order.
+        return Schedule {
+            order: live,
+            fanout,
+        };
+    }
+    let live_parents: Vec<Vec<NodeId>> = parents
+        .into_iter()
+        .map(|ps| ps.into_iter().filter(|p| is_live[p.index()]).collect())
+        .collect();
+    let fanout_level: Vec<u32> = live_parents
+        .iter()
+        .map(|ps| {
+            ps.iter()
+                .map(|p| levels[p.index()])
                 .min()
                 .unwrap_or(u32::MAX)
         })
@@ -98,22 +148,20 @@ fn reference_schedule(mig: &Mig, selection: Selection) -> Vec<NodeId> {
         .filter(|g| deps[g.index()] == 0)
         .collect();
     let mut order = Vec::with_capacity(live.len());
+    // Whether child `k` is at its last pending use.
+    let last_use = |pending: &[u32], k: usize| u32::from(k != CONSTANT && pending[k] == 1);
     while !ready.is_empty() {
-        let mut best = (0, u128::MIN, NodeId::new(u32::MAX));
-        for (at, &g) in ready.iter().enumerate() {
-            let mut releasing = 0;
-            for &k in &kids[g.index()] {
-                if k != CONSTANT && pending[k] == 1 {
-                    releasing += 1;
-                }
-            }
+        let mut best = (0, u128::MIN);
+        for (at, g) in ready.iter().enumerate() {
+            let g = g.index();
+            let [a, b, c] = kids[g];
             let key = selection.key(Candidate {
-                releasing,
-                fanout_level: fanout_level[g.index()],
-                index: g.index() as u32,
+                releasing: last_use(&pending, a) + last_use(&pending, b) + last_use(&pending, c),
+                fanout_level: fanout_level[g],
+                index: g as u32,
             });
-            if at == 0 || key > best.1 || (key == best.1 && g < best.2) {
-                best = (at, key, g);
+            if at == 0 || key > best.1 {
+                best = (at, key);
             }
         }
         let n = ready.swap_remove(best.0);
@@ -123,26 +171,27 @@ fn reference_schedule(mig: &Mig, selection: Selection) -> Vec<NodeId> {
                 pending[k] -= 1;
             }
         }
-        for &p in view.parents_of(n) {
-            if view.is_live(p) {
-                deps[p.index()] -= 1;
-                if deps[p.index()] == 0 {
-                    ready.push(p);
-                }
+        for &p in &live_parents[n.index()] {
+            deps[p.index()] -= 1;
+            if deps[p.index()] == 0 {
+                ready.push(p);
             }
         }
     }
     assert_eq!(order.len(), live.len(), "every live gate is scheduled");
-    order
+    Schedule { order, fanout }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// On random graphs, the schedule pass picks exactly the node a scan
-    /// of every ready node picks, under each selection policy.
+    /// On random graphs, narrow and deep or wide and shallow, the schedule
+    /// pass picks exactly the node a scan of every ready node picks, under
+    /// each selection policy, and starts from the same pending-use counts.
     #[test]
-    fn schedule_matches_the_reference_scan_on_random_graphs(mig in mig_strategy()) {
+    fn schedule_matches_the_reference_scan_on_random_graphs(
+        mig in prop_oneof![mig_strategy(), wide_mig_strategy()],
+    ) {
         for selection in POLICIES {
             prop_assert_eq!(
                 schedule_pass(&mig, selection),
@@ -153,20 +202,22 @@ proptest! {
     }
 }
 
-/// The same on the 18 benchmarks after the paper's two rewriting
-/// algorithms (the graphs the Table I columns schedule). Where both
-/// algorithms give the same graph it is checked once.
+/// The same on the 18 benchmarks as built, dead gates included, and after
+/// the paper's two rewriting algorithms (the graphs the Table I columns
+/// schedule). Where both algorithms give the same graph it is checked
+/// once.
 #[test]
 fn schedule_matches_the_reference_scan_on_rewritten_benchmarks() {
     let mismatches = parallel_map(Benchmark::all().to_vec(), 2, |bench| {
         let source = bench.build();
-        let mut graphs = vec![("Alg. 1", rewrite(&source, Algorithm::PlimCompiler, 5))];
+        let alg1 = rewrite(&source, Algorithm::PlimCompiler, 5);
         let alg2 = rewrite(&source, Algorithm::EnduranceAware, 5);
-        if alg2 != graphs[0].1 {
-            graphs.push(("Alg. 2", alg2));
+        let mut graphs = vec![("raw", &source), ("Alg. 1", &alg1)];
+        if alg2 != alg1 {
+            graphs.push(("Alg. 2", &alg2));
         }
         let mut mismatches = Vec::new();
-        for (algorithm, mig) in &graphs {
+        for (algorithm, mig) in graphs {
             for selection in POLICIES {
                 if schedule_pass(mig, selection) != reference_schedule(mig, selection) {
                     mismatches.push(format!("{} {algorithm} {selection:?}", bench.name()));
@@ -177,6 +228,107 @@ fn schedule_matches_the_reference_scan_on_rewritten_benchmarks() {
     });
     let mismatches: Vec<String> = mismatches.into_iter().flatten().collect();
     assert!(mismatches.is_empty(), "schedule differs: {mismatches:?}");
+}
+
+/// Counts the heap traffic of the threads that ask for it.
+struct CountingAllocator;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Ledger {
+    /// Allocations and reallocations.
+    allocations: usize,
+    /// Bytes held now, relative to when counting started.
+    held: isize,
+    /// The largest `held` seen.
+    peak: isize,
+}
+
+thread_local! {
+    static LEDGER: Cell<Option<Ledger>> = const { Cell::new(None) };
+}
+
+impl CountingAllocator {
+    fn note(grown: isize, allocation: bool) {
+        // `try_with` fails only while the thread is torn down; nothing is
+        // counted then.
+        let _ = LEDGER.try_with(|ledger| {
+            if let Some(mut l) = ledger.get() {
+                l.allocations += usize::from(allocation);
+                l.held += grown;
+                l.peak = l.peak.max(l.held);
+                ledger.set(Some(l));
+            }
+        });
+    }
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged; the bookkeeping touches only a thread-local `Cell` and never
+// allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        Self::note(layout.size() as isize, true);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        Self::note(-(layout.size() as isize), false);
+        // SAFETY: `ptr` was allocated by `System` with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        Self::note(new_size as isize - layout.size() as isize, true);
+        // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Runs `f` and returns its result with the heap traffic it caused on
+/// this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, Ledger) {
+    LEDGER.with(|ledger| ledger.set(Some(Ledger::default())));
+    let out = f();
+    let ledger = LEDGER
+        .with(|ledger| ledger.take())
+        .expect("counting was on");
+    (out, ledger)
+}
+
+/// A deep forward chain of AND gates (one gate per level) schedules in
+/// index order under both keyed policies. The endurance-aware queue keeps
+/// one list head per level, so its memory stays linear in gates and it
+/// allocates the same few buffers at any depth: none per level.
+#[test]
+fn deep_and_chain_schedules_in_index_order_in_linear_memory() {
+    let gates = if cfg!(debug_assertions) {
+        20_000
+    } else {
+        200_000
+    };
+    let mut mig = Mig::new(16);
+    let mut acc = mig.input(0);
+    for i in 0..gates {
+        let x = mig.input(1 + i % 15);
+        acc = mig.and(acc, x);
+    }
+    mig.add_output(acc);
+    assert_eq!(mig.num_gates(), gates);
+    let index_order: Vec<NodeId> = mig.gates().collect();
+    for selection in [Selection::EnduranceAware, Selection::AreaAware] {
+        let (schedule, ledger) = counted(|| Schedule::of(&mig, selection));
+        assert!(
+            schedule.order == index_order,
+            "{selection:?} left index order"
+        );
+        assert!(ledger.allocations <= 32, "{selection:?}: {ledger:?}");
+        let per_node = ledger.peak / mig.num_nodes() as isize;
+        assert!(per_node <= 64, "{selection:?}: {per_node} bytes per node");
+    }
 }
 
 /// The holder index as it was before it became intrusive lists: per
